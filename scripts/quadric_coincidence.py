@@ -2,8 +2,8 @@
 
 For a smooth quadric surface the two predicates agree on every line; this
 script samples random smooth quadrics in P^3 and checks the equivalence on
-the full line population, settling any Las-Vegas disagreement with the
-exact dual-containment test.  Mismatches would be library bugs.
+the full line population with the certified very-transverse decision.
+Mismatches would be library bugs.
 """
 
 import argparse
@@ -42,8 +42,6 @@ def main(argv=None):
         for L in lines:
             t = certify.is_transverse(X, L)
             vt = certify.is_very_transverse(X, L, rng=vrng)
-            if vt != t:
-                vt = certify.is_very_transverse(X, L, rng=vrng, exact=True)
             if vt != t:
                 mismatches += 1
                 print(f"MISMATCH {poly.format_form(G)} on "

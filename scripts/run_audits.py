@@ -1,6 +1,6 @@
 """Desk-scale audit battery.
 
-Counts the bad loci of a handful of fixed fixtures exhaustively, compares
+Counts the bad loci of the CLI's fixed fixtures exhaustively, compares
 each exact count against the printed bound, and writes one JSON report per
 experiment plus a combined CSV.  Exit status 2 flags a bound violation,
 which would be a theorem bug, not a data point.
@@ -11,40 +11,7 @@ import json
 import pathlib
 import sys
 
-from transverse import audit, gf, locus, poly, search
-
-
-def battery(seed):
-    F5 = gf.field_create(5)
-    F7 = gf.field_create(7)
-    F13 = gf.field_create(13)
-    reports = []
-
-    conic = audit.CurveFixture.from_strings(F5, ["x0*x2 - x1^2"])
-    reports.append(audit.count_nontransverse_lines(conic, seed=seed))
-
-    cusp = audit.CurveFixture.from_strings(F7, ["x0*x2^2 - x1^3"])
-    reports.append(audit.count_nontransverse_lines(cusp, seed=seed))
-
-    lines3 = audit.CurveFixture.from_strings(F7, ["x0", "x1", "x0 + x1"])
-    reports.append(audit.count_nontransverse_lines(lines3, seed=seed))
-
-    twoplanes = locus.Hypersurface(poly.parse_form(F5, "x0*x1", nvars=4))
-    reports.append(audit.count_bad_hyperplanes(twoplanes, 2, seed=seed))
-
-    quadric = locus.Hypersurface(poly.parse_form(F5, "x0*x3 - x1*x2"))
-    reports.append(audit.count_bad_hyperplanes(quadric, 0, seed=seed))
-
-    cubic = locus.Hypersurface(
-        poly.parse_form(F13, "x0^3 + x1^3 + x2^3 + x3^3")
-    )
-    base = search.find_very_transverse_flag(cubic, 0, seed=seed)
-    reports.append(
-        audit.count_bad_superspaces(cubic, base.found.top, 1, seed=seed)
-    )
-
-    reports.append(audit.audit_space_filling(2, 2, 2))
-    return reports
+from transverse import audit, cli, config, search
 
 
 def main(argv=None):
@@ -60,7 +27,7 @@ def main(argv=None):
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    reports = battery(args.seed)
+    reports = cli.battery(args.seed, config.current_caps())
     failed = [r for r in reports if not r.passed()]
     for i, rep in enumerate(reports):
         path = out / f"{i:02d}-{rep.experiment}-{rep.params['n']}-{rep.params['q']}.json"
@@ -70,17 +37,7 @@ def main(argv=None):
 
     audit.write_reports_csv(reports, out / "summary.csv")
 
-    grid = sorted(
-        {
-            (n, d, r, q)
-            for n in range(2, args.nmax + 1)
-            for d in range(2, args.dmax + 1)
-            for r in range(n)
-            for q in ((n - r) * d * (d - 1) ** r,
-                      (n - r) * d * (d - 1) ** r + 1,
-                      (n - r) * d * (d - 1) ** r + 7)
-        }
-    )
+    grid = cli.inequality_grid(args.nmax, args.dmax)
     ineq = search.check_inequality_lemmas(grid)
     (out / "inequalities.json").write_text(
         json.dumps(ineq, indent=2, sort_keys=True) + "\n"

@@ -506,7 +506,7 @@ def count_bad_superspaces(
     if H_prev.dim != r - 1:
         raise ValueError("H_prev must have dimension r - 1")
     rng = random.Random(0 if seed is None else seed)
-    if not certify.is_very_transverse(X, H_prev, rng=rng, exact=True):
+    if not certify.is_very_transverse(X, H_prev, rng=rng):
         raise ValueError("H_prev must be very transverse to X")
     started = time.perf_counter()
     tangent = []
@@ -517,10 +517,7 @@ def count_bad_superspaces(
             tangent.append(E)
             continue
         transverse += 1
-        vt = certify.is_very_transverse(X, E, rng=rng)
-        if not vt and r <= n - 2:
-            vt = certify.is_very_transverse(X, E, rng=rng, exact=True)
-        if not vt:
+        if not certify.is_very_transverse(X, E, rng=rng):
             dual_contained += 1
 
     witness_pool = []
@@ -703,10 +700,7 @@ def separation_search(
             if not certify.is_transverse(X, E):
                 continue
             tested += 1
-            vt = certify.is_very_transverse(X, E, rng=rng)
-            if not vt and r <= n - 2:
-                vt = certify.is_very_transverse(X, E, rng=rng, exact=True)
-            if not vt:
+            if not certify.is_very_transverse(X, E, rng=rng):
                 separations.append(
                     {
                         "form": poly.format_form(X.form),

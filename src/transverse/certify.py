@@ -21,6 +21,9 @@ both directions.
 Smoothness of a section is emptiness of its Jacobian scheme; reducedness
 is the Jacobian dimension dropping below divisor dimension.  Both reuse
 the machinery above and keep an exact binary-form fast path for lines.
+
+Very-transversality is decided in two steps, classify and settle, so a
+scan can defer the exact part until a Las-Vegas pass has found no hit.
 """
 
 from __future__ import annotations
@@ -612,33 +615,67 @@ def is_transverse(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> bool:
     return True
 
 
+def classify_very_transverse(
+    X: locus.Hypersurface, H: projgeom.LinearSubspace, rng: random.Random
+) -> tuple:
+    """First step of the very-transverse decision: (verdict, method).
+
+    Transversality is decided exactly; for hyperplanes it is the whole
+    answer.  Smaller subspaces get one Las-Vegas round on the tangency
+    locus, and a round that misses leaves the verdict "undetermined" for
+    settle_very_transverse, never a rejection.
+    """
+    if not ensure_smooth(X):
+        raise ValueError("very-transversality is defined for smooth X only")
+    if not is_transverse(X, H):
+        return "no", "not-transverse"
+    if H.dim >= X.ambient - 1:
+        return "yes", "direct"
+    T = locus.tangency_locus(X, H)
+    if dim_upper_bound(T, X.ambient - H.dim - 2, rng=rng).holds():
+        return "yes", "las-vegas"
+    return "undetermined", "las-vegas"
+
+
+def settle_very_transverse(
+    X: locus.Hypersurface, H: projgeom.LinearSubspace, rng: random.Random
+) -> str:
+    """Second step, for a transverse H that classification left open.
+
+    One more Las-Vegas round, then the exact dimension scan; "yes" and
+    "no" are certified, and "undetermined" means the scan is over its
+    budget.
+    """
+    T = locus.tangency_locus(X, H)
+    t = X.ambient - H.dim - 2
+    if dim_upper_bound(T, t, rng=rng).holds():
+        return "yes"
+    try:
+        return "yes" if dim_at_most_exact(T, t) else "no"
+    except config.SearchInfeasibleError:
+        return "undetermined"
+
+
 def is_very_transverse(
     X: locus.Hypersurface,
     H: projgeom.LinearSubspace,
     rng: random.Random | None = None,
-    exact: bool = False,
 ) -> bool:
     """Whether H extends to a transverse hyperplane inside its tangency cone.
 
     For hyperplanes this is plain transversality.  For smaller r it adds
     the requirement that the locus of X-points whose tangent hyperplane
-    contains H has dimension at most n - r - 2.  With exact=False an
-    undetermined dimension certificate is conservatively rejected; with
-    exact=True the deterministic scan settles it.
+    contains H has dimension at most n - r - 2.  Both answers are
+    certified: a Las-Vegas miss is settled by the exact scan, and an
+    exact scan over its budget raises SearchInfeasibleError.
     """
-    if not ensure_smooth(X):
-        raise ValueError("very-transversality is defined for smooth X only")
-    n = X.ambient
-    r = H.dim
-    if not is_transverse(X, H):
-        return False
-    if r >= n - 1:
-        return True
-    t = n - r - 2
-    T = locus.tangency_locus(X, H)
-    lv = dim_upper_bound(T, t, rng=rng)
-    if lv.holds():
-        return True
-    if exact:
-        return dim_at_most_exact(T, t)
-    return False
+    if rng is None:
+        rng = random.Random(0)
+    verdict, _ = classify_very_transverse(X, H, rng)
+    if verdict == "undetermined":
+        verdict = settle_very_transverse(X, H, rng)
+    if verdict == "undetermined":
+        raise config.SearchInfeasibleError(
+            "very-transversality undecided: the exact scan is over its budget"
+        )
+    return verdict == "yes"

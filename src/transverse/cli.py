@@ -9,9 +9,9 @@ for counting reports.
 
 Written reports are reproducible byte for byte from the input and the
 seed: wall-clock fields inside reports are zeroed before writing, and the
-one-line timing summary goes to stderr instead.  ``--jobs`` is accepted
-for interface compatibility but execution is serial; outputs never depend
-on its value.
+one-line timing summary goes to stderr instead.  The run's caps are
+installed as the process-wide caps for its duration, so every layer
+honours them.
 
 Exit status: 0 for success (including a search that exhausted below its
 guarantee threshold), 1 for usage and input errors, 2 when a counting
@@ -62,7 +62,6 @@ class RunConfig:
     format: str = "json"
     seed: int = DEFAULT_SEED
     caps: config.Caps = dc_field(default_factory=config.Caps)
-    jobs: int = 1
     options: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class RunConfig:
             raise UsageError(f"unknown format {self.format!r}")
         if self.caps.max_field_bits <= 0 or self.caps.max_enum <= 0:
             raise UsageError("caps must be positive")
-        if self.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +339,10 @@ def _finish_reports(cfg: RunConfig, reports) -> int:
     return EXIT_OK if not failed else EXIT_VIOLATION
 
 
-def _inequality_report(nmax: int, dmax: int) -> dict:
-    """check_inequality_lemmas over the standard grid, as one report row:
-    observed counterexamples against the only acceptable bound, zero."""
-    grid = sorted(
+def inequality_grid(nmax: int, dmax: int) -> list:
+    """The standard (n, d, r, q) grid: each field size at the gate, one
+    above it and seven above it."""
+    return sorted(
         {
             (n, d, r, q)
             for n in range(2, nmax + 1)
@@ -358,6 +355,12 @@ def _inequality_report(nmax: int, dmax: int) -> dict:
             )
         }
     )
+
+
+def _inequality_report(nmax: int, dmax: int) -> dict:
+    """check_inequality_lemmas over the standard grid, as one report row:
+    observed counterexamples against the only acceptable bound, zero."""
+    grid = inequality_grid(nmax, dmax)
     result = search.check_inequality_lemmas(grid)
     bad = result["counterexamples"]
     return {
@@ -400,7 +403,7 @@ def _run_audit(cfg: RunConfig) -> int:
             )
         ]
     elif what == "all":
-        reports = _battery(seed, cfg.caps)
+        reports = battery(seed, cfg.caps)
         reports.append(
             _inequality_report(
                 cfg.options.get("nmax") or 6, cfg.options.get("dmax") or 5
@@ -417,7 +420,7 @@ def _run_audit(cfg: RunConfig) -> int:
     return _finish_reports(cfg, reports)
 
 
-def _battery(seed: int, caps: config.Caps):
+def battery(seed: int, caps: config.Caps):
     """The built-in fixture battery: every counting bound the search gates
     rely on, on the smallest fixtures that exercise it."""
     F5 = gf.field_create(5, caps=caps)
@@ -465,6 +468,8 @@ def run(cfg: RunConfig) -> int:
     """Execute one configured invocation; returns the process exit status."""
     started = time.perf_counter()
     cfg.options["_started"] = started
+    previous = config.current_caps()
+    config.set_caps(cfg.caps)
     try:
         return _DISPATCH[cfg.command](cfg)
     except config.TheoremViolationError as exc:
@@ -475,6 +480,8 @@ def run(cfg: RunConfig) -> int:
         })
         _log(cfg, f"THEOREM VIOLATION: {exc}")
         return EXIT_VIOLATION
+    finally:
+        config.set_caps(previous)
 
 
 def _log(cfg: RunConfig, message: str) -> None:
@@ -497,8 +504,6 @@ def _add_common(sub):
     sub.add_argument("--out", help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="accepted for compatibility; execution is serial")
     sub.add_argument("--max-field-bits", type=int, default=None,
                      help="largest allowed field order, as a bit length")
     sub.add_argument("--max-enum", type=int, default=None,
@@ -560,7 +565,6 @@ def config_from_args(args) -> RunConfig:
         format=args.format,
         seed=args.seed,
         caps=config.Caps(**caps_kwargs),
-        jobs=args.jobs,
         options=options,
     )
 

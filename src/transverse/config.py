@@ -46,7 +46,7 @@ def current_caps() -> Caps:
 
 
 def set_caps(caps: Caps) -> None:
-    # replaces the process-wide caps; used by the CLI at startup
+    # replaces the process-wide caps; the CLI installs its own for each run
     global _current
     _current = caps
 

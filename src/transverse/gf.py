@@ -54,26 +54,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pp_sub(p, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append((x - y) % p)
-    return linalg.pp_trim(out)
-
-
 def _is_irreducible_mod_p(p: int, g) -> bool:
     m = len(g) - 1
     if m < 1:
         return False
     if m == 1:
         return True
+    Fp = Field(p, 1, (0, 1))
     # no factor of degree <= m/2 forces irreducibility for degree m
     for i in range(1, m // 2 + 1):
-        h = linalg.pp_powmod(p, [0, 1], p**i, g)
-        d = linalg.pp_gcd(p, g, _pp_sub(p, h, [0, 1]))
+        h = linalg.u_powmod(Fp, [0, 1], p**i, g)
+        d = linalg.u_gcd(Fp, g, linalg.u_sub(Fp, h, [0, 1]))
         if len(d) - 1 > 0:
             return False
     return True

@@ -4,8 +4,7 @@ Univariate polynomials are plain lists/tuples of integer codes in ascending
 power order with no trailing zeros; the zero polynomial is the empty tuple.
 Routines that need field arithmetic take the field object first and go
 through its integer-code methods (add, mul, inv, ...), so this module does
-not import the field implementation.  A separate mini-kit works directly
-modulo a prime, for use before any field object exists.
+not import the field implementation.
 
 Gaussian elimination has a vectorised numpy path for prime fields and a
 generic path for extension fields; matrices are lists of rows of codes.
@@ -204,70 +203,6 @@ def u_roots_with_multiplicity(F, a, seed=0):
             rest = quo
         out.append((r, m))
     return out
-
-
-# ---------------------------------------------------------------------------
-# polynomials modulo a prime, used before any field object exists
-
-
-def pp_trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def pp_mul(p, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return pp_trim(out)
-
-
-def pp_divmod(p, a, b):
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        a = pp_trim(a)
-        if len(a) < len(b):
-            break
-        c = (a[-1] * inv_lead) % p
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            if y:
-                a[k + i] = (a[k + i] - c * y) % p
-        a.pop()
-    return pp_trim(q), pp_trim(a)
-
-
-def pp_gcd(p, a, b):
-    a, b = pp_trim(a), pp_trim(b)
-    while b:
-        a, b = b, pp_divmod(p, a, b)[1]
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def pp_powmod(p, base, e, mod):
-    result = [1]
-    b = pp_divmod(p, base, mod)[1]
-    while e:
-        if e & 1:
-            result = pp_divmod(p, pp_mul(p, result, b), mod)[1]
-        e >>= 1
-        if e:
-            b = pp_divmod(p, pp_mul(p, b, b), mod)[1]
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -282,20 +282,8 @@ class Form:
         if other.degree != self.degree and not (self.is_zero() or other.is_zero()):
             raise ValueError("adding forms of different degrees")
 
-    def map_coeffs(self, fn) -> "Form":
-        return Form(
-            self.field,
-            self.nvars,
-            self.degree,
-            {e: fn(c) for e, c in self.terms.items()},
-        )
-
     def __repr__(self):
         return format_form(self)
-
-
-def form_from_dict(field, nvars, degree, terms) -> Form:
-    return Form(field, nvars, degree, terms)
 
 
 def _coord_codes(F: Form, P):
@@ -487,18 +475,9 @@ def binary_squarefree(F: Form) -> bool:
     Splits off the multiplicity at [1:0] (the power of x1 dividing F) and
     tests the dehomogenization at x1=1 for squarefreeness.
     """
-    if F.nvars != 2:
-        raise ValueError("binary forms only")
-    if F.is_zero():
-        raise ValueError("zero form")
-    max_e0 = max(e[0] for e in F.terms)
-    inf_mult = F.degree - max_e0
+    inf_mult, f = binary_dehomogenize(F)
     if inf_mult > 1:
         return False
-    coeffs = [0] * (max_e0 + 1)
-    for (e0, _e1), c in F.terms.items():
-        coeffs[e0] = c
-    f = UniPoly(F.field, coeffs)
     if f.degree == 0:
         return True
     return upoly_squarefree(f)
@@ -691,17 +670,3 @@ def monomials_of_degree(nvars: int, degree: int):
     for first in range(degree, -1, -1):
         for rest in monomials_of_degree(nvars - 1, degree - first):
             yield (first,) + rest
-
-
-def form_frobenius_coeffs(F: Form, q: int) -> Form:
-    """Coefficient-wise q-th power (q a power of the characteristic)."""
-    fld = F.field
-    p = fld.p
-    e = 0
-    x = q
-    while x > 1:
-        if x % p:
-            raise ValueError(f"{q} is not a power of the characteristic")
-        x //= p
-        e += 1
-    return F.map_coeffs(lambda c: fld.frob_power(c, e))

@@ -226,13 +226,6 @@ def subspace_contains(H: LinearSubspace, P: ProjectivePoint) -> bool:
     return linalg.rank(tgt, emb + [P.coords]) == len(H.basis)
 
 
-def subspace_sum(A: LinearSubspace, B: LinearSubspace) -> LinearSubspace:
-    """Smallest subspace containing both."""
-    if A.field != B.field or A.ambient != B.ambient:
-        raise ValueError("subspaces not in one ambient space")
-    return subspace_from_rows(A.field, list(A.basis) + list(B.basis))
-
-
 def subspace_le(A: LinearSubspace, B: LinearSubspace) -> bool:
     """Whether A is contained in B."""
     if A.field != B.field or A.ambient != B.ambient:

@@ -392,33 +392,6 @@ def find_transverse_line_reduced(
 # very-transverse flags
 
 
-def _classify_candidate(X, H, rng):
-    """'yes' / 'no' by the exact part; 'undetermined' when only the
-    Las-Vegas dimension test stood between the candidate and acceptance."""
-    if not certify.is_transverse(X, H):
-        return "no"
-    if H.dim >= X.ambient - 1:
-        return "yes"
-    T = locus.tangency_locus(X, H)
-    t = X.ambient - H.dim - 2
-    if certify.dim_upper_bound(T, t, rng=rng).holds():
-        return "yes"
-    return "undetermined"
-
-
-def _settle_undetermined(X, H, rng):
-    """(accepted, settled): retry Las-Vegas, then decide exactly; settled
-    is False when even the exact scan was infeasible."""
-    T = locus.tangency_locus(X, H)
-    t = X.ambient - H.dim - 2
-    if certify.dim_upper_bound(T, t, rng=rng).holds():
-        return True, True
-    try:
-        return certify.dim_at_most_exact(T, t), True
-    except config.SearchInfeasibleError:
-        return False, False
-
-
 def find_very_transverse_flag(
     X: locus.Hypersurface,
     r: int,
@@ -460,10 +433,9 @@ def find_very_transverse_flag(
         for cand in candidates:
             sub = projgeom.point_subspace(cand) if s == 0 else cand
             scanned += 1
-            verdict = _classify_candidate(X, sub, rng)
+            verdict, how = certify.classify_very_transverse(X, sub, rng)
             if verdict == "yes":
-                hit = sub
-                method = "las-vegas" if s < n - 1 else "direct"
+                hit, method = sub, how
                 break
             if verdict == "no":
                 certified_rej += 1
@@ -473,12 +445,11 @@ def find_very_transverse_flag(
             retry_rng = random.Random(rng.randrange(2**30) ^ 0x5EED)
             remaining = []
             for sub in undetermined:
-                accepted, settled = _settle_undetermined(X, sub, retry_rng)
-                if accepted:
-                    hit = sub
-                    method = "exact"
+                verdict = certify.settle_very_transverse(X, sub, retry_rng)
+                if verdict == "yes":
+                    hit, method = sub, "exact"
                     break
-                if settled:
+                if verdict == "no":
                     certified_rej += 1
                 else:
                     remaining.append(sub)

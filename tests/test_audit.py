@@ -257,7 +257,7 @@ class TestBadSuperspaces:
         P = None
         for cand in pg.enumerate_points(3, F5):
             H = pg.point_subspace(cand)
-            if certify.is_very_transverse(X, H, exact=True):
+            if certify.is_very_transverse(X, H):
                 P = H
                 break
         rep = count_bad_superspaces(X, P, 1, seed=0)

@@ -4,6 +4,7 @@ import pytest
 
 from transverse import certify, config, gf, locus, poly, projgeom as pg
 from transverse.certify import (
+    classify_very_transverse,
     dim_at_most_exact,
     dim_upper_bound,
     ensure_smooth,
@@ -15,6 +16,7 @@ from transverse.certify import (
     is_very_transverse,
     macaulay_is_empty,
     scheme_points_upto,
+    settle_very_transverse,
 )
 from transverse.locus import Hypersurface, SchemeSpec
 
@@ -466,6 +468,10 @@ class TestTransversality:
             is_transverse(X, L)
 
 
+def _lv_never_holds(S, t, **_kw):
+    return certify.DimensionCertificate(S, t, "undetermined")
+
+
 class TestVeryTransverse:
     def test_hyperplane_case_reduces_to_transverse(self):
         X = surf(F5, "x0^3 + x1^3 + x2^3")
@@ -484,13 +490,55 @@ class TestVeryTransverse:
         assert vt_count == t_count
 
     def test_exact_mode_agrees_on_sample(self):
+        # every Las-Vegas acceptance agrees with the exact scan
         Q = surf(F5, "x0*x3 + 4*x1*x2")
         rng = random.Random(4)
         lines = list(pg.all_lines(3, F5))
+        accepted = 0
         for L in rng.sample(lines, 12):
-            lv = is_very_transverse(Q, L, rng=random.Random(0))
-            ex = is_very_transverse(Q, L, exact=True)
-            assert lv == ex
+            verdict, how = classify_very_transverse(Q, L, random.Random(0))
+            if (verdict, how) == ("yes", "las-vegas"):
+                accepted += 1
+                T = locus.tangency_locus(Q, L)
+                assert dim_at_most_exact(T, Q.ambient - L.dim - 2)
+        assert accepted > 0
+
+    def test_las_vegas_miss_is_settled_exactly(self, monkeypatch):
+        Q = surf(F5, "x0*x3 + 4*x1*x2")
+        L = next(L for L in pg.all_lines(3, F5) if is_transverse(Q, L))
+        monkeypatch.setattr(certify, "dim_upper_bound", _lv_never_holds)
+        assert is_very_transverse(Q, L)
+
+    def test_classify_then_settle(self, monkeypatch):
+        Q = surf(F5, "x0*x3 + 4*x1*x2")
+        lines = list(pg.all_lines(3, F5))
+        tangent = next(L for L in lines if not is_transverse(Q, L))
+        L = next(L for L in lines if is_transverse(Q, L))
+        assert classify_very_transverse(Q, tangent, random.Random(0)) == (
+            "no", "not-transverse",
+        )
+        plane = next(H for H in pg.all_hyperplanes(3, F5) if is_transverse(Q, H))
+        assert classify_very_transverse(Q, plane, random.Random(0)) == (
+            "yes", "direct",
+        )
+        monkeypatch.setattr(certify, "dim_upper_bound", _lv_never_holds)
+        assert classify_very_transverse(Q, L, random.Random(0)) == (
+            "undetermined", "las-vegas",
+        )
+        assert settle_very_transverse(Q, L, random.Random(0)) == "yes"
+
+    def test_over_budget_scan_raises(self, monkeypatch):
+        Q = surf(F5, "x0*x3 + 4*x1*x2")
+        L = next(L for L in pg.all_lines(3, F5) if is_transverse(Q, L))
+
+        def over_budget(S, t, caps=None):
+            raise config.SearchInfeasibleError("over budget")
+
+        monkeypatch.setattr(certify, "dim_upper_bound", _lv_never_holds)
+        monkeypatch.setattr(certify, "dim_at_most_exact", over_budget)
+        assert settle_very_transverse(Q, L, random.Random(0)) == "undetermined"
+        with pytest.raises(config.SearchInfeasibleError):
+            is_very_transverse(Q, L)
 
     def test_very_transverse_implies_transverse(self):
         X = surf(F5, "x0^3 + x1^3 + x2^3 + x3^3")

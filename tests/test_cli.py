@@ -108,10 +108,6 @@ class TestRunConfig:
         with pytest.raises(UsageError):
             RunConfig("find-line", caps=config.Caps(max_field_bits=0))
 
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(UsageError):
-            RunConfig("find-line", jobs=0)
-
 
 class TestFindCommands:
     def test_find_line_writes_outcome(self, tmp_path):
@@ -159,16 +155,6 @@ class TestFindCommands:
                          "--out", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["outcome"]["found"] is not None
-
-    def test_jobs_flag_does_not_change_output(self, tmp_path):
-        src = write_input(tmp_path, CONIC)
-        outs = []
-        for jobs, name in (("1", "a.json"), ("4", "b.json")):
-            out = tmp_path / name
-            cli.main(["find-line", "--input", src, "--jobs", jobs,
-                      "--out", str(out)])
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
 
 
 class TestCountCommands:
@@ -304,6 +290,24 @@ class TestExitCodes:
             "seed": 0,
         }
         assert cli._finish_reports(cfg, [fake]) == EXIT_VIOLATION
+
+    def test_field_cap_reaches_certification(self, tmp_path, capsys):
+        # F_13 is within 2^5, but the Las-Vegas slices need F_169
+        code = cli.main([
+            "find-flag", "--input", write_input(tmp_path, CUBIC),
+            "--r", "2", "--max-field-bits", "5",
+        ])
+        assert code == EXIT_USAGE
+        assert "13^2 exceeds 2^5 cap" in capsys.readouterr().err
+
+    def test_run_restores_process_caps(self, tmp_path):
+        before = config.current_caps()
+        src = write_input(tmp_path, CUBIC)
+        cli.main(["find-flag", "--input", src, "--r", "2",
+                  "--max-field-bits", "5"])
+        assert config.current_caps() is before
+        cli.main(["find-flag", "--input", src, "--r", "1"])
+        assert config.current_caps() is before
 
     def test_module_entry_point(self, tmp_path):
         src = write_input(tmp_path, CONIC)

@@ -213,7 +213,7 @@ class TestVeryTransverseFlag:
         assert [H.dim for H in flag.levels] == [0, 1]
         L = flag.top
         assert certify.is_transverse(X, L)
-        assert certify.is_very_transverse(X, L, exact=True)
+        assert certify.is_very_transverse(X, L)
 
     def test_quadric_full_flag_any_q(self):
         Q = surf(F5, "x0*x3 + 4*x1*x2")
@@ -251,7 +251,7 @@ class TestVeryTransverseFlag:
         out = find_very_transverse_flag(X, 1, seed=0)
         assert not out.gate["satisfied"]
         if out.succeeded():
-            assert certify.is_very_transverse(X, out.found.top, exact=True)
+            assert certify.is_very_transverse(X, out.found.top)
 
     def test_deterministic(self):
         X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
