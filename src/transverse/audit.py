@@ -461,20 +461,6 @@ def count_bad_hyperplanes(
     )
 
 
-def _tangent_at(X: locus.Hypersurface, E, P) -> bool:
-    """Whether the tangent hyperplane of X at P contains all of E."""
-    Epf = P.field
-    grad = [poly.form_eval_codes(g, P.coords, Epf) for g in X.partials]
-    for row in E.basis:
-        acc = 0
-        for c, v in zip(row, grad):
-            if c and v:
-                acc = Epf.add(acc, Epf.mul(gf.embed_code(X.field, Epf, c), v))
-        if acc != 0:
-            return False
-    return True
-
-
 def count_bad_superspaces(
     X: locus.Hypersurface,
     H_prev: projgeom.LinearSubspace,
@@ -513,11 +499,12 @@ def count_bad_superspaces(
     transverse = 0
     dual_contained = 0
     for E in projgeom.enumerate_superspaces(H_prev, r, caps=caps):
-        if not certify.is_transverse(X, E):
+        verdict, method = certify.decide_very_transverse(X, E, rng)
+        if method == "not-transverse":
             tangent.append(E)
             continue
         transverse += 1
-        if not certify.is_very_transverse(X, E, rng=rng):
+        if verdict == "no":
             dual_contained += 1
 
     witness_pool = []
@@ -532,8 +519,12 @@ def count_bad_superspaces(
     if witness_pool:
         witnessed = 0
         for E in tangent:
+            # witness points lie on X, so the tangency locus of E holds at P
+            # exactly when the tangent hyperplane at P contains E
+            T = locus.tangency_locus(X, E)
             if any(
-                projgeom.subspace_contains(E, P) and _tangent_at(X, E, P)
+                projgeom.subspace_contains(E, P)
+                and T.vanishes_at_codes(P.coords, P.field)
                 for P in witness_pool
             ):
                 witnessed += 1
@@ -697,10 +688,11 @@ def separation_search(
             else projgeom.all_hyperplanes(n, fld, caps=caps)
         )
         for E in candidates:
-            if not certify.is_transverse(X, E):
+            verdict, method = certify.decide_very_transverse(X, E, rng)
+            if method == "not-transverse":
                 continue
             tested += 1
-            if not certify.is_very_transverse(X, E, rng=rng):
+            if verdict == "no":
                 separations.append(
                     {
                         "form": poly.format_form(X.form),

@@ -44,25 +44,6 @@ _WITNESS_KMAX = 6
 # point enumeration
 
 
-def _specialize_last(g: poly.Form, prefix, E: gf.Field):
-    """Coefficients (codes in E) of g(prefix, z) as a polynomial in z."""
-    n = g.nvars - 1
-    emb = (lambda c: gf.embed_code(g.field, E, c)) if E != g.field else (lambda c: c)
-    coeffs = [0] * (g.degree + 1)
-    for exps, c in g.terms.items():
-        v = emb(c)
-        for code, e in zip(prefix, exps):
-            if e:
-                if code == 0:
-                    v = 0
-                    break
-                v = E.mul(v, E.pow(code, e))
-        if v:
-            ze = exps[n]
-            coeffs[ze] = E.add(coeffs[ze], v)
-    return linalg.u_trim(coeffs)
-
-
 def _points_over(S: locus.SchemeSpec, E: gf.Field, caps: config.Caps):
     """Normalized coordinate tuples of S(E), by sweeping normalized
     prefixes and root-finding in the last coordinate."""
@@ -87,7 +68,7 @@ def _points_over(S: locus.SchemeSpec, E: gf.Field, caps: config.Caps):
         g = None
         dead = False
         for gen in gens:
-            spec = _specialize_last(gen, prefix, E)
+            spec = poly.form_specialize_last(gen, prefix, E)
             if not spec:
                 continue
             g = spec if g is None else linalg.u_gcd(E, g, spec)
@@ -286,16 +267,7 @@ class DimensionCertificate:
 def _lift_scheme(S: locus.SchemeSpec, E: gf.Field) -> locus.SchemeSpec:
     if E == S.field:
         return S
-    gens = [
-        poly.Form(
-            E,
-            g.nvars,
-            g.degree,
-            {e: gf.embed_code(S.field, E, c) for e, c in g.terms.items()},
-        )
-        for g in S.gens
-    ]
-    return locus.SchemeSpec(E, S.nvars, gens)
+    return locus.SchemeSpec(E, S.nvars, [poly.form_lift(g, E) for g in S.gens])
 
 
 def _slice_by(S: locus.SchemeSpec, row) -> locus.SchemeSpec:
@@ -521,12 +493,7 @@ def _squarefree_plane_section(G: poly.Form, rng: random.Random | None) -> bool:
     while G.field.order**k < _LV_MIN_FIELD:
         k += 1
     E = gf.extension_field(G.field, k)
-    lifted = poly.Form(
-        E,
-        G.nvars,
-        G.degree,
-        {e: gf.embed_code(G.field, E, c) for e, c in G.terms.items()},
-    )
+    lifted = poly.form_lift(G, E)
     for _ in range(_SECTION_RESCUE_TRIES):
         rows = [
             [rng.randrange(E.order) for _ in range(G.nvars)] for _ in range(3)
@@ -573,29 +540,6 @@ def ensure_smooth(X: locus.Hypersurface) -> bool:
     return got
 
 
-def _meets_singular_locus(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> bool:
-    if ensure_smooth(X):
-        return False
-    cut = [
-        poly.Form(
-            X.field,
-            X.ambient + 1,
-            1,
-            {
-                tuple(1 if j == i else 0 for j in range(X.ambient + 1)): c
-                for i, c in enumerate(row)
-                if c
-            },
-        )
-        for row in projgeom.dual(H).basis
-    ]
-    S = locus.singular_scheme(X)
-    aug = locus.SchemeSpec(X.field, S.nvars, list(S.gens) + cut)
-    if len(aug.nonzero_gens()) <= aug.ambient:
-        return True
-    return not macaulay_is_empty(aug)[0]
-
-
 def is_transverse(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> bool:
     """Whether H misses Sing(X) and meets X in a smooth section.
 
@@ -604,15 +548,12 @@ def is_transverse(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> bool:
     """
     if H.ambient != X.ambient or H.field != X.field:
         raise ValueError("subspace and hypersurface do not match")
+    # a point of H cap Sing(X) zeroes the section and all its partials, so
+    # a smooth section already misses Sing(X)
     try:
-        smooth = is_smooth_section(X, H)
+        return is_smooth_section(X, H)
     except config.NotProperError:
         return False
-    if not smooth:
-        return False
-    if H.dim < X.ambient and _meets_singular_locus(X, H):
-        return False
-    return True
 
 
 def classify_very_transverse(
@@ -656,6 +597,26 @@ def settle_very_transverse(
         return "undetermined"
 
 
+def decide_very_transverse(
+    X: locus.Hypersurface, H: projgeom.LinearSubspace, rng: random.Random
+) -> tuple:
+    """The certified very-transverse decision: (verdict, method).
+
+    Classification, then settlement on the same rng when it is left open
+    (method "exact").  The verdict is "yes" or "no"; a non-transverse H is
+    ("no", "not-transverse").  Raises SearchInfeasibleError when the exact
+    scan is over its budget.
+    """
+    verdict, method = classify_very_transverse(X, H, rng)
+    if verdict == "undetermined":
+        verdict, method = settle_very_transverse(X, H, rng), "exact"
+    if verdict == "undetermined":
+        raise config.SearchInfeasibleError(
+            "very-transversality undecided: the exact scan is over its budget"
+        )
+    return verdict, method
+
+
 def is_very_transverse(
     X: locus.Hypersurface,
     H: projgeom.LinearSubspace,
@@ -671,11 +632,4 @@ def is_very_transverse(
     """
     if rng is None:
         rng = random.Random(0)
-    verdict, _ = classify_very_transverse(X, H, rng)
-    if verdict == "undetermined":
-        verdict = settle_very_transverse(X, H, rng)
-    if verdict == "undetermined":
-        raise config.SearchInfeasibleError(
-            "very-transversality undecided: the exact scan is over its budget"
-        )
-    return verdict == "yes"
+    return decide_very_transverse(X, H, rng)[0] == "yes"

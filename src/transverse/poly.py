@@ -244,13 +244,12 @@ class Form:
         if isinstance(other, Form):
             if other.field != self.field or other.nvars != self.nvars:
                 raise ValueError("forms over different rings")
-            F = self.field
-            terms: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    terms[e] = F.add(terms.get(e, 0), F.mul(c1, c2))
-            return Form(F, self.nvars, self.degree + other.degree, terms)
+            return Form(
+                self.field,
+                self.nvars,
+                self.degree + other.degree,
+                _mul_terms(self.field, self.terms, other.terms),
+            )
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -286,68 +285,55 @@ class Form:
         return format_form(self)
 
 
-def _coord_codes(F: Form, P):
-    """Coordinate codes and the field they live in, embedding F's coefficients."""
-    field = F.field
-    coords = []
-    E = field
-    for x in P:
-        if isinstance(x, gf.FieldElement):
-            if x.field.p != field.p:
-                raise ValueError("coordinates of wrong characteristic")
-            if x.field.m % field.m != 0:
-                raise ValueError("coordinate field does not contain the form's field")
-            if x.field.m > E.m:
-                E = x.field
-        coords.append(x)
-    codes = []
-    for x in coords:
-        if isinstance(x, gf.FieldElement):
-            codes.append(gf.embed_code(x.field, E, x.code) if x.field != E else x.code)
-        else:
-            codes.append(gf.embed_code(field, E, int(x)) if E != field else int(x))
-    return E, codes
+def _mul_terms(fld: gf.Field, a: dict, b: dict) -> dict:
+    """Product of two raw term maps (exponent tuple -> nonzero code)."""
+    add, mul = fld.add, fld.mul
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = add(out.get(e, 0), mul(c1, c2))
+    return {e: c for e, c in out.items() if c}
 
 
-def form_eval(F: Form, P) -> gf.FieldElement:
-    """Value of F at the coordinate vector P.
+def form_lift(F: Form, E: gf.Field) -> Form:
+    """F with its coefficients embedded in the extension E of its field."""
+    if E == F.field:
+        return F
+    return Form(
+        E,
+        F.nvars,
+        F.degree,
+        {e: gf.embed_code(F.field, E, c) for e, c in F.terms.items()},
+    )
 
-    Coordinates may be FieldElements of any extension of F's field (they
-    are pushed into the largest one present) or raw codes in F's own
-    field.  Mixed extensions must share the tower.
-    """
-    P = list(P)
-    if len(P) != F.nvars:
-        raise ValueError(f"expected {F.nvars} coordinates, got {len(P)}")
-    E, codes = _coord_codes(F, P)
+
+def form_specialize_last(F: Form, prefix, E: gf.Field):
+    """Coefficients (codes in E, low degree first, trimmed) of F(prefix, z)
+    as a polynomial in the last variable z."""
+    last = F.nvars - 1
     emb = (lambda c: gf.embed_code(F.field, E, c)) if E != F.field else (lambda c: c)
-    acc = 0
+    coeffs = [0] * (F.degree + 1)
     for exps, c in F.terms.items():
         v = emb(c)
-        for code, e in zip(codes, exps):
+        for code, e in zip(prefix, exps):
             if e:
                 if code == 0:
                     v = 0
                     break
                 v = E.mul(v, E.pow(code, e))
-        acc = E.add(acc, v)
-    return E.element(acc)
+        if v:
+            ze = exps[last]
+            coeffs[ze] = E.add(coeffs[ze], v)
+    return linalg.u_trim(coeffs)
 
 
 def form_eval_codes(F: Form, codes, E: gf.Field) -> int:
-    """Hot-path evaluation: coordinates as codes in E, result code in E."""
-    emb = (lambda c: gf.embed_code(F.field, E, c)) if E != F.field else (lambda c: c)
-    acc = 0
-    for exps, c in F.terms.items():
-        v = emb(c)
-        for code, e in zip(codes, exps):
-            if e:
-                if code == 0:
-                    v = 0
-                    break
-                v = E.mul(v, E.pow(code, e))
-        acc = E.add(acc, v)
-    return acc
+    """Value of F at a point given by coordinate codes in E (an extension
+    of F's field), as a code in E."""
+    if len(codes) != F.nvars:
+        raise ValueError(f"expected {F.nvars} coordinates, got {len(codes)}")
+    return linalg.u_eval(E, form_specialize_last(F, codes[:-1], E), codes[-1])
 
 
 def form_partials(F: Form):
@@ -389,32 +375,23 @@ def substitute_rows(F: Form, rows) -> Form:
     k = len(B)
     if any(len(r) != F.nvars for r in B):
         raise ValueError("parametrization rows must have nvars columns")
-    # linear forms x_j = sum_i u_i B[i][j] as Forms in k variables
+    # x_j = sum_i u_i B[i][j]; powers[j][e] is the raw term map of x_j^e
     unit = [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
-    lin = []
-    for j in range(F.nvars):
-        terms = {unit[i]: B[i][j] for i in range(k) if B[i][j]}
-        lin.append(Form(fld, k, 1, terms))
-    one = Form(fld, k, 0, {tuple([0] * k): 1})
-    pow_cache: dict = {}
-
-    def lpow(j, e):
-        got = pow_cache.get((j, e))
-        if got is None:
-            got = one
-            for _ in range(e):
-                got = got * lin[j]
-            pow_cache[(j, e)] = got
-        return got
-
-    acc = Form(fld, k, F.degree, {})
+    lin = [{unit[i]: B[i][j] for i in range(k) if B[i][j]} for j in range(F.nvars)]
+    const = (0,) * k
+    powers = [[{const: 1}] for _ in range(F.nvars)]
+    acc: dict = {}
     for exps, c in F.terms.items():
-        term = one.scale(fld.element(c))
+        term = {const: c}
         for j, e in enumerate(exps):
             if e:
-                term = term * lpow(j, e)
-        acc = acc + term
-    return acc
+                pw = powers[j]
+                while len(pw) <= e:
+                    pw.append(_mul_terms(fld, pw[-1], lin[j]))
+                term = _mul_terms(fld, term, pw[e])
+        for m, v in term.items():
+            acc[m] = fld.add(acc.get(m, 0), v)
+    return Form(fld, k, F.degree, acc)
 
 
 def restrict_to_subspace(F: Form, H) -> Form:

@@ -5,6 +5,7 @@ import pytest
 from transverse import certify, config, gf, locus, poly, projgeom as pg
 from transverse.certify import (
     classify_very_transverse,
+    decide_very_transverse,
     dim_at_most_exact,
     dim_upper_bound,
     ensure_smooth,
@@ -461,6 +462,46 @@ class TestTransversality:
         on_smooth = pg.point_subspace(pg.ProjectivePoint(F5, (1, 1, 1)))
         assert not is_transverse(C, on_smooth)
 
+    def test_smooth_sections_miss_singular_locus(self):
+        # reference: Sing(X) plus the linear equations of H is empty
+        rng = random.Random(31)
+        cases = [
+            surf(F5, "x1^2*x2 - x0^3"),
+            surf(F5, "x0*x1*x2"),
+            surf(F3, "x0^3 + x1^3 + x2^3 + x3^3"),
+            surf(F3, "x0*x1 + x2^2", nvars=4),
+        ]
+        for field, nvars, d in ((F5, 3, 3), (F3, 4, 3), (F3, 4, 2)):
+            # no monomial divisible by x_last^(d-1): singular at [0:...:0:1]
+            mons = [m for m in poly.monomials_of_degree(nvars, d) if m[-1] < d - 1]
+            terms = {m: rng.randrange(field.order) for m in mons}
+            cases.append(Hypersurface(poly.Form(field, nvars, d, terms)))
+        checked = 0
+        for X in cases:
+            assert not ensure_smooth(X)
+            n, fld = X.ambient, X.field
+            sing = locus.singular_scheme(X)
+            subspaces = [pg.point_subspace(P) for P in pg.enumerate_points(n, fld)]
+            subspaces += list(pg.all_lines(n, fld))
+            if n > 2:
+                subspaces += list(pg.all_hyperplanes(n, fld))
+            for H in subspaces:
+                if not is_transverse(X, H):
+                    continue
+                cut = [
+                    poly.Form(
+                        fld, n + 1, 1,
+                        {tuple(int(j == i) for j in range(n + 1)): c
+                         for i, c in enumerate(row) if c},
+                    )
+                    for row in pg.dual(H).basis
+                ]
+                aug = SchemeSpec(fld, n + 1, list(sing.gens) + cut)
+                assert len(aug.nonzero_gens()) > aug.ambient
+                assert macaulay_is_empty(aug)[0], (X, pg.format_subspace(H))
+                checked += 1
+        assert checked > 100
+
     def test_mismatched_inputs_rejected(self):
         X = surf(F5, "x0*x2 + 4*x1^2")
         L = line_through(F3, (1, 0, 0), (0, 0, 1))
@@ -514,9 +555,8 @@ class TestVeryTransverse:
         lines = list(pg.all_lines(3, F5))
         tangent = next(L for L in lines if not is_transverse(Q, L))
         L = next(L for L in lines if is_transverse(Q, L))
-        assert classify_very_transverse(Q, tangent, random.Random(0)) == (
-            "no", "not-transverse",
-        )
+        for step in (classify_very_transverse, decide_very_transverse):
+            assert step(Q, tangent, random.Random(0)) == ("no", "not-transverse")
         plane = next(H for H in pg.all_hyperplanes(3, F5) if is_transverse(Q, H))
         assert classify_very_transverse(Q, plane, random.Random(0)) == (
             "yes", "direct",
@@ -526,6 +566,7 @@ class TestVeryTransverse:
             "undetermined", "las-vegas",
         )
         assert settle_very_transverse(Q, L, random.Random(0)) == "yes"
+        assert decide_very_transverse(Q, L, random.Random(0)) == ("yes", "exact")
 
     def test_over_budget_scan_raises(self, monkeypatch):
         Q = surf(F5, "x0*x3 + 4*x1*x2")
@@ -537,6 +578,8 @@ class TestVeryTransverse:
         monkeypatch.setattr(certify, "dim_upper_bound", _lv_never_holds)
         monkeypatch.setattr(certify, "dim_at_most_exact", over_budget)
         assert settle_very_transverse(Q, L, random.Random(0)) == "undetermined"
+        with pytest.raises(config.SearchInfeasibleError):
+            decide_very_transverse(Q, L, random.Random(0))
         with pytest.raises(config.SearchInfeasibleError):
             is_very_transverse(Q, L)
 

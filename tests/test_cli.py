@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -318,3 +321,30 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["outcome"]["found"] is not None
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+FIXTURE = "bench/fixtures/fermat_cubic_f13.txt"
+CORPUS_SHA256 = {
+    "find-flag --r 2":
+        "239ce4c0021fd58616d8c0d9ee7f293bb5ba3b65c13f666f449eca80f965d3fb",
+    "find-flag --r 1 --seed 7":
+        "65222ad1750b476d080bc092d493b28256b197f961bbf2a1db3e7c68a1c1203a",
+    "count hyperplanes":
+        "8d5a6477ac1d14cc401bbc4b59c793f475dcecb0b4456bc741f8363dde2cbf3b",
+    "count superspaces --r 1":
+        "e0ad036c06b5267a3dc8e4dd415aa63ccdffd488c789afd3c1e7d0ce12b8d516",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS_SHA256))
+def test_corpus_stdout_is_pinned(command):
+    # refactors must leave the report bytes on the benchmark fixture alone
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "transverse.cli", *command.split(),
+         "--input", FIXTURE],
+        cwd=REPO, env=env, capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == CORPUS_SHA256[command]

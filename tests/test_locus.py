@@ -57,7 +57,7 @@ class TestSingularScheme:
                 assert not S.vanishes_at_codes(P.coords, E)
 
     def test_double_line_is_singular_along_line(self):
-        X = surf(F5, "x0^2*x1")
+        X = surf(F5, "x0^2*x1", nvars=3)
         S = locus.singular_scheme(X)
         line = pg.subspace_from_rows(F5, [(0, 1, 0), (0, 0, 1)])
         for P in pg.subspace_points(line):

@@ -11,6 +11,7 @@ F3 = gf.field_create(3)
 F5 = gf.field_create(5)
 F7 = gf.field_create(7)
 F9 = gf.field_create(3, 2)
+F169 = gf.field_create(13, 2)
 
 
 def P(field, *coeffs):
@@ -141,8 +142,8 @@ class TestForm:
 
     def test_eval_fermat_cubic(self):
         f = poly.parse_form(F7, "x0^3 + x1^3 + x2^3")
-        assert poly.form_eval(f, [F7.one(), -F7.one(), F7.zero()]).code == 0
-        assert poly.form_eval(f, [0, 0, 0]).code == 0
+        assert poly.form_eval_codes(f, [1, F7.neg(1), 0], F7) == 0
+        assert poly.form_eval_codes(f, [0, 0, 0], F7) == 0
 
     def test_eval_scaling_homogeneity(self):
         rng = random.Random(5)
@@ -154,19 +155,19 @@ class TestForm:
             f = Form(F5, 3, d, terms)
             pt = [rng.randrange(5) for _ in range(3)]
             lam = rng.randrange(1, 5)
-            lhs = poly.form_eval(f, [(lam * x) % 5 for x in pt]).code
-            rhs = F5.mul(pow(lam, d, 5), poly.form_eval(f, pt).code)
+            lhs = poly.form_eval_codes(f, [(lam * x) % 5 for x in pt], F5)
+            rhs = F5.mul(pow(lam, d, 5), poly.form_eval_codes(f, pt, F5))
             assert lhs == rhs
 
     def test_eval_in_extension(self):
         f = poly.parse_form(F3, "x0^2 + x1^2")
         i = poly.upoly_roots_in_extension(P(F3, 1, 0, 1), 2)[0][0]
-        assert poly.form_eval(f, [i, F9.one()]).code == 0
+        assert poly.form_eval_codes(f, [i.code, 1], i.field) == 0
 
     def test_eval_dimension_mismatch(self):
         f = poly.parse_form(F5, "x0^2 + x1^2")
         with pytest.raises(ValueError):
-            poly.form_eval(f, [1, 2, 3])
+            poly.form_eval_codes(f, [1, 2, 3], F5)
 
     def test_partials_fermat(self):
         f = poly.parse_form(F7, "x0^3 + x1^3 + x2^3")
@@ -232,7 +233,46 @@ class TestForm:
             for i in range(2):
                 for j in range(4):
                     pt[j] = F5.add(pt[j], F5.mul(u[i], basis[i][j]))
-            assert poly.form_eval(g, u).code == poly.form_eval(f, pt).code
+            assert poly.form_eval_codes(g, u, F5) == poly.form_eval_codes(f, pt, F5)
+
+    @pytest.mark.parametrize("field", [F5, F9, F169], ids=lambda f: f"F{f.order}")
+    def test_substitute_rows_matches_evaluation(self, field):
+        # F(u . B) from the kernel equals F evaluated at the point u . B
+        rng = random.Random(field.order)
+        q = field.order
+        for trial in range(24):
+            k = 1 + trial % 3
+            d = rng.randrange(1, 4)
+            f = Form(
+                field, 4, d,
+                {e: rng.randrange(q) for e in poly.monomials_of_degree(4, d)},
+            )
+            rows = [[rng.randrange(q) for _ in range(4)] for _ in range(k)]
+            if trial % 4 == 1 and k > 1:
+                # a dependent last row: c times the first row
+                c = rng.randrange(q)
+                rows[-1] = [field.mul(c, x) for x in rows[0]]
+            g = poly.substitute_rows(f, rows)
+            assert (g.field, g.nvars, g.degree) == (field, k, d)
+            for _ in range(5):
+                u = [rng.randrange(q) for _ in range(k)]
+                pt = [0] * 4
+                for i in range(k):
+                    for j in range(4):
+                        pt[j] = field.add(pt[j], field.mul(u[i], rows[i][j]))
+                assert poly.form_eval_codes(g, u, field) == poly.form_eval_codes(
+                    f, pt, field
+                )
+        # x0 * h vanishes on every parametrization with a zero first column
+        h = Form(
+            field, 4, 2,
+            {e: rng.randrange(q) for e in poly.monomials_of_degree(4, 2)},
+        )
+        f = Form(field, 4, 1, {(1, 0, 0, 0): 1}) * h
+        for k in (1, 2, 3):
+            rows = [[0] + [rng.randrange(q) for _ in range(3)] for _ in range(k)]
+            g = poly.substitute_rows(f, rows)
+            assert g.is_zero() and (g.nvars, g.degree) == (k, 3)
 
     def test_restrict_whole_space_is_identity(self):
         f = poly.parse_form(F5, "x0^2 + 2*x1*x2")
