@@ -8,9 +8,16 @@ Constants therefore keep the same code in every field of characteristic p.
 
 When no modulus is supplied the canonical one is the first monic
 irreducible of its degree in the code order above, so two runs always
-agree on the representation.  Arithmetic uses discrete-log tables for
-orders up to 2^16 and digit-polynomial arithmetic beyond that; tables are
-built lazily and cached on the field object.
+agree on the representation.  Prime fields compute with ``%``.  Extension
+fields of order up to 2^16 build tables lazily and cache them on the field
+object: exp/log tables for multiplication and, in odd characteristic, a
+Zech-logarithm table zech[n] = log(1 + g^n) for addition, so that
+a + b = g^la * (1 + g^(lb - la)) costs four lookups (Huber, "Some comments
+on Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990); characteristic 2
+adds by XOR.  Beyond 2^16 there are no tables and arithmetic works on
+digit polynomials.  ``Field.add_scaled`` is the row update x + c*y that
+Gaussian elimination and polynomial arithmetic run on, looped once in the
+log domain.
 
 Embeddings between fields of the same characteristic are computed by
 finding a root of the source modulus in the target, chosen compatibly with
@@ -27,7 +34,6 @@ import threading
 from . import config, linalg
 
 _TABLE_MAX = 1 << 16
-_ADD_TABLE_MAX = 1 << 10
 
 
 def is_prime(n: int) -> bool:
@@ -98,12 +104,12 @@ class Field:
         self.modulus = tuple(int(c) % p for c in modulus)
         self.order = p**m
         self.key = (p, m, self.modulus)
+        self._half = (self.order - 1) // 2  # log of -1 in odd characteristic
         self._digits = None
         self._exp = None
         self._log = None
+        self._zech = None
         self._frobp = None
-        self._addtab = None
-        self._negtab = None
         self._redrows = None
         self._lock = threading.Lock()
 
@@ -219,7 +225,7 @@ class Field:
         with self._lock:
             if self._exp is not None:
                 return True
-            q = self.order
+            q, p = self.order, self.p
             self._digits = [self.decode(c) for c in range(q)]
             g = self._find_generator()
             exp = [0] * (2 * (q - 1))
@@ -230,52 +236,57 @@ class Field:
                 exp[i + q - 1] = acc
                 log[acc] = i
                 acc = self._mul_general(acc, g)
-            p = self.p
-            self._negtab = [
-                self.encode([(-d) % p for d in self._digits[c]]) for c in range(q)
-            ]
             self._frobp = [0] * q
             for c in range(1, q):
                 self._frobp[c] = exp[(log[c] * p) % (q - 1)]
-            if p != 2 and self.m > 1 and q <= _ADD_TABLE_MAX:
-                dig = self._digits
-                enc = self.encode
-                self._addtab = [
-                    [
-                        enc([(x + y) % p for x, y in zip(dig[a], dig[b])])
-                        for b in range(q)
-                    ]
-                    for a in range(q)
-                ]
-            self._exp, self._log = exp, log
+            if p != 2:
+                # adding 1 changes only the constant digit of a code
+                zech = [0] * (q - 1)
+                for n in range(q - 1):
+                    c = exp[n]
+                    c1 = c + 1 if c % p != p - 1 else c + 1 - p
+                    zech[n] = log[c1] if c1 else -1
+                # stored twice over, like exp, so that any difference of two
+                # logs in (-2(q-1), 2(q-1)) indexes it directly
+                self._zech = zech + zech
+            self._log = log
+            # callers read the tables without the lock once _exp is set, so
+            # it is published last
+            self._exp = exp
         return True
 
     # -- arithmetic on codes ------------------------------------------------
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign*b digit by digit: the addition of fields without tables."""
+        p = self.p
+        da, db = self.decode(a), self.decode(b)
+        return self.encode([(x + sign * y) % p for x, y in zip(da, db)])
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._addtab is None and self.order <= _ADD_TABLE_MAX:
-            self._ensure_tables()
-        if self._addtab is not None:
-            return self._addtab[a][b]
-        p = self.p
-        da, db = self.decode(a), self.decode(b)
-        return self.encode([(x + y) % p for x, y in zip(da, db)])
+        if self._exp is None and not self._ensure_tables():
+            return self._digitwise(a, b, 1)
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        if self._negtab is None:
-            self._ensure_tables()
-        if self._negtab is not None:
-            return self._negtab[a]
-        p = self.p
-        return self.encode([(-d) % p for d in self.decode(a)])
+        if self._exp is None and not self._ensure_tables():
+            return self._digitwise(0, a, -1)
+        return self._exp[self._log[a] + self._half]
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -284,14 +295,40 @@ class Field:
             return a ^ b
         return self.add(a, self.neg(b))
 
+    def add_scaled(self, xs, c: int, ys) -> list:
+        """The row xs + c*ys, entrywise, as a new list of len(xs) == len(ys)."""
+        if c == 0:
+            return list(xs)
+        if self.m == 1:
+            p = self.p
+            return [(x + c * y) % p for x, y in zip(xs, ys)]
+        if self._exp is None and not self._ensure_tables():
+            add, mul = self.add, self.mul
+            return [add(x, mul(c, y)) if y else x for x, y in zip(xs, ys)]
+        exp, log = self._exp, self._log
+        lc = log[c]
+        if self.p == 2:
+            return [exp[lc + log[y]] ^ x if y else x for x, y in zip(xs, ys)]
+        zech = self._zech
+        out = []
+        for x, y in zip(xs, ys):
+            if y:
+                ly = lc + log[y]  # log of c*y, below 2(q-1)
+                if x:
+                    lx = log[x]
+                    z = zech[ly - lx]
+                    x = exp[lx + z] if z >= 0 else 0
+                else:
+                    x = exp[ly]
+            out.append(x)
+        return out
+
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        if self._ensure_tables():
+        if self._exp is not None or self._ensure_tables():
             return self._exp[self._log[a] + self._log[b]]
         return self._mul_general(a, b)
 
@@ -307,7 +344,7 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        if self._ensure_tables():
+        if self._exp is not None or self._ensure_tables():
             return self._exp[self.order - 1 - self._log[a]]
         return self._pow_general(a, self.order - 2)
 
@@ -321,7 +358,7 @@ class Field:
             return pow(a, e, self.p) if (a or e == 0) else 0
         if a == 0:
             return 0 if e else 1
-        if self._ensure_tables():
+        if self._exp is not None or self._ensure_tables():
             return self._exp[(self._log[a] * e) % (self.order - 1)]
         return self._pow_general(a, e)
 
@@ -329,7 +366,7 @@ class Field:
         """a^p."""
         if self.m == 1:
             return a
-        if self._ensure_tables():
+        if self._exp is not None or self._ensure_tables():
             return self._frobp[a]
         return self._pow_general(a, self.p)
 

@@ -4,7 +4,9 @@ Univariate polynomials are plain lists/tuples of integer codes in ascending
 power order with no trailing zeros; the zero polynomial is the empty tuple.
 Routines that need field arithmetic take the field object first and go
 through its integer-code methods (add, mul, inv, ...), so this module does
-not import the field implementation.
+not import the field implementation.  Row updates x + c*y, in elimination
+and in polynomial multiplication and division, go through the field's one
+row kernel, ``F.add_scaled``.
 
 Gaussian elimination has a vectorised numpy path for prime fields and a
 generic path for extension fields; matrices are lists of rows of codes.
@@ -60,34 +62,30 @@ def u_scale(F, a, c):
 def u_mul(F, a, b):
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    n = len(b)
+    out = [0] * (len(a) + n - 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y == 0:
-                continue
-            out[i + j] = F.add(out[i + j], F.mul(x, y))
+        if x:
+            out[i : i + n] = F.add_scaled(out[i : i + n], x, b)
     return u_trim(out)
 
 
 def u_divmod(F, a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
+    a = u_trim(a)
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], a
+    q = [0] * (len(a) - n)
     inv_lead = F.inv(b[-1])
-    while len(a) >= len(b):
-        a = u_trim(a)
-        if len(a) < len(b):
-            break
-        c = F.mul(a[-1], inv_lead)
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            if y:
-                a[k + i] = F.sub(a[k + i], F.mul(c, y))
-        a.pop()
+    neg_low = [F.neg(y) for y in b[:-1]]
+    for k in range(len(q) - 1, -1, -1):
+        top = a.pop()
+        if top:
+            c = F.mul(top, inv_lead)
+            q[k] = c
+            a[k:] = F.add_scaled(a[k:], c, neg_low)
     return u_trim(q), u_trim(a)
 
 
@@ -267,11 +265,11 @@ def _rank_generic(F, rows, ncols, stop_at):
         inv = F.inv(rows[r][col])
         if inv != 1:
             rows[r] = [F.mul(inv, x) for x in rows[r]]
+        rr = rows[r]
         for i in range(r + 1, nrows):
             c = rows[i][col]
             if c:
-                ri, rr = rows[i], rows[r]
-                rows[i] = [F.sub(ri[k], F.mul(c, rr[k])) for k in range(ncols)]
+                rows[i] = F.add_scaled(rows[i], F.neg(c), rr)
         r += 1
         if stop_at is not None and r >= stop_at:
             return r
@@ -298,11 +296,11 @@ def rref(F, rows):
         inv = F.inv(rows[r][col])
         if inv != 1:
             rows[r] = [F.mul(inv, x) for x in rows[r]]
+        rr = rows[r]
         for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [F.sub(ri[k], F.mul(c, rr[k])) for k in range(ncols)]
+            c = rows[i][col]
+            if c and i != r:
+                rows[i] = F.add_scaled(rows[i], F.neg(c), rr)
         pivots.append(col)
         r += 1
         if r == len(rows):

@@ -251,9 +251,7 @@ def subspace_point_codes(H: LinearSubspace, ext: gf.Field | None = None):
         vec = [0] * ncols
         for ui, row in zip(u, B):
             if ui:
-                for j, c in enumerate(row):
-                    if c:
-                        vec[j] = field.add(vec[j], field.mul(ui, c))
+                vec = field.add_scaled(vec, ui, row)
         # the parameter map is injective on projective classes, but the
         # image vector still needs its own leading-one normalization
         lead = next(i for i, c in enumerate(vec) if c)

@@ -255,7 +255,7 @@ def _ambient_rows(field: gf.Field, rows, basis):
         acc = [0] * width
         for c, brow in zip(row, basis):
             if c:
-                acc = [field.add(a, field.mul(c, b)) for a, b in zip(acc, brow)]
+                acc = field.add_scaled(acc, c, brow)
         out.append(acc)
     return out
 

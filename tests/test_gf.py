@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,9 @@ F8 = gf.field_create(2, 3)
 F9 = gf.field_create(3, 2)
 F16 = gf.field_create(2, 4)
 F25 = gf.field_create(5, 2)
+F169 = gf.field_create(13, 2)
+F729 = gf.field_create(3, 6)
+F15625 = gf.field_create(5, 6)
 
 
 def test_canonical_moduli():
@@ -186,20 +191,66 @@ def test_inverse_exhaustive_small_fields():
             assert F.mul(c, F.inv(c)) == 1
 
 
+def _digit_reference(F, a, b, sign):
+    """a + sign*b computed digit by digit on the base-p codes."""
+    p = F.p
+    return F.encode([(x + sign * y) % p for x, y in zip(F.decode(a), F.decode(b))])
+
+
 def test_no_table_path_matches_table_path():
-    # F_{2^17} exceeds the table threshold; cross-check against F_{2^17}
-    # arithmetic done through a subfield copy where possible, plus axioms
-    big = gf.field_create(2, 17)
-    a, b, c = 12345, 98765, 54321
-    assert big.mul(a, big.inv(a)) == 1
-    assert big.mul(big.add(a, b), c) == big.add(big.mul(a, c), big.mul(b, c))
-    assert big.pow(a, big.order - 1) == 1
-    assert big.frob_power(a, 17) == a
+    # the routines that serve fields beyond the table limit agree with the
+    # tables on a table-backed field of odd characteristic ...
+    F = gf.field_create(3, 7)
+    rng = random.Random(7)
+    for _ in range(2000):
+        a, b = rng.randrange(F.order), rng.randrange(F.order)
+        assert F._digitwise(a, b, 1) == F.add(a, b)
+        assert F._digitwise(a, b, -1) == F.sub(a, b)
+        assert F._mul_general(a, b) == F.mul(a, b)
+        assert F._pow_general(a, b) == F.pow(a, b)
+    # ... and, past the limit, satisfy the axioms and the digit reference
+    for big in (gf.field_create(2, 17), gf.field_create(3, 11)):
+        assert big.order > 1 << 16
+        for _ in range(40):
+            a, b, c = (rng.randrange(1, big.order) for _ in range(3))
+            assert big.add(a, b) == _digit_reference(big, a, b, 1)
+            assert big.sub(a, b) == _digit_reference(big, a, b, -1)
+            assert big.neg(a) == _digit_reference(big, 0, a, -1)
+            assert big.add(a, big.neg(a)) == 0
+            assert big.mul(a, big.inv(a)) == 1
+            assert big.mul(big.add(a, b), c) == big.add(big.mul(a, c), big.mul(b, c))
+        assert big._exp is None
+        a = 12345
+        assert big.pow(a, big.order - 1) == 1
+        assert big.frob_power(a, big.m) == a
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (13, 2), (3, 6), (3, 7), (5, 6)])
+def test_zech_arithmetic_matches_digits(p, m):
+    # exhaustive up to q = 729, 50,000 seeded pairs above; a + (-a) == 0 is
+    # the case where the Zech table holds its sentinel
+    F = gf.field_create(p, m)
+    q = F.order
+    for a in range(q):
+        assert F.neg(a) == _digit_reference(F, 0, a, -1)
+        assert F.add(a, F.neg(a)) == 0
+        assert F.sub(a, a) == 0
+    if q <= 729:
+        pairs = ((a, b) for a in range(q) for b in range(q))
+    else:
+        rng = random.Random(q)
+        pairs = ((rng.randrange(q), rng.randrange(q)) for _ in range(50_000))
+    weights = [p**i for i in range(m)]
+    digits = [F.decode(c) for c in range(q)]
+    for a, b in pairs:
+        da, db = digits[a], digits[b]
+        assert F.add(a, b) == sum(w * ((x + y) % p) for w, x, y in zip(weights, da, db))
+        assert F.sub(a, b) == sum(w * ((x - y) % p) for w, x, y in zip(weights, da, db))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([F9, F8, F25]),
+    st.sampled_from([F9, F8, F25, F169, F729, F15625]),
     st.integers(min_value=0),
     st.integers(min_value=0),
     st.integers(min_value=0),
