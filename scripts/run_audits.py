@@ -11,7 +11,7 @@ import json
 import pathlib
 import sys
 
-from transverse import audit, cli, config, search
+from transverse import audit, cli, search
 
 
 def main(argv=None):
@@ -27,7 +27,7 @@ def main(argv=None):
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    reports = cli.battery(args.seed, config.current_caps())
+    reports = cli.battery(args.seed)
     failed = [r for r in reports if not r.passed()]
     for i, rep in enumerate(reports):
         path = out / f"{i:02d}-{rep.experiment}-{rep.params['n']}-{rep.params['q']}.json"

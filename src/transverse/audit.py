@@ -336,7 +336,6 @@ def _field_of_order(q: int) -> gf.Field:
 def count_nontransverse_lines(
     C: CurveFixture,
     seed: int | None = None,
-    caps: config.Caps | None = None,
     claim_irreducible: bool = True,
 ) -> AuditReport:
     """Exact census of the rational lines not transverse to the fixture.
@@ -348,7 +347,6 @@ def count_nontransverse_lines(
     subreport unless claim_irreducible is false, the escape hatch for a
     caller whose single-factor fixture is of unknown factorization.
     """
-    caps = caps or config.current_caps()
     if C.degree < 2:
         raise ValueError("line audit needs a curve of degree >= 2")
     rng = random.Random(0 if seed is None else seed)
@@ -357,7 +355,7 @@ def count_nontransverse_lines(
     started = time.perf_counter()
     improper = 0
     not_squarefree = 0
-    for L in projgeom.all_lines(2, C.field, caps=caps):
+    for L in projgeom.all_lines(2, C.field):
         G = poly.restrict_to_subspace(C.form, L)
         if G.is_zero():
             improper += 1
@@ -418,10 +416,7 @@ def bound_bad_hyperplanes(d: int, t: int, q: int) -> int:
 
 
 def count_bad_hyperplanes(
-    X: locus.Hypersurface,
-    t: int,
-    seed: int | None = None,
-    caps: config.Caps | None = None,
+    X: locus.Hypersurface, t: int, seed: int | None = None
 ) -> AuditReport:
     """Exact census of hyperplanes with improper or non-reduced section.
 
@@ -429,7 +424,6 @@ def count_bad_hyperplanes(
     caller's knowledge of the fixture; it only enters the bound, never the
     classification, which tests each section form directly.
     """
-    caps = caps or config.current_caps()
     n = X.ambient
     if n < 2:
         raise ValueError("hyperplane audit needs ambient dimension >= 2")
@@ -441,7 +435,7 @@ def count_bad_hyperplanes(
     started = time.perf_counter()
     improper = 0
     nonreduced = 0
-    for H in projgeom.all_hyperplanes(n, X.field, caps=caps):
+    for H in projgeom.all_hyperplanes(n, X.field):
         G = certify.section_form(X, H)
         if G.is_zero():
             improper += 1
@@ -466,7 +460,6 @@ def count_bad_superspaces(
     H_prev: projgeom.LinearSubspace,
     r: int,
     seed: int | None = None,
-    caps: config.Caps | None = None,
     witness_kmax: int = 2,
 ) -> AuditReport:
     """Census of the r-planes through H_prev that fail very transversality.
@@ -483,7 +476,6 @@ def count_bad_superspaces(
     tangent candidate is searched for one it contains with the tangent
     hyperplane holding the whole candidate; the counts land in extras.
     """
-    caps = caps or config.current_caps()
     n = X.ambient
     if not certify.ensure_smooth(X):
         raise ValueError("superspace audit needs a smooth hypersurface")
@@ -498,7 +490,7 @@ def count_bad_superspaces(
     tangent = []
     transverse = 0
     dual_contained = 0
-    for E in projgeom.enumerate_superspaces(H_prev, r, caps=caps):
+    for E in projgeom.enumerate_superspaces(H_prev, r):
         verdict, method = certify.decide_very_transverse(X, E, rng)
         if method == "not-transverse":
             tangent.append(E)
@@ -509,9 +501,7 @@ def count_bad_superspaces(
 
     witness_pool = []
     try:
-        pts = certify.scheme_points_upto(
-            locus.tangency_locus(X, H_prev), witness_kmax, caps=caps
-        )
+        pts = certify.scheme_points_upto(locus.tangency_locus(X, H_prev), witness_kmax)
         witness_pool = [P for P in pts if locus.in_rational_join_locus(H_prev, P)]
     except config.CapExceededError:
         witness_pool = []
@@ -568,12 +558,7 @@ def count_bad_superspaces(
     )
 
 
-def audit_space_filling(
-    n: int,
-    q: int,
-    dmax: int,
-    caps: config.Caps | None = None,
-) -> AuditReport:
+def audit_space_filling(n: int, q: int, dmax: int) -> AuditReport:
     """Exhaustive low-degree space-filling scan plus the classical witness.
 
     Confirms that every nonzero form of degree <= min(dmax, q) in n+1
@@ -581,20 +566,19 @@ def audit_space_filling(
     difference form x0^q x1 - x0 x1^q (degree q+1) vanishes everywhere,
     so the degree threshold in the report is tight.
     """
-    caps = caps or config.current_caps()
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
     fld = _field_of_order(q)
     started = time.perf_counter()
-    points = list(projgeom.enumerate_point_codes(n, fld, caps=caps))
+    points = list(projgeom.enumerate_point_codes(n, fld))
     dcap = min(dmax, q)
     total = 0
     for deg in range(1, dcap + 1):
         M = len(list(poly.monomials_of_degree(n + 1, deg)))
         total += (q**M - 1) // (q - 1)
-    caps.check_enum(total, "form enumeration")
+    config.current_caps().check_enum(total, "form enumeration")
     scanned = 0
     filling = []
     for deg in range(1, dcap + 1):
@@ -648,7 +632,6 @@ def separation_search(
     q: int,
     r: int = 1,
     seed: int = 0,
-    caps: config.Caps | None = None,
 ) -> dict:
     """Hunt for transverse-but-not-very-transverse pairs; observational.
 
@@ -658,7 +641,6 @@ def separation_search(
     separation is impossible by definition) are supported at desk scale.
     An empty result is logged as such and proves nothing.
     """
-    caps = caps or config.current_caps()
     if samples < 1:
         raise ValueError("need at least one sample")
     if r != 1 and r != n - 1:
@@ -683,9 +665,9 @@ def separation_search(
             continue
         sampled += 1
         candidates = (
-            projgeom.all_lines(n, fld, caps=caps)
+            projgeom.all_lines(n, fld)
             if r == 1
-            else projgeom.all_hyperplanes(n, fld, caps=caps)
+            else projgeom.all_hyperplanes(n, fld)
         )
         for E in candidates:
             verdict, method = certify.decide_very_transverse(X, E, rng)

@@ -44,7 +44,7 @@ _WITNESS_KMAX = 6
 # point enumeration
 
 
-def _points_over(S: locus.SchemeSpec, E: gf.Field, caps: config.Caps):
+def _points_over(S: locus.SchemeSpec, E: gf.Field):
     """Normalized coordinate tuples of S(E), by sweeping normalized
     prefixes and root-finding in the last coordinate."""
     n = S.ambient
@@ -57,14 +57,14 @@ def _points_over(S: locus.SchemeSpec, E: gf.Field, caps: config.Caps):
         if S.vanishes_at_codes(pt, E):
             out.append(pt)
         return out
-    caps.check_enum(
+    config.current_caps().check_enum(
         projgeom.count_points(n - 1, E) + 1, "scheme point sweep"
     )
     # the point with all coordinates but the last equal to zero
     last = (0,) * n + (1,)
     if S.vanishes_at_codes(last, E):
         out.append(last)
-    for prefix in projgeom.enumerate_point_codes(n - 1, E, caps=caps):
+    for prefix in projgeom.enumerate_point_codes(n - 1, E):
         g = None
         dead = False
         for gen in gens:
@@ -98,7 +98,7 @@ def _residue_degree(coords, E: gf.Field, base_m: int, k: int) -> int:
     return k
 
 
-def scheme_points_upto(S: locus.SchemeSpec, kmax: int, caps: config.Caps | None = None):
+def scheme_points_upto(S: locus.SchemeSpec, kmax: int):
     """Every geometric point of residue degree <= kmax, each exactly once.
 
     A point rational over F_{q^j} also lives in every F_{q^(j*i)}; the
@@ -106,16 +106,14 @@ def scheme_points_upto(S: locus.SchemeSpec, kmax: int, caps: config.Caps | None 
     sweep over k = 1..kmax never duplicates across subfield embeddings.
     Conjugate points of the same closed point are distinct entries.
     """
-    caps = caps or config.current_caps()
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     base = S.field
     found = []
     for k in range(1, kmax + 1):
-        caps.check_field(base.p, base.m * k)
-        E = gf.extension_field(base, k, caps=caps)
+        E = gf.extension_field(base, k)
         pts = []
-        for coords in _points_over(S, E, caps):
+        for coords in _points_over(S, E):
             if k > 1 and _residue_degree(coords, E, base.m, k) != k:
                 continue
             pts.append(coords)
@@ -188,9 +186,7 @@ def macaulay_is_empty(S: locus.SchemeSpec):
 
 
 def is_empty_projective(
-    S: locus.SchemeSpec,
-    want_witness: bool = True,
-    caps: config.Caps | None = None,
+    S: locus.SchemeSpec, want_witness: bool = True
 ) -> EmptinessCertificate:
     """Certified emptiness of S over the algebraic closure.
 
@@ -198,7 +194,6 @@ def is_empty_projective(
     scheme; otherwise the Macaulay test decides.  Nonempty verdicts carry
     an enumerated witness when one exists at low residue degree.
     """
-    caps = caps or config.current_caps()
     gens = S.nonzero_gens()
     r = S.ambient
     if any(g.degree == 0 for g in gens):
@@ -214,7 +209,7 @@ def is_empty_projective(
         if empty:
             return EmptinessCertificate(S, N, "empty")
     if want_witness:
-        witness = _hunt_witness(S, caps)
+        witness = _hunt_witness(S)
         if witness is not None:
             return EmptinessCertificate(S, N, "nonempty", witness=witness)
         if not few_gens:
@@ -223,14 +218,14 @@ def is_empty_projective(
     return EmptinessCertificate(S, N, "nonempty")
 
 
-def _hunt_witness(S: locus.SchemeSpec, caps: config.Caps):
+def _hunt_witness(S: locus.SchemeSpec):
     """First point of minimal residue degree within field and enum caps."""
     for k in range(1, _WITNESS_KMAX + 1):
-        if not caps.field_order_ok(S.field.p, S.field.m * k):
+        if not config.current_caps().field_order_ok(S.field.p, S.field.m * k):
             return None
-        E = gf.extension_field(S.field, k, caps=caps)
+        E = gf.extension_field(S.field, k)
         try:
-            pts = _points_over(S, E, caps)
+            pts = _points_over(S, E)
         except config.CapExceededError:
             return None
         if pts:
@@ -264,6 +259,14 @@ class DimensionCertificate:
         }
 
 
+def _extension_with(F: gf.Field, at_least: int) -> gf.Field:
+    """The smallest extension of F with at least ``at_least`` elements."""
+    k = 1
+    while F.order**k < at_least:
+        k += 1
+    return gf.extension_field(F, k)
+
+
 def _lift_scheme(S: locus.SchemeSpec, E: gf.Field) -> locus.SchemeSpec:
     if E == S.field:
         return S
@@ -284,10 +287,8 @@ def _slice_by(S: locus.SchemeSpec, row) -> locus.SchemeSpec:
 def dim_upper_bound(
     S: locus.SchemeSpec,
     t: int,
-    retries: int = _LV_RETRIES,
     rng: random.Random | None = None,
     seed: int | None = None,
-    caps: config.Caps | None = None,
 ) -> DimensionCertificate:
     """Las-Vegas certificate that dim S <= t; never certifies falsely.
 
@@ -298,7 +299,6 @@ def dim_upper_bound(
     Each recorded slice is a coefficient row in the coordinates of its own
     level, not of the original ambient space.
     """
-    caps = caps or config.current_caps()
     if t < -1:
         raise ValueError("dimension bound below -1 is meaningless")
     if rng is None:
@@ -310,13 +310,9 @@ def dim_upper_bound(
         )
     if t >= S.ambient:
         return DimensionCertificate(S, t, "at-most", (), 0, seed)
-    k = 1
-    while S.field.order**k < _LV_MIN_FIELD:
-        k += 1
-    caps.check_field(S.field.p, S.field.m * k)
-    E = gf.extension_field(S.field, k, caps=caps)
+    E = _extension_with(S.field, _LV_MIN_FIELD)
     lifted = _lift_scheme(S, E)
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, _LV_RETRIES + 1):
         cur = lifted
         slices = []
         for _ in range(t + 1):
@@ -331,7 +327,7 @@ def dim_upper_bound(
             return DimensionCertificate(
                 S, t, "at-most", tuple(slices), attempt, seed
             )
-    return DimensionCertificate(S, t, "undetermined", (), retries, seed)
+    return DimensionCertificate(S, t, "undetermined", (), _LV_RETRIES, seed)
 
 
 def _bezout_component_bound(S: locus.SchemeSpec) -> int:
@@ -351,11 +347,7 @@ def _moment_row(E: gf.Field, nvars: int, c: int):
     return row
 
 
-def dim_at_most_exact(
-    S: locus.SchemeSpec,
-    t: int,
-    caps: config.Caps | None = None,
-) -> bool:
+def dim_at_most_exact(S: locus.SchemeSpec, t: int) -> bool:
     """Deterministic, exact decision of dim S <= t.
 
     Scans the hyperplane family sum_j c^j x_j over a field chosen large
@@ -364,7 +356,6 @@ def dim_at_most_exact(
     empty certifies the bound, and exhausting the family refutes it.
     Raises SearchInfeasibleError when the scan tree exceeds the budget.
     """
-    caps = caps or config.current_caps()
     if t < -1:
         raise ValueError("dimension bound below -1 is meaningless")
     if t == -1:
@@ -372,13 +363,7 @@ def dim_at_most_exact(
     if t >= S.ambient:
         return True
     n = S.ambient
-    B = _bezout_component_bound(S)
-    need = n * B + 1
-    k = 1
-    while S.field.order**k < need:
-        k += 1
-    caps.check_field(S.field.p, S.field.m * k)
-    E = gf.extension_field(S.field, k, caps=caps)
+    E = _extension_with(S.field, n * _bezout_component_bound(S) + 1)
     branch = E.order
     work = 1
     for _ in range(t + 1):
@@ -470,10 +455,9 @@ def is_reduced_form(G: poly.Form, rng: random.Random | None = None) -> bool:
         return G.degree == 1
     if G.nvars == 2:
         return poly.binary_squarefree(G)
-    parts = [g for g in poly.form_partials(G) if not g.is_zero()]
-    if not parts:
-        return False
-    J = locus.SchemeSpec(G.field, G.nvars, [G] + parts)
+    J = jacobian_scheme(G)
+    if len(J.gens) == 1:
+        return False  # every partial vanishes
     t = G.nvars - 3  # divisor dimension minus one, in P^(nvars-1)
     lv = dim_upper_bound(J, t, rng=rng)
     if lv.holds():
@@ -489,10 +473,7 @@ def _squarefree_plane_section(G: poly.Form, rng: random.Random | None) -> bool:
     ternary section settles squarefreeness.  False carries no information.
     """
     rng = rng or random.Random(0)
-    k = 1
-    while G.field.order**k < _LV_MIN_FIELD:
-        k += 1
-    E = gf.extension_field(G.field, k)
+    E = _extension_with(G.field, _LV_MIN_FIELD)
     lifted = poly.form_lift(G, E)
     for _ in range(_SECTION_RESCUE_TRIES):
         rows = [
@@ -531,12 +512,7 @@ def ensure_smooth(X: locus.Hypersurface) -> bool:
     """Certified smoothness of X itself, cached on the hypersurface."""
     got = X.cache.get("smooth")
     if got is None:
-        S = locus.singular_scheme(X)
-        if len(S.nonzero_gens()) <= S.ambient:
-            got = False
-        else:
-            got = macaulay_is_empty(S)[0]
-        X.cache["smooth"] = got
+        got = X.cache["smooth"] = is_smooth_form(X.form)
     return got
 
 

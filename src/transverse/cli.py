@@ -9,8 +9,8 @@ for counting reports.
 
 Written reports are reproducible byte for byte from the input and the
 seed: wall-clock fields inside reports are zeroed before writing, and the
-one-line timing summary goes to stderr instead.  The run's caps are
-installed as the process-wide caps for its duration, so every layer
+one-line timing summary goes to stderr instead.  The run's caps are the
+current caps (``config.caps_scope``) for its duration, so every layer
 honours them.
 
 Exit status: 0 for success (including a search that exhausted below its
@@ -91,7 +91,7 @@ def _offset_to_position(segments, offset):
     return lineno, len(text) + 1
 
 
-def parse_input(path, caps: config.Caps | None = None):
+def parse_input(path):
     """Read a hypersurface file: (field, hypersurface).
 
     Header ``p=<prime> m=<int> n=<int>`` on the first nonblank line, then
@@ -99,7 +99,6 @@ def parse_input(path, caps: config.Caps | None = None):
     file position; inhomogeneous or identically zero polynomials and
     coefficients outside the field are rejected.
     """
-    caps = caps or config.current_caps()
     with open(path, encoding="utf-8") as handle:
         raw = handle.read()
     lines = raw.splitlines()
@@ -122,7 +121,7 @@ def parse_input(path, caps: config.Caps | None = None):
     if n < 1:
         raise InputFileError(path, header_line, 1, "n must be at least 1")
     try:
-        field = gf.field_create(p, ext_deg, caps=caps)
+        field = gf.field_create(p, ext_deg)
     except (ValueError, config.CapExceededError) as exc:
         raise InputFileError(path, header_line, 1, str(exc)) from exc
     segments = [(lineno, text.strip()) for lineno, text in numbered[1:]]
@@ -238,12 +237,12 @@ def _flatten_summary(cfg: RunConfig, outcome) -> dict:
 def _load(cfg: RunConfig):
     if not cfg.input:
         raise UsageError(f"{cfg.command} requires --input")
-    return parse_input(cfg.input, caps=cfg.caps)
+    return parse_input(cfg.input)
 
 
 def _run_find_line(cfg: RunConfig) -> int:
     field, X = _load(cfg)
-    outcome = search.find_transverse_line_reduced(X, seed=cfg.seed, caps=cfg.caps)
+    outcome = search.find_transverse_line_reduced(X, seed=cfg.seed)
     return _finish_search(cfg, field, X, outcome)
 
 
@@ -252,7 +251,7 @@ def _run_find_flag(cfg: RunConfig) -> int:
     r = cfg.options.get("r")
     if r is None:
         raise UsageError("find-flag requires --r")
-    outcome = search.find_very_transverse_flag(X, r, seed=cfg.seed, caps=cfg.caps)
+    outcome = search.find_very_transverse_flag(X, r, seed=cfg.seed)
     return _finish_search(cfg, field, X, outcome)
 
 
@@ -262,11 +261,9 @@ def _run_find_reduced(cfg: RunConfig) -> int:
     if r is None:
         raise UsageError("find-reduced requires --r")
     if r == X.ambient - 1:
-        outcome = search.find_reduced_hyperplane(X, seed=cfg.seed, caps=cfg.caps)
+        outcome = search.find_reduced_hyperplane(X, seed=cfg.seed)
     else:
-        outcome = search.find_reduced_plane_section_chain(
-            X, r, seed=cfg.seed, caps=cfg.caps
-        )
+        outcome = search.find_reduced_plane_section_chain(X, r, seed=cfg.seed)
     return _finish_search(cfg, field, X, outcome)
 
 
@@ -296,18 +293,18 @@ def _run_count(cfg: RunConfig) -> int:
             raise UsageError("count lines needs a plane curve (n = 2)")
         fixture = audit.CurveFixture([X.form])
         rep = audit.count_nontransverse_lines(
-            fixture, seed=seed, caps=cfg.caps, claim_irreducible=False
+            fixture, seed=seed, claim_irreducible=False
         )
         reports = [rep]
     elif what == "hyperplanes":
         t = cfg.options.get("t") or 0
-        rep = audit.count_bad_hyperplanes(X, t, seed=seed, caps=cfg.caps)
+        rep = audit.count_bad_hyperplanes(X, t, seed=seed)
         reports = [rep]
     elif what == "superspaces":
         r = cfg.options.get("r")
         if r is None:
             raise UsageError("count superspaces requires --r")
-        flag = search.find_very_transverse_flag(X, r - 1, seed=seed, caps=cfg.caps)
+        flag = search.find_very_transverse_flag(X, r - 1, seed=seed)
         if not flag.succeeded():
             _emit(cfg, {
                 "command": cfg.command,
@@ -317,9 +314,7 @@ def _run_count(cfg: RunConfig) -> int:
             })
             _log(cfg, "no base flag")
             return EXIT_OK
-        rep = audit.count_bad_superspaces(
-            X, flag.found.top, r, seed=seed, caps=cfg.caps
-        )
+        rep = audit.count_bad_superspaces(X, flag.found.top, r, seed=seed)
         reports = [rep]
     else:  # pragma: no cover - argparse restricts the choices
         raise UsageError(f"unknown count target {what!r}")
@@ -385,7 +380,7 @@ def _run_audit(cfg: RunConfig) -> int:
         n = cfg.options.get("n") or 2
         q = cfg.options.get("q") or 2
         dmax = cfg.options.get("d") or 2
-        reports = [audit.audit_space_filling(n, q, dmax, caps=cfg.caps)]
+        reports = [audit.audit_space_filling(n, q, dmax)]
     elif what == "inequalities":
         nmax = cfg.options.get("nmax") or 6
         dmax = cfg.options.get("dmax") or 5
@@ -399,11 +394,10 @@ def _run_audit(cfg: RunConfig) -> int:
                 cfg.options.get("q") or 2,
                 r=cfg.options.get("r") or 1,
                 seed=seed,
-                caps=cfg.caps,
             )
         ]
     elif what == "all":
-        reports = battery(seed, cfg.caps)
+        reports = battery(seed)
         reports.append(
             _inequality_report(
                 cfg.options.get("nmax") or 6, cfg.options.get("dmax") or 5
@@ -411,8 +405,7 @@ def _run_audit(cfg: RunConfig) -> int:
         )
         reports.append(
             audit.separation_search(
-                cfg.options.get("samples") or 3, 3, 3, 2, r=1,
-                seed=seed, caps=cfg.caps,
+                cfg.options.get("samples") or 3, 3, 3, 2, r=1, seed=seed
             )
         )
     else:  # pragma: no cover - argparse restricts the choices
@@ -420,38 +413,36 @@ def _run_audit(cfg: RunConfig) -> int:
     return _finish_reports(cfg, reports)
 
 
-def battery(seed: int, caps: config.Caps):
+def battery(seed: int):
     """The built-in fixture battery: every counting bound the search gates
     rely on, on the smallest fixtures that exercise it."""
-    F5 = gf.field_create(5, caps=caps)
-    F7 = gf.field_create(7, caps=caps)
-    F13 = gf.field_create(13, caps=caps)
+    F5 = gf.field_create(5)
+    F7 = gf.field_create(7)
+    F13 = gf.field_create(13)
     reports = []
 
     conic = audit.CurveFixture.from_strings(F5, ["x0*x2 - x1^2"])
-    reports.append(audit.count_nontransverse_lines(conic, seed=seed, caps=caps))
+    reports.append(audit.count_nontransverse_lines(conic, seed=seed))
 
     cusp = audit.CurveFixture.from_strings(F7, ["x1^2*x2 - x0^3"])
-    reports.append(audit.count_nontransverse_lines(cusp, seed=seed, caps=caps))
+    reports.append(audit.count_nontransverse_lines(cusp, seed=seed))
 
     lines3 = audit.CurveFixture.from_strings(F7, ["x0", "x1", "x0 + x1"])
-    reports.append(audit.count_nontransverse_lines(lines3, seed=seed, caps=caps))
+    reports.append(audit.count_nontransverse_lines(lines3, seed=seed))
 
     two_planes = locus.Hypersurface(poly.parse_form(F5, "x0*x1", 4))
-    reports.append(audit.count_bad_hyperplanes(two_planes, 2, seed=seed, caps=caps))
+    reports.append(audit.count_bad_hyperplanes(two_planes, 2, seed=seed))
 
     quadric = locus.Hypersurface(poly.parse_form(F5, "x0*x3 - x1*x2"))
-    reports.append(audit.count_bad_hyperplanes(quadric, 0, seed=seed, caps=caps))
+    reports.append(audit.count_bad_hyperplanes(quadric, 0, seed=seed))
 
     cubic = locus.Hypersurface(
         poly.parse_form(F13, "x0^3 + x1^3 + x2^3 + x3^3")
     )
-    base = search.find_very_transverse_flag(cubic, 0, seed=seed, caps=caps)
-    reports.append(
-        audit.count_bad_superspaces(cubic, base.found.top, 1, seed=seed, caps=caps)
-    )
+    base = search.find_very_transverse_flag(cubic, 0, seed=seed)
+    reports.append(audit.count_bad_superspaces(cubic, base.found.top, 1, seed=seed))
 
-    reports.append(audit.audit_space_filling(2, 2, 2, caps=caps))
+    reports.append(audit.audit_space_filling(2, 2, 2))
     return reports
 
 
@@ -468,20 +459,17 @@ def run(cfg: RunConfig) -> int:
     """Execute one configured invocation; returns the process exit status."""
     started = time.perf_counter()
     cfg.options["_started"] = started
-    previous = config.current_caps()
-    config.set_caps(cfg.caps)
-    try:
-        return _DISPATCH[cfg.command](cfg)
-    except config.TheoremViolationError as exc:
-        _emit(cfg, {
-            "command": cfg.command,
-            "input": cfg.input,
-            "violation": str(exc),
-        })
-        _log(cfg, f"THEOREM VIOLATION: {exc}")
-        return EXIT_VIOLATION
-    finally:
-        config.set_caps(previous)
+    with config.caps_scope(cfg.caps):
+        try:
+            return _DISPATCH[cfg.command](cfg)
+        except config.TheoremViolationError as exc:
+            _emit(cfg, {
+                "command": cfg.command,
+                "input": cfg.input,
+                "violation": str(exc),
+            })
+            _log(cfg, f"THEOREM VIOLATION: {exc}")
+            return EXIT_VIOLATION
 
 
 def _log(cfg: RunConfig, message: str) -> None:

@@ -1,7 +1,14 @@
-"""Run-wide resource caps and shared error types."""
+"""Resource caps, held in one context variable, and shared error types.
+
+Every layer reads ``current_caps()`` at the point of each check; a run
+installs its own caps with ``caps_scope``, which restores the previous
+ones on exit.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 
@@ -38,17 +45,21 @@ class Caps:
             )
 
 
-_current = Caps()
+_CAPS: contextvars.ContextVar[Caps] = contextvars.ContextVar("caps", default=Caps())
 
 
 def current_caps() -> Caps:
-    return _current
+    return _CAPS.get()
 
 
-def set_caps(caps: Caps) -> None:
-    # replaces the process-wide caps; the CLI installs its own for each run
-    global _current
-    _current = caps
+@contextlib.contextmanager
+def caps_scope(caps: Caps):
+    """Make ``caps`` the current caps for the body; scopes nest."""
+    token = _CAPS.set(caps)
+    try:
+        yield
+    finally:
+        _CAPS.reset(token)
 
 
 class CapExceededError(RuntimeError):

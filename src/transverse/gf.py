@@ -497,14 +497,13 @@ _FIELDS: dict = {}
 _REG_LOCK = threading.RLock()
 
 
-def field_create(p: int, m: int = 1, modulus=None, caps: config.Caps | None = None) -> Field:
+def field_create(p: int, m: int = 1, modulus=None) -> Field:
     """The field F_{p^m}, with the canonical modulus unless one is given."""
-    caps = caps or config.current_caps()
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not isinstance(m, int) or m < 1:
         raise ValueError("extension degree must be a positive integer")
-    caps.check_field(p, m)
+    config.current_caps().check_field(p, m)
     if modulus is None:
         key = (p, m, None)
         with _REG_LOCK:
@@ -531,11 +530,11 @@ def field_create(p: int, m: int = 1, modulus=None, caps: config.Caps | None = No
         return _FIELDS[fkey]
 
 
-def extension_field(base: Field, k: int, caps: config.Caps | None = None) -> Field:
+def extension_field(base: Field, k: int) -> Field:
     """Canonical degree-k extension of ``base`` (single level over the prime)."""
     if k < 1:
         raise ValueError("extension degree must be positive")
-    return field_create(base.p, base.m * k, caps=caps)
+    return field_create(base.p, base.m * k)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ def upoly_squarefree(f: UniPoly) -> bool:
     return upoly_gcd(f, d).degree == 0
 
 
-def upoly_roots_in_extension(f: UniPoly, k: int, caps: config.Caps | None = None):
+def upoly_roots_in_extension(f: UniPoly, k: int):
     """All roots of f lying in the degree-k extension, with multiplicities.
 
     Returns a list of (FieldElement of F_{q^k}, multiplicity), sorted by
@@ -147,7 +147,7 @@ def upoly_roots_in_extension(f: UniPoly, k: int, caps: config.Caps | None = None
         raise ValueError("root finding on the zero polynomial")
     if k < 1:
         raise ValueError("extension degree must be positive")
-    E = gf.extension_field(f.field, k, caps=caps)
+    E = gf.extension_field(f.field, k)
     lifted = [gf.embed_code(f.field, E, c) for c in f.coeffs]
     out = [
         (E.element(r), mult)
@@ -412,12 +412,11 @@ def restrict_to_subspace(F: Form, H) -> Form:
     return substitute_rows(F, rows)
 
 
-def form_pow(F: Form, e: int, caps: config.Caps | None = None) -> Form:
+def form_pow(F: Form, e: int) -> Form:
     """F^e, using the Frobenius shortcut when e is a power of the characteristic."""
     if e < 1:
         raise ValueError("exponent must be >= 1")
-    caps = caps or config.current_caps()
-    caps.check_form_degree(F.degree * e)
+    config.current_caps().check_form_degree(F.degree * e)
     p = F.field.p
     x = e
     while x > 1 and x % p == 0:

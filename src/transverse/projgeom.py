@@ -120,22 +120,21 @@ def point_subspace(P: ProjectivePoint) -> LinearSubspace:
     return LinearSubspace(P.field, [P.coords])
 
 
-def enumerate_point_codes(n: int, field: gf.Field, caps: config.Caps | None = None):
+def enumerate_point_codes(n: int, field: gf.Field):
     """Normalized coordinate tuples of P^n(field), lexicographic by leading
     index then by suffix; the raw-code twin of enumerate_points."""
-    caps = caps or config.current_caps()
     Q = field.order
     total = (Q ** (n + 1) - 1) // (Q - 1)
-    caps.check_enum(total, "projective point enumeration")
+    config.current_caps().check_enum(total, "projective point enumeration")
     for lead in range(n + 1):
         prefix = (0,) * lead + (1,)
         for suffix in itertools.product(range(Q), repeat=n - lead):
             yield prefix + suffix
 
 
-def enumerate_points(n: int, field: gf.Field, caps: config.Caps | None = None):
+def enumerate_points(n: int, field: gf.Field):
     """Every point of P^n(field) exactly once, deterministic order."""
-    for coords in enumerate_point_codes(n, field, caps=caps):
+    for coords in enumerate_point_codes(n, field):
         yield ProjectivePoint(field, coords)
 
 
@@ -144,7 +143,7 @@ def count_points(n: int, field: gf.Field) -> int:
     return (Q ** (n + 1) - 1) // (Q - 1)
 
 
-def enumerate_superspaces(H: LinearSubspace, r: int, caps: config.Caps | None = None):
+def enumerate_superspaces(H: LinearSubspace, r: int):
     """All r-planes containing H, for r = dim(H) + 1; each exactly once.
 
     Cosets of H in the ambient space have unique representatives supported
@@ -160,29 +159,28 @@ def enumerate_superspaces(H: LinearSubspace, r: int, caps: config.Caps | None = 
     for row in H.basis:
         pivots.append(next(i for i, c in enumerate(row) if c))
     free = [j for j in range(n + 1) if j not in pivots]
-    return _superspace_stream(H, free, caps)
+    return _superspace_stream(H, free)
 
 
-def _superspace_stream(H, free, caps):
+def _superspace_stream(H, free):
     n = H.ambient
-    for rep in enumerate_point_codes(len(free) - 1, H.field, caps=caps):
+    for rep in enumerate_point_codes(len(free) - 1, H.field):
         vec = [0] * (n + 1)
         for j, c in zip(free, rep):
             vec[j] = c
         yield subspace_from_rows(H.field, list(H.basis) + [tuple(vec)])
 
 
-def all_lines(n: int, field: gf.Field, caps: config.Caps | None = None):
+def all_lines(n: int, field: gf.Field):
     """Every line of P^n(field), by aggregating the pencils through each
     point and keeping the first appearance."""
-    caps = caps or config.current_caps()
-    Q = field.order
-    npts = count_points(n, field)
-    caps.check_enum(npts * count_points(n - 1, field), "line enumeration")
+    config.current_caps().check_enum(
+        count_points(n, field) * count_points(n - 1, field), "line enumeration"
+    )
     seen = set()
-    for P in enumerate_points(n, field, caps=caps):
+    for P in enumerate_points(n, field):
         base = point_subspace(P)
-        for L in enumerate_superspaces(base, 1, caps=caps):
+        for L in enumerate_superspaces(base, 1):
             if L.basis not in seen:
                 seen.add(L.basis)
                 yield L
@@ -195,10 +193,10 @@ def count_lines(n: int, field: gf.Field) -> int:
     return num // (q + 1)
 
 
-def all_hyperplanes(n: int, field: gf.Field, caps: config.Caps | None = None):
+def all_hyperplanes(n: int, field: gf.Field):
     """Every hyperplane of P^n(field) exactly once, as the kernel of each
     normalized dual point; order follows enumerate_point_codes."""
-    for w in enumerate_point_codes(n, field, caps=caps):
+    for w in enumerate_point_codes(n, field):
         rows = linalg.kernel(field, [list(w)], n + 1)
         yield subspace_from_rows(field, rows)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import certify, config, linalg, locus, poly, projgeom
+from . import certify, config, gf, linalg, locus, poly, projgeom
 
 _MODES = ("very-transverse", "reduced-line", "reduced-hyperplane")
 
@@ -153,21 +153,18 @@ def _serialize_found(found):
 # points off a hypersurface
 
 
-def find_point_off(
-    X: locus.Hypersurface, caps: config.Caps | None = None
-) -> SearchOutcome:
+def find_point_off(X: locus.Hypersurface) -> SearchOutcome:
     """First rational point (deterministic order) not on X.
 
     Exhaustion means X is space-filling, which forces deg X >= q + 1; a
     space-filling hypersurface of smaller degree would be a counterexample
     to the degree bound and raises TheoremViolationError.
     """
-    caps = caps or config.current_caps()
     F = X.field
     n = X.ambient
     gate = gate_status("point-off-hypersurface", n * X.degree, F.order)
     tested = 0
-    for codes in projgeom.enumerate_point_codes(n, F, caps=caps):
+    for codes in projgeom.enumerate_point_codes(n, F):
         tested += 1
         if poly.form_eval_codes(X.form, codes, F) != 0:
             return SearchOutcome(
@@ -195,11 +192,6 @@ def find_point_off(
 # reduced hyperplane sections
 
 
-def _hyperplanes(field: gf.Field, n: int, caps: config.Caps):
-    """Hyperplanes of P^n in the deterministic dual-coefficient order."""
-    return projgeom.all_hyperplanes(n, field, caps=caps)
-
-
 def _require_reduced_input(X: locus.Hypersurface, rng) -> None:
     if X.degree < 2:
         raise ValueError("search needs degree at least 2")
@@ -208,16 +200,13 @@ def _require_reduced_input(X: locus.Hypersurface, rng) -> None:
 
 
 def find_reduced_hyperplane(
-    X: locus.Hypersurface,
-    seed: int | None = None,
-    caps: config.Caps | None = None,
+    X: locus.Hypersurface, seed: int | None = None
 ) -> SearchOutcome:
     """First hyperplane whose section of X is proper and reduced.
 
     Requires X itself reduced of degree >= 2 in P^n, n >= 3.  Above the
     threshold (d(d-1)+1 for n = 3, d for n >= 4) exhaustion is impossible.
     """
-    caps = caps or config.current_caps()
     rng = random.Random(0 if seed is None else seed)
     n = X.ambient
     if n < 3:
@@ -230,7 +219,7 @@ def find_reduced_hyperplane(
     )
     tested = 0
     rej = {"improper": 0, "not_reduced": 0}
-    for H in _hyperplanes(X.field, n, caps):
+    for H in projgeom.all_hyperplanes(n, X.field):
         tested += 1
         try:
             if certify.is_reduced_section(X, H, rng=rng):
@@ -261,10 +250,7 @@ def _ambient_rows(field: gf.Field, rows, basis):
 
 
 def find_reduced_plane_section_chain(
-    X: locus.Hypersurface,
-    r: int,
-    seed: int | None = None,
-    caps: config.Caps | None = None,
+    X: locus.Hypersurface, r: int, seed: int | None = None
 ) -> SearchOutcome:
     """Descend from P^n to an r-plane T through hyperplanes with reduced
     sections at every stage; the final section X cap T is re-certified
@@ -273,7 +259,6 @@ def find_reduced_plane_section_chain(
     The chain (dims n-1 down to r, in ambient coordinates) is returned
     alongside T.  Guaranteed above q >= ceil(3/2 d(d-1)).
     """
-    caps = caps or config.current_caps()
     n = X.ambient
     if not 2 <= r <= n - 1:
         raise ValueError("need 2 <= r <= n-1")
@@ -292,7 +277,7 @@ def find_reduced_plane_section_chain(
     tested = 0
     rej = {"improper": 0, "not_reduced": 0}
     while current.ambient > r:
-        inner = find_reduced_hyperplane(current, seed=seed, caps=caps)
+        inner = find_reduced_hyperplane(current, seed=seed)
         tested += inner.tested
         for k in rej:
             rej[k] += inner.rejections.get(k, 0)
@@ -320,19 +305,17 @@ def find_reduced_plane_section_chain(
 # transverse lines
 
 
-def _lines_of_plane(T: projgeom.LinearSubspace, caps: config.Caps):
+def _lines_of_plane(T: projgeom.LinearSubspace):
     """Lines inside a fixed plane, in the dual-coefficient order of the
     plane's internal coordinates."""
     F = T.field
-    for w in projgeom.enumerate_point_codes(2, F, caps=caps):
+    for w in projgeom.enumerate_point_codes(2, F):
         rows = linalg.kernel(F, [list(w)], 3)
         yield projgeom.subspace_from_rows(F, _ambient_rows(F, rows, T.basis))
 
 
 def find_transverse_line_reduced(
-    X: locus.Hypersurface,
-    seed: int | None = None,
-    caps: config.Caps | None = None,
+    X: locus.Hypersurface, seed: int | None = None
 ) -> SearchOutcome:
     """A line meeting the reduced hypersurface X in deg X distinct smooth
     points, found by chaining down to a plane and scanning its lines.
@@ -342,7 +325,6 @@ def find_transverse_line_reduced(
     above q >= ceil(3/2 d(d-1)); degree 1 degenerates to the first line
     not inside the hyperplane.
     """
-    caps = caps or config.current_caps()
     n = X.ambient
     if n < 2:
         raise ValueError("lines need ambient dimension >= 2")
@@ -354,7 +336,7 @@ def find_transverse_line_reduced(
     tested = 0
     rej = {"not_transverse": 0}
     if X.degree == 1:
-        for L in projgeom.all_lines(n, X.field, caps=caps):
+        for L in projgeom.all_lines(n, X.field):
             tested += 1
             if certify.is_transverse(X, L):
                 return SearchOutcome("line", L, tested, rej, gate, seed)
@@ -364,9 +346,9 @@ def find_transverse_line_reduced(
     _require_reduced_input(X, rng)
     chain = ()
     if n == 2:
-        candidates = projgeom.all_lines(2, X.field, caps=caps)
+        candidates = projgeom.all_lines(2, X.field)
     else:
-        descent = find_reduced_plane_section_chain(X, 2, seed=seed, caps=caps)
+        descent = find_reduced_plane_section_chain(X, 2, seed=seed)
         tested += descent.tested
         if not descent.succeeded():
             return SearchOutcome(
@@ -374,7 +356,7 @@ def find_transverse_line_reduced(
                 note="no reduced plane section reached: " + descent.note,
             )
         chain = descent.chain
-        candidates = _lines_of_plane(descent.found, caps)
+        candidates = _lines_of_plane(descent.found)
     for L in candidates:
         tested += 1
         if certify.is_transverse(X, L):
@@ -404,91 +386,93 @@ def find_very_transverse_flag(
 
     Levels are filled by first-hit scans over the pencil of extensions of
     the previous level.  Gated by q >= (n-r) d(d-1)^r; runs best-effort
-    below the gate and reports not-found without judgment.
+    below the gate and reports not-found without judgment.  ``caps``, when
+    given, are the current caps for the whole search, certification
+    included; None keeps the current ones.
     """
-    caps = caps or config.current_caps()
-    if not certify.ensure_smooth(X):
-        raise ValueError("flag search is defined for smooth X only")
-    if X.degree < 2:
-        raise ValueError("flag search needs degree at least 2")
-    n = X.ambient
-    if not 0 <= r <= n - 1:
-        raise ValueError("need 0 <= r <= n-1")
-    gate = _vt_gate(n, X.degree, r, X.field.order)
-    rng = random.Random(0 if seed is None else seed)
-    levels = []
-    certs = []
-    steps = []
-    tested = 0
-    for s in range(r + 1):
-        if s == 0:
-            candidates = projgeom.enumerate_points(n, X.field, caps=caps)
-        else:
-            candidates = projgeom.enumerate_superspaces(levels[-1], s, caps=caps)
-        hit = None
-        method = None
-        scanned = 0
-        certified_rej = 0
-        undetermined = []
-        for cand in candidates:
-            sub = projgeom.point_subspace(cand) if s == 0 else cand
-            scanned += 1
-            verdict, how = certify.classify_very_transverse(X, sub, rng)
-            if verdict == "yes":
-                hit, method = sub, how
-                break
-            if verdict == "no":
-                certified_rej += 1
+    with config.caps_scope(caps or config.current_caps()):
+        if not certify.ensure_smooth(X):
+            raise ValueError("flag search is defined for smooth X only")
+        if X.degree < 2:
+            raise ValueError("flag search needs degree at least 2")
+        n = X.ambient
+        if not 0 <= r <= n - 1:
+            raise ValueError("need 0 <= r <= n-1")
+        gate = _vt_gate(n, X.degree, r, X.field.order)
+        rng = random.Random(0 if seed is None else seed)
+        levels = []
+        certs = []
+        steps = []
+        tested = 0
+        for s in range(r + 1):
+            if s == 0:
+                candidates = projgeom.enumerate_points(n, X.field)
             else:
-                undetermined.append(sub)
-        if hit is None and undetermined:
-            retry_rng = random.Random(rng.randrange(2**30) ^ 0x5EED)
-            remaining = []
-            for sub in undetermined:
-                verdict = certify.settle_very_transverse(X, sub, retry_rng)
+                candidates = projgeom.enumerate_superspaces(levels[-1], s)
+            hit = None
+            method = None
+            scanned = 0
+            certified_rej = 0
+            undetermined = []
+            for cand in candidates:
+                sub = projgeom.point_subspace(cand) if s == 0 else cand
+                scanned += 1
+                verdict, how = certify.classify_very_transverse(X, sub, rng)
                 if verdict == "yes":
-                    hit, method = sub, "exact"
+                    hit, method = sub, how
                     break
                 if verdict == "no":
                     certified_rej += 1
                 else:
-                    remaining.append(sub)
-            undetermined = remaining
-        tested += scanned
-        steps.append(
-            {
-                "dim": s,
-                "scanned": scanned,
-                "certified_rejections": certified_rej,
-                "undetermined_rejections": len(undetermined) if hit is None else 0,
-            }
-        )
-        if hit is None:
-            if gate["satisfied"] and not undetermined and gate["caveat"] is None:
-                raise config.TheoremViolationError(
-                    f"flag level {s} exhausted although q = {X.field.order} "
-                    f">= {gate['threshold']}"
+                    undetermined.append(sub)
+            if hit is None and undetermined:
+                retry_rng = random.Random(rng.randrange(2**30) ^ 0x5EED)
+                remaining = []
+                for sub in undetermined:
+                    verdict = certify.settle_very_transverse(X, sub, retry_rng)
+                    if verdict == "yes":
+                        hit, method = sub, "exact"
+                        break
+                    if verdict == "no":
+                        certified_rej += 1
+                    else:
+                        remaining.append(sub)
+                undetermined = remaining
+            tested += scanned
+            steps.append(
+                {
+                    "dim": s,
+                    "scanned": scanned,
+                    "certified_rejections": certified_rej,
+                    "undetermined_rejections": len(undetermined) if hit is None else 0,
+                }
+            )
+            if hit is None:
+                if gate["satisfied"] and not undetermined and gate["caveat"] is None:
+                    raise config.TheoremViolationError(
+                        f"flag level {s} exhausted although q = {X.field.order} "
+                        f">= {gate['threshold']}"
+                    )
+                note = (
+                    f"level {s} exhausted"
+                    + (" with undetermined candidates left" if undetermined else "")
                 )
-            note = (
-                f"level {s} exhausted"
-                + (" with undetermined candidates left" if undetermined else "")
+                return SearchOutcome(
+                    "flag", None, tested, {}, gate, seed,
+                    steps=tuple(steps), note=note,
+                )
+            levels.append(hit)
+            certs.append(
+                {
+                    "dim": s,
+                    "predicate": "transverse" if s == n - 1 else "very-transverse",
+                    "method": method,
+                }
             )
-            return SearchOutcome(
-                "flag", None, tested, {}, gate, seed,
-                steps=tuple(steps), note=note,
-            )
-        levels.append(hit)
-        certs.append(
-            {
-                "dim": s,
-                "predicate": "transverse" if s == n - 1 else "very-transverse",
-                "method": method,
-            }
+        flag = Flag(X, tuple(levels), tuple(certs))
+        return SearchOutcome(
+            "flag", flag, tested, {}, gate, seed, steps=tuple(steps)
         )
-    flag = Flag(X, tuple(levels), tuple(certs))
-    return SearchOutcome(
-        "flag", flag, tested, {}, gate, seed, steps=tuple(steps)
-    )
 
 
 # ---------------------------------------------------------------------------

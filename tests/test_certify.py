@@ -328,6 +328,26 @@ class TestSmoothness:
             G = certify.section_form(X, L)
             assert is_smooth_section(X, L) == poly.binary_squarefree(G)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_smoothness_matches_singular_scheme(self, p):
+        # ensure_smooth and is_smooth_form against the Macaulay test on
+        # the singular scheme: the form plus its nonzero partials
+        F = gf.field_create(p)
+        rng = random.Random(f"smooth/{p}")
+        for nvars in (1, 2, 3):
+            for degree in (1, 2, 3, 4):
+                mons = list(poly.monomials_of_degree(nvars, degree))
+                for _ in range(60):
+                    terms = {m: rng.randrange(p) for m in mons if rng.random() < 0.5}
+                    G = poly.Form(F, nvars, degree, terms)
+                    if G.is_zero():
+                        continue
+                    gens = [G] + [g for g in poly.form_partials(G) if not g.is_zero()]
+                    S = SchemeSpec(F, nvars, gens)
+                    old = len(gens) > S.ambient and macaulay_is_empty(S)[0]
+                    assert certify.is_smooth_form(G) == old, poly.format_form(G)
+                    assert ensure_smooth(Hypersurface(G)) == old
+
     def test_point_sections(self):
         X = surf(F5, "x0*x2 + 4*x1^2")
         on = pg.point_subspace(pg.ProjectivePoint(F5, (1, 0, 0)))
@@ -572,7 +592,7 @@ class TestVeryTransverse:
         Q = surf(F5, "x0*x3 + 4*x1*x2")
         L = next(L for L in pg.all_lines(3, F5) if is_transverse(Q, L))
 
-        def over_budget(S, t, caps=None):
+        def over_budget(S, t):
             raise config.SearchInfeasibleError("over budget")
 
         monkeypatch.setattr(certify, "dim_upper_bound", _lv_never_holds)

@@ -269,7 +269,7 @@ class TestExitCodes:
         assert cli.main(["find-line", "--input", bad]) == EXIT_USAGE
 
     def test_violation_exit_code(self, tmp_path, monkeypatch, capsys):
-        def boom(X, seed=None, caps=None):
+        def boom(X, seed=None):
             raise config.TheoremViolationError("forced for the exit-code test")
 
         monkeypatch.setattr(cli.search, "find_transverse_line_reduced", boom)

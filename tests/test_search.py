@@ -253,6 +253,14 @@ class TestVeryTransverseFlag:
         if out.succeeded():
             assert certify.is_very_transverse(X, out.found.top)
 
+    def test_explicit_caps_reach_certification(self):
+        # F_13 is within 2^5, but the Las-Vegas slices need F_169
+        X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
+        small = config.Caps(max_field_bits=5)
+        with pytest.raises(config.CapExceededError, match=r"13\^2 exceeds 2\^5"):
+            find_very_transverse_flag(X, 2, seed=0, caps=small)
+        assert config.current_caps() is not small
+
     def test_deterministic(self):
         X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
         a = find_very_transverse_flag(X, 1, seed=5)
