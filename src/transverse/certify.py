@@ -21,6 +21,14 @@ both directions.
 Smoothness of a section is emptiness of its Jacobian scheme; reducedness
 is the Jacobian dimension dropping below divisor dimension.  Both reuse
 the machinery above and keep an exact binary-form fast path for lines.
+When p does not divide d = deg G, the Euler relation d*G = sum x_i d_iG
+puts G in the ideal of its partials, so the Jacobian scheme is generated
+by the nonzero partials alone (G is kept when p | d).  Smoothness is a
+yes/no answer and spanning at N implies spanning at N+1, so it takes one
+Macaulay build, at N* = nvars*(d-2)+1 for the partials; the smallest-N
+ladder stays for the other callers (is_empty_projective reports its N).
+A Macaulay matrix of more than _MAX_MACAULAY_ENTRIES entries raises
+CapExceededError before any row is built.
 
 Very-transversality is decided in two steps, classify and settle, so a
 scan can defer the exact part until a Las-Vegas pass has found no hit.
@@ -28,6 +36,8 @@ scan can defer the exact part until a Las-Vegas pass has found no hit.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 
@@ -38,6 +48,15 @@ _LV_RETRIES = 8
 _SECTION_RESCUE_TRIES = 12
 _EXACT_BRANCH_BUDGET = 250_000
 _WITNESS_KMAX = 6
+# Largest rows x columns of a Macaulay matrix, refused before any row is
+# built.  Its square root bounds the pivots of the elimination, which must
+# stay below 2^22 for linalg's delayed reduction to fit in int64.
+_MAX_MACAULAY_ENTRIES = 10_000_000
+assert (
+    linalg._NP_PRIME_LIMIT
+    + math.isqrt(_MAX_MACAULAY_ENTRIES) * (linalg._NP_PRIME_LIMIT - 1) ** 2
+    < 1 << 63
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,35 +160,63 @@ class EmptinessCertificate:
         return d
 
 
-def _monomial_index(n_vars: int, N: int):
-    mons = list(poly.monomials_of_degree(n_vars, N))
-    return mons, {m: i for i, m in enumerate(mons)}
+@functools.lru_cache(maxsize=32)
+def _row_index(nvars: int, N: int, deg: int):
+    """Column of every product: one dict per multiplier of degree N - deg,
+    from the exponent vectors of degree deg to the column of their product
+    among the degree-N monomials.
+
+    Cached because a run reuses few shapes (at most 17 keys in one pass of
+    any benchmark workload); a table is smaller than the matrix it fills.
+    """
+    cols = {m: i for i, m in enumerate(poly.monomials_of_degree(nvars, N))}
+    exps = list(poly.monomials_of_degree(nvars, deg))
+    return tuple(
+        {e: cols[tuple(a + b for a, b in zip(e, mult))] for e in exps}
+        for mult in poly.monomials_of_degree(nvars, N - deg)
+    )
 
 
 def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
     """Whether degree-N multiples of the generators span all degree-N forms."""
-    mons, index = _monomial_index(nvars, N)
-    ncols = len(mons)
+    ncols = math.comb(N + nvars - 1, nvars - 1)
+    nrows = sum(
+        math.comb(N - g.degree + nvars - 1, nvars - 1) for g in gens if g.degree <= N
+    )
+    if nrows < ncols:
+        return False
+    if nrows * ncols > _MAX_MACAULAY_ENTRIES:
+        raise config.CapExceededError(
+            f"Macaulay matrix {nrows} x {ncols} exceeds cap "
+            f"{_MAX_MACAULAY_ENTRIES} entries"
+        )
     rows = []
     for g in gens:
         if g.degree > N:
             continue
-        for mult in poly.monomials_of_degree(nvars, N - g.degree):
+        terms = g.terms.items()
+        for index in _row_index(nvars, N, g.degree):
             row = [0] * ncols
-            for exps, c in g.terms.items():
-                tot = tuple(a + b for a, b in zip(exps, mult))
-                row[index[tot]] = fld.add(row[index[tot]], c)
+            for e, c in terms:
+                row[index[e]] = c
             rows.append(row)
-    if len(rows) < ncols:
-        return False
     return linalg.rank(fld, rows, ncols=ncols, stop_at=ncols) == ncols
+
+
+def _macaulay_bound(gens, ambient: int) -> int:
+    """The effective bound N*: the sum of the ambient + 1 largest generator
+    degrees, minus the ambient dimension."""
+    degs = sorted((g.degree for g in gens), reverse=True)
+    return sum(degs[: ambient + 1]) - ambient
 
 
 def macaulay_is_empty(S: locus.SchemeSpec):
     """Exact emptiness over the algebraic closure; returns (bool, N used).
 
     Requires more generators than the ambient dimension (otherwise the
-    scheme cannot be empty and the caller should not ask).
+    scheme cannot be empty and the caller should not ask).  Tries N from
+    the top generator degree up, so the N reported is the smallest that
+    spans.
     """
     gens = S.nonzero_gens()
     r = S.ambient
@@ -177,9 +224,8 @@ def macaulay_is_empty(S: locus.SchemeSpec):
         return True, 0  # a unit is among the generators
     if len(gens) <= r:
         return False, 0
-    degs = sorted((g.degree for g in gens), reverse=True)
-    n_star = sum(degs[: r + 1]) - r
-    for N in range(degs[0], n_star + 1):
+    n_star = _macaulay_bound(gens, r)
+    for N in range(max(g.degree for g in gens), n_star + 1):
         if _macaulay_spans(gens, S.field, S.nvars, N):
             return True, N
     return False, n_star
@@ -404,7 +450,12 @@ def section_form(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> poly.Form
 
 
 def jacobian_scheme(G: poly.Form) -> locus.SchemeSpec:
-    gens = [G] + [g for g in poly.form_partials(G) if not g.is_zero()]
+    """The scheme of G and its partials, generated by the nonzero partials
+    alone when p does not divide deg G (Euler: deg(G) * G = sum x_i d_iG),
+    and by G alone exactly when every partial vanishes."""
+    gens = [g for g in poly.form_partials(G) if not g.is_zero()]
+    if not gens or G.degree % G.field.p == 0:
+        gens.insert(0, G)
     return locus.SchemeSpec(G.field, G.nvars, gens)
 
 
@@ -412,16 +463,17 @@ def is_smooth_form(G: poly.Form) -> bool:
     """Whether V(G) is smooth over the closure (empty V allowed, P^0 too)."""
     if G.is_zero():
         raise config.NotProperError("zero form does not cut a hypersurface")
-    if G.degree == 0:
-        return True  # a unit cuts out the empty scheme
+    if G.degree <= 1:
+        return True  # a unit cuts out the empty scheme, a linear form a hyperplane
     if G.nvars == 1:
         return True  # nonzero form in one variable never vanishes on P^0
     if G.nvars == 2:
         return poly.binary_squarefree(G)
-    J = jacobian_scheme(G)
-    if len(J.nonzero_gens()) <= J.ambient:
+    gens = jacobian_scheme(G).gens
+    if len(gens) < G.nvars:
         return False
-    return macaulay_is_empty(J)[0]
+    # spanning at N implies spanning at N + 1, so the bound alone decides
+    return _macaulay_spans(gens, G.field, G.nvars, _macaulay_bound(gens, G.nvars - 1))
 
 
 def is_smooth_section(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> bool:
@@ -456,7 +508,7 @@ def is_reduced_form(G: poly.Form, rng: random.Random | None = None) -> bool:
     if G.nvars == 2:
         return poly.binary_squarefree(G)
     J = jacobian_scheme(G)
-    if len(J.gens) == 1:
+    if J.gens == (G,):
         return False  # every partial vanishes
     t = G.nvars - 3  # divisor dimension minus one, in P^(nvars-1)
     lv = dim_upper_bound(J, t, rng=rng)

@@ -10,6 +10,11 @@ row kernel, ``F.add_scaled``.
 
 Gaussian elimination has a vectorised numpy path for prime fields and a
 generic path for extension fields; matrices are lists of rows of codes.
+The numpy path delays modular reduction: each pivot reduces only its
+column and its row, and the trailing entries of the rows below grow by at
+most (p-1)^2 per pivot, so after k pivots they stay below
+p + k(p-1)^2 < 2^63 for p < 2^20 and k < 2^22 (asserted; the Macaulay
+matrix cap keeps k far below).
 """
 
 from __future__ import annotations
@@ -222,26 +227,28 @@ def rank(F, rows, ncols=None, stop_at=None):
 
 
 def _rank_np(p, rows, ncols, stop_at):
+    # delayed reduction (module docstring): entries stay below p + k(p-1)^2
     arr = np.array(rows, dtype=np.int64) % p
     r = 0
     nrows = arr.shape[0]
+    assert p + min(nrows, ncols) * (p - 1) ** 2 < 1 << 63, "int64 overflow"
     for col in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(arr[r:, col])[0]
+        column = arr[r:, col] % p
+        nz = np.flatnonzero(column)
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             arr[[r, piv]] = arr[[piv, r]]
-        inv = pow(int(arr[r, col]), p - 2, p)
-        arr[r] = (arr[r] * inv) % p
-        below = arr[r + 1 :, col]
-        mask = below != 0
-        if mask.any():
-            arr[r + 1 :][mask] = (
-                arr[r + 1 :][mask] - np.outer(below[mask], arr[r])
-            ) % p
+        # reduce the pivot row before scaling it, or the product overflows
+        inv = pow(int(column[nz[0]]), p - 2, p)
+        head = arr[r, col + 1 :] % p * inv % p
+        below = nz[1:]
+        if below.size:
+            # the old row r, now at piv, has a zero in this column
+            arr[r + below, col + 1 :] += np.outer(p - column[below], head)
         r += 1
         if stop_at is not None and r >= stop_at:
             return r

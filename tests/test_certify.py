@@ -344,9 +344,53 @@ class TestSmoothness:
                         continue
                     gens = [G] + [g for g in poly.form_partials(G) if not g.is_zero()]
                     S = SchemeSpec(F, nvars, gens)
-                    old = len(gens) > S.ambient and macaulay_is_empty(S)[0]
+                    old = any(g.degree == 0 for g in gens) or (
+                        len(gens) > S.ambient and macaulay_is_empty(S)[0]
+                    )
                     assert certify.is_smooth_form(G) == old, poly.format_form(G)
                     assert ensure_smooth(Hypersurface(G)) == old
+
+    def test_hyperplanes_are_smooth(self):
+        F3 = gf.field_create(3)
+        for field in (F3, F5):
+            for text, nvars in (("x0", 3), ("x1 + x2", 3), ("x0 + 2*x1", 4)):
+                G = poly.parse_form(field, text, nvars=nvars)
+                assert certify.is_smooth_form(G), text
+                assert ensure_smooth(Hypersurface(G)), text
+
+    def test_euler_single_build_matches_full_jacobian_ladder(self):
+        # one Macaulay build at the bound on the Euler-reduced Jacobian
+        # against the ladder N = d..N* on the form and all its partials
+        checked = divisible = 0
+        for p in (2, 3, 5, 7):
+            F = gf.field_create(p)
+            rng = random.Random(f"euler/{p}")
+            for nvars in (3, 4):
+                for degree in (2, 3, 4):
+                    mons = list(poly.monomials_of_degree(nvars, degree))
+                    for _ in range(20):
+                        terms = {m: rng.randrange(p) for m in mons if rng.random() < 0.5}
+                        G = poly.Form(F, nvars, degree, terms)
+                        if G.is_zero():
+                            continue
+                        gens = [G] + [g for g in poly.form_partials(G) if not g.is_zero()]
+                        S = SchemeSpec(F, nvars, gens)
+                        full = len(gens) > S.ambient and macaulay_is_empty(S)[0]
+                        assert certify.is_smooth_form(G) == full, poly.format_form(G)
+                        checked += 1
+                        divisible += degree % p == 0
+        assert divisible and checked - divisible
+
+    def test_oversized_macaulay_matrix_refused_before_building(self, monkeypatch):
+        # smoothness of a quartic fourfold needs an 18,018 x 8,568 matrix
+        G = poly.parse_form(F5, "x0^4 + x1^4 + x2^4 + x3^4 + x4^4 + x5^4")
+
+        def no_rows(*_args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(certify, "_row_index", no_rows)
+        with pytest.raises(config.CapExceededError, match="18018 x 8568"):
+            certify.is_smooth_form(G)
 
     def test_point_sections(self):
         X = surf(F5, "x0*x2 + 4*x1^2")
@@ -363,6 +407,32 @@ class TestReducedness:
         usq = poly.parse_form(F5, "x0^2*x1")
         assert is_reduced_form(u01)
         assert not is_reduced_form(usq)
+
+    def test_linear_forms_reduced(self):
+        for text, nvars in (("2*x0", 3), ("x1 + x2", 3), ("x0 + 2*x3", 4), ("3*x2", 4)):
+            assert is_reduced_form(poly.parse_form(F5, text, nvars=nvars)), text
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_euler_reduced_jacobian_keeps_reducedness(self, p, monkeypatch):
+        F = gf.field_create(p)
+        rng = random.Random(f"reduced/{p}")
+        cases = []
+        for nvars in (3, 4):
+            for degree in (2, 3, 4):
+                mons = list(poly.monomials_of_degree(nvars, degree))
+                for _ in range(12):
+                    terms = {m: rng.randrange(p) for m in mons if rng.random() < 0.5}
+                    G = poly.Form(F, nvars, degree, terms)
+                    if not G.is_zero():
+                        cases.append(G)
+        got = [is_reduced_form(G, rng=random.Random(0)) for G in cases]
+
+        def full_jacobian(G):
+            partials = [g for g in poly.form_partials(G) if not g.is_zero()]
+            return SchemeSpec(G.field, G.nvars, [G] + partials)
+
+        monkeypatch.setattr(certify, "jacobian_scheme", full_jacobian)
+        assert got == [is_reduced_form(G, rng=random.Random(0)) for G in cases]
 
     def test_pth_power_not_reduced(self):
         G = poly.parse_form(F5, "x0^5 + x1^5 + x2^5")

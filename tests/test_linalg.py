@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from transverse import gf, linalg
@@ -51,6 +52,29 @@ def test_rank_generic_matches_numpy(p):
         assert linalg._rank_generic(
             F, [list(r) for r in rows], ncols, stop
         ) == linalg._rank_np(p, rows, ncols, stop)
+
+
+def test_rank_np_matches_generic_near_prime_limit():
+    # delayed reduction lets entries grow by (p-1)^2 per pivot; tall matrices
+    # with many pivots at the largest prime the numpy path takes
+    p = 1_048_573
+    assert p < linalg._NP_PRIME_LIMIT
+    F = gf.field_create(p)
+    rng = np.random.default_rng(p)
+    for trial in range(16):
+        ncols = int(rng.integers(20, 50))
+        nrows = int(rng.integers(ncols, 3 * ncols))
+        k = ncols if trial % 2 else int(rng.integers(1, ncols))
+        A = rng.integers(0, p, (nrows, k)) * (rng.random((nrows, k)) < 0.7)
+        B = rng.integers(0, p, (k, ncols))
+        rows = [r for r in (A @ B % p).tolist() if any(r)]
+        want = linalg._rank_generic(F, [list(r) for r in rows], ncols, None)
+        assert want <= k
+        assert linalg._rank_np(p, rows, ncols, None) == want
+        stop = int(rng.integers(1, ncols + 1))
+        assert linalg._rank_np(p, rows, ncols, stop) == linalg._rank_generic(
+            F, [list(r) for r in rows], ncols, stop
+        )
 
 
 def test_kernel_over_extension_field():
