@@ -427,20 +427,20 @@ def count_bad_hyperplanes(
     n = X.ambient
     if n < 2:
         raise ValueError("hyperplane audit needs ambient dimension >= 2")
+    if not 0 <= t <= X.degree:
+        raise ValueError("hyperplane-component count must lie in [0, d]")
     rng = random.Random(0 if seed is None else seed)
     if not certify.is_reduced_form(X.form, rng=rng):
         raise ValueError("hypersurface must be reduced")
-    if not 0 <= t <= X.degree:
-        raise ValueError("hyperplane-component count must lie in [0, d]")
     started = time.perf_counter()
     improper = 0
     nonreduced = 0
     for H in projgeom.all_hyperplanes(n, X.field):
-        G = certify.section_form(X, H)
-        if G.is_zero():
+        try:
+            if not certify.is_reduced_section(X, H, rng=rng):
+                nonreduced += 1
+        except config.NotProperError:
             improper += 1
-        elif not certify.is_reduced_form(G, rng=rng):
-            nonreduced += 1
     observed = improper + nonreduced
     params = {"n": n, "d": X.degree, "q": X.field.order, "r": n - 1, "t": t}
     extras = {
@@ -470,19 +470,22 @@ def count_bad_superspaces(
     report carries the combined bound; tangent and dual-contained counts
     get their own subreports.
 
-    As a behavioral cross-check, tangency witnesses are hunted: points of
-    the tangency locus of H_prev at residue degree <= witness_kmax that
-    lie on a rational r-plane through H_prev.  When any exist, each
-    tangent candidate is searched for one it contains with the tangent
-    hyperplane holding the whole candidate; the counts land in extras.
+    As a behavioral cross-check, tangency witnesses are hunted: points P
+    of the tangency locus of H_prev at residue degree <= witness_kmax on a
+    rational r-plane E through H_prev.  Then E = H_prev + P lies in the
+    tangent hyperplane at P, so E is tangent: the hunt sweeps the locus on
+    each tangent candidate alone, in its own coordinates, and finds nothing
+    where a sweep over P^n would exceed the caps.  Each tangent candidate
+    is checked for a point of its own at which the tangent hyperplane
+    holds it; the counts land in extras.
     """
     n = X.ambient
-    if not certify.ensure_smooth(X):
-        raise ValueError("superspace audit needs a smooth hypersurface")
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must lie in [1, {n - 1}]")
     if H_prev.dim != r - 1:
         raise ValueError("H_prev must have dimension r - 1")
+    if not certify.ensure_smooth(X):
+        raise ValueError("superspace audit needs a smooth hypersurface")
     rng = random.Random(0 if seed is None else seed)
     if not certify.is_very_transverse(X, H_prev, rng=rng):
         raise ValueError("H_prev must be very transverse to X")
@@ -499,25 +502,15 @@ def count_bad_superspaces(
         if verdict == "no":
             dual_contained += 1
 
-    witness_pool = []
-    try:
-        pts = certify.scheme_points_upto(locus.tangency_locus(X, H_prev), witness_kmax)
-        witness_pool = [P for P in pts if locus.in_rational_join_locus(H_prev, P)]
-    except config.CapExceededError:
-        witness_pool = []
+    own_points = _tangency_witnesses(X, H_prev, tangent, witness_kmax)
     witnessed = None
-    if witness_pool:
+    if any(own_points):
         witnessed = 0
-        for E in tangent:
+        for E, pts in zip(tangent, own_points):
             # witness points lie on X, so the tangency locus of E holds at P
             # exactly when the tangent hyperplane at P contains E
             T = locus.tangency_locus(X, E)
-            if any(
-                projgeom.subspace_contains(E, P)
-                and T.vanishes_at_codes(P.coords, P.field)
-                for P in witness_pool
-            ):
-                witnessed += 1
+            witnessed += any(T.vanishes_at_codes(P.coords, P.field) for P in pts)
 
     observed = len(tangent) + dual_contained
     q = X.field.order
@@ -528,7 +521,7 @@ def count_bad_superspaces(
         "transverse": transverse,
         "tangent": len(tangent),
         "dual_contained": dual_contained,
-        "witness_points": len(witness_pool),
+        "witness_points": sum(map(len, own_points)),
         "witnessed_tangents": witnessed,
         "witness_kmax": witness_kmax,
     }
@@ -556,6 +549,28 @@ def count_bad_superspaces(
         "bad-superspaces", params, observed, "bad-superspaces", seed, started,
         extras, subs,
     )
+
+
+def _tangency_witnesses(X, H_prev, superspaces, kmax: int):
+    """Per r-plane E through H_prev: the points of H_prev's tangency locus
+    on E of residue degree <= kmax, in ambient coordinates (none at all
+    when a sweep of the locus over P^n would exceed the caps)."""
+    try:
+        top = gf.extension_field(X.field, kmax)
+        config.current_caps().check_enum(projgeom.count_points(X.ambient - 1, top) + 1)
+    except config.CapExceededError:
+        return [[] for _ in superspaces]
+    gens = locus.tangency_locus(X, H_prev).gens
+    out = []
+    for E in superspaces:
+        S = locus.SchemeSpec(
+            X.field, len(E.basis), [poly.restrict_to_subspace(g, E) for g in gens]
+        )
+        out.append([
+            projgeom.subspace_point(E, P.coords, P.field)
+            for P in certify.scheme_points_upto(S, kmax)
+        ])
+    return out
 
 
 def audit_space_filling(n: int, q: int, dmax: int) -> AuditReport:

@@ -21,6 +21,10 @@ both directions.
 Smoothness of a section is emptiness of its Jacobian scheme; reducedness
 is the Jacobian dimension dropping below divisor dimension.  Both reuse
 the machinery above and keep an exact binary-form fast path for lines.
+Reducedness is first tried by a one-sided line certificate: if G on a
+random line is nonzero of degree d and squarefree, G is squarefree (a
+factor h^2 would survive on the line unless the line lies in V(h), where G
+vanishes); G on the line is interpolated, so no section form is built.
 When p does not divide d = deg G, the Euler relation d*G = sum x_i d_iG
 puts G in the ideal of its partials, so the Jacobian scheme is generated
 by the nonzero partials alone (G is kept when p | d).  Smoothness is a
@@ -45,7 +49,6 @@ from . import config, gf, linalg, locus, poly, projgeom
 
 _LV_MIN_FIELD = 64
 _LV_RETRIES = 8
-_SECTION_RESCUE_TRIES = 12
 _EXACT_BRANCH_BUDGET = 250_000
 _WITNESS_KMAX = 6
 # Largest rows x columns of a Macaulay matrix, refused before any row is
@@ -489,14 +492,34 @@ def is_smooth_section(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> bool
     return is_smooth_form(G)
 
 
+def _line_certificate(G: poly.Form, rows, rng: random.Random) -> bool:
+    """One-sided certificate that G on the span of ``rows`` is nonzero and
+    squarefree; False carries no information.  On a random line a + t*b of
+    the span over an extension with at least max(64, d+1) elements, f(t) =
+    G(a + t*b), interpolated at t = 0..d, must have degree d and
+    gcd(f, f') = 1."""
+    d = G.degree
+    E = _extension_with(G.field, max(_LV_MIN_FIELD, d + 1))
+    a = b = [0] * G.nvars
+    for row in rows:
+        row = [gf.embed_code(G.field, E, c) for c in row]
+        a = E.add_scaled(a, rng.randrange(E.order), row)
+        b = E.add_scaled(b, rng.randrange(E.order), row)
+    f = [0] * (d + 1)
+    for c, row in enumerate(linalg.u_lagrange_basis(E, d + 1)):
+        f = E.add_scaled(f, poly.form_eval_codes(G, E.add_scaled(a, c, b), E), row)
+    return f[-1] != 0 and len(linalg.u_gcd(E, f, linalg.u_deriv(E, f))) == 1
+
+
 def is_reduced_form(G: poly.Form, rng: random.Random | None = None) -> bool:
     """Whether the form G is squarefree, i.e. cuts a reduced hypersurface.
 
-    Vanishing of every partial derivative makes G a p-th power (perfect
-    coefficient field), hence non-reduced.  Otherwise G is squarefree
-    exactly when its Jacobian scheme has dimension at most nvars - 3
-    (singular locus smaller than a divisor); tried Las-Vegas first, then
-    decided by the exact scan.
+    From three variables on, the line certificate is tried first on the
+    whole space.  When it misses: vanishing of every partial derivative
+    makes G a p-th power (perfect coefficient field), hence non-reduced;
+    otherwise G is squarefree exactly when its Jacobian scheme has
+    dimension at most nvars - 3 (singular locus smaller than a divisor),
+    tried Las-Vegas first, then decided by the exact scan.
     """
     if G.is_zero():
         raise config.NotProperError("zero form does not cut a hypersurface")
@@ -507,41 +530,17 @@ def is_reduced_form(G: poly.Form, rng: random.Random | None = None) -> bool:
         return G.degree == 1
     if G.nvars == 2:
         return poly.binary_squarefree(G)
+    rng = rng or random.Random(0)
+    identity = [[int(i == j) for j in range(G.nvars)] for i in range(G.nvars)]
+    if _line_certificate(G, identity, rng):
+        return True
     J = jacobian_scheme(G)
     if J.gens == (G,):
         return False  # every partial vanishes
     t = G.nvars - 3  # divisor dimension minus one, in P^(nvars-1)
-    lv = dim_upper_bound(J, t, rng=rng)
-    if lv.holds():
-        return True
-    if G.nvars >= 4 and _squarefree_plane_section(G, rng):
+    if dim_upper_bound(J, t, rng=rng).holds():
         return True
     return dim_at_most_exact(J, t)
-
-
-def _squarefree_plane_section(G: poly.Form, rng: random.Random | None) -> bool:
-    """One-sided rescue when the dimension chain misses: a square factor of
-    G survives into every proper plane restriction, so a single squarefree
-    ternary section settles squarefreeness.  False carries no information.
-    """
-    rng = rng or random.Random(0)
-    E = _extension_with(G.field, _LV_MIN_FIELD)
-    lifted = poly.form_lift(G, E)
-    for _ in range(_SECTION_RESCUE_TRIES):
-        rows = [
-            [rng.randrange(E.order) for _ in range(G.nvars)] for _ in range(3)
-        ]
-        if linalg.rank(E, [list(r) for r in rows], ncols=G.nvars) < 3:
-            continue
-        sec = poly.substitute_rows(lifted, rows)
-        if sec.is_zero():
-            continue
-        try:
-            if is_reduced_form(sec, rng=rng):
-                return True
-        except config.SearchInfeasibleError:
-            break
-    return False
 
 
 def is_reduced_section(
@@ -549,8 +548,17 @@ def is_reduced_section(
     H: projgeom.LinearSubspace,
     rng: random.Random | None = None,
 ) -> bool:
-    """Whether X cap H is proper and cut by a squarefree restriction."""
-    G = section_form(X, H)
+    """Whether X cap H is proper and cut by a squarefree restriction.
+
+    A hit of the line certificate on X.form over the span of H.basis
+    proves both without building the section; a miss builds it.
+    """
+    if H.ambient != X.ambient or H.field != X.field:
+        raise ValueError("subspace and hypersurface do not match")
+    rng = rng or random.Random(0)
+    if _line_certificate(X.form, H.basis, rng):
+        return True
+    G = poly.restrict_to_subspace(X.form, H)
     if G.is_zero():
         raise config.NotProperError("the subspace lies inside the hypersurface")
     return is_reduced_form(G, rng=rng)

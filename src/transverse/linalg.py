@@ -19,6 +19,7 @@ matrix cap keeps k far below).
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -126,6 +127,22 @@ def u_deriv(F, a):
     for i in range(1, len(a)):
         out.append(F.mul_int(a[i], i))
     return u_trim(out)
+
+
+@functools.lru_cache(maxsize=16)
+def u_lagrange_basis(F, n):
+    """The Lagrange basis at the nodes with codes 0..n-1 (n <= |F|), each
+    of degree n-1: the polynomial of degree < n taking the values ys there
+    is sum_j ys[j] * basis[j].  Cached, since callers reuse a few (F, n)."""
+    out = []
+    for j in range(n):
+        num, den = [1], 1
+        for i in range(n):
+            if i != j:
+                num = u_mul(F, num, [F.neg(i), 1])
+                den = F.mul(den, F.sub(j, i))
+        out.append(u_scale(F, num, F.inv(den)))
+    return tuple(out)
 
 
 def u_powmod(F, base, e, mod):

@@ -15,7 +15,7 @@ SchemeSpec needs it as a generator.
 
 from __future__ import annotations
 
-from . import gf, linalg, poly, projgeom
+from . import gf, poly, projgeom
 
 
 class Hypersurface:
@@ -136,36 +136,6 @@ def in_rational_tangency_locus(X: Hypersurface, P: projgeom.ProjectivePoint) -> 
                 return False
         return True  # one nonzero row position checked against all others
     return True  # zero gradient: every minor vanishes
-
-
-def in_rational_join_locus(
-    H_prev: projgeom.LinearSubspace, P: projgeom.ProjectivePoint
-) -> bool:
-    """Whether P lies on some base-field r-plane through H_prev
-    (r = dim H_prev + 1).
-
-    Coordinate-free rank test: the rows of H_prev together with P and its
-    coordinate-wise q-th power must span at most an r-plane, q the order
-    of H_prev's field.
-    """
-    base = H_prev.field
-    E = P.field
-    if E.p != base.p or E.m % base.m != 0:
-        raise ValueError("point field is not an extension of the base field")
-    if P.ambient != H_prev.ambient:
-        raise ValueError("ambient dimension mismatch")
-    s = base.m
-    frob_row = tuple(E.frob_power(c, s) for c in P.coords)
-    if base == E:
-        rows = list(H_prev.basis)
-    else:
-        rows = [
-            tuple(gf.embed_code(base, E, c) for c in row) for row in H_prev.basis
-        ]
-    rows.append(P.coords)
-    rows.append(frob_row)
-    r = H_prev.dim + 1
-    return linalg.rank(E, rows, stop_at=r + 2) <= r + 1
 
 
 def tangency_locus(X: Hypersurface, H: projgeom.LinearSubspace) -> SchemeSpec:

@@ -232,37 +232,27 @@ def subspace_le(A: LinearSubspace, B: LinearSubspace) -> bool:
     return linalg.rank(A.field, rows) == len(B.basis)
 
 
-def subspace_point_codes(H: LinearSubspace, ext: gf.Field | None = None):
-    """Normalized coordinate tuples of the points of H over an extension."""
-    field = ext or H.field
-    if field == H.field:
-        B = H.basis
-    else:
-        if field.p != H.field.p or field.m % H.field.m != 0:
-            raise ValueError("not an extension of the subspace field")
-        B = [
-            tuple(gf.embed_code(H.field, field, c) for c in row) for row in H.basis
-        ]
-    r = len(B) - 1
-    ncols = len(B[0])
-    for u in enumerate_point_codes(r, field):
-        vec = [0] * ncols
-        for ui, row in zip(u, B):
-            if ui:
-                vec = field.add_scaled(vec, ui, row)
-        # the parameter map is injective on projective classes, but the
-        # image vector still needs its own leading-one normalization
-        lead = next(i for i, c in enumerate(vec) if c)
-        if vec[lead] != 1:
-            inv = field.inv(vec[lead])
-            vec = [field.mul(inv, c) for c in vec]
-        yield tuple(vec)
+def subspace_point(H: LinearSubspace, u, field: gf.Field) -> ProjectivePoint:
+    """The point u . basis of H, for parameter coordinates u over ``field``
+    (H's field or an extension of it)."""
+    vec = [0] * (H.ambient + 1)
+    for c, row in zip(u, H.basis):
+        vec = field.add_scaled(vec, c, [gf.embed_code(H.field, field, x) for x in row])
+    return ProjectivePoint(field, vec)
 
 
 def subspace_points(H: LinearSubspace, ext: gf.Field | None = None):
+    """The points of H over an extension (by default over its own field)."""
     field = ext or H.field
-    for coords in subspace_point_codes(H, ext):
-        yield ProjectivePoint(field, coords)
+    if field.p != H.field.p or field.m % H.field.m != 0:
+        raise ValueError("not an extension of the subspace field")
+    for u in enumerate_point_codes(H.dim, field):
+        yield subspace_point(H, u, field)
+
+
+def subspace_point_codes(H: LinearSubspace, ext: gf.Field | None = None):
+    """Normalized coordinate tuples of the points of H over an extension."""
+    return (P.coords for P in subspace_points(H, ext))
 
 
 # ---------------------------------------------------------------------------

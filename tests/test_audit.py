@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from transverse import audit, certify, config, gf, locus, poly, projgeom as pg
+from transverse import audit, certify, config, gf, linalg, locus, poly, projgeom as pg
+from transverse import search
 from transverse.audit import (
     BOUNDS,
     AuditReport,
@@ -27,6 +28,16 @@ F13 = gf.field_create(13)
 
 def surf(field, text, nvars=None):
     return Hypersurface(poly.parse_form(field, text, nvars=nvars))
+
+
+def points_on(X, field):
+    for P in pg.enumerate_points(X.ambient, field):
+        if poly.form_eval_codes(X.form, P.coords, field) == 0:
+            yield P
+
+
+def must_not_run(*_args, **_kwargs):
+    raise AssertionError("certification ran before the cheap argument checks")
 
 
 class TestBoundFormulas:
@@ -220,6 +231,13 @@ class TestBadHyperplanes:
         assert a == b
 
 
+    @pytest.mark.parametrize("t", [-1, 3])
+    def test_bad_t_rejected_before_certification(self, t, monkeypatch):
+        monkeypatch.setattr(certify, "is_reduced_form", must_not_run)
+        with pytest.raises(ValueError, match="hyperplane-component count"):
+            count_bad_hyperplanes(surf(F5, "x0*x1", nvars=4), t=t)
+
+
 class TestBadSuperspaces:
     def test_cubic_surface_pencil_of_lines(self):
         X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
@@ -287,6 +305,113 @@ class TestBadSuperspaces:
         on_X = pg.subspace_from_rows(F13, [(1, 12, 0, 0)])
         with pytest.raises(ValueError):
             count_bad_superspaces(X, on_X, 1)
+
+
+    @pytest.mark.parametrize("r, basis", [
+        (0, [(1, 0, 0, 0)]),
+        (3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]),
+        (2, [(1, 0, 0, 0)]),
+    ])
+    def test_bad_r_rejected_before_certification(self, r, basis, monkeypatch):
+        monkeypatch.setattr(certify, "ensure_smooth", must_not_run)
+        X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
+        with pytest.raises(ValueError, match="r must lie|H_prev must have"):
+            count_bad_superspaces(X, pg.subspace_from_rows(F13, basis), r)
+
+
+def in_rational_join_locus(H_prev, P):
+    """Reference for the witness hunt: whether P lies on some base-field
+    r-plane through H_prev (r = dim H_prev + 1), by the rank of the rows
+    of H_prev together with P and its coordinate-wise q-th power."""
+    base, E = H_prev.field, P.field
+    rows = [tuple(gf.embed_code(base, E, c) for c in row) for row in H_prev.basis]
+    rows.append(P.coords)
+    rows.append(tuple(E.frob_power(c, base.m) for c in P.coords))
+    r = H_prev.dim + 1
+    return linalg.rank(E, rows, stop_at=r + 2) <= r + 1
+
+
+class TestRationalJoinReference:
+    def test_base_field_points_always_in(self):
+        H0 = pg.point_subspace(pg.ProjectivePoint(F3, (1, 0, 0)))
+        for P in pg.enumerate_points(2, F3):
+            assert in_rational_join_locus(H0, P)
+
+    def test_points_of_anchor_always_in(self):
+        F9 = gf.extension_field(F3, 2)
+        L = pg.subspace_from_rows(F3, [(1, 0, 0, 2), (0, 1, 1, 0)])
+        for P in pg.subspace_points(L, F9):
+            assert in_rational_join_locus(L, P)
+
+    def test_non_rational_line_excluded(self):
+        F9 = gf.extension_field(F3, 2)
+        H0 = pg.point_subspace(pg.ProjectivePoint(F3, (1, 0, 0)))
+        P = pg.ProjectivePoint(F9, (0, 3, 1))
+        assert not in_rational_join_locus(H0, P)
+
+    def test_superspace_points_lie_in_join(self):
+        F9 = gf.extension_field(F3, 2)
+        H0 = pg.point_subspace(pg.ProjectivePoint(F3, (1, 2, 0)))
+        for L in pg.enumerate_superspaces(H0, 1):
+            for P in pg.subspace_points(L, F9):
+                assert in_rational_join_locus(H0, P)
+
+    def test_join_locus_meets_conic_in_few_points(self):
+        # each base-field line meets a smooth conic in at most 2 points,
+        # and there are q+1 lines through the anchor
+        for q, F in ((3, F3), (5, F5)):
+            X = surf(F, "x0*x2 - x1^2")
+            E = gf.extension_field(F, 2)
+            H0 = pg.point_subspace(pg.ProjectivePoint(F, (1, 0, 0)))
+            hits = [P for P in points_on(X, E) if in_rational_join_locus(H0, P)]
+            assert len(hits) <= 2 * (q + 1)
+
+
+WITNESS_SURFACES = [
+    (5, "x0^3 + x1^3 + x2^3 + x3^3"),
+    (5, "x0^3 + x1^3 + x2^3 + x3^3 + x0*x1*x2"),
+    (7, "x0^3 + x1^3 + x2^3 + x3^3"),
+    (7, "x0^2*x1 + x1^2*x2 + x2^2*x3 + x3^2*x0"),
+    (13, "x0^3 + x1^3 + x2^3 + x3^3"),
+    (13, "x0^2*x1 + x1^2*x2 + x2^2*x3 + x3^2*x0"),
+]
+
+
+class TestWitnessPool:
+    @pytest.mark.parametrize("kmax", [1, 2])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("p, text", WITNESS_SURFACES)
+    def test_per_superspace_pool_matches_global_sweep(self, p, text, r, kmax):
+        F = gf.field_create(p)
+        X = surf(F, text)
+        assert certify.ensure_smooth(X)
+        H = search.find_very_transverse_flag(X, r - 1, seed=0).found.top
+        T = locus.tangency_locus(X, H)
+        reference = {
+            P for P in certify.scheme_points_upto(T, kmax)
+            if in_rational_join_locus(H, P)
+        }
+        superspaces = list(pg.enumerate_superspaces(H, r))
+        own = audit._tangency_witnesses(X, H, superspaces, kmax)
+        pool = [P for pts in own for P in pts]
+        assert len(pool) == len(set(pool))
+        assert set(pool) == reference
+        assert reference
+        # only tangent superspaces carry witnesses, which is why the audit
+        # hunts on its tangent candidates alone
+        for E, pts in zip(superspaces, own):
+            assert not pts or not certify.is_transverse(X, E)
+            assert all(pg.subspace_contains(E, P) for P in pts)
+
+    def test_pool_empty_when_global_sweep_over_caps(self):
+        X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
+        H = pg.subspace_from_rows(F13, [(1, 0, 0, 0)])
+        # |P^2(F_169)| + 1 = 28,732 points would be swept at kmax = 2
+        with config.caps_scope(config.Caps(max_enum=28_731)):
+            rep = count_bad_superspaces(X, H, 1, seed=0)
+        assert rep.extras["witness_points"] == 0
+        assert rep.extras["witnessed_tangents"] is None
+        assert rep.extras["tangent"] == 9
 
 
 class TestSpaceFilling:

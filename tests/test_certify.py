@@ -479,9 +479,9 @@ class TestReducedness:
         assert is_reduced_form(G)
 
     def test_rescue_by_plane_section_when_chain_misses(self, monkeypatch):
-        # force the Las-Vegas chain to miss; the plane-section rescue must
-        # still certify this reduced form, since the exact scan in five
-        # variables over F_3 is past its budget
+        # force the Las-Vegas chain to miss; the line certificate must still
+        # certify this reduced form, since the exact scan in five variables
+        # over F_3 is past its budget
         G = poly.parse_form(F3, "x0^2*x1 + x2^2*x3 + x4^3", nvars=5)
         undecided = certify.DimensionCertificate(
             None, 0, "undetermined", (), 0, None
@@ -492,7 +492,7 @@ class TestReducedness:
         assert is_reduced_form(G, rng=random.Random(5))
 
     def test_square_factor_refusal_is_honest(self, monkeypatch):
-        # same forced miss, but with a square factor no section can rescue:
+        # same forced miss, but with a square factor no line can certify:
         # the only honest outcomes are False or a refusal, never True
         L = poly.parse_form(F3, "x0 + x1", nvars=5)
         Q = poly.parse_form(F3, "x2^2 + x3*x4", nvars=5)
@@ -505,6 +505,137 @@ class TestReducedness:
         )
         with pytest.raises(config.SearchInfeasibleError):
             is_reduced_form(G, rng=random.Random(5))
+
+
+LINE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]
+
+
+def random_form(field, nvars, degree, rng, density=0.6):
+    mons = list(poly.monomials_of_degree(nvars, degree))
+    while True:
+        terms = {
+            m: rng.randrange(field.order) for m in mons if rng.random() < density
+        }
+        G = poly.Form(field, nvars, degree, terms)
+        if not G.is_zero():
+            return G
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def line_certifies(G, seed=0):
+    return certify._line_certificate(G, identity(G.nvars), random.Random(seed))
+
+
+class TestLineCertificate:
+    @pytest.mark.parametrize("p, m", LINE_FIELDS)
+    def test_never_certifies_a_square_factor(self, p, m):
+        # h^2 * k (with p | d among them) and p-th powers, each on several
+        # random lines: a square factor survives on every line
+        F = gf.field_create(p, m)
+        rng = random.Random(f"square/{p}/{m}")
+        checked = divisible = 0
+        for nvars in (3, 4):
+            for degree in (2, 3, 4):
+                for hdeg in range(1, degree // 2 + 1):
+                    for _ in range(6):
+                        h = random_form(F, nvars, hdeg, rng)
+                        k = random_form(F, nvars, degree - 2 * hdeg, rng)
+                        G = h * h * k
+                        if G.is_zero():
+                            continue
+                        for seed in range(3):
+                            assert not line_certifies(G, seed), poly.format_form(G)
+                        checked += 1
+                        divisible += degree % p == 0
+            for hdeg in (1, 2):
+                G = poly.form_pow(random_form(F, nvars, hdeg, rng), p)
+                for seed in range(3):
+                    assert not line_certifies(G, seed), poly.format_form(G)
+                checked += 1
+                divisible += 1
+        assert checked > 40 and divisible
+
+    def test_degree_drop_is_not_certified(self):
+        # a = (1, 1, 0) and b = (0, 1, 0) on x0^2 (x1 + x2): f(t) = 1 + t is
+        # squarefree, but the square x0^2 hides in the root at infinity
+        class Scripted:
+            def __init__(self, draws):
+                self.draws = iter(draws)
+
+            def randrange(self, _n):
+                return next(self.draws)
+
+        G = poly.parse_form(F5, "x0^2*x1 + x0^2*x2")
+        draws = [1, 0, 1, 1, 0, 0]  # (a_i, b_i) for each identity row
+        assert not certify._line_certificate(G, identity(3), Scripted(draws))
+
+    @pytest.mark.parametrize("p, m", LINE_FIELDS)
+    def test_agrees_with_jacobian_chain_when_it_fires(self, p, m, monkeypatch):
+        F = gf.field_create(p, m)
+        rng = random.Random(f"line/{p}/{m}")
+        cases = [
+            random_form(F, nvars, degree, rng)
+            for nvars in (3, 4)
+            for degree in (2, 3, 4)
+            for _ in range(6)
+        ]
+        fired = [G for G in cases if line_certifies(G)]
+        monkeypatch.setattr(certify, "_line_certificate", lambda *_a: False)
+        for G in fired:
+            assert is_reduced_form(G, rng=random.Random(0)), poly.format_form(G)
+        assert len(fired) >= len(cases) // 2
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_section_hits_are_proper_and_reduced(self, p, monkeypatch):
+        # over the span of a subspace's basis: a hit proves the section
+        # nonzero and squarefree, checked on the built section form
+        F = gf.field_create(p)
+        rng = random.Random(f"section/{p}")
+        X = Hypersurface(random_form(F, 4, 3, rng))
+        origin = pg.point_subspace(pg.ProjectivePoint(F, (1, 0, 0, 0)))
+        subspaces = [*pg.all_hyperplanes(3, F), *pg.enumerate_superspaces(origin, 1)]
+        hits = [
+            certify.section_form(X, H)
+            for H in subspaces
+            if certify._line_certificate(X.form, H.basis, random.Random(1))
+        ]
+        # every line through a singular point meets it with multiplicity 2
+        W = surf(F, "x0*x1^2 + x2^3", nvars=4)
+        for L in pg.enumerate_superspaces(origin, 1):
+            assert not certify._line_certificate(W.form, L.basis, random.Random(2))
+        monkeypatch.setattr(certify, "_line_certificate", lambda *_a: False)
+        for G in hits:
+            assert not G.is_zero()
+            assert is_reduced_form(G, rng=random.Random(0)), poly.format_form(G)
+        assert len(hits) > p**3
+
+    def test_degree_past_the_floor_picks_a_larger_field(self, monkeypatch):
+        # degree 64 over F_2 needs 65 interpolation nodes, one more than
+        # the 64-element floor: the certificate works in F_128
+        F2 = gf.field_create(2)
+        orders = []
+        real = certify._extension_with
+
+        def spy(F, at_least):
+            E = real(F, at_least)
+            orders.append(E.order)
+            return E
+
+        monkeypatch.setattr(certify, "_extension_with", spy)
+        binary = poly.parse_form(F2, "x0^64 + x0*x1^63", nvars=2)
+        assert poly.binary_squarefree(binary)
+        cone = poly.parse_form(F2, "x0^64 + x0*x1^63", nvars=3)
+        assert line_certifies(cone)
+        h = poly.parse_form(F2, "x0 + x1 + x2")
+        k = poly.parse_form(F2, "x0^62 + x1^61*x2 + x2^62")
+        for seed in range(3):
+            assert not line_certifies(h * h * k, seed)
+        assert orders == [128] * 4
+        assert line_certifies(poly.parse_form(F2, "x0^2*x1 + x1^2*x2 + x2^2*x0"))
+        assert orders[-1] == 64
 
 
 class TestTransversality:

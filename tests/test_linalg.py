@@ -115,3 +115,18 @@ def test_polynomial_product_and_division(p, m):
         quo, rem = linalg.u_divmod(F, a, b)
         assert len(rem) < len(b)
         assert linalg.u_add(F, linalg.u_mul(F, quo, b), rem) == linalg.u_trim(a)
+
+
+@pytest.mark.parametrize("p, m", [(2, 6), (2, 7), (13, 1), (13, 2), (3, 4)])
+def test_lagrange_basis_interpolates(p, m):
+    F = gf.field_create(p, m)
+    rng = random.Random(F.order)
+    for n in (1, 2, 4, 5, min(F.order, 65)):
+        basis = linalg.u_lagrange_basis(F, n)
+        assert all(len(row) == n for row in basis)
+        for _ in range(5):
+            ys = _random_row(F, n, rng)
+            f = [0] * n
+            for y, row in zip(ys, basis):
+                f = F.add_scaled(f, y, row)
+            assert [linalg.u_eval(F, f, x) for x in range(n)] == ys

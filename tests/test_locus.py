@@ -164,47 +164,6 @@ class TestRationalTangency:
                         assert locus.in_rational_tangency_locus(X, P) == expect
 
 
-class TestRationalJoin:
-    def test_base_field_points_always_in(self):
-        H0 = pg.point_subspace(pg.ProjectivePoint(F3, (1, 0, 0)))
-        for P in pg.enumerate_points(2, F3):
-            assert locus.in_rational_join_locus(H0, P)
-
-    def test_points_of_anchor_always_in(self):
-        F9 = gf.extension_field(F3, 2)
-        L = pg.subspace_from_rows(F3, [(1, 0, 0, 2), (0, 1, 1, 0)])
-        for P in pg.subspace_points(L, F9):
-            assert locus.in_rational_join_locus(L, P)
-
-    def test_non_rational_line_excluded(self):
-        F9 = gf.extension_field(F3, 2)
-        t = F9.element(3)
-        H0 = pg.point_subspace(pg.ProjectivePoint(F3, (1, 0, 0)))
-        P = pg.ProjectivePoint(F9, (F9.zero(), t, F9.one()))
-        assert not locus.in_rational_join_locus(H0, P)
-
-    def test_superspace_points_lie_in_join(self):
-        F9 = gf.extension_field(F3, 2)
-        H0 = pg.point_subspace(pg.ProjectivePoint(F3, (1, 2, 0)))
-        for L in pg.enumerate_superspaces(H0, 1):
-            for P in pg.subspace_points(L, F9):
-                assert locus.in_rational_join_locus(H0, P)
-
-    def test_join_locus_meets_conic_in_few_points(self):
-        # each base-field line meets a smooth conic in at most 2 points,
-        # and there are q+1 lines through the anchor
-        for q, F in ((3, F3), (5, F5)):
-            X = surf(F, "x0*x2 - x1^2")
-            E = gf.extension_field(F, 2)
-            H0 = pg.point_subspace(pg.ProjectivePoint(F, (1, 0, 0)))
-            hits = [
-                P
-                for P in points_on(X, E)
-                if locus.in_rational_join_locus(H0, P)
-            ]
-            assert len(hits) <= 2 * (q + 1)
-
-
 class TestTangencyLocus:
     def test_whole_space_cuts_singular_locus(self):
         X = surf(F5, "x1^2*x2 - x0^3")
