@@ -13,11 +13,12 @@ counting thresholds that guarantee their existence, auditing every counting
 bound it relies on against exhaustive enumeration on small fields.
 
 Modules, bottom up: ``config`` (caps, errors), ``linalg`` (exact kernels),
-``gf`` (finite fields and towers), ``poly`` (dense univariate and sparse
-homogeneous forms), ``projgeom`` (points and linear subspaces), ``locus``
-(hypersurfaces, singular and tangency loci), ``certify`` (emptiness,
-dimension and transversality certificates), ``search`` (threshold-gated
-searches), ``audit`` (bound audits and reports), ``cli`` (command line).
+``gf`` (finite fields and towers), ``poly`` (sparse homogeneous forms),
+``projgeom`` (points and linear subspaces), ``locus`` (hypersurfaces and
+tangency loci), ``certify`` (emptiness, dimension and transversality
+certificates), ``search`` (threshold-gated searches), ``audit`` (bound
+audits and reports), ``cli`` (command line).  Field elements are int codes
+throughout.
 """
 
 __version__ = "0.1.0"

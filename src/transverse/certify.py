@@ -508,7 +508,7 @@ def _line_certificate(G: poly.Form, rows, rng: random.Random) -> bool:
     f = [0] * (d + 1)
     for c, row in enumerate(linalg.u_lagrange_basis(E, d + 1)):
         f = E.add_scaled(f, poly.form_eval_codes(G, E.add_scaled(a, c, b), E), row)
-    return f[-1] != 0 and len(linalg.u_gcd(E, f, linalg.u_deriv(E, f))) == 1
+    return f[-1] != 0 and linalg.u_squarefree(E, f)
 
 
 def is_reduced_form(G: poly.Form, rng: random.Random | None = None) -> bool:

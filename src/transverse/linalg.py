@@ -129,6 +129,15 @@ def u_deriv(F, a):
     return u_trim(out)
 
 
+def u_squarefree(F, a):
+    """Whether gcd(a, a') = 1, i.e. a has no repeated root over the closure.
+
+    A positive-degree a with a' = 0 is a p-th power (F is perfect) and has
+    gcd(a, 0) = monic a, so it is refused; nonzero constants pass and the
+    zero polynomial does not."""
+    return len(u_gcd(F, a, u_deriv(F, a))) == 1
+
+
 @functools.lru_cache(maxsize=16)
 def u_lagrange_basis(F, n):
     """The Lagrange basis at the nodes with codes 0..n-1 (n <= |F|), each

@@ -1,10 +1,10 @@
-"""Univariate polynomials and sparse homogeneous forms over finite fields.
+"""Sparse homogeneous forms over finite fields.
 
-UniPoly is a dense coefficient vector, low degree first, always trimmed.
 Form keeps a map from exponent vectors to nonzero coefficient codes; every
-exponent vector has the same total degree, checked at construction.  Both
+exponent vector has the same total degree, checked at construction.  Forms
 are immutable and hashable, so they can be shared freely across threads
-and used as cache keys.
+and used as cache keys.  Binary forms dehomogenize to univariate code
+lists, on which ``linalg`` does the arithmetic.
 
 The text grammar used by the CLI lives here: terms joined by + and -, a
 term being an optional coefficient (integer, or a t-polynomial in
@@ -16,145 +16,6 @@ from __future__ import annotations
 import re
 
 from . import config, gf, linalg
-
-
-class UniPoly:
-    """One-variable polynomial; coeffs are element codes, low degree first."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: gf.Field, coeffs):
-        codes = []
-        for c in coeffs:
-            if isinstance(c, gf.FieldElement):
-                if c.field != field:
-                    raise ValueError("coefficient from a different field")
-                codes.append(c.code)
-            else:
-                codes.append(int(c))
-        trimmed = tuple(linalg.u_trim(codes))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", trimmed)
-
-    def __setattr__(self, *a):
-        raise AttributeError("UniPoly is immutable")
-
-    @property
-    def degree(self) -> int:
-        # zero polynomial reports degree -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.key, self.coeffs))
-
-    def __add__(self, other):
-        self._chk(other)
-        return UniPoly(self.field, linalg.u_add(self.field, self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        self._chk(other)
-        return UniPoly(self.field, linalg.u_sub(self.field, self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        self._chk(other)
-        return UniPoly(self.field, linalg.u_mul(self.field, self.coeffs, other.coeffs))
-
-    def __divmod__(self, other):
-        self._chk(other)
-        q, r = linalg.u_divmod(self.field, self.coeffs, other.coeffs)
-        return UniPoly(self.field, q), UniPoly(self.field, r)
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def _chk(self, other):
-        if not isinstance(other, UniPoly) or other.field != self.field:
-            raise ValueError("operands must be UniPoly over one field")
-
-    def monic(self) -> "UniPoly":
-        return UniPoly(self.field, linalg.u_monic(self.field, self.coeffs))
-
-    def deriv(self) -> "UniPoly":
-        return UniPoly(self.field, linalg.u_deriv(self.field, self.coeffs))
-
-    def eval_at(self, x) -> gf.FieldElement:
-        code = x.code if isinstance(x, gf.FieldElement) else int(x)
-        return self.field.element(linalg.u_eval(self.field, self.coeffs, code))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            cs = self.field.format(c)
-            mono = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
-            if mono and cs == "1":
-                parts.append(mono)
-            elif mono:
-                cs = f"({cs})" if "t" in cs else cs
-                parts.append(f"{cs}*{mono}")
-            else:
-                parts.append(f"({cs})" if "t" in cs else cs)
-        return "+".join(parts)
-
-
-def upoly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    if f.field != g.field:
-        raise ValueError("gcd operands over different fields")
-    return UniPoly(f.field, linalg.u_gcd(f.field, f.coeffs, g.coeffs))
-
-
-def upoly_squarefree(f: UniPoly) -> bool:
-    """Whether f has no repeated root over the algebraic closure.
-
-    A vanishing derivative with positive degree means f is a polynomial in
-    x^p, hence a p-th power over the (perfect) coefficient field, hence
-    not squarefree; no explicit p-th root is needed for the boolean.
-    """
-    if f.is_zero():
-        raise ValueError("squarefreeness of the zero polynomial is undefined")
-    if f.degree == 0:
-        return True
-    d = f.deriv()
-    if d.is_zero():
-        return False
-    return upoly_gcd(f, d).degree == 0
-
-
-def upoly_roots_in_extension(f: UniPoly, k: int):
-    """All roots of f lying in the degree-k extension, with multiplicities.
-
-    Returns a list of (FieldElement of F_{q^k}, multiplicity), sorted by
-    element code.  Only roots rational over that extension are reported.
-    """
-    if f.is_zero():
-        raise ValueError("root finding on the zero polynomial")
-    if k < 1:
-        raise ValueError("extension degree must be positive")
-    E = gf.extension_field(f.field, k)
-    lifted = [gf.embed_code(f.field, E, c) for c in f.coeffs]
-    out = [
-        (E.element(r), mult)
-        for r, mult in linalg.u_roots_with_multiplicity(E, lifted)
-    ]
-    out.sort(key=lambda pair: pair[0].code)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +39,7 @@ class Form:
             raise ValueError("degree must be nonnegative")
         clean = {}
         for exps, c in dict(terms).items():
-            code = c.code if isinstance(c, gf.FieldElement) else int(c)
+            code = int(c)
             if code == 0:
                 continue
             exps = tuple(int(e) for e in exps)
@@ -254,21 +115,18 @@ class Form:
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "Form":
+    def scale(self, c: int) -> "Form":
+        """The form times the element with code c of its field."""
         F = self.field
-        if isinstance(c, gf.FieldElement):
-            if c.field != F:
-                raise ValueError("scalar from a different field")
-            code = c.code
-        else:
-            code = int(c) % F.p  # integers act through the prime subfield
-        if code == 0:
+        if not 0 <= c < F.order:
+            raise ValueError(f"code {c} out of range for {F!r}")
+        if c == 0:
             return Form(F, self.nvars, self.degree, {})
         return Form(
             F,
             self.nvars,
             self.degree,
-            {e: F.mul(v, code) for e, v in self.terms.items()},
+            {e: F.mul(v, c) for e, v in self.terms.items()},
         )
 
     def _chk(self, other):
@@ -356,22 +214,10 @@ def form_partials(F: Form):
     return out
 
 
-def _rows_of(H):
-    rows = getattr(H, "basis", H)
-    out = []
-    for row in rows:
-        out.append(
-            tuple(
-                c.code if isinstance(c, gf.FieldElement) else int(c) for c in row
-            )
-        )
-    return out
-
-
 def substitute_rows(F: Form, rows) -> Form:
     """F(u . B) for a raw parametrization matrix B; no basis normalization."""
     fld = F.field
-    B = _rows_of(rows)
+    B = list(rows)
     k = len(B)
     if any(len(r) != F.nvars for r in B):
         raise ValueError("parametrization rows must have nvars columns")
@@ -402,11 +248,9 @@ def restrict_to_subspace(F: Form, H) -> Form:
     form so the answer does not depend on the presentation.
     """
     if hasattr(H, "basis"):
-        rows = [tuple(r) for r in H.basis]
+        rows = H.basis
     else:
-        raw = _rows_of(H)
-        red, _ = linalg.rref(F.field, raw)
-        rows = [r for r in red if any(r)]
+        rows, _ = linalg.rref(F.field, H)
     if not rows:
         raise ValueError("empty subspace")
     return substitute_rows(F, rows)
@@ -452,15 +296,11 @@ def binary_squarefree(F: Form) -> bool:
     tests the dehomogenization at x1=1 for squarefreeness.
     """
     inf_mult, f = binary_dehomogenize(F)
-    if inf_mult > 1:
-        return False
-    if f.degree == 0:
-        return True
-    return upoly_squarefree(f)
+    return inf_mult <= 1 and linalg.u_squarefree(F.field, f)
 
 
 def binary_dehomogenize(F: Form):
-    """(multiplicity of the root [1:0], the dehomogenization F(x, 1)).
+    """(multiplicity of the root [1:0], the codes of F(x, 1) low degree first).
 
     deg F(x,1) = degree - that multiplicity; finite roots keep their
     multiplicities in F(x,1).
@@ -473,7 +313,7 @@ def binary_dehomogenize(F: Form):
     coeffs = [0] * (max_e0 + 1)
     for (e0, _e1), c in F.terms.items():
         coeffs[e0] = c
-    return F.degree - max_e0, UniPoly(F.field, coeffs)
+    return F.degree - max_e0, tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +395,7 @@ def parse_form(field: gf.Field, text: str, nvars: int | None = None) -> Form:
             if depth:
                 raise ValueError(f"unbalanced parentheses in form text {text!r}")
             inner = "".join(tokens[i + 1 : j - 1])
-            elt = gf.parse_element(field, inner)
-            c = elt.code
+            c = gf.parse_element(field, inner)
             cur_coeff = c if cur_coeff is None else field.mul(cur_coeff, c)
             cur_has_body = True
             expect_term = False

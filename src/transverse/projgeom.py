@@ -24,9 +24,7 @@ class ProjectivePoint:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: gf.Field, coords):
-        codes = [
-            c.code if isinstance(c, gf.FieldElement) else int(c) for c in coords
-        ]
+        codes = list(coords)
         if not any(codes):
             raise ValueError("the zero vector is not a projective point")
         lead = next(i for i, c in enumerate(codes) if c)
@@ -42,9 +40,6 @@ class ProjectivePoint:
     @property
     def ambient(self) -> int:
         return len(self.coords) - 1
-
-    def elements(self):
-        return tuple(self.field.element(c) for c in self.coords)
 
     def __eq__(self, other):
         return (
@@ -99,11 +94,7 @@ class LinearSubspace:
 
 def subspace_from_rows(field: gf.Field, rows) -> LinearSubspace:
     """Canonical subspace spanned by the rows; idempotent on RREF input."""
-    raw = []
-    for row in rows:
-        raw.append(
-            tuple(c.code if isinstance(c, gf.FieldElement) else int(c) for c in row)
-        )
+    raw = [tuple(row) for row in rows]
     if not raw:
         raise ValueError("no rows given")
     if len({len(r) for r in raw}) != 1:
@@ -195,10 +186,20 @@ def count_lines(n: int, field: gf.Field) -> int:
 
 def all_hyperplanes(n: int, field: gf.Field):
     """Every hyperplane of P^n(field) exactly once, as the kernel of each
-    normalized dual point; order follows enumerate_point_codes."""
+    normalized dual point w; order follows enumerate_point_codes.  With f
+    the last index where w_f != 0, the rows e_k - (w_k / w_f) e_f for
+    k != f are already the reduced row echelon basis."""
     for w in enumerate_point_codes(n, field):
-        rows = linalg.kernel(field, [list(w)], n + 1)
-        yield subspace_from_rows(field, rows)
+        f = max(i for i, c in enumerate(w) if c)
+        scale = field.neg(field.inv(w[f]))
+        rows = []
+        for k in range(n + 1):
+            if k != f:
+                row = [0] * (n + 1)
+                row[k] = 1
+                row[f] = field.mul(w[k], scale)
+                rows.append(row)
+        yield LinearSubspace(field, rows)
 
 
 def dual(H: LinearSubspace) -> LinearSubspace:
@@ -265,24 +266,5 @@ def format_subspace(H: LinearSubspace) -> str:
     )
 
 
-def parse_subspace(field: gf.Field, text: str) -> LinearSubspace:
-    rows = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        rows.append([gf.parse_element(field, e).code for e in part.split(",")])
-    if not rows:
-        raise ValueError(f"no rows in subspace text {text!r}")
-    return subspace_from_rows(field, rows)
-
-
 def format_point(P: ProjectivePoint) -> str:
     return ",".join(P.field.format(c) for c in P.coords)
-
-
-def parse_point(field: gf.Field, text: str) -> ProjectivePoint:
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or not any(parts):
-        raise ValueError(f"empty point text {text!r}")
-    return ProjectivePoint(field, [gf.parse_element(field, p).code for p in parts])

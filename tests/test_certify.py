@@ -37,6 +37,12 @@ def surf(field, text, nvars=None):
     return Hypersurface(poly.parse_form(field, text, nvars=nvars))
 
 
+def singular_scheme(X):
+    """Sing(X): the form plus its nonzero partials."""
+    gens = [X.form] + [g for g in X.partials if not g.is_zero()]
+    return SchemeSpec(X.field, X.ambient + 1, gens)
+
+
 def line_through(field, a, b):
     return pg.subspace_from_rows(field, [list(a), list(b)])
 
@@ -90,7 +96,7 @@ class TestSchemePoints:
 
     def test_smooth_cubic_jacobian_has_no_points_at_all(self):
         X = surf(F5, "x0^3 + x1^3 + x2^3")
-        assert scheme_points_upto(locus.singular_scheme(X), 3) == []
+        assert scheme_points_upto(singular_scheme(X), 3) == []
 
     def test_point_counts_match_direct_enumeration(self):
         S = scheme(F5, ["x0*x1 + x2^2"], 3)
@@ -132,7 +138,7 @@ class TestMacaulay:
         assert macaulay_is_empty(scheme(F5, gens5, 3))[0]
         # in characteristic 3 the same surface degenerates
         X3 = surf(F3, "x0^3 + x1^3 + x2^3")
-        assert not macaulay_is_empty(locus.singular_scheme(X3))[0]
+        assert not macaulay_is_empty(singular_scheme(X3))[0]
 
     def test_planted_point_always_detected_nonempty(self):
         rng = random.Random(20260822)
@@ -171,7 +177,7 @@ class TestMacaulay:
 class TestEmptinessCertificate:
     def test_empty_scheme_certificate(self):
         X = surf(F5, "x0^3 + x1^3 + x2^3")
-        cert = is_empty_projective(locus.singular_scheme(X))
+        cert = is_empty_projective(singular_scheme(X))
         assert cert.verdict == "empty"
         assert cert.witness is None
         assert cert.to_dict()["verdict"] == "empty"
@@ -231,7 +237,7 @@ class TestDimension:
 
     def test_empty_scheme_dimension_minus_one(self):
         X = surf(F5, "x0^3 + x1^3 + x2^3")
-        J = locus.singular_scheme(X)
+        J = singular_scheme(X)
         assert dim_at_most_exact(J, -1)
         assert dim_upper_bound(J, -1).holds()
 
@@ -701,7 +707,7 @@ class TestTransversality:
         for X in cases:
             assert not ensure_smooth(X)
             n, fld = X.ambient, X.field
-            sing = locus.singular_scheme(X)
+            sing = singular_scheme(X)
             subspaces = [pg.point_subspace(P) for P in pg.enumerate_points(n, fld)]
             subspaces += list(pg.all_lines(n, fld))
             if n > 2:

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transverse import config, gf, poly
-from transverse.poly import Form, UniPoly
+from transverse import config, gf, linalg, poly
+from transverse.poly import Form
 
 
 F3 = gf.field_create(3)
@@ -14,80 +14,71 @@ F9 = gf.field_create(3, 2)
 F169 = gf.field_create(13, 2)
 
 
-def P(field, *coeffs):
-    return UniPoly(field, coeffs)
+F4 = gf.field_create(2, 2)
+F25 = gf.field_create(5, 2)
 
 
-class TestUniPoly:
+class TestUnivariate:
     def test_trim_and_degree(self):
-        assert P(F5, 1, 2, 0, 0).coeffs == (1, 2)
-        assert P(F5).degree == -1
-        assert P(F5, 3).degree == 0
+        assert linalg.u_trim([1, 2, 0, 0]) == [1, 2]
+        assert linalg.u_deg([]) == -1
+        assert linalg.u_deg([3]) == 0
 
     def test_gcd_basic(self):
-        f = P(F5, 4, 0, 1)  # x^2 - 1
-        g = P(F5, 4, 1)  # x - 1
-        assert poly.upoly_gcd(f, g).coeffs == (4, 1)
+        # gcd(x^2 - 1, x - 1) over F_5
+        assert linalg.u_gcd(F5, [4, 0, 1], [4, 1]) == [4, 1]
 
     def test_gcd_with_zero_is_monic_argument(self):
-        f = P(F5, 2, 4)
-        assert poly.upoly_gcd(f, P(F5)) == f.monic()
-        assert poly.upoly_gcd(P(F5), f) == f.monic()
+        f = [2, 4]
+        assert linalg.u_gcd(F5, f, []) == linalg.u_monic(F5, f)
+        assert linalg.u_gcd(F5, [], f) == linalg.u_monic(F5, f)
 
     def test_gcd_planted_common_factor(self):
         rng = random.Random(7)
         for _ in range(20):
-            h = P(F7, *[rng.randrange(7) for _ in range(3)], 1)
-            f = P(F7, *[rng.randrange(7) for _ in range(2)], 1) * h
-            g = P(F7, *[rng.randrange(7) for _ in range(2)], 3) * h
-            d = poly.upoly_gcd(f, g)
-            assert (d % h.monic()).is_zero() or (h.monic() % d).is_zero()
-            assert (f % d).is_zero() and (g % d).is_zero()
-
-    def test_gcd_field_mismatch(self):
-        with pytest.raises(ValueError):
-            poly.upoly_gcd(P(F5, 1, 1), P(F7, 1, 1))
+            h = [rng.randrange(7) for _ in range(3)] + [1]
+            f = linalg.u_mul(F7, [rng.randrange(7) for _ in range(2)] + [1], h)
+            g = linalg.u_mul(F7, [rng.randrange(7) for _ in range(2)] + [3], h)
+            d = linalg.u_gcd(F7, f, g)
+            assert not linalg.u_mod(F7, d, h) or not linalg.u_mod(F7, h, d)
+            assert not linalg.u_mod(F7, f, d) and not linalg.u_mod(F7, g, d)
 
     def test_squarefree_basic(self):
-        assert poly.upoly_squarefree(P(F3, 0, 1) * P(F3, 1, 1))
-        assert not poly.upoly_squarefree(P(F3, 0, 1) * P(F3, 0, 1) * P(F3, 1, 1))
+        x, x1 = [0, 1], [1, 1]
+        assert linalg.u_squarefree(F3, linalg.u_mul(F3, x, x1))
+        x2 = linalg.u_mul(F3, x, x)
+        assert not linalg.u_squarefree(F3, linalg.u_mul(F3, x2, x1))
 
     def test_squarefree_vanishing_derivative(self):
         # x^3 - c over F_3 is a cube
         for c in range(3):
-            f = P(F3, (-c) % 3, 0, 0, 1)
-            assert not poly.upoly_squarefree(f)
+            assert not linalg.u_squarefree(F3, [(-c) % 3, 0, 0, 1])
 
     def test_squarefree_zero_rejected(self):
-        with pytest.raises(ValueError):
-            poly.upoly_squarefree(P(F3))
+        assert not linalg.u_squarefree(F3, [])
 
     def test_squarefree_constant_and_linear(self):
-        assert poly.upoly_squarefree(P(F3, 2))
-        assert poly.upoly_squarefree(P(F3, 1, 1))
+        assert linalg.u_squarefree(F3, [2])
+        assert linalg.u_squarefree(F3, [1, 1])
 
     def test_roots_x2_plus_1_over_f3(self):
-        f = P(F3, 1, 0, 1)
-        assert poly.upoly_roots_in_extension(f, 1) == []
-        roots = poly.upoly_roots_in_extension(f, 2)
+        f = [1, 0, 1]
+        assert linalg.u_roots_with_multiplicity(F3, f) == []
+        roots = linalg.u_roots_with_multiplicity(F9, f)  # constants keep codes
         assert len(roots) == 2
         (r1, m1), (r2, m2) = roots
         assert m1 == m2 == 1
-        assert (r1 + r2).code == 0
+        assert F9.add(r1, r2) == 0
 
     def test_roots_match_exhaustive_scan(self):
         rng = random.Random(11)
         for _ in range(15):
             deg = rng.randrange(1, 7)
-            f = P(F5, *[rng.randrange(5) for _ in range(deg)], 1)
+            f = [rng.randrange(5) for _ in range(deg)] + [1]
             for k in (1, 2, 3):
                 E = gf.extension_field(F5, k)
-                lifted = [gf.embed_code(F5, E, c) for c in f.coeffs]
-                found = {
-                    r.code: m for r, m in poly.upoly_roots_in_extension(f, k)
-                }
-                from transverse import linalg
-
+                lifted = [gf.embed_code(F5, E, c) for c in f]
+                found = dict(linalg.u_roots_with_multiplicity(E, lifted))
                 brute = {
                     c for c in E.elements() if linalg.u_eval(E, lifted, c) == 0
                 }
@@ -105,30 +96,29 @@ class TestUniPoly:
                     assert cnt == m
 
     def test_roots_multiplicity(self):
-        f = P(F5, 1, 1) * P(F5, 1, 1) * P(F5, 2, 1)
-        roots = dict(
-            (r.code, m) for r, m in poly.upoly_roots_in_extension(f, 1)
-        )
-        assert roots == {4: 2, 3: 1}
+        f = linalg.u_mul(F5, linalg.u_mul(F5, [1, 1], [1, 1]), [2, 1])
+        assert dict(linalg.u_roots_with_multiplicity(F5, f)) == {4: 2, 3: 1}
 
     def test_squarefree_iff_no_repeated_roots_in_splitting_sweep(self):
         rng = random.Random(3)
-        for q, F in ((3, F3), (5, F5), (9, F9)):
+        for F in (F3, F5, F9):
             for _ in range(10):
                 deg = rng.randrange(1, 7)
-                f = P(F, *[rng.randrange(F.order) for _ in range(deg)], 1)
+                f = [rng.randrange(F.order) for _ in range(deg)] + [1]
                 sweep_mults = []
                 for k in range(1, deg + 1):
                     if not config.current_caps().field_order_ok(F.p, F.m * k):
                         continue
+                    E = gf.extension_field(F, k)
+                    lifted = [gf.embed_code(F, E, c) for c in f]
                     sweep_mults.extend(
-                        m for _, m in poly.upoly_roots_in_extension(f, k)
+                        m for _, m in linalg.u_roots_with_multiplicity(E, lifted)
                     )
                 # degree <= 6 splits completely by k = 6
                 if max(sweep_mults, default=1) >= 2:
-                    assert not poly.upoly_squarefree(f)
+                    assert not linalg.u_squarefree(F, f)
                 else:
-                    assert poly.upoly_squarefree(f)
+                    assert linalg.u_squarefree(F, f)
 
 
 class TestForm:
@@ -161,8 +151,8 @@ class TestForm:
 
     def test_eval_in_extension(self):
         f = poly.parse_form(F3, "x0^2 + x1^2")
-        i = poly.upoly_roots_in_extension(P(F3, 1, 0, 1), 2)[0][0]
-        assert poly.form_eval_codes(f, [i.code, 1], i.field) == 0
+        i = linalg.u_roots_with_multiplicity(F9, [1, 0, 1])[0][0]
+        assert poly.form_eval_codes(f, [i, 1], F9) == 0
 
     def test_eval_dimension_mismatch(self):
         f = poly.parse_form(F5, "x0^2 + x1^2")
@@ -199,6 +189,17 @@ class TestForm:
                 acc = acc + x[i] * parts[i]
             assert acc == f.scale(d % 5)
 
+    @pytest.mark.parametrize("field", [F4, F9, F25], ids=repr)
+    def test_scale_by_every_code(self, field):
+        # codes outside the prime subfield scale too (t has code p)
+        f = Form(field, 2, 2, {(2, 0): 1, (1, 1): field.order - 1, (0, 2): field.p})
+        for c in range(field.order):
+            want = {e: field.mul(v, c) for e, v in f.terms.items()}
+            assert f.scale(c) == Form(field, 2, 2, want), c
+        for bad in (-1, field.order):
+            with pytest.raises(ValueError):
+                f.scale(bad)
+
     def test_restrict_conic_to_lines(self):
         f = poly.parse_form(F5, "x0*x2 - x1^2")
         g = poly.restrict_to_subspace(f, [(1, 0, 0), (0, 1, 0)])
@@ -221,8 +222,6 @@ class TestForm:
                 [rng.randrange(5) for _ in range(4)],
                 [rng.randrange(5) for _ in range(4)],
             ]
-            from transverse import linalg
-
             red, _ = linalg.rref(F5, [tuple(r) for r in rows])
             basis = [r for r in red if any(r)]
             if len(basis) < 2:
@@ -316,7 +315,7 @@ class TestForm:
         assert poly.binary_squarefree(poly.parse_form(F5, "x0^2 - x1^2"))
         # x0^2*x1 + x0*x1^2 = x0*x1*(x0+x1): simple root at infinity, f = x^2+x
         m, f = poly.binary_dehomogenize(poly.parse_form(F5, "x0^2*x1 + x0*x1^2"))
-        assert m == 1 and f.coeffs == (0, 1, 1)
+        assert m == 1 and f == (0, 1, 1)
 
 
 class TestGrammar:
