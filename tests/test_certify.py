@@ -289,6 +289,49 @@ class TestDimension:
             dim_upper_bound(scheme(F5, ["x0"], 2), -2)
 
 
+class TestJacobianScheme:
+    """certify.jacobian_scheme is the singular scheme of V(G)."""
+
+    def test_smooth_fermat_cubic_no_singular_points(self):
+        S = certify.jacobian_scheme(poly.parse_form(F5, "x0^3 + x1^3 + x2^3"))
+        for k in (1, 2):
+            E = gf.extension_field(F5, k)
+            for P in pg.enumerate_points(2, E):
+                assert not S.vanishes_at_codes(P.coords, E)
+
+    def test_double_line_is_singular_along_line(self):
+        S = certify.jacobian_scheme(poly.parse_form(F5, "x0^2*x1", nvars=3))
+        line = pg.subspace_from_rows(F5, [(0, 1, 0), (0, 0, 1)])
+        for P in pg.subspace_points(line):
+            assert S.vanishes_at_codes(P.coords, F5)
+
+    def test_cuspidal_cubic_singular_point(self):
+        S = certify.jacobian_scheme(poly.parse_form(F5, "x1^2*x2 - x0^3"))
+        sing = [
+            P.coords
+            for P in pg.enumerate_points(2, F5)
+            if S.vanishes_at_codes(P.coords, F5)
+        ]
+        assert sing == [(0, 0, 1)]
+
+    def test_char_degeneration_keeps_form(self):
+        G = poly.parse_form(F3, "x0^3 + x1^3 + x2^3")
+        assert certify.jacobian_scheme(G).gens == (G,)  # all partials vanish
+
+    def test_form_kept_exactly_when_p_divides_degree(self):
+        for field, text in (
+            (F3, "x0^3 + x0*x1^2 + x2^3"),
+            (F5, "x0^3 + x0*x1^2 + x2^3"),
+        ):
+            G = poly.parse_form(field, text)
+            gens = certify.jacobian_scheme(G).gens
+            partials = [g for g in poly.form_partials(G) if not g.is_zero()]
+            if G.degree % field.p == 0:
+                assert gens == (G, *partials)
+            else:
+                assert gens == tuple(partials)
+
+
 class TestSmoothness:
     def test_conic_secant_and_tangent(self):
         X = surf(F5, "x0*x2 + 4*x1^2")

@@ -147,6 +147,36 @@ def test_parse_rejects_garbage():
             gf.parse_element(F9, bad)
 
 
+def test_code_ops():
+    a = F9.encode([0, 1])  # t
+    assert F9.add(a, 1) == F9.encode([1, 1])
+    assert F9.mul(a, 2) == F9.encode([0, 2])
+    assert F9.sub(a, a) == 0
+    assert F9.div(a, a) == 1
+    assert F9.pow(a, 0) == 1
+    assert F9.pow(a, F9.order - 1) == 1
+    assert F9.pow(a, -1) == F9.div(1, a) == F9.inv(a)
+    assert F9.neg(F9.neg(a)) == a
+
+
+def test_frob_power_reduces_mod_degree():
+    for F in (F8, F9, F25):
+        for a in F.elements():
+            assert F.frob_power(a, F.m) == a
+            assert F.frob_power(a, F.m + 1) == F.frob(a)
+            assert F.frob(F.frob_power(a, -1)) == a
+
+
+def test_mul_int_is_repeated_addition():
+    for F in (F8, F9, F25):
+        for a in F.elements():
+            acc = 0
+            for k in range(2 * F.p + 1):
+                assert F.mul_int(a, k) == acc
+                assert F.mul_int(a, -k) == F.neg(acc)
+                acc = F.add(acc, a)
+
+
 def test_zero_division_raises():
     with pytest.raises(ZeroDivisionError):
         F9.div(1, 0)

@@ -1,8 +1,12 @@
+import pytest
+
 from transverse import gf, locus, poly, projgeom as pg
 from transverse.locus import Hypersurface, SchemeSpec
 
 
+F3 = gf.field_create(3)
 F5 = gf.field_create(5)
+F7 = gf.field_create(7)
 
 
 def surf(field, text, nvars=None):
@@ -59,3 +63,75 @@ class TestTangencyLocus:
         assert len(T.gens) == 3  # F plus one contraction per basis row
         assert T.gens[0] == X.form
         assert all(g.degree == 2 for g in T.gens[1:])
+
+
+class TestTangencyAlongHyperplanes:
+    """T(H) for a hyperplane H: the smooth points whose tangent is H."""
+
+    def test_conic_tangent_at_vertex(self):
+        X = surf(F5, "x0*x2 - x1^2")
+        H = pg.subspace_from_rows(F5, [(0, 1, 0), (0, 0, 1)])  # x0 = 0
+        T = locus.tangency_locus(X, H)
+        touched = [
+            P.coords
+            for P in pg.enumerate_points(2, F5)
+            if T.vanishes_at_codes(P.coords, F5)
+        ]
+        assert touched == [(0, 0, 1)]
+
+    def test_char3_fermat_cubic_everywhere_singular_signal(self):
+        # every partial of x0^3 + x1^3 + x2^3 vanishes in characteristic 3
+        X = surf(F3, "x0^3 + x1^3 + x2^3")
+        for H in pg.all_hyperplanes(2, F3):
+            assert locus.tangency_locus(X, H).gens == (X.form,)
+
+    def test_each_tangent_line_touches_smooth_conic_once(self):
+        X = surf(F7, "x0^2 + x1^2 + x2^2")
+        pts = list(points_on(X))
+        assert len(pts) == 7 + 1
+        pairs = [
+            (H, P)
+            for H in pg.all_hyperplanes(2, F7)
+            for P in pts
+            if locus.tangency_locus(X, H).vanishes_at_codes(P.coords, F7)
+        ]
+        assert sorted(P.coords for _, P in pairs) == sorted(P.coords for P in pts)
+        assert len({H for H, _ in pairs}) == len(pairs)
+
+    def test_singular_point_always_included(self):
+        X = surf(F5, "x1^2*x2 - x0^3")
+        cusp = (0, 0, 1)
+        for H in pg.all_hyperplanes(2, F5):
+            assert locus.tangency_locus(X, H).vanishes_at_codes(cusp, F5)
+        for P in pg.enumerate_points(2, F5):
+            T = locus.tangency_locus(X, pg.point_subspace(P))
+            assert T.vanishes_at_codes(cusp, F5)
+
+    def test_points_lie_on_their_own_polar(self):
+        # Euler: sum x_i d_iF = deg(F) * F, so P in X has P in T(X, P),
+        # also when p divides the degree
+        for field, text in (
+            (F5, "x0^2 + x1^2 + x2^2"),
+            (F5, "x1^2*x2 - x0^3"),
+            (F3, "x0^3 + x0*x1^2 + x2^3"),
+            (F7, "x0^3 + 2*x1^3 + 3*x2^3 + x0*x1*x2"),
+        ):
+            X = surf(field, text)
+            pts = list(points_on(X))
+            assert pts, text
+            for P in pts:
+                T = locus.tangency_locus(X, pg.point_subspace(P))
+                assert T.vanishes_at_codes(P.coords, field), (text, P)
+
+    def test_ambient_mismatch(self):
+        X = surf(F5, "x0*x2 - x1^2")
+        H = pg.subspace_from_rows(F5, [(1, 0, 0, 0), (0, 1, 0, 0)])
+        with pytest.raises(ValueError, match="ambient"):
+            locus.tangency_locus(X, H)
+
+    def test_field_mismatch(self):
+        X = surf(F5, "x0*x2 - x1^2")
+        F25 = gf.extension_field(F5, 2)
+        H = pg.subspace_from_rows(F25, [(1, 0, 0), (0, 1, 0)])
+        with pytest.raises(ValueError, match="base field"):
+            locus.tangency_locus(X, H)

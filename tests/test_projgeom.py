@@ -212,7 +212,30 @@ class TestHyperplanes:
             assert list(pg.all_hyperplanes(n, field)) == ref, n
 
 
+def parse_rows(field, text):
+    return [
+        [gf.parse_element(field, c) for c in row.split(",")]
+        for row in text.split(";")
+    ]
+
+
 class TestText:
+    def test_subspace_round_trip(self):
+        for field, rows in (
+            (F5, [(1, 0, 0, 2), (0, 1, 0, 1)]),
+            (F9, [(1, 0, F9.encode([1, 2]))]),
+            (F9, [(0, 1, 2, F9.encode([0, 1])), (1, 0, F9.encode([2, 2]), 0)]),
+        ):
+            H = pg.subspace_from_rows(field, rows)
+            text = pg.format_subspace(H)
+            assert pg.subspace_from_rows(field, parse_rows(field, text)) == H
+
+    def test_point_round_trip(self):
+        for field in (F5, F9):
+            for P in pg.enumerate_points(2, field):
+                (coords,) = parse_rows(field, pg.format_point(P))
+                assert pg.ProjectivePoint(field, coords) == P
+
     def test_format_subspace(self):
         H = pg.subspace_from_rows(F5, [(1, 0, 0, 2), (0, 1, 0, 1)])
         assert pg.format_subspace(H) == "1,0,0,2; 0,1,0,1"
