@@ -429,6 +429,8 @@ def count_bad_hyperplanes(
         raise ValueError("hyperplane audit needs ambient dimension >= 2")
     if not 0 <= t <= X.degree:
         raise ValueError("hyperplane-component count must lie in [0, d]")
+    pool = projgeom.count_points(n, X.field)
+    config.current_caps().check_enum(pool, "hyperplane census")
     rng = random.Random(0 if seed is None else seed)
     if not certify.is_reduced_form(X.form, rng=rng):
         raise ValueError("hypersurface must be reduced")
@@ -444,7 +446,7 @@ def count_bad_hyperplanes(
     observed = improper + nonreduced
     params = {"n": n, "d": X.degree, "q": X.field.order, "r": n - 1, "t": t}
     extras = {
-        "pool": projgeom.count_points(n, X.field),
+        "pool": pool,
         "improper": improper,
         "nonreduced": nonreduced,
     }
@@ -484,6 +486,8 @@ def count_bad_superspaces(
         raise ValueError(f"r must lie in [1, {n - 1}]")
     if H_prev.dim != r - 1:
         raise ValueError("H_prev must have dimension r - 1")
+    pool = projgeom.count_points(n - r, X.field)
+    config.current_caps().check_enum(pool, "superspace census")
     if not certify.ensure_smooth(X):
         raise ValueError("superspace audit needs a smooth hypersurface")
     rng = random.Random(0 if seed is None else seed)
@@ -515,7 +519,6 @@ def count_bad_superspaces(
     observed = len(tangent) + dual_contained
     q = X.field.order
     params = {"n": n, "d": X.degree, "q": q, "r": r, "t": None}
-    pool = projgeom.count_points(n - r, X.field)
     extras = {
         "pool": pool,
         "transverse": transverse,
@@ -587,13 +590,15 @@ def audit_space_filling(n: int, q: int, dmax: int) -> AuditReport:
         raise ValueError("dmax must be >= 1")
     fld = _field_of_order(q)
     started = time.perf_counter()
-    points = list(projgeom.enumerate_point_codes(n, fld))
     dcap = min(dmax, q)
     total = 0
     for deg in range(1, dcap + 1):
         M = len(list(poly.monomials_of_degree(n + 1, deg)))
         total += (q**M - 1) // (q - 1)
+    # the linear forms alone number as many as the points, so this check
+    # also bounds the point list
     config.current_caps().check_enum(total, "form enumeration")
+    points = list(projgeom.enumerate_point_codes(n, fld))
     scanned = 0
     filling = []
     for deg in range(1, dcap + 1):
@@ -661,6 +666,9 @@ def separation_search(
     if r != 1 and r != n - 1:
         raise ValueError("supported subspace ranks: 1 and n-1")
     fld = _field_of_order(q)
+    if r != 1:
+        pool = projgeom.count_points(n, fld)
+        config.current_caps().check_enum(pool, "hyperplane scan")
     rng = random.Random(seed)
     started = time.perf_counter()
     monos = list(poly.monomials_of_degree(n + 1, d))

@@ -4,8 +4,11 @@ reducedness, transversality.
 Emptiness over the algebraic closure is decided by a Macaulay rank test:
 the degree-N piece of the ideal spans every degree-N form for some N up to
 the classical effective bound N* = (sum of the r+1 largest generator
-degrees) - r exactly when the scheme is empty.  Spanning at any N is sound
-on its own; failure at N* is conclusive the other way.
+degrees) - r exactly when the scheme is empty.  Spanning at N implies
+spanning at N+1, so every yes/no question (smoothness, the Las-Vegas
+slices, the exact scan) takes one build, at N*; only is_empty_projective,
+which reports its N, climbs from the top generator degree to the smallest
+N that spans.
 
 Dimension upper bounds come in two strengths.  dim_upper_bound slices by
 random hyperplanes over an extension with at least 64 elements: if t+1
@@ -27,12 +30,10 @@ factor h^2 would survive on the line unless the line lies in V(h), where G
 vanishes); G on the line is interpolated, so no section form is built.
 When p does not divide d = deg G, the Euler relation d*G = sum x_i d_iG
 puts G in the ideal of its partials, so the Jacobian scheme is generated
-by the nonzero partials alone (G is kept when p | d).  Smoothness is a
-yes/no answer and spanning at N implies spanning at N+1, so it takes one
-Macaulay build, at N* = nvars*(d-2)+1 for the partials; the smallest-N
-ladder stays for the other callers (is_empty_projective reports its N).
-A Macaulay matrix of more than _MAX_MACAULAY_ENTRIES entries raises
-CapExceededError before any row is built.
+by the nonzero partials alone (G is kept when p | d), and N* =
+nvars*(d-2)+1 for the partials.  A Macaulay matrix of more than
+_MAX_MACAULAY_ENTRIES entries raises CapExceededError before any row is
+built.
 
 Very-transversality is decided in two steps, classify and settle, so a
 scan can defer the exact part until a Las-Vegas pass has found no hit.
@@ -213,35 +214,29 @@ def _macaulay_bound(gens, ambient: int) -> int:
     return sum(degs[: ambient + 1]) - ambient
 
 
-def macaulay_is_empty(S: locus.SchemeSpec):
-    """Exact emptiness over the algebraic closure; returns (bool, N used).
+def macaulay_is_empty(S: locus.SchemeSpec) -> bool:
+    """Exact emptiness over the algebraic closure, from one Macaulay build
+    at the effective bound N* (spanning at N implies spanning at N + 1).
 
-    Requires more generators than the ambient dimension (otherwise the
-    scheme cannot be empty and the caller should not ask).  Tries N from
-    the top generator degree up, so the N reported is the smallest that
-    spans.
+    A unit generator makes the scheme empty; at most as many generators
+    as the ambient dimension leave it nonempty.
     """
     gens = S.nonzero_gens()
-    r = S.ambient
     if any(g.degree == 0 for g in gens):
-        return True, 0  # a unit is among the generators
-    if len(gens) <= r:
-        return False, 0
-    n_star = _macaulay_bound(gens, r)
-    for N in range(max(g.degree for g in gens), n_star + 1):
-        if _macaulay_spans(gens, S.field, S.nvars, N):
-            return True, N
-    return False, n_star
+        return True
+    if len(gens) <= S.ambient:
+        return False
+    return _macaulay_spans(gens, S.field, S.nvars, _macaulay_bound(gens, S.ambient))
 
 
-def is_empty_projective(
-    S: locus.SchemeSpec, want_witness: bool = True
-) -> EmptinessCertificate:
+def is_empty_projective(S: locus.SchemeSpec) -> EmptinessCertificate:
     """Certified emptiness of S over the algebraic closure.
 
     Fewer generators than ambient-dimension-plus-one forces a nonempty
-    scheme; otherwise the Macaulay test decides.  Nonempty verdicts carry
-    an enumerated witness when one exists at low residue degree.
+    scheme; otherwise the Macaulay test decides, trying N from the top
+    generator degree up so the N reported is the smallest that spans.
+    Nonempty verdicts carry an enumerated witness when one exists at low
+    residue degree.
     """
     gens = S.nonzero_gens()
     r = S.ambient
@@ -254,16 +249,16 @@ def is_empty_projective(
     few_gens = len(gens) <= r
     N = 0
     if not few_gens:
-        empty, N = macaulay_is_empty(S)
-        if empty:
-            return EmptinessCertificate(S, N, "empty")
-    if want_witness:
-        witness = _hunt_witness(S)
-        if witness is not None:
-            return EmptinessCertificate(S, N, "nonempty", witness=witness)
-        if not few_gens:
-            # nonemptiness is certain, but no point was exhibited in budget
-            return EmptinessCertificate(S, N, "inconclusive")
+        N = _macaulay_bound(gens, r)
+        for M in range(max(g.degree for g in gens), N + 1):
+            if _macaulay_spans(gens, S.field, S.nvars, M):
+                return EmptinessCertificate(S, M, "empty")
+    witness = _hunt_witness(S)
+    if witness is not None:
+        return EmptinessCertificate(S, N, "nonempty", witness=witness)
+    if not few_gens:
+        # nonemptiness is certain, but no point was exhibited in budget
+        return EmptinessCertificate(S, N, "inconclusive")
     return EmptinessCertificate(S, N, "nonempty")
 
 
@@ -293,7 +288,6 @@ class DimensionCertificate:
     verdict: str  # "at-most" | "undetermined"
     slices: tuple = ()
     retries_used: int = 0
-    seed: int | None = None
 
     def holds(self) -> bool:
         return self.verdict == "at-most"
@@ -303,7 +297,6 @@ class DimensionCertificate:
             "verdict": self.verdict,
             "bound": self.bound,
             "retries_used": self.retries_used,
-            "seed": self.seed,
             "slices": [list(s) for s in self.slices],
         }
 
@@ -334,10 +327,7 @@ def _slice_by(S: locus.SchemeSpec, row) -> locus.SchemeSpec:
 
 
 def dim_upper_bound(
-    S: locus.SchemeSpec,
-    t: int,
-    rng: random.Random | None = None,
-    seed: int | None = None,
+    S: locus.SchemeSpec, t: int, rng: random.Random
 ) -> DimensionCertificate:
     """Las-Vegas certificate that dim S <= t; never certifies falsely.
 
@@ -350,15 +340,11 @@ def dim_upper_bound(
     """
     if t < -1:
         raise ValueError("dimension bound below -1 is meaningless")
-    if rng is None:
-        rng = random.Random(0 if seed is None else seed)
     if t == -1:
-        empty, _ = macaulay_is_empty(S)
-        return DimensionCertificate(
-            S, -1, "at-most" if empty else "undetermined", (), 0, seed
-        )
+        verdict = "at-most" if macaulay_is_empty(S) else "undetermined"
+        return DimensionCertificate(S, -1, verdict)
     if t >= S.ambient:
-        return DimensionCertificate(S, t, "at-most", (), 0, seed)
+        return DimensionCertificate(S, t, "at-most")
     E = _extension_with(S.field, _LV_MIN_FIELD)
     lifted = _lift_scheme(S, E)
     for attempt in range(1, _LV_RETRIES + 1):
@@ -371,12 +357,9 @@ def dim_upper_bound(
                     break
             slices.append(row)
             cur = _slice_by(cur, row)
-        empty, _ = macaulay_is_empty(cur)
-        if empty:
-            return DimensionCertificate(
-                S, t, "at-most", tuple(slices), attempt, seed
-            )
-    return DimensionCertificate(S, t, "undetermined", (), _LV_RETRIES, seed)
+        if macaulay_is_empty(cur):
+            return DimensionCertificate(S, t, "at-most", tuple(slices), attempt)
+    return DimensionCertificate(S, t, "undetermined", (), _LV_RETRIES)
 
 
 def _bezout_component_bound(S: locus.SchemeSpec) -> int:
@@ -408,7 +391,7 @@ def dim_at_most_exact(S: locus.SchemeSpec, t: int) -> bool:
     if t < -1:
         raise ValueError("dimension bound below -1 is meaningless")
     if t == -1:
-        return macaulay_is_empty(S)[0]
+        return macaulay_is_empty(S)
     if t >= S.ambient:
         return True
     n = S.ambient
@@ -427,7 +410,7 @@ def dim_at_most_exact(S: locus.SchemeSpec, t: int) -> bool:
 
 
 def _exact_scan(S: locus.SchemeSpec, t: int, E: gf.Field) -> bool:
-    if macaulay_is_empty(S)[0]:
+    if macaulay_is_empty(S):
         return True
     if t == -1:
         return False
@@ -472,11 +455,7 @@ def is_smooth_form(G: poly.Form) -> bool:
         return True  # nonzero form in one variable never vanishes on P^0
     if G.nvars == 2:
         return poly.binary_squarefree(G)
-    gens = jacobian_scheme(G).gens
-    if len(gens) < G.nvars:
-        return False
-    # spanning at N implies spanning at N + 1, so the bound alone decides
-    return _macaulay_spans(gens, G.field, G.nvars, _macaulay_bound(gens, G.nvars - 1))
+    return macaulay_is_empty(jacobian_scheme(G))
 
 
 def is_smooth_section(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> bool:

@@ -109,7 +109,6 @@ class Field:
         self._exp = None
         self._log = None
         self._zech = None
-        self._frobp = None
         self._redrows = None
         self._lock = threading.Lock()
 
@@ -236,9 +235,6 @@ class Field:
                 exp[i + q - 1] = acc
                 log[acc] = i
                 acc = self._mul_general(acc, g)
-            self._frobp = [0] * q
-            for c in range(1, q):
-                self._frobp[c] = exp[(log[c] * p) % (q - 1)]
             if p != 2:
                 # adding 1 changes only the constant digit of a code
                 zech = [0] * (q - 1)
@@ -364,11 +360,7 @@ class Field:
 
     def frob(self, a: int) -> int:
         """a^p."""
-        if self.m == 1:
-            return a
-        if self._exp is not None or self._ensure_tables():
-            return self._frobp[a]
-        return self._pow_general(a, self.p)
+        return a if self.m == 1 else self.pow(a, self.p)
 
     def frob_power(self, a: int, s: int) -> int:
         """a^(p^s)."""

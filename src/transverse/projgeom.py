@@ -113,13 +113,23 @@ def point_subspace(P: ProjectivePoint) -> LinearSubspace:
 
 def enumerate_point_codes(n: int, field: gf.Field):
     """Normalized coordinate tuples of P^n(field), lexicographic by leading
-    index then by suffix; the raw-code twin of enumerate_points."""
+    index then by suffix; the raw-code twin of enumerate_points.
+
+    Each point yielded is charged against max_enum, so a scan that stops
+    at its first hit pays only for what it visits; the point after the
+    cap raises CapExceededError.  Exhaustive scans check their pool first.
+    """
     Q = field.order
-    total = (Q ** (n + 1) - 1) // (Q - 1)
-    config.current_caps().check_enum(total, "projective point enumeration")
+    cap = config.current_caps().max_enum
+    visited = 0
     for lead in range(n + 1):
         prefix = (0,) * lead + (1,)
         for suffix in itertools.product(range(Q), repeat=n - lead):
+            visited += 1
+            if visited > cap:
+                raise config.CapExceededError(
+                    f"projective point enumeration passed the cap of {cap} points"
+                )
             yield prefix + suffix
 
 

@@ -237,6 +237,14 @@ class TestBadHyperplanes:
         with pytest.raises(ValueError, match="hyperplane-component count"):
             count_bad_hyperplanes(surf(F5, "x0*x1", nvars=4), t=t)
 
+    def test_census_refuses_its_pool_before_any_section(self, monkeypatch):
+        # 156 hyperplanes of P^3(F_5) against a cap of 100
+        X = surf(F5, "x0^3 + x1^3 + x2^3 + x3^3")
+        monkeypatch.setattr(certify, "is_reduced_section", must_not_run)
+        with config.caps_scope(config.Caps(max_enum=100)):
+            with pytest.raises(config.CapExceededError, match="156"):
+                count_bad_hyperplanes(X, t=0, seed=0)
+
 
 class TestBadSuperspaces:
     def test_cubic_surface_pencil_of_lines(self):

@@ -43,6 +43,22 @@ def singular_scheme(X):
     return SchemeSpec(X.field, X.ambient + 1, gens)
 
 
+def ladder_is_empty(S):
+    """The reference emptiness test: some N from the top generator degree
+    to the bound N* (the r+1 largest degrees summed, minus r) spans."""
+    gens = S.nonzero_gens()
+    if any(g.degree == 0 for g in gens):
+        return True
+    if len(gens) <= S.ambient:
+        return False
+    degs = sorted((g.degree for g in gens), reverse=True)
+    n_star = sum(degs[: S.ambient + 1]) - S.ambient
+    return any(
+        certify._macaulay_spans(gens, S.field, S.nvars, N)
+        for N in range(degs[0], n_star + 1)
+    )
+
+
 def line_through(field, a, b):
     return pg.subspace_from_rows(field, [list(a), list(b)])
 
@@ -119,26 +135,28 @@ class TestSchemePoints:
 
 class TestMacaulay:
     def test_coordinate_ideal_empty_at_degree_one(self):
-        assert macaulay_is_empty(scheme(F5, ["x0", "x1", "x2"], 3)) == (True, 1)
+        S = scheme(F5, ["x0", "x1", "x2"], 3)
+        assert macaulay_is_empty(S) is True
+        assert is_empty_projective(S).degree_N == 1
 
     def test_pairwise_products_nonempty(self):
         S = scheme(F5, ["x0*x1", "x0*x2", "x1*x2"], 3)
-        empty, _ = macaulay_is_empty(S)
-        assert not empty
+        assert not macaulay_is_empty(S)
 
     def test_unit_generator_short_circuits(self):
         one = poly.Form(F5, 3, 0, {(0, 0, 0): 1})
-        assert macaulay_is_empty(SchemeSpec(F5, 3, [one])) == (True, 0)
+        assert macaulay_is_empty(SchemeSpec(F5, 3, [one])) is True
+        assert is_empty_projective(SchemeSpec(F5, 3, [one])).degree_N == 0
 
     def test_too_few_generators_never_empty(self):
-        assert macaulay_is_empty(scheme(F5, ["x0", "x1"], 3)) == (False, 0)
+        assert macaulay_is_empty(scheme(F5, ["x0", "x1"], 3)) is False
 
     def test_fermat_jacobian_empty_iff_char_allows(self):
         gens5 = ["3*x0^2", "3*x1^2", "3*x2^2"]
-        assert macaulay_is_empty(scheme(F5, gens5, 3))[0]
+        assert macaulay_is_empty(scheme(F5, gens5, 3))
         # in characteristic 3 the same surface degenerates
         X3 = surf(F3, "x0^3 + x1^3 + x2^3")
-        assert not macaulay_is_empty(singular_scheme(X3))[0]
+        assert not macaulay_is_empty(singular_scheme(X3))
 
     def test_planted_point_always_detected_nonempty(self):
         rng = random.Random(20260822)
@@ -152,7 +170,7 @@ class TestMacaulay:
                 for _ in range(rng.randrange(3, 6))
             ]
             S = SchemeSpec(F5, 3, gens)
-            assert not macaulay_is_empty(S)[0]
+            assert not macaulay_is_empty(S)
 
     def test_agreement_with_enumeration_on_random_schemes(self):
         rng = random.Random(7)
@@ -167,11 +185,57 @@ class TestMacaulay:
             if len(gens) < 3:
                 continue
             S = SchemeSpec(F5, 3, gens)
-            empty, _ = macaulay_is_empty(S)
-            if empty:
+            if macaulay_is_empty(S):
                 assert scheme_points_upto(S, 2) == []
             # nonempty verdicts may only witness at higher degree; the
             # converse direction is covered by the planted-point test
+
+
+class TestSingleBuildAgainstLadder:
+    """macaulay_is_empty builds once at N*; the ladder over every N up to N*
+    and is_empty_projective must give the same verdict."""
+
+    @staticmethod
+    def check(S):
+        empty = macaulay_is_empty(S)
+        assert empty == ladder_is_empty(S), S
+        # the witness hunt is capped: only the verdict is compared here
+        with config.caps_scope(config.Caps(max_enum=2_000)):
+            assert empty == (is_empty_projective(S).verdict == "empty"), S
+        return empty
+
+    def test_random_schemes(self):
+        verdicts = set()
+        for p, k in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2)):
+            field = gf.field_create(p, k)
+            rng = random.Random(f"ladder/{field.order}")
+            for nvars in (2, 3, 4):
+                for _ in range(6):
+                    gens = []
+                    for _ in range(rng.randrange(nvars, nvars + 3)):
+                        deg = rng.randrange(1, 4)
+                        mons = poly.monomials_of_degree(nvars, deg)
+                        terms = {m: rng.randrange(field.order) for m in mons}
+                        gens.append(poly.Form(field, nvars, deg, terms))
+                    verdicts.add(self.check(SchemeSpec(field, nvars, gens)))
+        assert verdicts == {True, False}
+
+    def test_jacobian_schemes(self):
+        divides = set()
+        for p in (2, 3, 5):
+            F = gf.field_create(p)
+            rng = random.Random(f"ladder-jacobian/{p}")
+            for nvars in (3, 4):
+                for degree in (2, 3, 4):
+                    mons = list(poly.monomials_of_degree(nvars, degree))
+                    for _ in range(4):
+                        terms = {m: rng.randrange(p) for m in mons}
+                        G = poly.Form(F, nvars, degree, terms)
+                        if G.is_zero():
+                            continue
+                        self.check(certify.jacobian_scheme(G))
+                        divides.add(degree % p == 0)
+        assert divides == {True, False}
 
 
 class TestEmptinessCertificate:
@@ -195,12 +259,6 @@ class TestEmptinessCertificate:
         assert cert.verdict == "nonempty"
         assert cert.witness == pg.ProjectivePoint(F5, (0, 0, 1))
 
-    def test_want_witness_false_skips_enumeration(self):
-        S = scheme(F5, ["x0*x1", "x0*x2", "x1*x2"], 3)
-        cert = is_empty_projective(S, want_witness=False)
-        assert cert.verdict == "nonempty"
-        assert cert.witness is None
-
     def test_zero_ideal_is_whole_space(self):
         z = poly.Form(F5, 3, 1, {})
         cert = is_empty_projective(SchemeSpec(F5, 3, [z]))
@@ -220,18 +278,18 @@ class TestDimension:
         L = scheme(F5, ["x0", "x1"], 4)
         assert not dim_at_most_exact(L, 0)
         assert dim_at_most_exact(L, 1)
-        assert dim_upper_bound(L, 1, seed=2).holds()
+        assert dim_upper_bound(L, 1, rng=random.Random(2)).holds()
 
     def test_lv_never_certifies_below_true_dimension(self):
         L = scheme(F5, ["x0", "x1"], 4)
         for seed in range(10):
-            assert not dim_upper_bound(L, 0, seed=seed).holds()
+            assert not dim_upper_bound(L, 0, rng=random.Random(seed)).holds()
 
     def test_finite_point_sets_are_dimension_zero(self):
         two = scheme(F5, ["x0*x1", "x2"], 3)
         assert dim_at_most_exact(two, 0)
         assert not dim_at_most_exact(two, -1)
-        cert = dim_upper_bound(two, 0, seed=5)
+        cert = dim_upper_bound(two, 0, rng=random.Random(5))
         assert cert.holds()
         assert cert.retries_used >= 1
 
@@ -239,7 +297,7 @@ class TestDimension:
         X = surf(F5, "x0^3 + x1^3 + x2^3")
         J = singular_scheme(X)
         assert dim_at_most_exact(J, -1)
-        assert dim_upper_bound(J, -1).holds()
+        assert dim_upper_bound(J, -1, rng=random.Random(0)).holds()
 
     def test_hypersurface_dimension_exact(self):
         Q = scheme(F5, ["x0*x1 + x2^2"], 3)
@@ -268,7 +326,7 @@ class TestDimension:
                 continue
             S = SchemeSpec(F5, 3, gens)
             for t in (0, 1):
-                if dim_upper_bound(S, t, seed=trial).holds():
+                if dim_upper_bound(S, t, rng=random.Random(trial)).holds():
                     assert dim_at_most_exact(S, t)
 
     def test_budget_guard_raises(self):
@@ -277,7 +335,8 @@ class TestDimension:
             dim_at_most_exact(big, 2)
 
     def test_certificate_to_dict(self):
-        cert = dim_upper_bound(scheme(F5, ["x0", "x1", "x2"], 3), -1, seed=1)
+        S = scheme(F5, ["x0", "x1", "x2"], 3)
+        cert = dim_upper_bound(S, -1, rng=random.Random(1))
         d = cert.to_dict()
         assert d["verdict"] == "at-most"
         assert d["bound"] == -1
@@ -286,7 +345,7 @@ class TestDimension:
         with pytest.raises(ValueError):
             dim_at_most_exact(scheme(F5, ["x0"], 2), -2)
         with pytest.raises(ValueError):
-            dim_upper_bound(scheme(F5, ["x0"], 2), -2)
+            dim_upper_bound(scheme(F5, ["x0"], 2), -2, rng=random.Random(0))
 
 
 class TestJacobianScheme:
@@ -393,9 +452,7 @@ class TestSmoothness:
                         continue
                     gens = [G] + [g for g in poly.form_partials(G) if not g.is_zero()]
                     S = SchemeSpec(F, nvars, gens)
-                    old = any(g.degree == 0 for g in gens) or (
-                        len(gens) > S.ambient and macaulay_is_empty(S)[0]
-                    )
+                    old = ladder_is_empty(S)
                     assert certify.is_smooth_form(G) == old, poly.format_form(G)
                     assert ensure_smooth(Hypersurface(G)) == old
 
@@ -424,7 +481,7 @@ class TestSmoothness:
                             continue
                         gens = [G] + [g for g in poly.form_partials(G) if not g.is_zero()]
                         S = SchemeSpec(F, nvars, gens)
-                        full = len(gens) > S.ambient and macaulay_is_empty(S)[0]
+                        full = ladder_is_empty(S)
                         assert certify.is_smooth_form(G) == full, poly.format_form(G)
                         checked += 1
                         divisible += degree % p == 0
@@ -532,9 +589,7 @@ class TestReducedness:
         # certify this reduced form, since the exact scan in five variables
         # over F_3 is past its budget
         G = poly.parse_form(F3, "x0^2*x1 + x2^2*x3 + x4^3", nvars=5)
-        undecided = certify.DimensionCertificate(
-            None, 0, "undetermined", (), 0, None
-        )
+        undecided = certify.DimensionCertificate(None, 0, "undetermined")
         monkeypatch.setattr(
             certify, "dim_upper_bound", lambda *a, **k: undecided
         )
@@ -546,9 +601,7 @@ class TestReducedness:
         L = poly.parse_form(F3, "x0 + x1", nvars=5)
         Q = poly.parse_form(F3, "x2^2 + x3*x4", nvars=5)
         G = L * L * Q
-        undecided = certify.DimensionCertificate(
-            None, 0, "undetermined", (), 0, None
-        )
+        undecided = certify.DimensionCertificate(None, 0, "undetermined")
         monkeypatch.setattr(
             certify, "dim_upper_bound", lambda *a, **k: undecided
         )
@@ -768,7 +821,7 @@ class TestTransversality:
                 ]
                 aug = SchemeSpec(fld, n + 1, list(sing.gens) + cut)
                 assert len(aug.nonzero_gens()) > aug.ambient
-                assert macaulay_is_empty(aug)[0], (X, pg.format_subspace(H))
+                assert macaulay_is_empty(aug), (X, pg.format_subspace(H))
                 checked += 1
         assert checked > 100
 

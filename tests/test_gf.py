@@ -66,6 +66,13 @@ def test_frobenius_fixes_prime_subfield():
         assert F9.frob_power(c, 1) == c
 
 
+@pytest.mark.parametrize("p, m", [(2, 2), (3, 2), (5, 2), (3, 5), (257, 2)])
+def test_frobenius_is_the_p_th_power(p, m):
+    # F_{257^2} has more than 2^16 elements, so it has no tables
+    F = gf.field_create(p, m)
+    assert all(F.frob(a) == F.pow(a, p) for a in range(F.order))
+
+
 def test_frobenius_is_additive_and_multiplicative():
     for a in F25.elements():
         for b in (1, 7, 13, 24):

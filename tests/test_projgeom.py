@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from transverse import gf, linalg, projgeom as pg
+from transverse import config, gf, linalg, projgeom as pg
 
 
 F2 = gf.field_create(2)
@@ -43,6 +44,14 @@ class TestPoints:
         b = [P.coords for P in pg.enumerate_points(2, F5)]
         assert a == b
         assert a[0] == (1, 0, 0)
+
+    def test_enumeration_charges_each_point_it_yields(self):
+        # P^2(F_3) has 13 points; the cap admits the first 10 of them
+        with config.caps_scope(config.Caps(max_enum=10)):
+            points = pg.enumerate_point_codes(2, F3)
+            assert len(list(itertools.islice(points, 10))) == 10
+            with pytest.raises(config.CapExceededError):
+                next(points)
 
 
 class TestSubspaces:

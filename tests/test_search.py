@@ -28,6 +28,17 @@ def surf(field, text, nvars=None):
     return Hypersurface(poly.parse_form(field, text, nvars=nvars))
 
 
+class TestFirstHitCaps:
+    def test_point_off_returns_at_first_point_under_a_small_cap(self):
+        # P^3(F_5) has 156 points, more than the cap, but the scan stops
+        # at the first one
+        X = surf(F5, "x0^3 + x1^3 + x2^3 + x3^3")
+        with config.caps_scope(config.Caps(max_enum=50)):
+            out = find_point_off(X)
+        assert out.found == pg.ProjectivePoint(F5, (1, 0, 0, 0))
+        assert out.tested == 1
+
+
 class TestRequiredQ:
     def test_worked_thresholds(self):
         assert required_q(3, 3, 1) == 12
