@@ -37,11 +37,24 @@ built.
 
 Very-transversality is decided in two steps, classify and settle, so a
 scan can defer the exact part until a Las-Vegas pass has found no hit.
+
+Points over an extension E are swept along normalized prefixes of
+P^(n-1)(E), with a gcd chain of the specialized generators in the last
+variable.  In P^2 the prefixes come from elimination (Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, ch. 3): every point (1, a, z)
+of V(g1, g2) is a root a of the resultant R(a) = Res_z(g1, g2)(1, a),
+taken with formal degrees, so only the roots of R and the prefix (0, 1)
+need a gcd chain.  R has degree at most D = d1*d2 and is interpolated
+from D + 1 Sylvester determinants.  Pairs are tried lowest degrees first,
+past those with R = 0 (a common factor).  The full sweep runs instead
+when E has at most D elements, when every pair has R = 0, or when the
+elimination would cost at least as many field operations as the sweep.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -68,8 +81,14 @@ assert (
 
 
 def _points_over(S: locus.SchemeSpec, E: gf.Field):
-    """Normalized coordinate tuples of S(E), by sweeping normalized
-    prefixes and root-finding in the last coordinate."""
+    """Normalized coordinate tuples of S(E), by root-finding in the last
+    coordinate along normalized prefixes of P^(n-1)(E).
+
+    Every prefix is swept, except in P^2 with at least two nonzero
+    generators, where _resultant_prefixes picks the few worth a gcd chain.
+    The enum cap is charged for the whole prefix pool either way, so a
+    refusal does not depend on which prefixes are visited.
+    """
     n = S.ambient
     gens = S.nonzero_gens()
     if not gens:
@@ -87,7 +106,10 @@ def _points_over(S: locus.SchemeSpec, E: gf.Field):
     last = (0,) * n + (1,)
     if S.vanishes_at_codes(last, E):
         out.append(last)
-    for prefix in projgeom.enumerate_point_codes(n - 1, E):
+    prefixes = _resultant_prefixes(gens, E) if n == 2 else None
+    if prefixes is None:
+        prefixes = projgeom.enumerate_point_codes(n - 1, E)
+    for prefix in prefixes:
         g = None
         dead = False
         for gen in gens:
@@ -108,6 +130,49 @@ def _points_over(S: locus.SchemeSpec, E: gf.Field):
         for z in linalg.u_distinct_roots(E, g):
             out.append(prefix + (z,))
     return out
+
+
+def _resultant_prefixes(gens, E: gf.Field):
+    """The prefixes of P^1(E) that a P^2 sweep must visit, by elimination;
+    None when the full sweep is to be run instead.
+
+    Generators are paired in order of degree (ties by position), lowest
+    first.  For a pair g1, g2 of degrees d1, d2, R(a) = Res_z(g1(1, a, z),
+    g2(1, a, z)) is taken with formal z-degrees d1 and d2, so it vanishes
+    at every a with a point (1, a, z) on the scheme, and has degree at most
+    D = d1*d2.  It is interpolated from Sylvester determinants at the D + 1
+    nodes with codes 0..D.  The first pair with R != 0 gives the
+    candidates: (1, a) for the roots a of R in E, and (0, 1).  A pair with
+    R = 0 shares a factor, and the next pair is tried.  The full sweep runs
+    instead when E has at most D elements, or when the elimination's count
+    of field operations, (D + 1)(d1 + d2)^3 summed over the pairs tried,
+    is not below the sweep's, |P^1(E)| times the sum of the generator
+    degrees.
+    """
+    gens = sorted(gens, key=lambda g: g.degree)
+    sweep = (E.order + 1) * sum(g.degree for g in gens)
+    spent = 0
+    for g1, g2 in itertools.combinations(gens, 2):
+        d1, d2 = g1.degree, g2.degree
+        D = d1 * d2
+        spent += (D + 1) * (d1 + d2) ** 3
+        if E.order <= D or spent >= sweep:
+            return None
+        values = []
+        for a in range(D + 1):
+            f1 = poly.form_specialize_last(g1, (1, a), E)
+            f2 = poly.form_specialize_last(g2, (1, a), E)
+            f1 += [0] * (d1 + 1 - len(f1))
+            f2 += [0] * (d2 + 1 - len(f2))
+            sylvester = [[0] * i + f1 + [0] * (d2 - 1 - i) for i in range(d2)]
+            sylvester += [[0] * i + f2 + [0] * (d1 - 1 - i) for i in range(d1)]
+            values.append(linalg.det(E, sylvester))
+        if any(values):
+            R = [0] * (D + 1)
+            for y, row in zip(values, linalg.u_lagrange_basis(E, D + 1)):
+                R = E.add_scaled(R, y, row)
+            return [(1, a) for a in linalg.u_distinct_roots(E, R)] + [(0, 1)]
+    return None
 
 
 def _residue_degree(coords, E: gf.Field, base_m: int, k: int) -> int:

@@ -14,7 +14,9 @@ object: exp/log tables for multiplication and, in odd characteristic, a
 Zech-logarithm table zech[n] = log(1 + g^n) for addition, so that
 a + b = g^la * (1 + g^(lb - la)) costs four lookups (Huber, "Some comments
 on Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990); characteristic 2
-adds by XOR.  Beyond 2^16 there are no tables and arithmetic works on
+adds by XOR.  The powers of g are read off the F_p-linear map of
+multiplication by g, tabulated once by a matrix product over all codes.
+Beyond 2^16 there are no tables and arithmetic works on
 digit polynomials.  ``Field.add_scaled`` is the row update x + c*y that
 Gaussian elimination and polynomial arithmetic run on, looped once in the
 log domain.
@@ -28,8 +30,11 @@ protected; lookups after the first are plain dictionary reads.
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
+
+import numpy as np
 
 from . import config, linalg
 
@@ -224,9 +229,17 @@ class Field:
         with self._lock:
             if self._exp is not None:
                 return True
-            q, p = self.order, self.p
-            self._digits = [self.decode(c) for c in range(q)]
+            q, p, m = self.order, self.p, self.m
+            # little-endian digit tuples in code order
+            self._digits = [d[::-1] for d in itertools.product(range(p), repeat=m)]
             g = self._find_generator()
+            # multiplication by g is F_p-linear; its matrix has the digits
+            # of g * t^j as rows, so one product gives g * c for every code c
+            images = [self.decode(self._mul_general(g, p**j)) for j in range(m)]
+            weights = p ** np.arange(m, dtype=np.int32)
+            digits = np.arange(q, dtype=np.int32)[:, None] // weights % p
+            mulg = (digits @ np.array(images, dtype=np.int32) % p @ weights).tolist()
+            del digits
             exp = [0] * (2 * (q - 1))
             log = [0] * q
             acc = 1
@@ -234,7 +247,8 @@ class Field:
                 exp[i] = acc
                 exp[i + q - 1] = acc
                 log[acc] = i
-                acc = self._mul_general(acc, g)
+                acc = mulg[acc]
+            del mulg
             if p != 2:
                 # adding 1 changes only the constant digit of a code
                 zech = [0] * (q - 1)

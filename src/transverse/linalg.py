@@ -309,6 +309,29 @@ def _rank_generic(F, rows, ncols, stop_at):
     return r
 
 
+def det(F, rows):
+    """Determinant of a square matrix, by elimination; the empty matrix
+    has determinant 1."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    acc = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            acc = F.neg(acc)
+        rr = rows[col]
+        acc = F.mul(acc, rr[col])
+        scale = F.neg(F.inv(rr[col]))
+        for i in range(col + 1, n):
+            c = rows[i][col]
+            if c:
+                rows[i] = F.add_scaled(rows[i], F.mul(c, scale), rr)
+    return acc
+
+
 def rref(F, rows):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     rows = [list(r) for r in rows if any(r)]

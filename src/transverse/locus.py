@@ -3,12 +3,13 @@
 A Hypersurface wraps one nonzero form of degree >= 1 with its cached
 gradient.  A SchemeSpec is nothing but a list of homogeneous generators in
 a fixed ambient space; emptiness and dimension questions about it are
-answered by `certify`, enumeration by `audit`.
+answered by `certify`, enumeration by `audit`.  Both refuse a form of
+degree above Caps.max_form_degree.
 """
 
 from __future__ import annotations
 
-from . import gf, poly, projgeom
+from . import config, gf, poly, projgeom
 
 
 class Hypersurface:
@@ -19,6 +20,7 @@ class Hypersurface:
             raise ValueError("a hypersurface needs a nonzero form")
         if form.degree < 1:
             raise ValueError("a hypersurface needs degree >= 1")
+        config.current_caps().check_form_degree(form.degree)
         self.form = form
         self.field = form.field
         self.ambient = form.nvars - 1
@@ -46,6 +48,7 @@ class SchemeSpec:
         for g in gens:
             if g.field != field or g.nvars != nvars:
                 raise ValueError("generators must share field and ambient")
+        config.current_caps().check_form_degree(max(g.degree for g in gens))
         self.field = field
         self.nvars = nvars
         self.ambient = nvars - 1

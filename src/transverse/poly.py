@@ -343,7 +343,8 @@ def parse_form(field: gf.Field, text: str, nvars: int | None = None) -> Form:
     Terms are joined by + and -; a term is an optional coefficient
     (integer, or a parenthesized t-polynomial) times a product of x<i>^<e>
     factors.  Homogeneity is enforced; nvars is inferred from the largest
-    variable index when not given.
+    variable index when not given.  A degree above the cap raises
+    CapExceededError.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -449,6 +450,7 @@ def parse_form(field: gf.Field, text: str, nvars: int | None = None) -> Form:
     if len(degrees) > 1:
         raise ValueError(f"form text is not homogeneous: degrees {sorted(degrees)}")
     degree = degrees.pop()
+    config.current_caps().check_form_degree(degree)
     acc: dict = {}
     for code, e in terms:
         vec = tuple(e.get(v, 0) for v in range(nvars))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from transverse import certify, config, gf, locus, poly, projgeom as pg
+from transverse import certify, config, gf, linalg, locus, poly, projgeom as pg
 from transverse.certify import (
     classify_very_transverse,
     decide_very_transverse,
@@ -131,6 +131,146 @@ class TestSchemePoints:
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             scheme_points_upto(scheme(F5, ["x0"], 2), 0)
+
+
+def prefix_sweep(S, E):
+    """The reference sweep: a gcd chain in the last variable at every
+    normalized prefix of P^(n-1)(E), sorted."""
+    gens = S.nonzero_gens()
+    last = (0,) * S.ambient + (1,)
+    out = [last] if S.vanishes_at_codes(last, E) else []
+    for prefix in pg.enumerate_point_codes(S.ambient - 1, E):
+        g = None
+        for gen in gens:
+            spec = poly.form_specialize_last(gen, prefix, E)
+            if spec:
+                g = spec if g is None else linalg.u_gcd(E, g, spec)
+        if g is None:
+            out.extend(prefix + (z,) for z in range(E.order))
+        else:
+            out.extend(prefix + (z,) for z in linalg.u_distinct_roots(E, g))
+    return sorted(out)
+
+
+def sweep_path(S, E):
+    """Which way _points_over sweeps the P^2 scheme S over E, judged by
+    the pair of lowest degrees."""
+    gens = S.nonzero_gens()
+    if certify._resultant_prefixes(gens, E) is not None:
+        return "elimination"
+    g1, g2 = sorted(gens, key=lambda g: g.degree)[:2]
+    d1, d2 = g1.degree, g2.degree
+    D = d1 * d2
+    sweep = (E.order + 1) * sum(g.degree for g in gens)
+    cheap = (D + 1) * (d1 + d2) ** 3 < sweep
+    if E.order <= D:
+        return "small field" if cheap else "small field, cost"
+    return "common factor" if cheap else "cost"
+
+
+def random_form(field, nvars, degree, rng, density=0.6):
+    mons = poly.monomials_of_degree(nvars, degree)
+    while True:
+        terms = {
+            m: rng.randrange(field.order) for m in mons if rng.random() < density
+        }
+        f = poly.Form(field, nvars, degree, terms)
+        if not f.is_zero():
+            return f
+
+
+class TestEliminationSweep:
+    """In P^2 the sweep visits only the roots of one resultant (and the
+    prefix (0, 1)); it must find exactly the points of the full sweep,
+    as must the P^1 sweep."""
+
+    @staticmethod
+    def seeded_schemes(F, rng):
+        # P^1, swept in full
+        yield SchemeSpec(F, 2, [random_form(F, 2, d, rng) for d in (2, 3)])
+        # random pairs and triples
+        for _ in range(2):
+            degrees = [rng.randrange(1, 4) for _ in range(rng.randrange(2, 4))]
+            yield SchemeSpec(F, 3, [random_form(F, 3, d, rng) for d in degrees])
+        # generators sharing a factor in x2, so R = 0 for their pair: the
+        # full sweep for two of them, the next pair for a third
+        h = poly.Form(F, 3, 1, {**random_form(F, 3, 1, rng).terms, (0, 0, 1): 1})
+        gens = [h * random_form(F, 3, 1, rng), h * random_form(F, 3, 1, rng)]
+        yield SchemeSpec(F, 3, gens)
+        yield SchemeSpec(F, 3, gens + [random_form(F, 3, 3, rng)])
+        # generators without the last variable
+        x0 = poly.parse_form(F, "x0", 3)
+        yield SchemeSpec(F, 3, [x0, random_form(F, 3, 2, rng)])
+        binary = random_form(F, 2, 2, rng)
+        without_x2 = poly.Form(F, 3, 2, {e + (0,): c for e, c in binary.terms.items()})
+        yield SchemeSpec(F, 3, [without_x2, random_form(F, 3, 2, rng)])
+        # many generators: over the smallest fields only the node count
+        # stops the elimination
+        gens = [random_form(F, 3, 1, rng), random_form(F, 3, 2, rng)]
+        gens += [random_form(F, 3, 3, rng) for _ in range(9)]
+        yield SchemeSpec(F, 3, gens)
+        # a planted point on x0 = 0
+        P = pg.ProjectivePoint(F, (0, 1, rng.randrange(F.order)))
+        gens = [random_form_through(F, 3, d, P, rng) for d in (1, 2, 2)]
+        yield SchemeSpec(F, 3, gens)
+
+    def test_matches_the_prefix_sweep(self):
+        paths = set()
+        on_x0_zero = 0
+        for p, m in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2)):
+            F = gf.field_create(p, m)
+            rng = random.Random(f"elimination/{F.order}")
+            for k in range(1, 5):
+                E = gf.extension_field(F, k)
+                for S in self.seeded_schemes(F, rng):
+                    got = sorted(certify._points_over(S, E))
+                    assert got == prefix_sweep(S, E), (S, E)
+                    if S.ambient == 2:
+                        paths.add(sweep_path(S, E))
+                    on_x0_zero += sum(1 for pt in got if pt[0] == 0)
+        assert paths == {
+            "elimination",
+            "small field",
+            "small field, cost",
+            "common factor",
+            "cost",
+        }
+        assert on_x0_zero > 0
+
+    def test_common_factor_passes_to_the_next_pair(self):
+        E = gf.extension_field(F5, 4)
+        shared = scheme(F5, ["x0*x1 + x1*x2", "x0^2 + x0*x2"], 3)
+        assert certify._resultant_prefixes(shared.gens, E) is None
+        cubic = poly.parse_form(F5, "x0^3 + 2*x1^3 - x2^3", 3)
+        S = SchemeSpec(F5, 3, [*shared.gens, cubic])
+        assert certify._resultant_prefixes(S.gens, E) is not None
+        got = sorted(certify._points_over(S, E))
+        assert got == prefix_sweep(S, E) and got
+
+    def test_refusal_is_charged_on_the_whole_prefix_pool(self):
+        S = scheme(F5, ["x0 + x2", "x1^2 - x2^2"], 3)
+        E = gf.extension_field(F5, 3)
+        prefixes = certify._resultant_prefixes(S.nonzero_gens(), E)
+        assert prefixes is not None and len(prefixes) <= 3
+        with config.caps_scope(config.Caps(max_enum=pg.count_points(1, E))):
+            with pytest.raises(config.CapExceededError):
+                certify._points_over(S, E)
+            with pytest.raises(config.CapExceededError):
+                scheme_points_upto(S, 3)
+        with config.caps_scope(config.Caps(max_enum=pg.count_points(1, E) + 1)):
+            assert len(certify._points_over(S, E)) == 2
+
+    def test_high_degree_pair_takes_the_full_sweep(self, monkeypatch):
+        F = gf.field_create(5, 4)
+        rng = random.Random("cost fallback")
+        S = SchemeSpec(F5, 3, [random_form(F5, 3, 5, rng) for _ in range(2)])
+        assert sweep_path(S, F) == "cost" and F.order > 25
+
+        def no_interpolation(*args):
+            raise AssertionError("the cost fallback must not interpolate")
+
+        monkeypatch.setattr(certify.linalg, "u_lagrange_basis", no_interpolation)
+        assert sorted(certify._points_over(S, F)) == prefix_sweep(S, F)
 
 
 class TestMacaulay:

@@ -268,6 +268,13 @@ class TestExitCodes:
         bad = write_input(tmp_path, "p=5 m=1 n=2\nx0^2 + x1\n")
         assert cli.main(["find-line", "--input", bad]) == EXIT_USAGE
 
+    def test_degree_over_cap_exits_one_with_message(self, tmp_path, capsys):
+        big = write_input(
+            tmp_path, "p=13 m=1 n=2\nx0^5001 + x1^5001 + x2^5001\n"
+        )
+        assert cli.main(["find-line", "--input", big]) == EXIT_USAGE
+        assert "form degree 5001 exceeds cap 5000" in capsys.readouterr().err
+
     def test_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(X, seed=None):
             raise config.TheoremViolationError("forced for the exit-code test")

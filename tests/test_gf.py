@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -250,6 +251,52 @@ def test_zech_arithmetic_matches_digits(p, m):
         da, db = digits[a], digits[b]
         assert F.add(a, b) == sum(w * ((x + y) % p) for w, x, y in zip(weights, da, db))
         assert F.sub(a, b) == sum(w * ((x - y) % p) for w, x, y in zip(weights, da, db))
+
+
+def _tables_by_mul_general(F):
+    """exp, log and zech as q - 1 products by the generator, each through
+    the table-free multiplication; zech[n] = log(1 + g^n), -1 for zero."""
+    q, p = F.order, F.p
+    g = F._find_generator()
+    exp, log = [0] * (2 * (q - 1)), [0] * q
+    acc = 1
+    for i in range(q - 1):
+        exp[i] = exp[i + q - 1] = acc
+        log[acc] = i
+        acc = F._mul_general(acc, g)
+    if p == 2:
+        return exp, log, None
+    zech = []
+    for n in range(q - 1):
+        digits = list(F.decode(exp[n]))
+        digits[0] = (digits[0] + 1) % p
+        c1 = F.encode(digits)
+        zech.append(log[c1] if c1 else -1)
+    return exp, log, zech + zech
+
+
+def _extension_fields_up_to(qmax):
+    for p in range(2, math.isqrt(qmax) + 1):
+        if gf.is_prime(p):
+            m = 2
+            while p**m <= qmax:
+                yield p, m
+                m += 1
+
+
+@pytest.mark.parametrize(
+    "p, m", list(_extension_fields_up_to(4096)) + [(5, 6)]
+)
+def test_tables_match_products_by_the_generator(p, m):
+    F = gf.field_create(p, m)
+    assert F._ensure_tables()
+    exp, log, zech = _tables_by_mul_general(F)
+    assert F._exp == exp
+    assert F._log == log
+    assert F._zech == zech
+    assert F._digits == [
+        tuple(c // p**i % p for i in range(m)) for c in range(F.order)
+    ]
 
 
 @settings(max_examples=200, deadline=None)

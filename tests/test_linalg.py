@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -130,3 +131,29 @@ def test_lagrange_basis_interpolates(p, m):
             for y, row in zip(ys, basis):
                 f = F.add_scaled(f, y, row)
             assert [linalg.u_eval(F, f, x) for x in range(n)] == ys
+
+
+def _leibniz_det(F, rows):
+    """Sum over permutations of signed products of entries."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = 1
+        for i, j in enumerate(perm):
+            term = F.mul(term, rows[i][j])
+        total = F.sub(total, term) if inversions % 2 else F.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (5, 1), (2, 3), (3, 2), (5, 6)])
+def test_det_matches_leibniz_expansion(p, m):
+    F = gf.field_create(p, m)
+    rng = random.Random(f"det/{F.order}")
+    assert linalg.det(F, []) == 1
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        rows = [_random_row(F, n, rng) for _ in range(n)]
+        if rng.random() < 0.2:
+            rows[-1] = list(rows[0])  # singular
+        assert linalg.det(F, rows) == _leibniz_det(F, rows)

@@ -1,6 +1,6 @@
 import pytest
 
-from transverse import gf, locus, poly, projgeom as pg
+from transverse import config, gf, locus, poly, projgeom as pg
 from transverse.locus import Hypersurface, SchemeSpec
 
 
@@ -135,3 +135,17 @@ class TestTangencyAlongHyperplanes:
         H = pg.subspace_from_rows(F25, [(1, 0, 0), (0, 1, 0)])
         with pytest.raises(ValueError, match="base field"):
             locus.tangency_locus(X, H)
+
+
+class TestDegreeCap:
+    def test_hypersurface_and_scheme_refuse_degree_over_cap(self):
+        cap = config.current_caps().max_form_degree
+        big = poly.Form(F5, 3, cap + 1, {(cap + 1, 0, 0): 1})
+        line = poly.parse_form(F5, "x1", 3)
+        with pytest.raises(config.CapExceededError, match="form degree"):
+            Hypersurface(big)
+        with pytest.raises(config.CapExceededError, match="form degree"):
+            SchemeSpec(F5, 3, [line, big])
+        with config.caps_scope(config.Caps(max_form_degree=cap + 1)):
+            assert Hypersurface(big).degree == cap + 1
+            assert SchemeSpec(F5, 3, [line, big]).gens[1] == big

@@ -307,6 +307,15 @@ class TestForm:
         with pytest.raises(config.CapExceededError):
             poly.form_pow(f, config.current_caps().max_form_degree + 1)
 
+    def test_parse_refuses_degree_over_cap(self):
+        cap = config.current_caps().max_form_degree
+        assert poly.parse_form(F5, f"x0^{cap} + x1^{cap}").degree == cap
+        with pytest.raises(config.CapExceededError, match="form degree"):
+            poly.parse_form(F5, f"x0^{cap + 1} + x1^{cap + 1}")
+        with config.caps_scope(config.Caps(max_form_degree=3)):
+            with pytest.raises(config.CapExceededError):
+                poly.parse_form(F5, "x0^2*x1^2")
+
     def test_binary_squarefree(self):
         g = poly.parse_form(F5, "x0*x1")
         assert poly.binary_squarefree(g)
