@@ -16,17 +16,15 @@ irreducibility of its factors and verified on everything that is checkable
 squarefree).
 
 Reports follow one JSON schema: experiment, params {n, d, q, r, t},
-observed, bound, bound_formula, citation, verdict, runtime_ms, seed.  The
-CSV writer mirrors the same fields flat.  runtime_ms is wall-clock and is
-the only field not reproducible bit-for-bit from (fixture, seed).
+observed, bound, bound_formula, citation, verdict, runtime_ms, seed.
+runtime_ms is wall-clock and is the only field not reproducible
+bit-for-bit from (fixture, seed).
 """
 
 from __future__ import annotations
 
 import ast
-import csv
 import itertools
-import json
 import operator
 import random
 import time
@@ -197,25 +195,6 @@ def _finish(experiment, params, observed, bound_key, seed, started, extras, subs
     )
 
 
-def csv_row(d: dict) -> dict:
-    params = d.get("params", {})
-    return {
-        "experiment": d.get("experiment", ""),
-        "n": params.get("n"),
-        "d": params.get("d"),
-        "q": params.get("q"),
-        "r": params.get("r"),
-        "t": params.get("t"),
-        "observed": d.get("observed"),
-        "bound": d.get("bound"),
-        "bound_formula": d.get("bound_formula"),
-        "citation": d.get("citation"),
-        "verdict": d.get("verdict"),
-        "runtime_ms": d.get("runtime_ms"),
-        "seed": d.get("seed"),
-    }
-
-
 def flatten_reports(reports):
     """Reports and their subreports as schema dicts, in stable order."""
     out = []
@@ -225,30 +204,6 @@ def flatten_reports(reports):
         else:
             out.append(dict(r))
     return out
-
-
-def write_reports_json(reports, path) -> None:
-    data = flatten_reports(reports)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-
-
-CSV_FIELDS = [
-    "experiment", "n", "d", "q", "r", "t",
-    "observed", "bound", "bound_formula", "citation",
-    "verdict", "runtime_ms", "seed",
-]
-
-
-def write_reports_csv(reports, path) -> None:
-    data = flatten_reports(reports)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=CSV_FIELDS, extrasaction="ignore")
-        w.writeheader()
-        for d in data:
-            row = csv_row(d)
-            w.writerow({k: ("" if row[k] is None else row[k]) for k in CSV_FIELDS})
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +412,16 @@ def count_bad_hyperplanes(
     )
 
 
+# largest residue degree of the tangency witnesses hunted by the superspace
+# census
+_WITNESS_KMAX = 2
+
+
 def count_bad_superspaces(
     X: locus.Hypersurface,
     H_prev: projgeom.LinearSubspace,
     r: int,
     seed: int | None = None,
-    witness_kmax: int = 2,
 ) -> AuditReport:
     """Census of the r-planes through H_prev that fail very transversality.
 
@@ -473,7 +432,7 @@ def count_bad_superspaces(
     get their own subreports.
 
     As a behavioral cross-check, tangency witnesses are hunted: points P
-    of the tangency locus of H_prev at residue degree <= witness_kmax on a
+    of the tangency locus of H_prev at residue degree <= _WITNESS_KMAX on a
     rational r-plane E through H_prev.  Then E = H_prev + P lies in the
     tangent hyperplane at P, so E is tangent: the hunt sweeps the locus on
     each tangent candidate alone, in its own coordinates, and finds nothing
@@ -506,7 +465,7 @@ def count_bad_superspaces(
         if verdict == "no":
             dual_contained += 1
 
-    own_points = _tangency_witnesses(X, H_prev, tangent, witness_kmax)
+    own_points = _tangency_witnesses(X, H_prev, tangent, _WITNESS_KMAX)
     witnessed = None
     if any(own_points):
         witnessed = 0
@@ -526,7 +485,6 @@ def count_bad_superspaces(
         "dual_contained": dual_contained,
         "witness_points": sum(map(len, own_points)),
         "witnessed_tangents": witnessed,
-        "witness_kmax": witness_kmax,
     }
     subs = [
         _finish(

@@ -168,9 +168,7 @@ def _resultant_prefixes(gens, E: gf.Field):
             sylvester += [[0] * i + f2 + [0] * (d1 - 1 - i) for i in range(d1)]
             values.append(linalg.det(E, sylvester))
         if any(values):
-            R = [0] * (D + 1)
-            for y, row in zip(values, linalg.u_lagrange_basis(E, D + 1)):
-                R = E.add_scaled(R, y, row)
+            R = linalg.u_interpolate(E, values)
             return [(1, a) for a in linalg.u_distinct_roots(E, R)] + [(0, 1)]
     return None
 
@@ -549,9 +547,9 @@ def _line_certificate(G: poly.Form, rows, rng: random.Random) -> bool:
         row = [gf.embed_code(G.field, E, c) for c in row]
         a = E.add_scaled(a, rng.randrange(E.order), row)
         b = E.add_scaled(b, rng.randrange(E.order), row)
-    f = [0] * (d + 1)
-    for c, row in enumerate(linalg.u_lagrange_basis(E, d + 1)):
-        f = E.add_scaled(f, poly.form_eval_codes(G, E.add_scaled(a, c, b), E), row)
+    f = linalg.u_interpolate(
+        E, [poly.form_eval_codes(G, E.add_scaled(a, c, b), E) for c in range(d + 1)]
+    )
     return f[-1] != 0 and linalg.u_squarefree(E, f)
 
 

@@ -28,7 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 
-from . import audit, config, gf, locus, poly, projgeom, search
+from . import audit, config, gf, locus, poly, search
 
 # fixed, not entropy: a rerun with no --seed must reproduce bit for bit
 DEFAULT_SEED = 1729
@@ -194,25 +194,34 @@ def _emit(cfg: RunConfig, payload: dict, reports=None) -> None:
         sys.stdout.write(text)
 
 
+# the report schema flat: one column per params key
+_PARAM_FIELDS = ("n", "d", "q", "r", "t")
+_REPORT_FIELDS = (
+    "experiment", *_PARAM_FIELDS,
+    "observed", "bound", "bound_formula", "citation",
+    "verdict", "runtime_ms", "seed",
+)
+
+
 def _csv_text(rows) -> str:
+    """Counting reports in the flat schema columns; any other rows under
+    their sorted keys.  None is written as an empty cell."""
     import csv
     import io
 
-    buf = io.StringIO()
     if rows and "experiment" in rows[0]:
-        writer = csv.DictWriter(buf, fieldnames=audit.CSV_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            flat = audit.csv_row(row)
-            writer.writerow(
-                {k: ("" if flat[k] is None else flat[k]) for k in audit.CSV_FIELDS}
-            )
+        fields = _REPORT_FIELDS
+        rows = [
+            {k: (r.get("params", {}) if k in _PARAM_FIELDS else r).get(k)
+             for k in fields}
+            for r in rows
+        ]
     else:
         fields = sorted({k for r in rows for k in r})
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fields})
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -238,6 +247,13 @@ def _load(cfg: RunConfig):
     if not cfg.input:
         raise UsageError(f"{cfg.command} requires --input")
     return parse_input(cfg.input)
+
+
+def _option(cfg: RunConfig, key: str, default):
+    """The flag's value, or ``default`` when the flag was not given; an
+    explicit 0 stays 0 so the library can refuse it."""
+    value = cfg.options.get(key)
+    return default if value is None else value
 
 
 def _run_find_line(cfg: RunConfig) -> int:
@@ -297,8 +313,7 @@ def _run_count(cfg: RunConfig) -> int:
         )
         reports = [rep]
     elif what == "hyperplanes":
-        t = cfg.options.get("t") or 0
-        rep = audit.count_bad_hyperplanes(X, t, seed=seed)
+        rep = audit.count_bad_hyperplanes(X, _option(cfg, "t", 0), seed=seed)
         reports = [rep]
     elif what == "superspaces":
         r = cfg.options.get("r")
@@ -377,35 +392,32 @@ def _run_audit(cfg: RunConfig) -> int:
     what = cfg.options["what"]
     seed = cfg.seed
     if what == "space-filling":
-        n = cfg.options.get("n") or 2
-        q = cfg.options.get("q") or 2
-        dmax = cfg.options.get("d") or 2
-        reports = [audit.audit_space_filling(n, q, dmax)]
+        reports = [audit.audit_space_filling(
+            _option(cfg, "n", 2), _option(cfg, "q", 2), _option(cfg, "d", 2)
+        )]
     elif what == "inequalities":
-        nmax = cfg.options.get("nmax") or 6
-        dmax = cfg.options.get("dmax") or 5
-        reports = [_inequality_report(nmax, dmax)]
+        reports = [_inequality_report(
+            _option(cfg, "nmax", 6), _option(cfg, "dmax", 5)
+        )]
     elif what == "separation":
         reports = [
             audit.separation_search(
-                cfg.options.get("samples") or 5,
-                cfg.options.get("n") or 3,
-                cfg.options.get("d") or 3,
-                cfg.options.get("q") or 2,
-                r=cfg.options.get("r") or 1,
+                _option(cfg, "samples", 5),
+                _option(cfg, "n", 3),
+                _option(cfg, "d", 3),
+                _option(cfg, "q", 2),
+                r=_option(cfg, "r", 1),
                 seed=seed,
             )
         ]
     elif what == "all":
         reports = battery(seed)
         reports.append(
-            _inequality_report(
-                cfg.options.get("nmax") or 6, cfg.options.get("dmax") or 5
-            )
+            _inequality_report(_option(cfg, "nmax", 6), _option(cfg, "dmax", 5))
         )
         reports.append(
             audit.separation_search(
-                cfg.options.get("samples") or 3, 3, 3, 2, r=1, seed=seed
+                _option(cfg, "samples", 3), 3, 3, 2, r=1, seed=seed
             )
         )
     else:  # pragma: no cover - argparse restricts the choices

@@ -18,8 +18,8 @@ class Caps:
 
     max_field_bits: a field of order Q may be built only if Q <= 2**max_field_bits.
     max_enum: largest number of projective points a single scan may visit.
-    max_form_degree: largest total degree of a parsed form, a hypersurface,
-        a scheme generator or a polynomial power.
+    max_form_degree: largest total degree of a parsed form, a hypersurface
+        or a scheme generator.
     """
 
     max_field_bits: int = 40

@@ -6,9 +6,9 @@ a quotient.  Elements are integer codes: the base-p digit string of the
 coefficient vector, little endian, so code(sum c_i t^i) = sum c_i p^i.
 Constants therefore keep the same code in every field of characteristic p.
 
-When no modulus is supplied the canonical one is the first monic
-irreducible of its degree in the code order above, so two runs always
-agree on the representation.  Prime fields compute with ``%``.  Extension
+The modulus is the canonical one, the first monic irreducible of its
+degree in the code order above, so two runs always agree on the
+representation.  Prime fields compute with ``%``.  Extension
 fields of order up to 2^16 build tables lazily and cache them on the field
 object: exp/log tables for multiplication and, in odd characteristic, a
 Zech-logarithm table zech[n] = log(1 + g^n) for addition, so that
@@ -108,7 +108,7 @@ class Field:
         self.m = m
         self.modulus = tuple(int(c) % p for c in modulus)
         self.order = p**m
-        self.key = (p, m, self.modulus)
+        self.key = (p, m)  # every field is built on its canonical modulus
         self._half = (self.order - 1) // 2  # log of -1 in odd characteristic
         self._digits = None
         self._exp = None
@@ -396,37 +396,18 @@ _FIELDS: dict = {}
 _REG_LOCK = threading.RLock()
 
 
-def field_create(p: int, m: int = 1, modulus=None) -> Field:
-    """The field F_{p^m}, with the canonical modulus unless one is given."""
+def field_create(p: int, m: int = 1) -> Field:
+    """The field F_{p^m}, with its canonical modulus."""
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not isinstance(m, int) or m < 1:
         raise ValueError("extension degree must be a positive integer")
     config.current_caps().check_field(p, m)
-    if modulus is None:
-        key = (p, m, None)
-        with _REG_LOCK:
-            if key in _FIELDS:
-                return _FIELDS[key]
-        mod = _canonical_modulus(p, m)
-    else:
-        mod = tuple(int(c) % p for c in modulus)
-        if len(mod) != m + 1:
-            raise ValueError(f"modulus must have degree {m}")
-        if mod[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if not _is_irreducible_mod_p(p, list(mod)):
-            raise ValueError(f"modulus {mod} is reducible over GF({p})")
-        key = None
+    key = (p, m)
     with _REG_LOCK:
-        fkey = (p, m, mod)
-        if fkey not in _FIELDS:
-            _FIELDS[fkey] = Field(p, m, mod)
-            if key is not None:
-                _FIELDS[key] = _FIELDS[fkey]
-        elif key is not None and key not in _FIELDS:
-            _FIELDS[key] = _FIELDS[fkey]
-        return _FIELDS[fkey]
+        if key not in _FIELDS:
+            _FIELDS[key] = Field(p, m, _canonical_modulus(p, m))
+        return _FIELDS[key]
 
 
 def extension_field(base: Field, k: int) -> Field:

@@ -139,19 +139,34 @@ def u_squarefree(F, a):
 
 
 @functools.lru_cache(maxsize=16)
-def u_lagrange_basis(F, n):
-    """The Lagrange basis at the nodes with codes 0..n-1 (n <= |F|), each
-    of degree n-1: the polynomial of degree < n taking the values ys there
-    is sum_j ys[j] * basis[j].  Cached, since callers reuse a few (F, n)."""
-    out = []
-    for j in range(n):
-        num, den = [1], 1
-        for i in range(n):
-            if i != j:
-                num = u_mul(F, num, [F.neg(i), 1])
-                den = F.mul(den, F.sub(j, i))
-        out.append(u_scale(F, num, F.inv(den)))
-    return tuple(out)
+def _interpolation_nodes(F, n):
+    """M(t) = prod (t - i) over the node codes i < n, and the barycentric
+    weights w_j = 1 / M'(j) = 1 / prod_{i != j} (j - i): O(n) state."""
+    M = [1]
+    for i in range(n):
+        M = u_mul(F, M, [F.neg(i), 1])
+    dM = u_deriv(F, M)
+    return tuple(M), tuple(F.inv(u_eval(F, dM, j)) for j in range(n))
+
+
+def u_interpolate(F, ys):
+    """The polynomial of degree < n = len(ys) (n <= |F|) taking the value
+    ys[j] at the node with code j, as its n coefficients, untrimmed.
+
+    Barycentric form: the sum of ys[j] w_j M(t) / (t - j), each quotient
+    one synthetic division of M.  Only M and the weights are cached per
+    (F, n), since callers reuse a few."""
+    n = len(ys)
+    M, weights = _interpolation_nodes(F, n)
+    add, mul = F.add, F.mul
+    out = [0] * n
+    for j, (y, w) in enumerate(zip(ys, weights)):
+        if y:
+            quo = [1] * n  # M is monic, so the top coefficient stays 1
+            for k in range(n - 1, 0, -1):
+                quo[k - 1] = add(M[k], mul(j, quo[k]))
+            out = F.add_scaled(out, mul(y, w), quo)
+    return out
 
 
 def u_powmod(F, base, e, mod):

@@ -241,52 +241,9 @@ def substitute_rows(F: Form, rows) -> Form:
 
 
 def restrict_to_subspace(F: Form, H) -> Form:
-    """Restriction of F to a linear subspace, as a form in dim+1 parameters.
-
-    H may be a LinearSubspace (its reduced basis is used as is) or a raw
-    matrix of spanning rows, which is first brought to reduced row echelon
-    form so the answer does not depend on the presentation.
-    """
-    if hasattr(H, "basis"):
-        rows = H.basis
-    else:
-        rows, _ = linalg.rref(F.field, H)
-    if not rows:
-        raise ValueError("empty subspace")
-    return substitute_rows(F, rows)
-
-
-def form_pow(F: Form, e: int) -> Form:
-    """F^e, using the Frobenius shortcut when e is a power of the characteristic."""
-    if e < 1:
-        raise ValueError("exponent must be >= 1")
-    config.current_caps().check_form_degree(F.degree * e)
-    p = F.field.p
-    x = e
-    while x > 1 and x % p == 0:
-        x //= p
-    if x == 1 and e > 1:
-        # (sum c m)^(p^s) = sum c^(p^s) m^(p^s)
-        fld = F.field
-        return Form(
-            fld,
-            F.nvars,
-            F.degree * e,
-            {
-                tuple(ei * e for ei in exps): fld.pow(c, e)
-                for exps, c in F.terms.items()
-            },
-        )
-    result = Form(F.field, F.nvars, 0, {tuple([0] * F.nvars): 1})
-    base = F
-    n = e
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+    """Restriction of F to the LinearSubspace H, as a form in dim+1
+    parameters over H's reduced basis."""
+    return substitute_rows(F, H.basis)
 
 
 def binary_squarefree(F: Form) -> bool:

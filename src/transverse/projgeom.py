@@ -261,11 +261,6 @@ def subspace_points(H: LinearSubspace, ext: gf.Field | None = None):
         yield subspace_point(H, u, field)
 
 
-def subspace_point_codes(H: LinearSubspace, ext: gf.Field | None = None):
-    """Normalized coordinate tuples of the points of H over an extension."""
-    return (P.coords for P in subspace_points(H, ext))
-
-
 # ---------------------------------------------------------------------------
 # text forms: rows separated by ';', entries by ','
 

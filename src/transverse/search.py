@@ -140,52 +140,11 @@ class SearchOutcome:
 def _serialize_found(found):
     if found is None:
         return None
-    if isinstance(found, projgeom.ProjectivePoint):
-        return projgeom.format_point(found)
     if isinstance(found, projgeom.LinearSubspace):
         return projgeom.format_subspace(found)
     if isinstance(found, Flag):
         return found.to_dict()
     raise TypeError(f"cannot serialize {type(found).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# points off a hypersurface
-
-
-def find_point_off(X: locus.Hypersurface) -> SearchOutcome:
-    """First rational point (deterministic order) not on X.
-
-    Exhaustion means X is space-filling, which forces deg X >= q + 1; a
-    space-filling hypersurface of smaller degree would be a counterexample
-    to the degree bound and raises TheoremViolationError.
-    """
-    F = X.field
-    n = X.ambient
-    gate = gate_status("point-off-hypersurface", n * X.degree, F.order)
-    tested = 0
-    for codes in projgeom.enumerate_point_codes(n, F):
-        tested += 1
-        if poly.form_eval_codes(X.form, codes, F) != 0:
-            return SearchOutcome(
-                "point",
-                projgeom.ProjectivePoint(F, codes),
-                tested,
-                {"on_hypersurface": tested - 1},
-                gate,
-            )
-    if X.degree <= F.order:
-        raise config.TheoremViolationError(
-            f"space-filling hypersurface of degree {X.degree} <= q = {F.order}"
-        )
-    return SearchOutcome(
-        "point",
-        None,
-        tested,
-        {"on_hypersurface": tested},
-        gate,
-        note="space-filling: every rational point lies on X",
-    )
 
 
 # ---------------------------------------------------------------------------

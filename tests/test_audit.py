@@ -3,7 +3,7 @@ import json
 import pytest
 
 from transverse import audit, certify, config, gf, linalg, locus, poly, projgeom as pg
-from transverse import search
+from transverse import cli, search
 from transverse.audit import (
     BOUNDS,
     AuditReport,
@@ -493,12 +493,10 @@ class TestReportsAndWriters:
         }
         assert set(d["params"]) == {"n", "d", "q", "r", "t"}
 
-    def test_json_writer_flattens_subreports(self, tmp_path):
+    def test_json_writer_flattens_subreports(self):
         C = CurveFixture.from_strings(F5, ["x0*x2 + 4*x1^2"])
         rep = count_nontransverse_lines(C, seed=0)
-        out = tmp_path / "r.json"
-        audit.write_reports_json([rep], out)
-        data = json.loads(out.read_text())
+        data = audit.flatten_reports([rep])
         assert [d["experiment"] for d in data] == [
             "nontransverse-lines",
             "nontransverse-lines-irreducible",
@@ -515,14 +513,23 @@ class TestReportsAndWriters:
         assert runs[0] == runs[1]
 
     def test_csv_writer_mirrors_fields(self, tmp_path):
-        rep = audit_space_filling(1, 2, 2)
-        sep = separation_search(1, 2, 2, 2, r=1, seed=0)
+        # counting reports and plain-dict reports go through the CLI writer
+        runs = [
+            (["space-filling", "--n", "1", "--q", "2", "--d", "2"],
+             "space-filling,1,2,2,,"),
+            (["separation", "--samples", "1", "--n", "2", "--d", "2", "--q", "2"],
+             "separation-search,2,2,2,1,,"),
+        ]
         out = tmp_path / "r.csv"
-        audit.write_reports_csv([rep, sep], out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("experiment,n,d,q,r,t,observed")
-        assert len(lines) == 3
-        assert lines[1].startswith("space-filling,1,2,2,,")
+        for argv, row in runs:
+            assert cli.main(["audit", *argv, "--format", "csv", "--out", str(out)]) == 0
+            lines = out.read_text().strip().splitlines()
+            assert lines[0] == (
+                "experiment,n,d,q,r,t,observed,bound,bound_formula,citation,"
+                "verdict,runtime_ms,seed"
+            )
+            assert len(lines) == 2
+            assert lines[1].startswith(row)
 
     def test_plain_dicts_pass_through(self):
         sep = separation_search(1, 2, 2, 2, r=1, seed=0)

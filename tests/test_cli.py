@@ -268,6 +268,18 @@ class TestExitCodes:
         bad = write_input(tmp_path, "p=5 m=1 n=2\nx0^2 + x1\n")
         assert cli.main(["find-line", "--input", bad]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["space-filling", "--n", "0", "--q", "2", "--d", "2"],
+        ["space-filling", "--n", "2", "--q", "2", "--d", "0"],
+        ["space-filling", "--n", "2", "--q", "0", "--d", "2"],
+        ["separation", "--samples", "0", "--n", "3", "--d", "3", "--q", "2"],
+    ], ids=["n0", "d0", "q0", "samples0"])
+    def test_explicit_zero_is_not_the_default(self, argv, capsys):
+        # the library refuses each zero; the CLI must pass it on, not
+        # swap in the flag's default
+        assert cli.main(["audit", *argv]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_degree_over_cap_exits_one_with_message(self, tmp_path, capsys):
         big = write_input(
             tmp_path, "p=13 m=1 n=2\nx0^5001 + x1^5001 + x2^5001\n"
@@ -350,17 +362,37 @@ CORPUS_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(CORPUS_SHA256))
-def test_corpus_stdout_is_pinned(command):
-    # refactors must leave the report bytes on the benchmark fixture alone;
-    # the audits run on built-in fixtures and take no input
+# the same bytes for the CSV writer, recorded before it moved into the CLI
+CSV_SHA256 = {
+    "count hyperplanes":
+        "78e691d6cfd9c9cceca878af15dd4d8ce8ca84b0cb8a791e979be4f163075e3b",
+    "find-flag --r 2":
+        "26f4ffd2c39caac762abf74198f7b1b73d52d4c32c88dc9a30a8f5acbf8552a5",
+    "audit all":
+        "d08f26320ab3edbf551e40d0f731ba590292421fccae5c96255abfaa608fd7ab",
+}
+
+
+def corpus_stdout_sha256(argv):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    argv = command.split()
     if argv[0] != "audit":
-        argv += ["--input", FIXTURE]
+        argv = [*argv, "--input", FIXTURE]
     proc = subprocess.run(
         [sys.executable, "-m", "transverse.cli", *argv],
         cwd=REPO, env=env, capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == CORPUS_SHA256[command]
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(CORPUS_SHA256))
+def test_corpus_stdout_is_pinned(command):
+    # refactors must leave the report bytes on the benchmark fixture alone;
+    # the audits run on built-in fixtures and take no input
+    assert corpus_stdout_sha256(command.split()) == CORPUS_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(CSV_SHA256))
+def test_corpus_csv_stdout_is_pinned(command):
+    argv = [*command.split(), "--format", "csv"]
+    assert corpus_stdout_sha256(argv) == CSV_SHA256[command]

@@ -119,18 +119,43 @@ def test_polynomial_product_and_division(p, m):
 
 
 @pytest.mark.parametrize("p, m", [(2, 6), (2, 7), (13, 1), (13, 2), (3, 4)])
-def test_lagrange_basis_interpolates(p, m):
+def test_interpolate_hits_the_values(p, m):
     F = gf.field_create(p, m)
     rng = random.Random(F.order)
     for n in (1, 2, 4, 5, min(F.order, 65)):
-        basis = linalg.u_lagrange_basis(F, n)
-        assert all(len(row) == n for row in basis)
         for _ in range(5):
             ys = _random_row(F, n, rng)
-            f = [0] * n
-            for y, row in zip(ys, basis):
-                f = F.add_scaled(f, y, row)
+            f = linalg.u_interpolate(F, ys)
+            assert len(f) == n
             assert [linalg.u_eval(F, f, x) for x in range(n)] == ys
+
+
+def _lagrange_basis(F, n):
+    """The cached-basis interpolation that u_interpolate replaced: each
+    basis polynomial multiplied out in full, O(n^3) per (F, n)."""
+    out = []
+    for j in range(n):
+        num, den = [1], 1
+        for i in range(n):
+            if i != j:
+                num = linalg.u_mul(F, num, [F.neg(i), 1])
+                den = F.mul(den, F.sub(j, i))
+        out.append(linalg.u_scale(F, num, F.inv(den)))
+    return out
+
+
+def test_interpolate_matches_the_lagrange_basis():
+    # every n from 1 to 71, spread over a prime field and three extensions
+    # (the reference is cubic in n, so each n runs in one field)
+    fields = [gf.field_create(p, m) for p, m in [(73, 1), (2, 7), (3, 4), (13, 2)]]
+    rng = random.Random("barycentric")
+    for n in range(1, 72):
+        F = fields[n % len(fields)]
+        ys = _random_row(F, n, rng)
+        want = [0] * n
+        for y, row in zip(ys, _lagrange_basis(F, n)):
+            want = F.add_scaled(want, y, row)
+        assert linalg.u_interpolate(F, ys) == want, (F.order, n)
 
 
 def _leibniz_det(F, rows):

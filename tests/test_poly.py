@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transverse import config, gf, linalg, poly
+from transverse import config, gf, linalg, poly, projgeom as pg
 from transverse.poly import Form
 
 
@@ -16,6 +16,11 @@ F169 = gf.field_create(13, 2)
 
 F4 = gf.field_create(2, 2)
 F25 = gf.field_create(5, 2)
+
+
+def span5(*rows):
+    """The subspace of P^n(F_5) spanned by the rows."""
+    return pg.subspace_from_rows(F5, rows)
 
 
 class TestUnivariate:
@@ -202,10 +207,10 @@ class TestForm:
 
     def test_restrict_conic_to_lines(self):
         f = poly.parse_form(F5, "x0*x2 - x1^2")
-        g = poly.restrict_to_subspace(f, [(1, 0, 0), (0, 1, 0)])
+        g = poly.restrict_to_subspace(f, span5((1, 0, 0), (0, 1, 0)))
         assert g.nvars == 2 and g.degree == 2
         assert g.terms == {(0, 2): 4}
-        h = poly.restrict_to_subspace(f, [(1, 0, 0), (0, 0, 1)])
+        h = poly.restrict_to_subspace(f, span5((1, 0, 0), (0, 0, 1)))
         assert h.terms == {(1, 1): 1}
 
     def test_restrict_eval_compatibility(self):
@@ -226,7 +231,7 @@ class TestForm:
             basis = [r for r in red if any(r)]
             if len(basis) < 2:
                 continue
-            g = poly.restrict_to_subspace(f, rows)
+            g = poly.restrict_to_subspace(f, span5(*rows))
             u = [rng.randrange(5) for _ in range(2)]
             pt = [0, 0, 0, 0]
             for i in range(2):
@@ -275,37 +280,14 @@ class TestForm:
 
     def test_restrict_whole_space_is_identity(self):
         f = poly.parse_form(F5, "x0^2 + 2*x1*x2")
-        g = poly.restrict_to_subspace(f, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        g = poly.restrict_to_subspace(f, span5((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert g == f
 
     def test_restrict_zero_iff_contained(self):
         # x0*x1 vanishes on the line {x0=0} spanned by e1, e2
         f = poly.parse_form(F5, "x0*x1", nvars=3)
-        g = poly.restrict_to_subspace(f, [(0, 1, 0), (0, 0, 1)])
+        g = poly.restrict_to_subspace(f, span5((0, 1, 0), (0, 0, 1)))
         assert g.is_zero() and g.degree == 2
-
-    def test_pow_freshman_dream(self):
-        F2 = gf.field_create(2)
-        f = poly.parse_form(F2, "x0 + x1")
-        assert poly.form_pow(f, 2) == poly.parse_form(F2, "x0^2 + x1^2")
-
-    def test_pow_identity(self):
-        f = poly.parse_form(F5, "x0^2 + 2*x1^2")
-        assert poly.form_pow(f, 1) == f
-
-    def test_pow_p_matches_repeated_multiplication(self):
-        f = poly.parse_form(F5, "x0 + 2*x1")
-        fast = poly.form_pow(f, 5)
-        slow = f
-        for _ in range(4):
-            slow = slow * f
-        assert fast == slow
-        assert fast.terms == {(5, 0): 1, (0, 5): 2}
-
-    def test_pow_cap(self):
-        f = poly.parse_form(F5, "x0 + x1")
-        with pytest.raises(config.CapExceededError):
-            poly.form_pow(f, config.current_caps().max_form_degree + 1)
 
     def test_parse_refuses_degree_over_cap(self):
         cap = config.current_caps().max_form_degree

@@ -100,7 +100,7 @@ class TestSubspaces:
 
     def test_contains_over_extension_matches_enumeration(self):
         H = pg.subspace_from_rows(F3, [(1, 0, 1), (0, 1, 2)])
-        on_h = set(pg.subspace_point_codes(H, F9))
+        on_h = {P.coords for P in pg.subspace_points(H, F9)}
         for P in pg.enumerate_points(2, F9):
             assert pg.subspace_contains(H, P) == (P.coords in on_h)
 

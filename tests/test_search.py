@@ -8,7 +8,6 @@ from transverse.locus import Hypersurface
 from transverse.search import (
     Flag,
     check_inequality_lemmas,
-    find_point_off,
     find_reduced_hyperplane,
     find_reduced_plane_section_chain,
     find_transverse_line_reduced,
@@ -16,7 +15,6 @@ from transverse.search import (
     required_q,
 )
 
-F2 = gf.field_create(2)
 F3 = gf.field_create(3)
 F5 = gf.field_create(5)
 F7 = gf.field_create(7)
@@ -29,14 +27,18 @@ def surf(field, text, nvars=None):
 
 
 class TestFirstHitCaps:
-    def test_point_off_returns_at_first_point_under_a_small_cap(self):
-        # P^3(F_5) has 156 points, more than the cap, but the scan stops
-        # at the first one
+    def test_flag_level_zero_returns_at_first_point_under_a_small_cap(self):
+        # P^3(F_5) has 156 points, more than the cap, but the level-0 scan
+        # stops at the first one; the point it visits is charged
         X = surf(F5, "x0^3 + x1^3 + x2^3 + x3^3")
         with config.caps_scope(config.Caps(max_enum=50)):
-            out = find_point_off(X)
-        assert out.found == pg.ProjectivePoint(F5, (1, 0, 0, 0))
+            out = find_very_transverse_flag(X, 0, seed=0)
+        first = pg.ProjectivePoint(F5, (1, 0, 0, 0))
+        assert out.found.levels[0] == pg.point_subspace(first)
         assert out.tested == 1
+        with config.caps_scope(config.Caps(max_enum=0)):
+            with pytest.raises(config.CapExceededError, match="point enumeration"):
+                find_very_transverse_flag(X, 0, seed=0)
 
 
 class TestRequiredQ:
@@ -67,41 +69,6 @@ class TestRequiredQ:
             required_q(3, 0, 1)
         with pytest.raises(ValueError):
             required_q(2, 3, mode="reduced-hyperplane")
-
-
-class TestPointOff:
-    def test_first_point_off_a_hyperplane(self):
-        out = find_point_off(surf(F2, "x0", nvars=3))
-        assert out.found == pg.ProjectivePoint(F2, (1, 0, 0))
-        assert out.tested == 1
-
-    def test_space_filling_exhausts_without_violation(self):
-        # vanishes at every rational point since a^q = a, degree q+1
-        X = surf(F2, "x0^2*x1 + x0*x1^2", nvars=3)
-        out = find_point_off(X)
-        assert out.found is None
-        assert "space-filling" in out.note
-        assert out.tested == pg.count_points(2, F2)
-
-    def test_smooth_cubic_has_points_off(self):
-        X = surf(F5, "x0^3 + x1^3 + x2^3 + x3^3")
-        out = find_point_off(X)
-        assert out.found is not None
-        assert out.tested <= pg.count_points(3, F5)
-        assert poly.form_eval_codes(X.form, out.found.coords, F5) != 0
-
-    def test_gate_reports_lemma_threshold(self):
-        out = find_point_off(surf(F7, "x0^3 + x1^3 + x2^3"))
-        assert out.gate["threshold"] == 2 * 3
-        assert out.gate["satisfied"]
-
-    def test_gate_unsatisfied_below_threshold(self):
-        # q = 5 < 2*3: no guarantee claimed, but the cubic is not
-        # space-filling so a point still turns up
-        out = find_point_off(surf(F5, "x0^3 + x1^3 + x2^3"))
-        assert out.gate["threshold"] == 6
-        assert not out.gate["satisfied"]
-        assert out.succeeded()
 
 
 class TestReducedHyperplane:
@@ -336,7 +303,6 @@ class TestOutcomeSerialization:
         X = surf(F5, "x0*x1", nvars=4)
         Q = surf(F5, "x0*x3 + 4*x1*x2")
         outs = [
-            find_point_off(C),
             find_reduced_hyperplane(X, seed=0),
             find_reduced_plane_section_chain(Q, 2, seed=0),
             find_transverse_line_reduced(C, seed=0),
