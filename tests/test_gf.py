@@ -24,6 +24,27 @@ def test_canonical_moduli():
     assert F16.modulus == (1, 1, 0, 0, 1)
 
 
+def _poly_rem(p, a, b):
+    """Remainder of a by the monic b, coefficient lists low degree first."""
+    a = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1]
+        for j, bj in enumerate(b):
+            a[i + j] = (a[i + j] - c * bj) % p
+    return a[: len(b) - 1]
+
+
+@pytest.mark.parametrize("F", [F4, F8, F9, F16, F25, F169, F729, F15625], ids=repr)
+def test_modulus_is_monic_irreducible_of_degree_m(F):
+    g = F.modulus
+    assert len(g) == F.m + 1 and g[-1] == 1
+    # no monic factor of degree 1..m/2, by trial division
+    for k in range(1, F.m // 2 + 1):
+        for v in range(F.p**k):
+            low = [(v // F.p**i) % F.p for i in range(k)]
+            assert any(_poly_rem(F.p, g, low + [1])), (g, low)
+
+
 def test_prime_field_modulus_is_t():
     assert gf.field_create(7).modulus == (0, 1)
 

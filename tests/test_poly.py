@@ -289,6 +289,19 @@ class TestForm:
         g = poly.restrict_to_subspace(f, span5((0, 1, 0), (0, 0, 1)))
         assert g.is_zero() and g.degree == 2
 
+    def test_square_is_the_freshman_dream_in_characteristic_2(self):
+        F2 = gf.field_create(2)
+        f = poly.parse_form(F2, "x0 + x1")
+        assert f * f == poly.parse_form(F2, "x0^2 + x1^2")
+
+    def test_pth_power_by_multiplication_is_frobenius(self):
+        f = poly.parse_form(F5, "x0 + 2*x1")
+        g = f
+        for _ in range(4):
+            g = g * f
+        assert g.degree == 5
+        assert g.terms == {(5, 0): 1, (0, 5): 2}
+
     def test_parse_refuses_degree_over_cap(self):
         cap = config.current_caps().max_form_degree
         assert poly.parse_form(F5, f"x0^{cap} + x1^{cap}").degree == cap

@@ -210,6 +210,35 @@ class TestVeryTransverseFlag:
         codes = next(iter(pg.subspace_points(P))).coords
         assert poly.form_eval_codes(X.form, codes, F13) != 0
 
+    def test_level_zero_gate_is_the_point_threshold(self):
+        out = find_very_transverse_flag(surf(F7, "x0^3 + x1^3 + x2^3"), 0, seed=0)
+        assert out.gate["threshold"] == 2 * 3
+        assert out.gate["satisfied"]
+        assert out.succeeded()
+
+    def test_level_zero_below_gate_still_finds_a_point(self):
+        # q = 5 < 2*3: no guarantee claimed, but the cubic does not contain
+        # every rational point, so a point off it still turns up
+        out = find_very_transverse_flag(surf(F5, "x0^3 + x1^3 + x2^3"), 0, seed=0)
+        assert out.gate["threshold"] == 6
+        assert not out.gate["satisfied"]
+        assert out.succeeded()
+
+    def test_level_zero_exhausts_a_plane_filling_curve(self):
+        # a smooth quartic through all 7 points of P^2(F_2): below the gate
+        # (2 < 2*4) the scan runs out of points without a violation
+        F2 = gf.field_create(2)
+        X = surf(F2, "x0^3*x2 + x0^2*x1^2 + x0*x1^3 + x0*x2^3 + x1^2*x2^2 + x1*x2^3")
+        assert all(
+            poly.form_eval_codes(X.form, P.coords, F2) == 0
+            for P in pg.enumerate_points(2, F2)
+        )
+        out = find_very_transverse_flag(X, 0, seed=0)
+        assert out.found is None
+        assert out.note == "level 0 exhausted"
+        assert out.tested == pg.count_points(2, F2)
+        assert not out.gate["satisfied"]
+
     def test_nesting_and_certificates(self):
         Q = surf(F5, "x0*x3 + 4*x1*x2")
         flag = find_very_transverse_flag(Q, 2, seed=3).found
