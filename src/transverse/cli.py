@@ -7,6 +7,8 @@ n=<int>`` and then one homogeneous polynomial in the grammar of
 results are emitted as a single JSON document, or as the flat CSV mirror
 for counting reports.
 
+Every command is one parser leaf that declares exactly the flags its
+handler reads, so a flag the command would ignore is a usage error.
 Written reports are reproducible byte for byte from the input and the
 seed: wall-clock fields inside reports are zeroed before writing, and the
 one-line timing summary goes to stderr instead.  The run's caps are the
@@ -26,7 +28,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 
 from . import audit, config, gf, locus, poly, search
 
@@ -50,25 +51,6 @@ class InputFileError(ValueError):
         self.path = path
         self.line = line
         self.column = column
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, normalized from the parsed flags."""
-
-    command: str
-    input: str | None = None
-    out: str | None = None
-    format: str = "json"
-    seed: int = DEFAULT_SEED
-    caps: config.Caps = dc_field(default_factory=config.Caps)
-    options: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.format not in ("json", "csv"):
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.caps.max_field_bits <= 0 or self.caps.max_enum <= 0:
-            raise UsageError("caps must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +152,13 @@ def _strip_runtimes(obj):
     return obj
 
 
-def _emit(cfg: RunConfig, payload: dict, reports=None) -> None:
+def _emit(args, payload: dict, reports=None) -> None:
     """Write the run's report to --out or stdout in the requested format.
 
     CSV is the flat mirror and only carries the counting reports; commands
     without them fall back to a one-row summary.
     """
-    if cfg.format == "csv":
+    if args.format == "csv":
         rows = audit.flatten_reports(reports) if reports else [payload]
         rows = [_strip_runtimes(r if isinstance(r, dict) else r.to_dict())
                 for r in rows]
@@ -187,8 +169,8 @@ def _emit(cfg: RunConfig, payload: dict, reports=None) -> None:
             body["reports"] = audit.flatten_reports(reports)
         text = json.dumps(_strip_runtimes(body), indent=2, sort_keys=True)
         text += "\n"
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -225,128 +207,102 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _flatten_summary(cfg: RunConfig, outcome) -> dict:
-    d = outcome.to_dict()
-    return {
-        "command": cfg.command,
-        "kind": d["kind"],
-        "found": json.dumps(d["found"], sort_keys=True)
-        if isinstance(d["found"], dict)
-        else d["found"],
-        "tested": d["tested"],
-        "gate_satisfied": d["gate"].get("satisfied"),
-        "seed": d["seed"],
-    }
-
-
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# command handlers: each reads its leaf's flags from the parsed namespace
+# and returns (exit status, one-line summary for stderr)
 
 
-def _load(cfg: RunConfig):
-    if not cfg.input:
-        raise UsageError(f"{cfg.command} requires --input")
-    return parse_input(cfg.input)
+def _run_find_line(args):
+    field, X = parse_input(args.input)
+    outcome = search.find_transverse_line_reduced(X, seed=args.seed)
+    return _finish_search(args, field, X, outcome)
 
 
-def _option(cfg: RunConfig, key: str, default):
-    """The flag's value, or ``default`` when the flag was not given; an
-    explicit 0 stays 0 so the library can refuse it."""
-    value = cfg.options.get(key)
-    return default if value is None else value
+def _run_find_flag(args):
+    field, X = parse_input(args.input)
+    outcome = search.find_very_transverse_flag(X, args.r, seed=args.seed)
+    return _finish_search(args, field, X, outcome)
 
 
-def _run_find_line(cfg: RunConfig) -> int:
-    field, X = _load(cfg)
-    outcome = search.find_transverse_line_reduced(X, seed=cfg.seed)
-    return _finish_search(cfg, field, X, outcome)
-
-
-def _run_find_flag(cfg: RunConfig) -> int:
-    field, X = _load(cfg)
-    r = cfg.options.get("r")
-    if r is None:
-        raise UsageError("find-flag requires --r")
-    outcome = search.find_very_transverse_flag(X, r, seed=cfg.seed)
-    return _finish_search(cfg, field, X, outcome)
-
-
-def _run_find_reduced(cfg: RunConfig) -> int:
-    field, X = _load(cfg)
-    r = cfg.options.get("r")
-    if r is None:
-        raise UsageError("find-reduced requires --r")
-    if r == X.ambient - 1:
-        outcome = search.find_reduced_hyperplane(X, seed=cfg.seed)
+def _run_find_reduced(args):
+    field, X = parse_input(args.input)
+    if args.r == X.ambient - 1:
+        outcome = search.find_reduced_hyperplane(X, seed=args.seed)
     else:
-        outcome = search.find_reduced_plane_section_chain(X, r, seed=cfg.seed)
-    return _finish_search(cfg, field, X, outcome)
+        outcome = search.find_reduced_plane_section_chain(X, args.r, seed=args.seed)
+    return _finish_search(args, field, X, outcome)
 
 
-def _finish_search(cfg: RunConfig, field, X, outcome) -> int:
-    payload = {
-        "command": cfg.command,
-        "input": cfg.input,
-        "field": {"p": field.p, "m": field.m, "order": field.order},
-        "ambient": X.ambient,
-        "degree": X.degree,
-        "outcome": outcome.to_dict(),
-    }
-    if cfg.format == "csv":
-        _emit(cfg, _flatten_summary(cfg, outcome))
+def _finish_search(args, field, X, outcome):
+    d = outcome.to_dict()
+    if args.format == "csv":
+        payload = {
+            "command": args.command,
+            "kind": d["kind"],
+            "found": json.dumps(d["found"], sort_keys=True)
+            if isinstance(d["found"], dict)
+            else d["found"],
+            "tested": d["tested"],
+            "gate_satisfied": d["gate"].get("satisfied"),
+            "seed": d["seed"],
+        }
     else:
-        _emit(cfg, payload)
-    _log(cfg, "found" if outcome.succeeded() else "exhausted")
-    return EXIT_OK
+        payload = {
+            "command": args.command,
+            "input": args.input,
+            "field": {"p": field.p, "m": field.m, "order": field.order},
+            "ambient": X.ambient,
+            "degree": X.degree,
+            "outcome": d,
+        }
+    _emit(args, payload)
+    return EXIT_OK, "found" if outcome.succeeded() else "exhausted"
 
 
-def _run_count(cfg: RunConfig) -> int:
-    field, X = _load(cfg)
-    what = cfg.options["what"]
-    seed = cfg.seed
-    if what == "lines":
-        if X.ambient != 2:
-            raise UsageError("count lines needs a plane curve (n = 2)")
-        fixture = audit.CurveFixture([X.form])
-        rep = audit.count_nontransverse_lines(
-            fixture, seed=seed, claim_irreducible=False
-        )
-        reports = [rep]
-    elif what == "hyperplanes":
-        rep = audit.count_bad_hyperplanes(X, _option(cfg, "t", 0), seed=seed)
-        reports = [rep]
-    elif what == "superspaces":
-        r = cfg.options.get("r")
-        if r is None:
-            raise UsageError("count superspaces requires --r")
-        flag = search.find_very_transverse_flag(X, r - 1, seed=seed)
-        if not flag.succeeded():
-            _emit(cfg, {
-                "command": cfg.command,
-                "input": cfg.input,
-                "note": "no very transverse base flag found; nothing to count",
-                "outcome": flag.to_dict(),
-            })
-            _log(cfg, "no base flag")
-            return EXIT_OK
-        rep = audit.count_bad_superspaces(X, flag.found.top, r, seed=seed)
-        reports = [rep]
-    else:  # pragma: no cover - argparse restricts the choices
-        raise UsageError(f"unknown count target {what!r}")
-    return _finish_reports(cfg, reports)
+def _run_count_lines(args):
+    _, X = parse_input(args.input)
+    if X.ambient != 2:
+        raise UsageError("count lines needs a plane curve (n = 2)")
+    fixture = audit.CurveFixture([X.form])
+    return _finish_reports(args, [audit.count_nontransverse_lines(
+        fixture, seed=args.seed, claim_irreducible=False
+    )])
 
 
-def _finish_reports(cfg: RunConfig, reports) -> int:
+def _run_count_hyperplanes(args):
+    _, X = parse_input(args.input)
+    return _finish_reports(
+        args, [audit.count_bad_hyperplanes(X, args.t, seed=args.seed)]
+    )
+
+
+def _run_count_superspaces(args):
+    _, X = parse_input(args.input)
+    flag = search.find_very_transverse_flag(X, args.r - 1, seed=args.seed)
+    if not flag.succeeded():
+        _emit(args, {
+            "command": args.command,
+            "input": args.input,
+            "note": "no very transverse base flag found; nothing to count",
+            "outcome": flag.to_dict(),
+        })
+        return EXIT_OK, "no base flag"
+    return _finish_reports(args, [audit.count_bad_superspaces(
+        X, flag.found.top, args.r, seed=args.seed
+    )])
+
+
+def _finish_reports(args, reports):
     flat = audit.flatten_reports(reports)
     failed = [r for r in flat if r.get("verdict") == "fail"]
-    payload = {
-        "command": cfg.command,
-        "input": cfg.input,
+    _emit(args, {
+        "command": args.command,
+        "input": getattr(args, "input", None),
         "all_pass": not failed,
-    }
-    _emit(cfg, payload, reports=reports)
-    _log(cfg, "all bounds hold" if not failed else f"{len(failed)} bound(s) violated")
-    return EXIT_OK if not failed else EXIT_VIOLATION
+    }, reports=reports)
+    if failed:
+        return EXIT_VIOLATION, f"{len(failed)} bound(s) violated"
+    return EXIT_OK, "all bounds hold"
 
 
 def inequality_grid(nmax: int, dmax: int) -> list:
@@ -388,41 +344,29 @@ def _inequality_report(nmax: int, dmax: int) -> dict:
     }
 
 
-def _run_audit(cfg: RunConfig) -> int:
-    what = cfg.options["what"]
-    seed = cfg.seed
-    if what == "space-filling":
-        reports = [audit.audit_space_filling(
-            _option(cfg, "n", 2), _option(cfg, "q", 2), _option(cfg, "d", 2)
-        )]
-    elif what == "inequalities":
-        reports = [_inequality_report(
-            _option(cfg, "nmax", 6), _option(cfg, "dmax", 5)
-        )]
-    elif what == "separation":
-        reports = [
-            audit.separation_search(
-                _option(cfg, "samples", 5),
-                _option(cfg, "n", 3),
-                _option(cfg, "d", 3),
-                _option(cfg, "q", 2),
-                r=_option(cfg, "r", 1),
-                seed=seed,
-            )
-        ]
-    elif what == "all":
-        reports = battery(seed)
-        reports.append(
-            _inequality_report(_option(cfg, "nmax", 6), _option(cfg, "dmax", 5))
-        )
-        reports.append(
-            audit.separation_search(
-                _option(cfg, "samples", 3), 3, 3, 2, r=1, seed=seed
-            )
-        )
-    else:  # pragma: no cover - argparse restricts the choices
-        raise UsageError(f"unknown audit target {what!r}")
-    return _finish_reports(cfg, reports)
+def _run_audit_all(args):
+    reports = battery(args.seed)
+    reports.append(_inequality_report(args.nmax, args.dmax))
+    reports.append(
+        audit.separation_search(args.samples, 3, 3, 2, r=1, seed=args.seed)
+    )
+    return _finish_reports(args, reports)
+
+
+def _run_audit_space_filling(args):
+    return _finish_reports(
+        args, [audit.audit_space_filling(args.n, args.q, args.d)]
+    )
+
+
+def _run_audit_inequalities(args):
+    return _finish_reports(args, [_inequality_report(args.nmax, args.dmax)])
+
+
+def _run_audit_separation(args):
+    return _finish_reports(args, [audit.separation_search(
+        args.samples, args.n, args.d, args.q, r=args.r, seed=args.seed
+    )])
 
 
 def battery(seed: int):
@@ -458,131 +402,130 @@ def battery(seed: int):
     return reports
 
 
-_DISPATCH = {
-    "find-line": _run_find_line,
-    "find-flag": _run_find_flag,
-    "find-reduced": _run_find_reduced,
-    "count": _run_count,
-    "audit": _run_audit,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one configured invocation; returns the process exit status."""
-    started = time.perf_counter()
-    cfg.options["_started"] = started
-    with config.caps_scope(cfg.caps):
-        try:
-            return _DISPATCH[cfg.command](cfg)
-        except config.TheoremViolationError as exc:
-            _emit(cfg, {
-                "command": cfg.command,
-                "input": cfg.input,
-                "violation": str(exc),
-            })
-            _log(cfg, f"THEOREM VIOLATION: {exc}")
-            return EXIT_VIOLATION
-
-
-def _log(cfg: RunConfig, message: str) -> None:
-    started = cfg.options.get("_started")
-    elapsed = f" [{(time.perf_counter() - started) * 1000:.0f} ms]" if started else ""
-    print(f"{cfg.command}: {message}{elapsed}", file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting, and matches no flag by prefix
+    (so ``audit all --n 9`` is refused, not read as ``--nmax 9``).
+    Subparsers are built from the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--input", help="hypersurface file (header + polynomial)")
-    sub.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--max-field-bits", type=int, default=None,
-                     help="largest allowed field order, as a bit length")
-    sub.add_argument("--max-enum", type=int, default=None,
-                     help="largest allowed enumeration size")
+def _positive(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("caps must be positive")
+    return value
+
+
+def _leaf(subs, name, run, about, reads_input=False):
+    """One command bound to its handler, with the run-level flags."""
+    sp = subs.add_parser(name, help=about)
+    sp.set_defaults(run=run)
+    if reads_input:
+        sp.add_argument("--input", required=True,
+                        help="hypersurface file (header + polynomial)")
+    sp.add_argument("--out", help="write the report here instead of stdout")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--max-field-bits", type=_positive,
+                    default=config.Caps.max_field_bits,
+                    help="largest allowed field order, as a bit length")
+    sp.add_argument("--max-enum", type=_positive,
+                    default=config.Caps.max_enum,
+                    help="largest allowed enumeration size")
+    return sp
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="transverse", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("find-line", help="transverse line to a reduced curve")
-    _add_common(sp)
-
-    sp = subs.add_parser("find-flag", help="very transverse flag of subspaces")
-    _add_common(sp)
+    _leaf(commands, "find-line", _run_find_line,
+          "transverse line to a reduced curve", reads_input=True)
+    sp = _leaf(commands, "find-flag", _run_find_flag,
+               "very transverse flag of subspaces", reads_input=True)
     sp.add_argument("--r", type=int, required=True, help="top flag dimension")
-
-    sp = subs.add_parser("find-reduced", help="r-plane with a reduced section")
-    _add_common(sp)
+    sp = _leaf(commands, "find-reduced", _run_find_reduced,
+               "r-plane with a reduced section", reads_input=True)
     sp.add_argument("--r", type=int, required=True, help="plane dimension")
 
-    sp = subs.add_parser("count", help="exact census against a bound")
-    sp.add_argument("what", choices=("lines", "hyperplanes", "superspaces"))
-    _add_common(sp)
-    sp.add_argument("--r", type=int, help="superspace dimension")
+    counts = commands.add_parser(
+        "count", help="exact census against a bound"
+    ).add_subparsers(dest="what", required=True)
+    _leaf(counts, "lines", _run_count_lines,
+          "non-transverse lines to a plane curve", reads_input=True)
+    sp = _leaf(counts, "hyperplanes", _run_count_hyperplanes,
+               "hyperplanes with a bad section", reads_input=True)
     sp.add_argument("--t", type=int, default=0,
                     help="declared number of hyperplane components")
+    sp = _leaf(counts, "superspaces", _run_count_superspaces,
+               "bad superspaces of a very transverse subspace",
+               reads_input=True)
+    sp.add_argument("--r", type=int, required=True, help="superspace dimension")
 
-    sp = subs.add_parser("audit", help="built-in bound audits")
-    sp.add_argument(
-        "what", choices=("all", "space-filling", "inequalities", "separation")
-    )
-    _add_common(sp)
-    sp.add_argument("--n", type=int, help="ambient projective dimension")
-    sp.add_argument("--q", type=int, help="field order")
-    sp.add_argument("--d", type=int, help="degree limit")
-    sp.add_argument("--r", type=int, help="subspace dimension")
-    sp.add_argument("--samples", type=int, help="randomized sample count")
-    sp.add_argument("--nmax", type=int, help="grid limit for inequalities")
-    sp.add_argument("--dmax", type=int, help="grid limit for inequalities")
+    audits = commands.add_parser(
+        "audit", help="built-in bound audits"
+    ).add_subparsers(dest="what", required=True)
+    sp = _leaf(audits, "all", _run_audit_all, "the fixed fixture battery")
+    sp.add_argument("--nmax", type=int, default=6, help="grid limit for inequalities")
+    sp.add_argument("--dmax", type=int, default=5, help="grid limit for inequalities")
+    sp.add_argument("--samples", type=int, default=3, help="separation sample count")
+    sp = _leaf(audits, "space-filling", _run_audit_space_filling,
+               "space-filling degree floor")
+    sp.add_argument("--n", type=int, default=2, help="ambient projective dimension")
+    sp.add_argument("--q", type=int, default=2, help="field order")
+    sp.add_argument("--d", type=int, default=2, help="degree limit")
+    sp = _leaf(audits, "inequalities", _run_audit_inequalities,
+               "the gate inequalities on the standard grid")
+    sp.add_argument("--nmax", type=int, default=6, help="grid limit for inequalities")
+    sp.add_argument("--dmax", type=int, default=5, help="grid limit for inequalities")
+    sp = _leaf(audits, "separation", _run_audit_separation,
+               "randomized very-transverse separation search")
+    sp.add_argument("--samples", type=int, default=5, help="randomized sample count")
+    sp.add_argument("--n", type=int, default=3, help="ambient projective dimension")
+    sp.add_argument("--d", type=int, default=3, help="degree")
+    sp.add_argument("--q", type=int, default=2, help="field order")
+    sp.add_argument("--r", type=int, default=1, help="subspace dimension")
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    caps_kwargs = {}
-    if getattr(args, "max_field_bits", None) is not None:
-        caps_kwargs["max_field_bits"] = args.max_field_bits
-    if getattr(args, "max_enum", None) is not None:
-        caps_kwargs["max_enum"] = args.max_enum
-    options = {
-        key: getattr(args, key)
-        for key in ("what", "r", "t", "n", "q", "d", "samples", "nmax", "dmax")
-        if hasattr(args, key)
-    }
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        out=args.out,
-        format=args.format,
-        seed=args.seed,
-        caps=config.Caps(**caps_kwargs),
-        options=options,
-    )
-
-
 def main(argv=None) -> int:
+    """Run one command; returns the process exit status."""
     try:
         args = build_parser().parse_args(argv)
-        cfg = config_from_args(args)
-        code = run(cfg)
+        started = time.perf_counter()
+        caps = config.Caps(max_field_bits=args.max_field_bits,
+                           max_enum=args.max_enum)
+        with config.caps_scope(caps):
+            try:
+                code, message = args.run(args)
+            except config.TheoremViolationError as exc:
+                _emit(args, {
+                    "command": args.command,
+                    "input": getattr(args, "input", None),
+                    "violation": str(exc),
+                })
+                code, message = EXIT_VIOLATION, f"THEOREM VIOLATION: {exc}"
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InputFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, config.CapExceededError) as exc:
+    except (ValueError, OSError, config.CapExceededError,
+            config.SearchInfeasibleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    elapsed_ms = (time.perf_counter() - started) * 1000
+    print(f"{args.command}: {message} [{elapsed_ms:.0f} ms]", file=sys.stderr)
     return code
 
 

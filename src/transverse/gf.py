@@ -511,6 +511,8 @@ def parse_element(field: Field, text: str) -> int:
     s = text.strip()
     if not s:
         raise ValueError("empty element text")
+    if field.m == 1 and "t" in s:
+        raise ValueError(f"element text {text!r} uses t, which needs an extension (m > 1)")
     pos = 0
     sign = 1
     coeffs: dict[int, int] = {}
@@ -564,7 +566,7 @@ def parse_element(field: Field, text: str) -> int:
     if expect_term:
         raise ValueError(f"dangling sign in element text {text!r}")
     # evaluate sum coef * t^exp inside the field
-    t_code = field.encode([0, 1]) if field.m > 1 else (-field.modulus[0]) % field.p
+    t_code = field.encode([0, 1]) if field.m > 1 else 0  # no t when m == 1
     acc = 0
     for exp, coef in coeffs.items():
         c = coef % field.p

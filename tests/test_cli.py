@@ -7,15 +7,13 @@ import sys
 
 import pytest
 
-from transverse import cli, config, gf, poly
+from transverse import audit, cli, config, gf, poly
 from transverse.cli import (
     DEFAULT_SEED,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
     InputFileError,
-    RunConfig,
-    UsageError,
     parse_input,
 )
 
@@ -97,19 +95,22 @@ class TestParseInput:
             parse_input(write_input(tmp_path, "p=5 m=1 n=2\nx0*x3 - x1^2\n"))
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig("find-line")
-        assert cfg.seed == DEFAULT_SEED
-        assert cfg.format == "json"
+class TestRunLevelFlags:
+    def test_bad_format(self, tmp_path, capsys):
+        code = cli.main([
+            "find-line", "--input", write_input(tmp_path, CONIC),
+            "--format", "xml",
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
-    def test_bad_format(self):
-        with pytest.raises(UsageError):
-            RunConfig("find-line", format="xml")
-
-    def test_caps_must_be_positive(self):
-        with pytest.raises(UsageError):
-            RunConfig("find-line", caps=config.Caps(max_field_bits=0))
+    @pytest.mark.parametrize("flag", ["--max-field-bits", "--max-enum"])
+    def test_caps_must_be_positive(self, tmp_path, capsys, flag):
+        code = cli.main([
+            "find-line", "--input", write_input(tmp_path, CONIC), flag, "0",
+        ])
+        assert code == EXIT_USAGE
+        assert "caps must be positive" in capsys.readouterr().err
 
 
 class TestFindCommands:
@@ -298,20 +299,64 @@ class TestExitCodes:
         assert code == EXIT_VIOLATION
         assert "violation" in capsys.readouterr().out
 
-    def test_failed_bound_exits_two(self, tmp_path):
-        cfg = RunConfig("count", out=str(tmp_path / "r.json"))
-        fake = {
-            "experiment": "forced",
-            "params": {"n": 2, "d": 2, "q": 5, "r": 1, "t": 0},
-            "observed": 99,
-            "bound": 1,
-            "bound_formula": "1",
-            "citation": "forced failing report for the exit-code test",
-            "verdict": "fail",
-            "runtime_ms": 3,
-            "seed": 0,
-        }
-        assert cli._finish_reports(cfg, [fake]) == EXIT_VIOLATION
+    def test_failed_bound_exits_two(self, tmp_path, monkeypatch):
+        fake = audit.AuditReport(
+            experiment="forced",
+            params={"n": 2, "d": 2, "q": 5, "r": 1, "t": 0},
+            observed=99,
+            bound=1,
+            bound_formula="1",
+            citation="forced failing report for the exit-code test",
+            verdict="fail",
+            runtime_ms=3,
+            seed=0,
+        )
+        monkeypatch.setattr(
+            cli.audit, "audit_space_filling", lambda n, q, d: fake
+        )
+        out = tmp_path / "r.json"
+        code = cli.main(["audit", "space-filling", "--out", str(out)])
+        assert code == EXIT_VIOLATION
+        assert json.loads(out.read_text())["all_pass"] is False
+
+    def test_infeasible_search_exits_one_with_message(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def over_budget(X, r, seed=None):
+            raise config.SearchInfeasibleError("forced for the exit-code test")
+
+        monkeypatch.setattr(cli.search, "find_very_transverse_flag", over_budget)
+        code = cli.main([
+            "count", "superspaces", "--input", write_input(tmp_path, CUBIC),
+            "--r", "1",
+        ])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: forced for the exit-code test" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "inequalities", "--samples", "7"],
+        ["audit", "inequalities", "--q", "4"],
+        ["audit", "space-filling", "--samples", "9"],
+        ["audit", "all", "--input", "x"],
+        ["audit", "all", "--n", "9"],
+        ["count", "hyperplanes", "--input", CUBIC, "--r", "7"],
+        ["count", "lines", "--input", CONIC, "--t", "3"],
+        ["count", "superspaces", "--input", CUBIC],
+    ], ids=[
+        "inequalities-samples", "inequalities-q", "space-filling-samples",
+        "all-input", "all-n", "hyperplanes-r", "lines-t", "superspaces-no-r",
+    ])
+    def test_unread_or_missing_flag_is_usage_error(self, argv, tmp_path, capsys):
+        # every leaf takes exactly the flags its command reads; a flag it
+        # would ignore is refused, not dropped
+        argv = [
+            write_input(tmp_path, a) if a in (CONIC, CUBIC) else a
+            for a in argv
+        ]
+        assert cli.main(argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_field_cap_reaches_certification(self, tmp_path, capsys):
         # F_13 is within 2^5, but the Las-Vegas slices need F_169

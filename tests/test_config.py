@@ -28,12 +28,11 @@ class TestCapsScope:
         assert current_caps() is before
 
     def test_no_layer_takes_caps(self):
-        # the current caps are the only channel: caps_scope sets them,
-        # RunConfig carries the CLI's, and find_very_transverse_flag keeps
+        # the current caps are the only channel: caps_scope sets them
+        # (the CLI's run included), and find_very_transverse_flag keeps
         # caps= as shorthand for a scope around its search
         allowed = {
             "transverse.config.caps_scope",
-            "transverse.cli.RunConfig.__init__",
             "transverse.search.find_very_transverse_flag",
         }
         found = set()

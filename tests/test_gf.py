@@ -160,6 +160,13 @@ def test_parse_rejects_garbage():
             gf.parse_element(F9, bad)
 
 
+def test_parse_refuses_t_over_a_prime_field():
+    # t has no meaning in F_p; reading it as 0 would drop terms silently
+    for bad in ("t", "t+1", "2*t^2"):
+        with pytest.raises(ValueError, match="extension"):
+            gf.parse_element(gf.field_create(13), bad)
+
+
 def test_code_ops():
     a = F9.encode([0, 1])  # t
     assert F9.add(a, 1) == F9.encode([1, 1])

@@ -353,6 +353,11 @@ class TestGrammar:
         with pytest.raises(ValueError, match="parenthesize"):
             poly.parse_form(F9, "t*x0")
 
+    def test_parse_refuses_t_coefficient_over_a_prime_field(self):
+        # read as 0, (t)*x0^2 + x1^2 would parse as the double line x1^2
+        with pytest.raises(ValueError, match="extension"):
+            poly.parse_form(gf.field_create(13), "(t)*x0^2 + x1^2")
+
     def test_parse_rejects_out_of_range_var(self):
         with pytest.raises(ValueError, match="out of range"):
             poly.parse_form(F5, "x3^2", nvars=3)
