@@ -8,7 +8,13 @@ degrees) - r exactly when the scheme is empty.  Spanning at N implies
 spanning at N+1, so every yes/no question (smoothness, the Las-Vegas
 slices, the exact scan) takes one build, at N*; only is_empty_projective,
 which reports its N, climbs from the top generator degree to the smallest
-N that spans.
+N that spans.  At N >= N*, Macaulay's square submatrix is eliminated
+first (Macaulay 1902; Cox, Little and O'Shea, Using Algebraic Geometry,
+ch. 3): each degree-N monomial gets one row, a multiple of one of the
+nvars generators of largest degree.  Its rows are a subset of the full
+matrix's, so full rank proves spanning; a singular square matrix (a
+nonempty scheme, or a vanishing extraneous factor) falls through to the
+full matrix, which alone decides a negative answer.
 
 Dimension upper bounds come in two strengths.  dim_upper_bound slices by
 random hyperplanes over an extension with at least 64 elements: if t+1
@@ -33,7 +39,8 @@ puts G in the ideal of its partials, so the Jacobian scheme is generated
 by the nonzero partials alone (G is kept when p | d), and N* =
 nvars*(d-2)+1 for the partials.  A Macaulay matrix of more than
 _MAX_MACAULAY_ENTRIES entries raises CapExceededError before any row is
-built.
+built; the size checked is the full matrix's, even when the square
+submatrix alone would fit.
 
 Very-transversality is decided in two steps, classify and settle, so a
 scan can defer the exact part until a Las-Vegas pass has found no hit.
@@ -245,7 +252,11 @@ def _row_index(nvars: int, N: int, deg: int):
 
 
 def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
-    """Whether degree-N multiples of the generators span all degree-N forms."""
+    """Whether degree-N multiples of the generators span all degree-N forms.
+
+    At N >= N*, Macaulay's square submatrix is eliminated first; the full
+    matrix is built only when the square one is singular.
+    """
     ncols = math.comb(N + nvars - 1, nvars - 1)
     nrows = sum(
         math.comb(N - g.degree + nvars - 1, nvars - 1) for g in gens if g.degree <= N
@@ -257,17 +268,47 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
             f"Macaulay matrix {nrows} x {ncols} exceeds cap "
             f"{_MAX_MACAULAY_ENTRIES} entries"
         )
-    rows = []
-    for g in gens:
-        if g.degree > N:
-            continue
-        terms = g.terms.items()
-        for index in _row_index(nvars, N, g.degree):
-            row = [0] * ncols
-            for e, c in terms:
-                row[index[e]] = c
-            rows.append(row)
+    if len(gens) >= nvars and N >= _macaulay_bound(gens, nvars - 1):
+        rows = _square_rows(gens, nvars, N, ncols)
+        if linalg.rank(fld, rows, ncols=ncols, stop_at=ncols) == ncols:
+            return True
+        del rows  # freed before the full build, which reuses the memory
+    rows = [
+        _row(g, index, ncols)
+        for g in gens
+        if g.degree <= N
+        for index in _row_index(nvars, N, g.degree)
+    ]
     return linalg.rank(fld, rows, ncols=ncols, stop_at=ncols) == ncols
+
+
+def _square_rows(gens, nvars: int, N: int, ncols: int):
+    """Macaulay's square submatrix at N >= N*: with top the nvars
+    generators of largest degree d_0, ..., d_(nvars-1), the degree-N
+    monomial x^a gets the one row (x^a / x_i^(d_i)) * top[i], for the first
+    i with a_i >= d_i.  Such an i exists because sum(d_i - 1) < N* <= N.
+
+    The rows are a subset of the full matrix's, so full rank here proves
+    spanning; a singular square matrix (a nonempty scheme, or a vanishing
+    extraneous factor) proves nothing.
+    """
+    top = sorted(gens, key=lambda g: g.degree, reverse=True)[:nvars]
+    degs = [g.degree for g in top]
+    rows = []
+    for i, g in enumerate(top):
+        mults = poly.monomials_of_degree(nvars, N - degs[i])
+        for mult, index in zip(mults, _row_index(nvars, N, degs[i])):
+            if all(b < d for b, d in zip(mult[:i], degs)):
+                rows.append(_row(g, index, ncols))
+    return rows
+
+
+def _row(g, index, ncols: int):
+    """The coefficients of one multiple of g, placed by its column index."""
+    row = [0] * ncols
+    for e, c in g.terms.items():
+        row[index[e]] = c
+    return row
 
 
 def _macaulay_bound(gens, ambient: int) -> int:

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 
 import pytest
@@ -43,20 +45,55 @@ def singular_scheme(X):
     return SchemeSpec(X.field, X.ambient + 1, gens)
 
 
-def ladder_is_empty(S):
-    """The reference emptiness test: some N from the top generator degree
-    to the bound N* (the r+1 largest degrees summed, minus r) spans."""
+@functools.lru_cache(maxsize=None)
+def product_columns(nvars, N, deg):
+    """For each multiplier of degree N - deg, the column of its product
+    with each exponent vector of degree deg."""
+    cols = {m: i for i, m in enumerate(poly.monomials_of_degree(nvars, N))}
+    exps = list(poly.monomials_of_degree(nvars, deg))
+    return [
+        {e: cols[tuple(a + b for a, b in zip(e, mult))] for e in exps}
+        for mult in poly.monomials_of_degree(nvars, N - deg)
+    ]
+
+
+def full_matrix_spans(gens, field, nvars, N):
+    """The reference Macaulay test: every degree-N multiple of every
+    generator in one matrix, built here from the exponent vectors."""
+    ncols = math.comb(N + nvars - 1, nvars - 1)
+    rows = []
+    for g in gens:
+        if g.degree > N:
+            continue
+        for index in product_columns(nvars, N, g.degree):
+            row = [0] * ncols
+            for e, c in g.terms.items():
+                row[index[e]] = c
+            rows.append(row)
+    if len(rows) < ncols:
+        return False
+    return linalg.rank(field, rows, ncols=ncols) == ncols
+
+
+def ladder_degree(S):
+    """The reference emptiness test: the smallest N from the top generator
+    degree to the bound N* (the r+1 largest degrees summed, minus r) whose
+    full matrix spans, or None when none does."""
     gens = S.nonzero_gens()
     if any(g.degree == 0 for g in gens):
-        return True
+        return 0
     if len(gens) <= S.ambient:
-        return False
+        return None
     degs = sorted((g.degree for g in gens), reverse=True)
     n_star = sum(degs[: S.ambient + 1]) - S.ambient
-    return any(
-        certify._macaulay_spans(gens, S.field, S.nvars, N)
-        for N in range(degs[0], n_star + 1)
-    )
+    for N in range(degs[0], n_star + 1):
+        if full_matrix_spans(gens, S.field, S.nvars, N):
+            return N
+    return None
+
+
+def ladder_is_empty(S):
+    return ladder_degree(S) is not None
 
 
 def line_through(field, a, b):
@@ -166,17 +203,6 @@ def sweep_path(S, E):
     if E.order <= D:
         return "small field" if cheap else "small field, cost"
     return "common factor" if cheap else "cost"
-
-
-def random_form(field, nvars, degree, rng, density=0.6):
-    mons = poly.monomials_of_degree(nvars, degree)
-    while True:
-        terms = {
-            m: rng.randrange(field.order) for m in mons if rng.random() < density
-        }
-        f = poly.Form(field, nvars, degree, terms)
-        if not f.is_zero():
-            return f
 
 
 class TestEliminationSweep:
@@ -376,6 +402,78 @@ class TestSingleBuildAgainstLadder:
                         self.check(certify.jacobian_scheme(G))
                         divides.add(degree % p == 0)
         assert divides == {True, False}
+
+
+class TestSquareSubmatrix:
+    """Macaulay's square submatrix is eliminated first at N*; a singular
+    one falls through to the full matrix, so every verdict and every
+    reported degree must equal the full-matrix reference's."""
+
+    # F_1048583 is above linalg._NP_PRIME_LIMIT, so it takes the generic
+    # elimination, like the extension fields F_4, F_9 and F_169
+    FIELDS = [(2, 1), (5, 1), (83, 1), (1048583, 1), (2, 2), (3, 2), (13, 2)]
+
+    @pytest.mark.parametrize("p, m", FIELDS)
+    def test_matches_the_full_matrix_reference(self, p, m):
+        assert (p > linalg._NP_PRIME_LIMIT) == (p == 1048583)
+        field = gf.field_create(p, m)
+        rng = random.Random(f"square/{field.order}")
+        verdicts = set()
+        for nvars in (2, 3, 4):
+            max_deg = 3 if nvars < 4 else 2
+            for extra in (0, 1, 2):  # square and overdetermined systems
+                for planted in (False, True):
+                    point = None
+                    if planted:
+                        coords = [rng.randrange(field.order) for _ in range(nvars)]
+                        coords[rng.randrange(nvars)] = 1
+                        point = pg.ProjectivePoint(field, tuple(coords))
+                    gens = []
+                    for _ in range(nvars + extra):
+                        deg = rng.randrange(1, max_deg + 1)
+                        if point is None:
+                            gens.append(random_form(field, nvars, deg, rng))
+                        else:
+                            gens.append(random_form_through(field, nvars, deg, point, rng))
+                    S = SchemeSpec(field, nvars, gens)
+                    want = ladder_degree(S)
+                    assert macaulay_is_empty(S) == (want is not None), S
+                    if planted:
+                        assert want is None, S
+                    with config.caps_scope(config.Caps(max_enum=2_000)):
+                        cert = is_empty_projective(S)
+                    assert (cert.verdict == "empty") == (want is not None), S
+                    if want is not None:
+                        assert cert.degree_N == want, S
+                    verdicts.add(want is not None)
+        assert verdicts == {True, False}
+
+    def test_singular_square_falls_through_to_the_full_matrix(self):
+        # top = (x0*x1, x0^2): at N* = 3 the square rows x0^2*x1, x0*x1^2,
+        # x0^3, x0^2*x1 miss x1^3, which only the multiples of x1 reach
+        S = scheme(F5, ["x0*x1", "x0^2", "x1"], 2)
+        gens = S.nonzero_gens()
+        assert certify._macaulay_bound(gens, 1) == 3
+        rows = certify._square_rows(gens, 2, 3, 4)
+        assert len(rows) == 4
+        assert linalg.rank(F5, rows, ncols=4) == 3
+        assert full_matrix_spans(gens, F5, 2, 3)
+        assert macaulay_is_empty(S) is True
+        assert certify._macaulay_spans(gens, F5, 2, 3) is True
+        assert is_empty_projective(S).degree_N == ladder_degree(S) == 2
+
+    def test_refusal_is_computed_on_the_full_matrix(self, monkeypatch):
+        # N* = 22 in P^3: the square submatrix is 2,300 x 2,300 (5.3e6
+        # entries, under the cap) but the full matrix has 5,747 rows
+        S = scheme(F5, ["x0^7", "x1^6", "x2^6", "x3^6", "x0 + x1 + x2 + x3"], 4)
+        assert 2300 * 2300 < certify._MAX_MACAULAY_ENTRIES < 5747 * 2300
+
+        def no_rows(*_args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(certify, "_row_index", no_rows)
+        with pytest.raises(config.CapExceededError, match="5747 x 2300"):
+            macaulay_is_empty(S)
 
 
 class TestEmptinessCertificate:

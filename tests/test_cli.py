@@ -17,6 +17,7 @@ from transverse.cli import (
     parse_input,
 )
 
+REPO = pathlib.Path(__file__).resolve().parents[1]
 F5 = gf.field_create(5)
 
 
@@ -381,13 +382,13 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "transverse.cli", "find-line",
              "--input", src],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["outcome"]["found"] is not None
 
 
-REPO = pathlib.Path(__file__).resolve().parents[1]
 FIXTURE = "bench/fixtures/fermat_cubic_f13.txt"
 CORPUS_SHA256 = {
     "find-flag --r 2":
