@@ -59,20 +59,6 @@ class InputFileError(ValueError):
 _HEADER = re.compile(r"p\s*=\s*(\d+)\s+m\s*=\s*(\d+)\s+n\s*=\s*(\d+)\s*$")
 
 
-def _offset_to_position(segments, offset):
-    """Map an offset into the joined polynomial text back to (line, column).
-
-    segments: (line number, text) pairs joined with single spaces."""
-    pos = 0
-    for lineno, text in segments:
-        end = pos + len(text)
-        if offset <= end:
-            return lineno, offset - pos + 1
-        pos = end + 1  # the joining space
-    lineno, text = segments[-1]
-    return lineno, len(text) + 1
-
-
 def parse_input(path):
     """Read a hypersurface file: (field, hypersurface).
 
@@ -106,32 +92,27 @@ def parse_input(path):
         field = gf.field_create(p, ext_deg)
     except (ValueError, config.CapExceededError) as exc:
         raise InputFileError(path, header_line, 1, str(exc)) from exc
-    segments = [(lineno, text.strip()) for lineno, text in numbered[1:]]
-    if not segments:
+    # the polynomial text keeps its line breaks, so an offset into it maps
+    # straight back to a line and a column of the file
+    body = "\n".join(lines[header_line:])
+    if not body.strip():
         raise InputFileError(
             path, header_line, len(header_text) + 1,
             "no polynomial after the header",
         )
-    joined = " ".join(text for _, text in segments)
-    if field.m == 1 and "t" in joined:
-        lineno, col = _offset_to_position(segments, joined.index("t"))
-        raise InputFileError(
-            path, lineno, col,
-            "coefficient outside the field: 't' needs an extension (m > 1)",
-        )
+
+    def position(offset):
+        start = body.rfind("\n", 0, offset) + 1
+        return header_line + 1 + body.count("\n", 0, offset), offset - start + 1
+
     try:
-        form = poly.parse_form(field, joined, nvars=n + 1)
-    except ValueError as exc:
-        msg = str(exc)
-        at = re.search(r"at offset (\d+)", msg)
-        if at:
-            lineno, col = _offset_to_position(segments, int(at.group(1)))
-        else:
-            lineno, col = segments[0][0], 1
-        raise InputFileError(path, lineno, col, msg) from exc
+        form = poly.parse_form(field, body, nvars=n + 1)
+    except poly.ParseError as exc:
+        raise InputFileError(path, *position(exc.offset), exc.reason) from exc
     if form.is_zero():
         raise InputFileError(
-            path, segments[0][0], 1, "polynomial is identically zero",
+            path, *position(len(body) - len(body.lstrip())),
+            "polynomial is identically zero",
         )
     return field, locus.Hypersurface(form)
 

@@ -26,12 +26,14 @@ finding a root of the source modulus in the target, chosen compatibly with
 every embedding already constructed, so that going up a tower in two steps
 agrees with going up in one.  The registry is process wide and lock
 protected; lookups after the first are plain dictionary reads.
+
+This module only prints elements (``format_element``, as polynomials in t);
+the one text grammar, for elements and forms alike, is parsed in ``poly``.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 import threading
 
 import numpy as np
@@ -501,80 +503,7 @@ def embed_code(src: Field, tgt: Field, code: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# element text form: bare integers, or polynomials in t such as 2*t^2+t+1
-
-_ELT_TOKEN = re.compile(r"\s*(\d+|t|\^|\*|\+|-)")
-
-
-def parse_element(field: Field, text: str) -> int:
-    """The code of an element written as an integer or a t-polynomial."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty element text")
-    if field.m == 1 and "t" in s:
-        raise ValueError(f"element text {text!r} uses t, which needs an extension (m > 1)")
-    pos = 0
-    sign = 1
-    coeffs: dict[int, int] = {}
-    tokens = []
-    while pos < len(s):
-        mt = _ELT_TOKEN.match(s, pos)
-        if not mt:
-            raise ValueError(f"bad element text {text!r} at offset {pos}")
-        tokens.append(mt.group(1))
-        pos = mt.end()
-    i = 0
-    expect_term = True
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in "+-":
-            if expect_term and tok == "-":
-                sign = -sign
-                i += 1
-                continue
-            if expect_term:
-                i += 1
-                continue
-            sign = 1 if tok == "+" else -1
-            i += 1
-            expect_term = True
-            continue
-        # parse one term
-        coef = None
-        exp = 0
-        if tok.isdigit():
-            coef = int(tok)
-            i += 1
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-        if i < len(tokens) and tokens[i] == "t":
-            exp = 1
-            i += 1
-            if i < len(tokens) and tokens[i] == "^":
-                i += 1
-                if i >= len(tokens) or not tokens[i].isdigit():
-                    raise ValueError(f"bad exponent in element text {text!r}")
-                exp = int(tokens[i])
-                i += 1
-        if coef is None and exp == 0:
-            raise ValueError(f"bad element text {text!r}")
-        if coef is None:
-            coef = 1
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-        sign = 1
-        expect_term = False
-    if expect_term:
-        raise ValueError(f"dangling sign in element text {text!r}")
-    # evaluate sum coef * t^exp inside the field
-    t_code = field.encode([0, 1]) if field.m > 1 else 0  # no t when m == 1
-    acc = 0
-    for exp, coef in coeffs.items():
-        c = coef % field.p
-        if c == 0:
-            continue
-        term = field.mul(c if field.m == 1 else field.encode([c]), field.pow(t_code, exp))
-        acc = field.add(acc, term)
-    return acc
+# element text: t-polynomials such as 2*t^2+t+1, parsed by poly.parse_element
 
 
 def format_element(field: Field, code: int) -> str:

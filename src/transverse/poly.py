@@ -6,9 +6,14 @@ are immutable and hashable, so they can be shared freely across threads
 and used as cache keys.  Binary forms dehomogenize to univariate code
 lists, on which ``linalg`` does the arithmetic.
 
-The text grammar used by the CLI lives here: terms joined by + and -, a
-term being an optional coefficient (integer, or a t-polynomial in
-parentheses) times a monomial written as x0^3*x1*x2^2.
+The one text grammar of the package lives here, for element text
+(``parse_element``) and form text (``parse_form``) alike: one tokenizer of
+(token, offset) pairs and one recursive sum-of-products parser.  A term is
+a product of factors, joined by * or written side by side: integers,
+powers of t inside coefficients, powers of x<i> in forms, and
+parenthesized coefficients, such as 2*x0^3 - (t+1) x1*x2^2.  Text outside
+the grammar raises ParseError, which carries the offset of the offending
+character.
 """
 
 from __future__ import annotations
@@ -275,141 +280,145 @@ def binary_dehomogenize(F: Form):
 
 # ---------------------------------------------------------------------------
 # text grammar
+#
+#   sum    := sign* term (sign+ term)*          sign is + or -
+#   term   := factor ("*"? factor)*
+#   factor := integer | t ["^" integer] | x<i> ["^" integer] | "(" sum ")"
+#
+# Element text is a coefficient: t may appear, x<i> and parentheses may not.
+# In form text x<i> appears outside parentheses and t only inside them.
 
-_TOKEN = re.compile(r"\s*(\(|\)|\+|-|\*|\^|x\d+|\d+|t)")
+_TOKEN = re.compile(r"(x\d+|\d+|[-t()+*^])|\S")
+_FACTOR_START = re.compile(r"[\dtx(]")
+
+
+class ParseError(ValueError):
+    """Text outside the grammar; offset indexes the offending character."""
+
+    def __init__(self, reason: str, offset: int):
+        super().__init__(f"{reason} at offset {offset}")
+        self.reason = reason
+        self.offset = offset
 
 
 def _tokenize(text: str):
+    """(token, offset) pairs, closed by ("", len(text))."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"bad form text at offset {pos}: {text!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.group(1) is None:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.group(), m.start()))
+    tokens.append(("", len(text)))
     return tokens
 
 
-def parse_form(field: gf.Field, text: str, nvars: int | None = None) -> Form:
-    """Parse the CLI polynomial grammar into a Form.
+def _unexpected(tok: str, at: int) -> ParseError:
+    return ParseError(f"unexpected {tok!r}" if tok else "unexpected end of text", at)
 
-    Terms are joined by + and -; a term is an optional coefficient
-    (integer, or a parenthesized t-polynomial) times a product of x<i>^<e>
-    factors.  Homogeneity is enforced; nvars is inferred from the largest
-    variable index when not given.  A degree above the cap raises
-    CapExceededError.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty form text")
-    terms = []  # (coeff code, {var: exp})
-    i = 0
-    sign = 1
-    expect_term = True
-    cur_coeff = None
-    cur_exps: dict[int, int] = {}
-    cur_has_body = False
 
-    def flush():
-        nonlocal cur_coeff, cur_exps, cur_has_body, sign
-        if not cur_has_body:
-            raise ValueError(f"empty term in form text {text!r}")
-        code = 1 if cur_coeff is None else cur_coeff
-        if sign < 0:
-            code = field.neg(code)
-        terms.append((code, dict(cur_exps)))
-        cur_coeff = None
-        cur_exps = {}
-        cur_has_body = False
-        sign = 1
+class _Parser:
+    def __init__(self, field: gf.Field, text: str, nvars: int | None = None):
+        self.field = field
+        self.nvars = nvars
+        self.tokens = _tokenize(text)
+        self.i = 0
 
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in "+-":
-            if expect_term:
-                if tok == "-":
-                    sign = -sign
-                i += 1
-                continue
-            flush()
-            sign = 1 if tok == "+" else -1
-            i += 1
-            expect_term = True
-            continue
-        if tok == "(":
-            # parenthesized t-polynomial coefficient
-            depth = 1
-            j = i + 1
-            while j < len(tokens) and depth:
-                if tokens[j] == "(":
-                    depth += 1
-                elif tokens[j] == ")":
-                    depth -= 1
-                j += 1
-            if depth:
-                raise ValueError(f"unbalanced parentheses in form text {text!r}")
-            inner = "".join(tokens[i + 1 : j - 1])
-            c = gf.parse_element(field, inner)
-            cur_coeff = c if cur_coeff is None else field.mul(cur_coeff, c)
-            cur_has_body = True
-            expect_term = False
-            i = j
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-            continue
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
+
+    def sum(self, inner: bool, closer: str):
+        """Terms (code, {var: exp}, offset) up to and past the closer token
+        ("" for the end of the text); inner means inside a coefficient."""
+        terms = []
+        while True:
+            neg = False
+            while self.peek() in ("+", "-"):
+                neg ^= self.peek() == "-"
+                self.i += 1
+            at = self.tokens[self.i][1]
+            code, exps = 1, {}
+            while True:
+                code = self.factor(inner, code, exps)
+                if self.peek() == "*":
+                    self.i += 1
+                elif not _FACTOR_START.match(self.peek()):
+                    break
+            terms.append((self.field.neg(code) if neg else code, exps, at))
+            if self.peek() not in ("+", "-"):
+                if self.peek() != closer:
+                    raise _unexpected(*self.tokens[self.i])
+                self.i += 1
+                return terms
+
+    def factor(self, inner: bool, code: int, exps: dict) -> int:
+        """code times the next factor; a variable's power goes into exps."""
+        F = self.field
+        tok, at = self.tokens[self.i]
+        self.i += 1
         if tok.isdigit():
-            c = int(tok) % field.p
-            code = c if field.m == 1 else field.encode([c])
-            cur_coeff = code if cur_coeff is None else field.mul(cur_coeff, code)
-            cur_has_body = True
-            expect_term = False
-            i += 1
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-            continue
+            return F.mul(code, int(tok) % F.p)
         if tok == "t":
-            raise ValueError(
-                f"bare t in form text {text!r}; parenthesize t-polynomial coefficients"
-            )
+            if F.m == 1:
+                raise ParseError(
+                    "coefficient outside the field: 't' needs an extension (m > 1)", at
+                )
+            if not inner:
+                raise ParseError("bare t; parenthesize t-polynomial coefficients", at)
+            return F.mul(code, F.pow(F.encode([0, 1]), self.exponent()))
         if tok.startswith("x"):
+            if inner:
+                raise ParseError(f"variable {tok} inside a coefficient", at)
             var = int(tok[1:])
-            e = 1
-            i += 1
-            if i < len(tokens) and tokens[i] == "^":
-                i += 1
-                if i >= len(tokens) or not tokens[i].isdigit():
-                    raise ValueError(f"bad exponent in form text {text!r}")
-                e = int(tokens[i])
-                i += 1
-            cur_exps[var] = cur_exps.get(var, 0) + e
-            cur_has_body = True
-            expect_term = False
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-            continue
-        raise ValueError(f"unexpected {tok!r} in form text {text!r}")
-    if expect_term:
-        raise ValueError(f"dangling sign in form text {text!r}")
-    flush()
+            if self.nvars is not None and var >= self.nvars:
+                raise ParseError(f"{tok} out of range for {self.nvars} variables", at)
+            exps[var] = exps.get(var, 0) + self.exponent()
+            return code
+        if tok == "(" and not inner:
+            value = 0
+            for c, _, _ in self.sum(True, ")"):
+                value = F.add(value, c)
+            return F.mul(code, value)
+        raise _unexpected(tok, at)
 
-    seen_max = max((max(e, default=-1) for _, e in terms), default=-1)
+    def exponent(self) -> int:
+        if self.peek() != "^":
+            return 1
+        tok, at = self.tokens[self.i + 1]
+        if not tok.isdigit():
+            raise ParseError("bad exponent", at)
+        self.i += 2
+        return int(tok)
+
+
+def parse_element(field: gf.Field, text: str) -> int:
+    """The code of an element written in the grammar above, such as
+    2*t^2 + t + 1 (t only when m > 1)."""
+    acc = 0
+    for code, _, _ in _Parser(field, text).sum(True, ""):
+        acc = field.add(acc, code)
+    return acc
+
+
+def parse_form(field: gf.Field, text: str, nvars: int | None = None) -> Form:
+    """Parse form text into a Form.
+
+    Homogeneity is enforced; nvars is inferred from the largest variable
+    index when not given.  Text errors raise ParseError with their offset;
+    a degree above the cap raises CapExceededError.
+    """
+    terms = _Parser(field, text, nvars).sum(False, "")
     if nvars is None:
-        nvars = seen_max + 1
+        nvars = 1 + max((v for _, e, _ in terms for v in e), default=-1)
         if nvars < 1:
-            raise ValueError("cannot infer variable count from a constant form")
-    elif seen_max >= nvars:
-        raise ValueError(f"variable x{seen_max} out of range for {nvars} variables")
-    degrees = {sum(e.values()) for _, e in terms}
-    if len(degrees) > 1:
-        raise ValueError(f"form text is not homogeneous: degrees {sorted(degrees)}")
-    degree = degrees.pop()
+            raise ParseError("cannot infer variable count from a constant form", 0)
+    degree = sum(terms[0][1].values())
+    for _, e, at in terms:
+        if sum(e.values()) != degree:
+            degrees = sorted({sum(e.values()) for _, e, _ in terms})
+            raise ParseError(f"form text is not homogeneous: degrees {degrees}", at)
     config.current_caps().check_form_degree(degree)
     acc: dict = {}
-    for code, e in terms:
+    for code, e, _ in terms:
         vec = tuple(e.get(v, 0) for v in range(nvars))
         acc[vec] = field.add(acc.get(vec, 0), code)
     return Form(field, nvars, degree, acc)

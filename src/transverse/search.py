@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import certify, config, gf, linalg, locus, poly, projgeom
+from . import certify, config, gf, locus, poly, projgeom
 
 _MODES = ("very-transverse", "reduced-line", "reduced-hyperplane")
 
@@ -268,9 +268,8 @@ def _lines_of_plane(T: projgeom.LinearSubspace):
     """Lines inside a fixed plane, in the dual-coefficient order of the
     plane's internal coordinates."""
     F = T.field
-    for w in projgeom.enumerate_point_codes(2, F):
-        rows = linalg.kernel(F, [list(w)], 3)
-        yield projgeom.subspace_from_rows(F, _ambient_rows(F, rows, T.basis))
+    for H in projgeom.all_hyperplanes(2, F):
+        yield projgeom.subspace_from_rows(F, _ambient_rows(F, H.basis, T.basis))
 
 
 def find_transverse_line_reduced(

@@ -68,10 +68,37 @@ class TestParseInput:
             parse_input(write_input(tmp_path, "p=5 m=1 n=2\nx0*x2 - y\n"))
         assert (err.value.line, err.value.column) == (2, 9)
 
+    def test_error_inside_a_coefficient_reports_its_own_position(self, tmp_path):
+        # the coefficient is parsed at its true offset, not as text of its own
+        path = write_input(tmp_path, "p=3 m=2 n=2\nx0^2 + x1^2 +\n  (x1)*x0*x2\n")
+        with pytest.raises(InputFileError) as err:
+            parse_input(path)
+        assert (err.value.line, err.value.column) == (3, 4)
+        assert "inside a coefficient" in str(err.value)
+
+    @pytest.mark.parametrize("header, line, column", [
+        ("p=5 m=1 n=2", "    y", 5),
+        ("p=5 m=1 n=2", "    (t)*x2^2", 6),
+        ("p=3 m=2 n=2", "\t x0 x1 )", 9),
+    ], ids=["bad-character", "t-over-prime-field", "tab-and-stray-paren"])
+    def test_columns_count_the_indentation(self, tmp_path, header, line, column):
+        path = write_input(tmp_path, f"{header}\nx0^2 + x1^2 +\n{line}\n")
+        with pytest.raises(InputFileError) as err:
+            parse_input(path)
+        assert (err.value.line, err.value.column) == (3, column)
+
+    def test_blank_lines_inside_the_polynomial_keep_numbering(self, tmp_path):
+        path = write_input(tmp_path, "\np=5 m=1 n=2\n\nx0^2 +\n\n x1 ^ 3\n")
+        with pytest.raises(InputFileError) as err:
+            parse_input(path)
+        assert (err.value.line, err.value.column) == (6, 2)
+        assert "not homogeneous" in str(err.value)
+
     def test_t_needs_extension(self, tmp_path):
         with pytest.raises(InputFileError) as err:
             parse_input(write_input(tmp_path, "p=5 m=1 n=2\nx0^2 + (t)*x1*x2\n"))
         assert "outside the field" in str(err.value)
+        assert (err.value.line, err.value.column) == (2, 9)
 
     def test_header_required(self, tmp_path):
         with pytest.raises(InputFileError) as err:
@@ -395,6 +422,8 @@ CORPUS_SHA256 = {
         "239ce4c0021fd58616d8c0d9ee7f293bb5ba3b65c13f666f449eca80f965d3fb",
     "find-flag --r 1 --seed 7":
         "65222ad1750b476d080bc092d493b28256b197f961bbf2a1db3e7c68a1c1203a",
+    "find-line":
+        "388799263fa5e5c883871ba525a61ae2d0d95aff9945bd34b0e86598b642a77c",
     "count hyperplanes":
         "8d5a6477ac1d14cc401bbc4b59c793f475dcecb0b4456bc741f8363dde2cbf3b",
     "count superspaces --r 1":

@@ -140,33 +140,6 @@ def test_in_subfield_with_prime_power_base():
     assert len(fixed) == 9
 
 
-def test_parse_format_round_trip_exhaustive():
-    for F in (F9, F8, gf.field_create(5)):
-        for c in F.elements():
-            assert gf.parse_element(F, F.format(c)) == c
-
-
-def test_parse_examples():
-    assert F9.decode(gf.parse_element(F9, "2*t+1")) == (1, 2)
-    assert gf.parse_element(F9, "t^2") == gf.parse_element(F9, "2")  # t^2 = -1 = 2
-    assert F9.decode(gf.parse_element(F9, " t + t ")) == (0, 2)
-    assert gf.parse_element(gf.field_create(5), "7") == 2
-    assert gf.parse_element(gf.field_create(5), "-1") == 4
-
-
-def test_parse_rejects_garbage():
-    for bad in ("", "t+", "^2", "x", "2**t", "t^"):
-        with pytest.raises(ValueError):
-            gf.parse_element(F9, bad)
-
-
-def test_parse_refuses_t_over_a_prime_field():
-    # t has no meaning in F_p; reading it as 0 would drop terms silently
-    for bad in ("t", "t+1", "2*t^2"):
-        with pytest.raises(ValueError, match="extension"):
-            gf.parse_element(gf.field_create(13), bad)
-
-
 def test_code_ops():
     a = F9.encode([0, 1])  # t
     assert F9.add(a, 1) == F9.encode([1, 1])

@@ -10,6 +10,7 @@ from transverse.poly import Form
 F3 = gf.field_create(3)
 F5 = gf.field_create(5)
 F7 = gf.field_create(7)
+F8 = gf.field_create(2, 3)
 F9 = gf.field_create(3, 2)
 F169 = gf.field_create(13, 2)
 
@@ -368,6 +369,31 @@ class TestGrammar:
 
     def test_format_zero(self):
         assert poly.format_form(Form(F5, 2, 3, {})) == "0"
+
+
+class TestElementGrammar:
+    def test_parse_format_round_trip_exhaustive(self):
+        for F in (F9, F8, F5):
+            for c in F.elements():
+                assert poly.parse_element(F, F.format(c)) == c
+
+    def test_parse_examples(self):
+        assert F9.decode(poly.parse_element(F9, "2*t+1")) == (1, 2)
+        assert poly.parse_element(F9, "t^2") == poly.parse_element(F9, "2")  # t^2 = -1
+        assert F9.decode(poly.parse_element(F9, " t + t ")) == (0, 2)
+        assert poly.parse_element(F5, "7") == 2
+        assert poly.parse_element(F5, "-1") == 4
+
+    def test_parse_rejects_garbage(self):
+        for bad in ("", "t+", "^2", "x", "2**t", "t^"):
+            with pytest.raises(poly.ParseError):
+                poly.parse_element(F9, bad)
+
+    def test_parse_refuses_t_over_a_prime_field(self):
+        # t has no meaning in F_p; reading it as 0 would drop terms silently
+        for bad in ("t", "t+1", "2*t^2"):
+            with pytest.raises(poly.ParseError, match="extension"):
+                poly.parse_element(gf.field_create(13), bad)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from transverse import config, gf, linalg, projgeom as pg
+from transverse import config, gf, linalg, poly, projgeom as pg
 
 
 F2 = gf.field_create(2)
@@ -223,7 +223,7 @@ class TestHyperplanes:
 
 def parse_rows(field, text):
     return [
-        [gf.parse_element(field, c) for c in row.split(",")]
+        [poly.parse_element(field, c) for c in row.split(",")]
         for row in text.split(";")
     ]
 

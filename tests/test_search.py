@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from transverse import certify, config, gf, locus, poly, projgeom as pg, search
+from transverse import certify, config, gf, linalg, locus, poly, projgeom as pg, search
 from transverse.locus import Hypersurface
 from transverse.search import (
     Flag,
@@ -172,6 +172,23 @@ class TestTransverseLine:
         out = find_transverse_line_reduced(X)
         assert out.succeeded()
         assert certify.is_transverse(X, out.found)
+
+    @pytest.mark.parametrize("field", [F5, gf.field_create(2, 2), F9], ids=str)
+    def test_lines_of_plane_match_the_kernel_of_each_dual_point(self, field):
+        # reference: the kernel of each normalized dual point, lifted to the
+        # ambient space through the plane's basis, in enumeration order
+        rng = random.Random(3)
+        while True:
+            rows = [[rng.randrange(field.order) for _ in range(5)] for _ in range(3)]
+            if linalg.rank(field, rows) == 3:
+                break
+        T = pg.subspace_from_rows(field, rows)
+        ref = [
+            pg.subspace_from_rows(field, search._ambient_rows(
+                field, linalg.kernel(field, [list(w)], 3), T.basis))
+            for w in pg.enumerate_point_codes(2, field)
+        ]
+        assert list(search._lines_of_plane(T)) == ref
 
     def test_deterministic(self):
         C = surf(F5, "x0*x2 + 4*x1^2")
