@@ -13,8 +13,9 @@ first (Macaulay 1902; Cox, Little and O'Shea, Using Algebraic Geometry,
 ch. 3): each degree-N monomial gets one row, a multiple of one of the
 nvars generators of largest degree.  Its rows are a subset of the full
 matrix's, so full rank proves spanning; a singular square matrix (a
-nonempty scheme, or a vanishing extraneous factor) falls through to the
-full matrix, which alone decides a negative answer.
+nonempty scheme, or a vanishing extraneous factor) falls through: only the
+other rows are built, they continue its echelon form, and the full
+matrix's rank alone decides a negative answer.
 
 Dimension upper bounds come in two strengths.  dim_upper_bound slices by
 random hyperplanes over an extension with at least 64 elements: if t+1
@@ -73,14 +74,10 @@ _LV_RETRIES = 8
 _EXACT_BRANCH_BUDGET = 250_000
 _WITNESS_KMAX = 6
 # Largest rows x columns of a Macaulay matrix, refused before any row is
-# built.  Its square root bounds the pivots of the elimination, which must
-# stay below 2^22 for linalg's delayed reduction to fit in int64.
+# built.  Its square root bounds the pivots of the elimination, which the
+# numpy path of linalg must accept.
 _MAX_MACAULAY_ENTRIES = 10_000_000
-assert (
-    linalg._NP_PRIME_LIMIT
-    + math.isqrt(_MAX_MACAULAY_ENTRIES) * (linalg._NP_PRIME_LIMIT - 1) ** 2
-    < 1 << 63
-)
+assert math.isqrt(_MAX_MACAULAY_ENTRIES) <= linalg.NP_MAX_PIVOTS
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +251,8 @@ def _row_index(nvars: int, N: int, deg: int):
 def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
     """Whether degree-N multiples of the generators span all degree-N forms.
 
-    At N >= N*, Macaulay's square submatrix is eliminated first; the full
-    matrix is built only when the square one is singular.
+    At N >= N*, Macaulay's square submatrix is eliminated first; when it
+    is singular, only the other rows are built, to continue its echelon form.
     """
     ncols = math.comb(N + nvars - 1, nvars - 1)
     nrows = sum(
@@ -268,39 +265,44 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
             f"Macaulay matrix {nrows} x {ncols} exceeds cap "
             f"{_MAX_MACAULAY_ENTRIES} entries"
         )
+    square = set()
+
+    def rows(inside):
+        return [
+            _row(g, index, ncols)
+            for j, g in enumerate(gens)
+            if g.degree <= N
+            for k, index in enumerate(_row_index(nvars, N, g.degree))
+            if ((j, k) in square) == inside
+        ]
+
+    form = linalg.echelon(fld, ncols)
     if len(gens) >= nvars and N >= _macaulay_bound(gens, nvars - 1):
-        rows = _square_rows(gens, nvars, N, ncols)
-        if linalg.rank(fld, rows, ncols=ncols, stop_at=ncols) == ncols:
+        square = _square_keys(gens, nvars, N)
+        if linalg.rank(fld, rows(True), stop_at=ncols, form=form) == ncols:
             return True
-        del rows  # freed before the full build, which reuses the memory
-    rows = [
-        _row(g, index, ncols)
-        for g in gens
-        if g.degree <= N
-        for index in _row_index(nvars, N, g.degree)
-    ]
-    return linalg.rank(fld, rows, ncols=ncols, stop_at=ncols) == ncols
+    return linalg.rank(fld, rows(False), stop_at=ncols, form=form) == ncols
 
 
-def _square_rows(gens, nvars: int, N: int, ncols: int):
-    """Macaulay's square submatrix at N >= N*: with top the nvars
-    generators of largest degree d_0, ..., d_(nvars-1), the degree-N
-    monomial x^a gets the one row (x^a / x_i^(d_i)) * top[i], for the first
-    i with a_i >= d_i.  Such an i exists because sum(d_i - 1) < N* <= N.
+def _square_keys(gens, nvars: int, N: int):
+    """Macaulay's square submatrix at N >= N*, as the (generator,
+    multiplier) indices of its rows: with top the nvars generators of
+    largest degree d_0, ..., d_(nvars-1), the degree-N monomial x^a gets the
+    one row (x^a / x_i^(d_i)) * top[i], for the first i with a_i >= d_i.
+    Such an i exists because sum(d_i - 1) < N* <= N.
 
     The rows are a subset of the full matrix's, so full rank here proves
     spanning; a singular square matrix (a nonempty scheme, or a vanishing
     extraneous factor) proves nothing.
     """
-    top = sorted(gens, key=lambda g: g.degree, reverse=True)[:nvars]
-    degs = [g.degree for g in top]
-    rows = []
-    for i, g in enumerate(top):
-        mults = poly.monomials_of_degree(nvars, N - degs[i])
-        for mult, index in zip(mults, _row_index(nvars, N, degs[i])):
-            if all(b < d for b, d in zip(mult[:i], degs)):
-                rows.append(_row(g, index, ncols))
-    return rows
+    top = sorted(range(len(gens)), key=lambda j: gens[j].degree, reverse=True)[:nvars]
+    degs = [gens[j].degree for j in top]
+    return {
+        (j, k)
+        for i, j in enumerate(top)
+        for k, mult in enumerate(poly.monomials_of_degree(nvars, N - degs[i]))
+        if all(b < d for b, d in zip(mult[:i], degs))
+    }
 
 
 def _row(g, index, ncols: int):

@@ -8,13 +8,16 @@ not import the field implementation.  Row updates x + c*y, in elimination
 and in polynomial multiplication and division, go through the field's one
 row kernel, ``F.add_scaled``.
 
-Gaussian elimination has a vectorised numpy path for prime fields and a
-generic path for extension fields; matrices are lists of rows of codes.
+Gaussian elimination is one echelon form per representation, a numpy
+path for primes p < _NP_PRIME_LIMIT and a generic one on ``F.add_scaled``
+for every other field; matrices are lists of rows of codes.  A form holds
+one normalized pivot row per pivot column and takes rows in blocks, each
+reduced against the rows it holds, so an elimination can continue with
+more rows; ``rank``, ``det``, ``rref`` and ``kernel`` are views of it.
 The numpy path delays modular reduction: each pivot reduces only its
-column and its row, and the trailing entries of the rows below grow by at
-most (p-1)^2 per pivot, so after k pivots they stay below
-p + k(p-1)^2 < 2^63 for p < 2^20 and k < 2^22 (asserted; the Macaulay
-matrix cap keeps k far below).
+column and the rows it clears, which grow by at most (p-1)^2 per pivot, so
+after k pivots every entry stays below p + k(p-1)^2 < 2^63 (asserted).
+NP_MAX_PIVOTS is the most pivots k for which this holds for every p.
 """
 
 from __future__ import annotations
@@ -259,131 +262,126 @@ def u_roots_with_multiplicity(F, a, seed=0):
 # Gaussian elimination
 
 _NP_PRIME_LIMIT = 1 << 20
+NP_MAX_PIVOTS = ((1 << 63) - 1 - _NP_PRIME_LIMIT) // (_NP_PRIME_LIMIT - 1) ** 2
 
 
-def rank(F, rows, ncols=None, stop_at=None):
-    """Rank of the matrix; stops early once ``stop_at`` is reached."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    if ncols is None:
-        ncols = len(rows[0])
+def echelon(F, ncols):
+    """An empty echelon form for rows of length ncols over F."""
     if F.m == 1 and F.p < _NP_PRIME_LIMIT:
-        return _rank_np(F.p, rows, ncols, stop_at)
-    return _rank_generic(F, [list(r) for r in rows], ncols, stop_at)
+        return _NpEchelon(F, ncols)
+    return _Echelon(F, ncols)
 
 
-def _rank_np(p, rows, ncols, stop_at):
-    # delayed reduction (module docstring): entries stay below p + k(p-1)^2
-    arr = np.array(rows, dtype=np.int64) % p
-    r = 0
-    nrows = arr.shape[0]
-    assert p + min(nrows, ncols) * (p - 1) ** 2 < 1 << 63, "int64 overflow"
-    for col in range(ncols):
-        if r == nrows:
-            break
-        column = arr[r:, col] % p
-        nz = np.flatnonzero(column)
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            arr[[r, piv]] = arr[[piv, r]]
-        # reduce the pivot row before scaling it, or the product overflows
-        inv = pow(int(column[nz[0]]), p - 2, p)
-        head = arr[r, col + 1 :] % p * inv % p
-        below = nz[1:]
-        if below.size:
-            # the old row r, now at piv, has a zero in this column
-            arr[r + below, col + 1 :] += np.outer(p - column[below], head)
-        r += 1
-        if stop_at is not None and r >= stop_at:
-            return r
-    return r
+class _Echelon:
+    """The generic echelon form.  ``det`` is the product of the pivots with
+    a sign per row swap: the determinant if one square block was added."""
 
+    def __init__(self, F, ncols):
+        self.F, self.ncols = F, ncols
+        self.held = {}  # pivot column -> its pivot row
+        self.det = 1
 
-def _rank_generic(F, rows, ncols, stop_at):
-    r = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                piv = i
+    def rows(self):
+        """The pivot rows in column order, as tuples of codes."""
+        return [tuple(map(int, self.held[c])) for c in sorted(self.held)]
+
+    def extend(self, rows, stop_at=None):
+        """Add a block of rows and return the rank.  A column with a held
+        pivot row is cleared with it in every block row; a new one takes its
+        pivot from the block.  At rank ``stop_at`` the rest is dropped."""
+        F, held = self.F, self.held
+        rows = [list(row) for row in rows]
+        r = 0
+        for col in range(self.ncols):
+            if stop_at is not None and len(held) >= stop_at:
                 break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][col])
-        if inv != 1:
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
-        rr = rows[r]
-        for i in range(r + 1, nrows):
-            c = rows[i][col]
-            if c:
-                rows[i] = F.add_scaled(rows[i], F.neg(c), rr)
-        r += 1
-        if stop_at is not None and r >= stop_at:
-            return r
-    return r
+            h, todo = held.get(col), rows
+            if h is None:
+                piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+                if piv is None:
+                    continue
+                rows[r], rows[piv] = rows[piv], rows[r]
+                c = rows[r][col]
+                self.det = F.mul(self.det, c if piv == r else F.neg(c))
+                scaled = F.add_scaled([0] * self.ncols, F.inv(c), rows[r])
+                h = held[col] = rows[r] = scaled
+                r += 1
+                todo = rows[r:]
+            for row in todo:
+                if row[col]:
+                    row[:] = F.add_scaled(row, F.neg(row[col]), h)
+        return len(held)
+
+
+class _NpEchelon(_Echelon):
+    """Each pivot row is written back into its block's array, reduced once
+    the block is done, and held as a view of it."""
+
+    def extend(self, rows, stop_at=None):
+        p, held = self.F.p, self.held
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), self.ncols) % p
+        k = min(len(held) + len(arr), self.ncols)
+        assert p + k * (p - 1) ** 2 < 1 << 63, "int64 overflow"
+        r = 0
+        for col in range(self.ncols):
+            if stop_at is not None and len(held) >= stop_at:
+                break
+            h = held.get(col)
+            if h is not None:
+                column = arr[:, col] % p
+                nz = column.nonzero()[0]
+                column = column[nz]
+            elif r < len(arr):
+                column = arr[r:, col] % p
+                nz = column.nonzero()[0]
+                if nz.size == 0:
+                    continue
+                piv = r + int(nz[0])
+                if piv != r:
+                    arr[[r, piv]] = arr[[piv, r]]
+                c = int(column[nz[0]])
+                self.det = self.det * (c if piv == r else p - c) % p
+                # reduce the pivot row before scaling it, or the product overflows
+                arr[r, col:] = arr[r, col:] % p * pow(c, p - 2, p) % p
+                h = held[col] = arr[r]
+                # the old row r, now at piv, has a zero in this column
+                nz, column = r + nz[1:], column[nz[1:]]
+                r += 1
+            else:
+                continue
+            if nz.size:
+                arr[nz, col:] += (p - column)[:, None] * h[col:]
+        arr[:r] %= p  # new pivot rows that held ones cleared, for later blocks
+        return len(held)
+
+
+def rank(F, rows, ncols=None, stop_at=None, form=None):
+    """Rank of the matrix; stops early once ``stop_at`` is reached.  Given an
+    echelon ``form``, the rows extend it and the rank counts all it holds."""
+    if form is None:
+        if len(rows) == 0:
+            return 0
+        form = echelon(F, len(rows[0]) if ncols is None else ncols)
+    return form.extend(rows, stop_at)
 
 
 def det(F, rows):
-    """Determinant of a square matrix, by elimination; the empty matrix
-    has determinant 1."""
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    acc = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            acc = F.neg(acc)
-        rr = rows[col]
-        acc = F.mul(acc, rr[col])
-        scale = F.neg(F.inv(rr[col]))
-        for i in range(col + 1, n):
-            c = rows[i][col]
-            if c:
-                rows[i] = F.add_scaled(rows[i], F.mul(c, scale), rr)
-    return acc
+    """Determinant of a square matrix; the empty matrix has determinant 1."""
+    form = echelon(F, len(rows))
+    return form.det if form.extend(rows) == len(rows) else 0
 
 
 def rref(F, rows):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
+    """Reduced row echelon form; returns (rows, pivot column indices).  The
+    pivot rows are fed back from the last, each cleared by those held."""
+    if len(rows) == 0:
         return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][col])
-        if inv != 1:
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
-        rr = rows[r]
-        for i in range(len(rows)):
-            c = rows[i][col]
-            if c and i != r:
-                rows[i] = F.add_scaled(rows[i], F.neg(c), rr)
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    rows = [r_ for r_ in rows if any(r_)]
-    return [tuple(r_) for r_ in rows], pivots
+    form = echelon(F, len(rows[0]))
+    form.extend(rows)
+    reduced = echelon(F, form.ncols)
+    for row in reversed(form.rows()):
+        reduced.extend([row])
+    return reduced.rows(), sorted(reduced.held)
 
 
 def kernel(F, rows, ncols):

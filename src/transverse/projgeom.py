@@ -99,8 +99,7 @@ def subspace_from_rows(field: gf.Field, rows) -> LinearSubspace:
         raise ValueError("no rows given")
     if len({len(r) for r in raw}) != 1:
         raise ValueError("rows of inconsistent length")
-    red, _ = linalg.rref(field, raw)
-    basis = [r for r in red if any(r)]
+    basis, _ = linalg.rref(field, raw)
     if not basis:
         raise ValueError("rows span only the zero vector")
     return LinearSubspace(field, basis)

@@ -448,18 +448,31 @@ class TestSquareSubmatrix:
                     verdicts.add(want is not None)
         assert verdicts == {True, False}
 
-    def test_singular_square_falls_through_to_the_full_matrix(self):
+    def test_singular_square_falls_through_to_the_full_matrix(self, monkeypatch):
         # top = (x0*x1, x0^2): at N* = 3 the square rows x0^2*x1, x0*x1^2,
         # x0^3, x0^2*x1 miss x1^3, which only the multiples of x1 reach
         S = scheme(F5, ["x0*x1", "x0^2", "x1"], 2)
         gens = S.nonzero_gens()
         assert certify._macaulay_bound(gens, 1) == 3
-        rows = certify._square_rows(gens, 2, 3, 4)
-        assert len(rows) == 4
-        assert linalg.rank(F5, rows, ncols=4) == 3
+        assert certify._square_keys(gens, 2, 3) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert full_matrix_spans(gens, F5, 2, 3)
         assert macaulay_is_empty(S) is True
+        # the miss continues the square echelon form with the three
+        # multiples of x1 only: every row is built and eliminated once
+        built, steps, rank = [], [], linalg.rank
+        row = certify._row
+        monkeypatch.setattr(certify, "_row", lambda *a: built.append(a[0]) or row(*a))
+
+        def traced_rank(F, rows, *args, **kwargs):
+            steps.append([tuple(r) for r in rows])
+            return rank(F, rows, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "rank", traced_rank)
         assert certify._macaulay_spans(gens, F5, 2, 3) is True
+        assert [len(rows) for rows in steps] == [4, 3] and len(built) == 7
+        assert built[4:] == [gens[2]] * 3
+        assert rank(F5, steps[0], ncols=4) == 3
+        assert rank(F5, steps[0] + steps[1], ncols=4) == 4
         assert is_empty_projective(S).degree_N == ladder_degree(S) == 2
 
     def test_refusal_is_computed_on_the_full_matrix(self, monkeypatch):

@@ -12,6 +12,139 @@ def _random_row(F, n, rng):
     return [rng.randrange(F.order) if rng.random() < 0.67 else 0 for _ in range(n)]
 
 
+# ---------------------------------------------------------------------------
+# The one-shot eliminations the echelon forms replaced, kept verbatim as
+# references for the differential tests below.
+
+
+def _rank(F, rows, ncols=None, stop_at=None):
+    """Rank of the matrix; stops early once ``stop_at`` is reached."""
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return 0
+    if ncols is None:
+        ncols = len(rows[0])
+    if F.m == 1 and F.p < linalg._NP_PRIME_LIMIT:
+        return _rank_np(F.p, rows, ncols, stop_at)
+    return _rank_generic(F, [list(r) for r in rows], ncols, stop_at)
+
+
+def _rank_np(p, rows, ncols, stop_at):
+    # delayed reduction (module docstring): entries stay below p + k(p-1)^2
+    arr = np.array(rows, dtype=np.int64) % p
+    r = 0
+    nrows = arr.shape[0]
+    assert p + min(nrows, ncols) * (p - 1) ** 2 < 1 << 63, "int64 overflow"
+    for col in range(ncols):
+        if r == nrows:
+            break
+        column = arr[r:, col] % p
+        nz = np.flatnonzero(column)
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            arr[[r, piv]] = arr[[piv, r]]
+        # reduce the pivot row before scaling it, or the product overflows
+        inv = pow(int(column[nz[0]]), p - 2, p)
+        head = arr[r, col + 1 :] % p * inv % p
+        below = nz[1:]
+        if below.size:
+            # the old row r, now at piv, has a zero in this column
+            arr[r + below, col + 1 :] += np.outer(p - column[below], head)
+        r += 1
+        if stop_at is not None and r >= stop_at:
+            return r
+    return r
+
+
+def _rank_generic(F, rows, ncols, stop_at):
+    r = 0
+    nrows = len(rows)
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = F.inv(rows[r][col])
+        if inv != 1:
+            rows[r] = [F.mul(inv, x) for x in rows[r]]
+        rr = rows[r]
+        for i in range(r + 1, nrows):
+            c = rows[i][col]
+            if c:
+                rows[i] = F.add_scaled(rows[i], F.neg(c), rr)
+        r += 1
+        if stop_at is not None and r >= stop_at:
+            return r
+    return r
+
+
+def _det(F, rows):
+    """Determinant of a square matrix, by elimination; the empty matrix
+    has determinant 1."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    acc = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            acc = F.neg(acc)
+        rr = rows[col]
+        acc = F.mul(acc, rr[col])
+        scale = F.neg(F.inv(rr[col]))
+        for i in range(col + 1, n):
+            c = rows[i][col]
+            if c:
+                rows[i] = F.add_scaled(rows[i], F.mul(c, scale), rr)
+    return acc
+
+
+def _rref(F, rows):
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = F.inv(rows[r][col])
+        if inv != 1:
+            rows[r] = [F.mul(inv, x) for x in rows[r]]
+        rr = rows[r]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if c and i != r:
+                rows[i] = F.add_scaled(rows[i], F.neg(c), rr)
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    rows = [r_ for r_ in rows if any(r_)]
+    return [tuple(r_) for r_ in rows], pivots
+
+
+# ---------------------------------------------------------------------------
+
+
 @pytest.mark.parametrize("p, m", [(2, 1), (13, 1), (2, 6), (13, 2), (5, 6), (2, 17)])
 def test_add_scaled_matches_scalar_arithmetic(p, m):
     F = gf.field_create(p, m)
@@ -32,6 +165,11 @@ def test_add_scaled_matches_scalar_arithmetic(p, m):
         assert F._exp is None  # the digit path, not the tables
 
 
+def _both_forms(F, ncols):
+    """A numpy and a generic echelon form over the prime field F."""
+    return linalg._NpEchelon(F, ncols), linalg._Echelon(F, ncols)
+
+
 @pytest.mark.parametrize("p", [2, 3, 13, 101])
 def test_rank_generic_matches_numpy(p):
     F = gf.field_create(p)
@@ -47,17 +185,19 @@ def test_rank_generic_matches_numpy(p):
         rows = [r for r in rows if any(r)]
         if not rows:
             continue
-        want = linalg._rank_np(p, rows, ncols, None)
-        assert linalg._rank_generic(F, [list(r) for r in rows], ncols, None) == want
+        want = _rank_np(p, rows, ncols, None)
+        assert _rank_generic(F, [list(r) for r in rows], ncols, None) == want
+        assert [form.extend(rows) for form in _both_forms(F, ncols)] == [want] * 2
         stop = rng.randrange(1, 4)
-        assert linalg._rank_generic(
-            F, [list(r) for r in rows], ncols, stop
-        ) == linalg._rank_np(p, rows, ncols, stop)
+        want = _rank_np(p, rows, ncols, stop)
+        assert _rank_generic(F, [list(r) for r in rows], ncols, stop) == want
+        assert [form.extend(rows, stop) for form in _both_forms(F, ncols)] == [want] * 2
 
 
 def test_rank_np_matches_generic_near_prime_limit():
     # delayed reduction lets entries grow by (p-1)^2 per pivot; tall matrices
-    # with many pivots at the largest prime the numpy path takes
+    # with many pivots at the largest prime the numpy path takes, fed in two
+    # blocks so the second is also cleared by the held rows of the first
     p = 1_048_573
     assert p < linalg._NP_PRIME_LIMIT
     F = gf.field_create(p)
@@ -69,13 +209,92 @@ def test_rank_np_matches_generic_near_prime_limit():
         A = rng.integers(0, p, (nrows, k)) * (rng.random((nrows, k)) < 0.7)
         B = rng.integers(0, p, (k, ncols))
         rows = [r for r in (A @ B % p).tolist() if any(r)]
-        want = linalg._rank_generic(F, [list(r) for r in rows], ncols, None)
+        want = _rank_generic(F, [list(r) for r in rows], ncols, None)
         assert want <= k
-        assert linalg._rank_np(p, rows, ncols, None) == want
+        assert _rank_np(p, rows, ncols, None) == want
+        cut = int(rng.integers(0, len(rows)))
+        for form in _both_forms(F, ncols):
+            form.extend(rows[:cut])
+            assert form.extend(rows[cut:]) == want
+            assert linalg.rref(F, form.rows()) == _rref(F, rows)
         stop = int(rng.integers(1, ncols + 1))
-        assert linalg._rank_np(p, rows, ncols, stop) == linalg._rank_generic(
-            F, [list(r) for r in rows], ncols, stop
-        )
+        want = _rank_generic(F, [list(r) for r in rows], ncols, stop)
+        assert _rank_np(p, rows, ncols, stop) == want
+        assert linalg.rank(F, rows, ncols, stop) == want
+
+
+# F_1048583 is above linalg._NP_PRIME_LIMIT, so it takes the generic form,
+# like the extension fields F_4, F_9 and F_169
+DIFFERENTIAL_FIELDS = [
+    (2, 1), (13, 1), (101, 1), (1_048_573, 1), (1_048_583, 1), (2, 2), (3, 2), (13, 2),
+]
+
+
+def _random_matrix(F, nrows, ncols, rng):
+    rows = [_random_row(F, ncols, rng) for _ in range(nrows)]
+    if nrows > 2 and rng.random() < 0.5:
+        # rank deficient: one row a combination of two others
+        rows[-1] = F.add_scaled(rows[0], rng.randrange(F.order), rows[1])
+    if nrows > 1 and rng.random() < 0.2:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    return rows
+
+
+@pytest.mark.parametrize("p, m", DIFFERENTIAL_FIELDS)
+def test_views_match_the_one_shot_references(p, m, monkeypatch):
+    F = gf.field_create(p, m)
+    assert (F.m == 1 and p < linalg._NP_PRIME_LIMIT) == isinstance(
+        linalg.echelon(F, 1), linalg._NpEchelon
+    )
+    rng = random.Random(f"views/{F.order}")
+    assert linalg.det(F, []) == _det(F, []) == 1
+    for _ in range(150):
+        nrows, ncols = rng.randrange(0, 8), rng.randrange(1, 8)
+        rows = _random_matrix(F, nrows, ncols, rng)
+        assert linalg.rank(F, rows, ncols) == _rank(F, rows, ncols)
+        stop = rng.randrange(1, 5)
+        assert linalg.rank(F, rows, ncols, stop) == _rank(F, rows, ncols, stop)
+        red, pivots = linalg.rref(F, rows)
+        assert (red, pivots) == _rref(F, rows)
+        assert all(type(x) is int for row in red for x in row)
+        basis = linalg.kernel(F, rows, ncols)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rref", _rref)
+            assert basis == linalg.kernel(F, rows, ncols)
+        assert all(type(x) is int for row in basis for x in row)
+        # square: the first rows, padded when short, often with a swap
+        n = min(ncols, 6)
+        square = [row[:n] for row in rows[:n]]
+        square += _random_matrix(F, n - len(square), n, rng)
+        if n > 1 and rng.random() < 0.5:
+            square[0] = [0] + square[0][1:]
+        assert linalg.det(F, square) == _det(F, square)
+
+
+@pytest.mark.parametrize("p, m", DIFFERENTIAL_FIELDS)
+def test_extending_a_form_matches_the_one_shot_rank(p, m):
+    F = gf.field_create(p, m)
+    rng = random.Random(f"extend/{F.order}")
+    stopped_in_first = 0
+    for _ in range(150):
+        nrows, ncols = rng.randrange(1, 10), rng.randrange(1, 8)
+        rows = _random_matrix(F, nrows, ncols, rng)
+        cut = rng.randrange(nrows + 1)
+        stop = rng.choice([None, rng.randrange(1, ncols + 1)])
+        form = linalg.echelon(F, ncols)
+        first = linalg.rank(F, rows[:cut], ncols, stop, form=form)
+        want = _rank(F, rows, ncols, stop)
+        assert linalg.rank(F, rows[cut:], ncols, stop, form=form) == want
+        if stop is not None and first >= stop:
+            stopped_in_first += 1
+            assert first == want == stop
+        elif stop is None:
+            # the held rows span all the rows, each normalized at its pivot
+            assert linalg.rref(F, form.rows()) == _rref(F, rows)
+            assert sorted(form.held) == _rref(F, rows)[1]
+            for row, c in zip(form.rows(), sorted(form.held)):
+                assert row[c] == 1 and not any(row[:c])
+    assert stopped_in_first > 0
 
 
 def test_kernel_over_extension_field():
