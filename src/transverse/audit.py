@@ -311,7 +311,7 @@ def count_nontransverse_lines(
     improper = 0
     not_squarefree = 0
     for L in projgeom.all_lines(2, C.field):
-        G = poly.restrict_to_subspace(C.form, L)
+        G = poly.substitute_rows(C.form, L.basis)
         if G.is_zero():
             improper += 1
         elif not poly.binary_squarefree(G):
@@ -525,7 +525,7 @@ def _tangency_witnesses(X, H_prev, superspaces, kmax: int):
     out = []
     for E in superspaces:
         S = locus.SchemeSpec(
-            X.field, len(E.basis), [poly.restrict_to_subspace(g, E) for g in gens]
+            X.field, len(E.basis), [poly.substitute_rows(g, E.basis) for g in gens]
         )
         out.append([
             projgeom.subspace_point(E, P.coords, P.field)

@@ -26,7 +26,9 @@ family sum_j c^j x_j of hyperplanes: a point kills at most n parameter
 values (Vandermonde), and a positive-dimensional component is contained in
 at most n family members, so over a field with more than n * B elements
 (B a Bezout bound on the total component count) the scan is complete in
-both directions.
+both directions.  Every slice and every section is the one restriction,
+poly.substitute_rows: a slice substitutes the scheme's own generators at
+kernel rows over the extension, so no lifted scheme is built.
 
 Smoothness of a section is emptiness of its Jacobian scheme; reducedness
 is the Jacobian dimension dropping below divisor dimension.  Both reuse
@@ -415,20 +417,15 @@ def _extension_with(F: gf.Field, at_least: int) -> gf.Field:
     return gf.extension_field(F, k)
 
 
-def _lift_scheme(S: locus.SchemeSpec, E: gf.Field) -> locus.SchemeSpec:
-    if E == S.field:
-        return S
-    return locus.SchemeSpec(E, S.nvars, [poly.form_lift(g, E) for g in S.gens])
-
-
-def _slice_by(S: locus.SchemeSpec, row) -> locus.SchemeSpec:
-    """Intersect with the hyperplane row . x = 0, rewritten in the
-    hyperplane's own coordinates (one variable fewer), so downstream rank
-    tests shrink.  Any kernel basis works; emptiness and dimension do not
-    see the change of coordinates."""
-    rows = linalg.kernel(S.field, [list(row)], S.nvars)
+def _slice_by(S: locus.SchemeSpec, row, E: gf.Field) -> locus.SchemeSpec:
+    """Intersect with the hyperplane row . x = 0 (row over E, an extension
+    of S's field), rewritten over E in the hyperplane's own coordinates
+    (one variable fewer), so downstream rank tests shrink.  Any kernel
+    basis works; emptiness and dimension do not see the change of
+    coordinates."""
+    rows = linalg.kernel(E, [list(row)], S.nvars)
     return locus.SchemeSpec(
-        S.field, S.nvars - 1, [poly.substitute_rows(g, rows) for g in S.gens]
+        E, S.nvars - 1, [poly.substitute_rows(g, rows, E) for g in S.gens]
     )
 
 
@@ -452,9 +449,8 @@ def dim_upper_bound(
     if t >= S.ambient:
         return DimensionCertificate(S, t, "at-most")
     E = _extension_with(S.field, _LV_MIN_FIELD)
-    lifted = _lift_scheme(S, E)
     for attempt in range(1, _LV_RETRIES + 1):
-        cur = lifted
+        cur = S
         slices = []
         for _ in range(t + 1):
             while True:
@@ -462,7 +458,7 @@ def dim_upper_bound(
                 if any(row):
                     break
             slices.append(row)
-            cur = _slice_by(cur, row)
+            cur = _slice_by(cur, row, E)
         if macaulay_is_empty(cur):
             return DimensionCertificate(S, t, "at-most", tuple(slices), attempt)
     return DimensionCertificate(S, t, "undetermined", (), _LV_RETRIES)
@@ -511,11 +507,12 @@ def dim_at_most_exact(S: locus.SchemeSpec, t: int) -> bool:
                 f"exact dimension scan needs about {branch}^{t + 1} emptiness "
                 f"tests, over the {_EXACT_BRANCH_BUDGET} budget"
             )
-    lifted = _lift_scheme(S, E)
-    return _exact_scan(lifted, t, E)
+    return _exact_scan(S, t, E)
 
 
 def _exact_scan(S: locus.SchemeSpec, t: int, E: gf.Field) -> bool:
+    # emptiness over the closure does not depend on the field, so S is
+    # asked over its own field; every slice is taken over E
     if macaulay_is_empty(S):
         return True
     if t == -1:
@@ -524,21 +521,13 @@ def _exact_scan(S: locus.SchemeSpec, t: int, E: gf.Field) -> bool:
     # smaller ring; family completeness is unaffected because the member
     # count n*B+1 only shrinks with the ambient dimension
     for c in range(E.order):
-        if _exact_scan(_slice_by(S, _moment_row(E, S.nvars, c)), t - 1, E):
+        if _exact_scan(_slice_by(S, _moment_row(E, S.nvars, c), E), t - 1, E):
             return True
     return False
 
 
 # ---------------------------------------------------------------------------
 # smoothness and reducedness of sections
-
-
-def section_form(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> poly.Form:
-    if H.field != X.field:
-        raise ValueError("subspace must live over the base field of X")
-    if H.ambient != X.ambient:
-        raise ValueError("ambient dimension mismatch")
-    return poly.restrict_to_subspace(X.form, H)
 
 
 def jacobian_scheme(G: poly.Form) -> locus.SchemeSpec:
@@ -562,19 +551,6 @@ def is_smooth_form(G: poly.Form) -> bool:
     if G.nvars == 2:
         return poly.binary_squarefree(G)
     return macaulay_is_empty(jacobian_scheme(G))
-
-
-def is_smooth_section(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> bool:
-    """Whether X cap H is smooth as a hypersurface of H ~ P^r.
-
-    The restriction must be nonzero (otherwise the section is improper and
-    a NotProperError escapes).  Lines use the exact squarefree fast path;
-    higher sections run the Macaulay test on the Jacobian scheme.
-    """
-    G = section_form(X, H)
-    if G.is_zero():
-        raise config.NotProperError("the subspace lies inside the hypersurface")
-    return is_smooth_form(G)
 
 
 def _line_certificate(G: poly.Form, rows, rng: random.Random) -> bool:
@@ -643,7 +619,7 @@ def is_reduced_section(
     rng = rng or random.Random(0)
     if _line_certificate(X.form, H.basis, rng):
         return True
-    G = poly.restrict_to_subspace(X.form, H)
+    G = poly.substitute_rows(X.form, H.basis)
     if G.is_zero():
         raise config.NotProperError("the subspace lies inside the hypersurface")
     return is_reduced_form(G, rng=rng)
@@ -671,10 +647,8 @@ def is_transverse(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> bool:
         raise ValueError("subspace and hypersurface do not match")
     # a point of H cap Sing(X) zeroes the section and all its partials, so
     # a smooth section already misses Sing(X)
-    try:
-        return is_smooth_section(X, H)
-    except config.NotProperError:
-        return False
+    G = poly.substitute_rows(X.form, H.basis)
+    return not G.is_zero() and is_smooth_form(G)
 
 
 def classify_very_transverse(

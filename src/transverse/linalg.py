@@ -9,11 +9,13 @@ and in polynomial multiplication and division, go through the field's one
 row kernel, ``F.add_scaled``.
 
 Gaussian elimination is one echelon form per representation, a numpy
-path for primes p < _NP_PRIME_LIMIT and a generic one on ``F.add_scaled``
-for every other field; matrices are lists of rows of codes.  A form holds
-one normalized pivot row per pivot column and takes rows in blocks, each
-reduced against the rows it holds, so an elimination can continue with
-more rows; ``rank``, ``det``, ``rref`` and ``kernel`` are views of it.
+path for primes p < _NP_PRIME_LIMIT and rows of more than _NP_MIN_COLS
+columns (below that, numpy's per-call cost outweighs its speed), and a
+generic one on ``F.add_scaled`` for every other input; matrices are lists
+of rows of codes.  A form holds one normalized pivot row per pivot column
+and takes rows in blocks, each reduced against the rows it holds, so an
+elimination can continue with more rows; ``rank``, ``det``, ``rref`` and
+``kernel`` are views of it.
 The numpy path delays modular reduction: each pivot reduces only its
 column and the rows it clears, which grow by at most (p-1)^2 per pivot, so
 after k pivots every entry stays below p + k(p-1)^2 < 2^63 (asserted).
@@ -262,12 +264,13 @@ def u_roots_with_multiplicity(F, a, seed=0):
 # Gaussian elimination
 
 _NP_PRIME_LIMIT = 1 << 20
+_NP_MIN_COLS = 12
 NP_MAX_PIVOTS = ((1 << 63) - 1 - _NP_PRIME_LIMIT) // (_NP_PRIME_LIMIT - 1) ** 2
 
 
 def echelon(F, ncols):
     """An empty echelon form for rows of length ncols over F."""
-    if F.m == 1 and F.p < _NP_PRIME_LIMIT:
+    if F.m == 1 and F.p < _NP_PRIME_LIMIT and ncols > _NP_MIN_COLS:
         return _NpEchelon(F, ncols)
     return _Echelon(F, ncols)
 

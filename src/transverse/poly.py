@@ -159,18 +159,6 @@ def _mul_terms(fld: gf.Field, a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def form_lift(F: Form, E: gf.Field) -> Form:
-    """F with its coefficients embedded in the extension E of its field."""
-    if E == F.field:
-        return F
-    return Form(
-        E,
-        F.nvars,
-        F.degree,
-        {e: gf.embed_code(F.field, E, c) for e, c in F.terms.items()},
-    )
-
-
 def form_specialize_last(F: Form, prefix, E: gf.Field):
     """Coefficients (codes in E, low degree first, trimmed) of F(prefix, z)
     as a polynomial in the last variable z."""
@@ -219,9 +207,12 @@ def form_partials(F: Form):
     return out
 
 
-def substitute_rows(F: Form, rows) -> Form:
-    """F(u . B) for a raw parametrization matrix B; no basis normalization."""
-    fld = F.field
+def substitute_rows(F: Form, rows, E: gf.Field | None = None) -> Form:
+    """F(u . B) for a raw parametrization matrix B, whose entries are codes
+    in E (an extension of F's field, by default F's field itself); the
+    result is a form over E.  No basis normalization."""
+    fld = F.field if E is None else E
+    emb = (lambda c: gf.embed_code(F.field, fld, c)) if fld != F.field else (lambda c: c)
     B = list(rows)
     k = len(B)
     if any(len(r) != F.nvars for r in B):
@@ -233,7 +224,7 @@ def substitute_rows(F: Form, rows) -> Form:
     powers = [[{const: 1}] for _ in range(F.nvars)]
     acc: dict = {}
     for exps, c in F.terms.items():
-        term = {const: c}
+        term = {const: emb(c)}
         for j, e in enumerate(exps):
             if e:
                 pw = powers[j]
@@ -243,12 +234,6 @@ def substitute_rows(F: Form, rows) -> Form:
         for m, v in term.items():
             acc[m] = fld.add(acc.get(m, 0), v)
     return Form(fld, k, F.degree, acc)
-
-
-def restrict_to_subspace(F: Form, H) -> Form:
-    """Restriction of F to the LinearSubspace H, as a form in dim+1
-    parameters over H's reduced basis."""
-    return substitute_rows(F, H.basis)
 
 
 def binary_squarefree(F: Form) -> bool:

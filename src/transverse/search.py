@@ -251,7 +251,7 @@ def find_reduced_plane_section_chain(
             tuple(row) for row in _ambient_rows(X.field, H.basis, basis)
         )
         chain.append(projgeom.subspace_from_rows(X.field, [list(b) for b in basis]))
-        current = locus.Hypersurface(poly.restrict_to_subspace(current.form, H))
+        current = locus.Hypersurface(poly.substitute_rows(current.form, H.basis))
     T = chain[-1]
     if not certify.is_reduced_section(X, T, rng=rng):
         raise RuntimeError("chain section failed direct re-certification")

@@ -80,7 +80,7 @@ def test_criterion_01_conic_exact_count():
 def geometric_points_of_cubic_section(X, L):
     """Distinct geometric points of X cap L for a line L, counted through
     root extraction of the restricted binary form over F_{q^6}."""
-    G = poly.restrict_to_subspace(X.form, L)
+    G = poly.substitute_rows(X.form, L.basis)
     assert not G.is_zero(), "section is improper"
     inf_mult, f = poly.binary_dehomogenize(G)
     if inf_mult > 1:
@@ -461,7 +461,7 @@ def property_restriction_evaluation(cases):
         n = 2 + i % 3
         F = rand_form(field, n + 1, 1 + i % 3, rng, sparsity=0.8)
         H = random_subspace(field, n, rng)
-        G = poly.restrict_to_subspace(F, H)
+        G = poly.substitute_rows(F, H.basis)
         t = [0] * len(H.basis)
         while not any(t):
             t = [rng.randrange(field.order) for _ in range(len(H.basis))]

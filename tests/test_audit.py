@@ -144,7 +144,7 @@ class TestNontransverseLines:
         through_cusp = 0
         elsewhere = 0
         for L in pg.all_lines(2, F7):
-            G = poly.restrict_to_subspace(C.form, L)
+            G = poly.substitute_rows(C.form, L.basis)
             if G.is_zero() or not poly.binary_squarefree(G):
                 if pg.subspace_contains(L, cusp):
                     through_cusp += 1
@@ -197,7 +197,7 @@ class TestBadHyperplanes:
         X = surf(F5, "x0*x1", nvars=4)
         bad = []
         for H in pg.all_hyperplanes(3, F5):
-            G = certify.section_form(X, H)
+            G = poly.substitute_rows(X.form, H.basis)
             if not G.is_zero() and not certify.is_reduced_form(G):
                 bad.append(pg.dual(H))
         assert len(bad) == 4

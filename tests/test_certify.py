@@ -14,7 +14,6 @@ from transverse.certify import (
     is_empty_projective,
     is_reduced_form,
     is_reduced_section,
-    is_smooth_section,
     is_transverse,
     is_very_transverse,
     macaulay_is_empty,
@@ -647,21 +646,21 @@ class TestSmoothness:
         X = surf(F5, "x0*x2 + 4*x1^2")
         secant = line_through(F5, (1, 0, 0), (0, 0, 1))
         tangent = line_through(F5, (1, 0, 0), (0, 1, 0))
-        assert is_smooth_section(X, secant)
-        assert not is_smooth_section(X, tangent)
+        assert is_transverse(X, secant)
+        assert not is_transverse(X, tangent)
 
     def test_subspace_inside_hypersurface_not_proper(self):
         Q = surf(F5, "x0*x3 + 4*x1*x2")
         ruling = line_through(F5, (1, 0, 0, 0), (0, 1, 0, 0))
-        with pytest.raises(config.NotProperError):
-            is_smooth_section(Q, ruling)
+        assert poly.substitute_rows(Q.form, ruling.basis).is_zero()
+        assert is_transverse(Q, ruling) is False
 
     def test_whole_space_section_is_smoothness_of_x(self):
         X = surf(F5, "x0^3 + x1^3 + x2^3")
         whole = pg.subspace_from_rows(
             F5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         )
-        assert is_smooth_section(X, whole)
+        assert is_transverse(X, whole)
         assert ensure_smooth(X)
         X3 = surf(F3, "x0^3 + x1^3 + x2^3")
         assert not ensure_smooth(X3)
@@ -684,8 +683,8 @@ class TestSmoothness:
         )
         assert ensure_smooth(X)
         for L in pg.all_lines(2, F5):
-            G = certify.section_form(X, L)
-            assert is_smooth_section(X, L) == poly.binary_squarefree(G)
+            G = poly.substitute_rows(X.form, L.basis)
+            assert is_transverse(X, L) == poly.binary_squarefree(G)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_smoothness_matches_singular_scheme(self, p):
@@ -753,9 +752,9 @@ class TestSmoothness:
         X = surf(F5, "x0*x2 + 4*x1^2")
         on = pg.point_subspace(pg.ProjectivePoint(F5, (1, 0, 0)))
         off = pg.point_subspace(pg.ProjectivePoint(F5, (1, 1, 0)))
-        with pytest.raises(config.NotProperError):
-            is_smooth_section(X, on)
-        assert is_smooth_section(X, off)
+        assert poly.substitute_rows(X.form, on.basis).is_zero()
+        assert is_transverse(X, on) is False
+        assert is_transverse(X, off)
 
 
 class TestReducedness:
@@ -954,7 +953,7 @@ class TestLineCertificate:
         origin = pg.point_subspace(pg.ProjectivePoint(F, (1, 0, 0, 0)))
         subspaces = [*pg.all_hyperplanes(3, F), *pg.enumerate_superspaces(origin, 1)]
         hits = [
-            certify.section_form(X, H)
+            poly.substitute_rows(X.form, H.basis)
             for H in subspaces
             if certify._line_certificate(X.form, H.basis, random.Random(1))
         ]
@@ -1003,7 +1002,7 @@ class TestTransversality:
         assert len(bad) == 6
         # each bad line is tangent: section is a square, not identically zero
         for L in bad:
-            G = certify.section_form(X, L)
+            G = poly.substitute_rows(X.form, L.basis)
             assert not G.is_zero()
             assert not poly.binary_squarefree(G)
 
@@ -1018,7 +1017,7 @@ class TestTransversality:
     def test_degree_one_always_transverse_off_nothing(self):
         H = surf(F5, "x0 + x1 + x2")
         for L in list(pg.all_lines(2, F5))[:10]:
-            G = certify.section_form(H, L)
+            G = poly.substitute_rows(H.form, L.basis)
             if G.is_zero():
                 assert not is_transverse(H, L)
             else:

@@ -244,7 +244,7 @@ def _random_matrix(F, nrows, ncols, rng):
 def test_views_match_the_one_shot_references(p, m, monkeypatch):
     F = gf.field_create(p, m)
     assert (F.m == 1 and p < linalg._NP_PRIME_LIMIT) == isinstance(
-        linalg.echelon(F, 1), linalg._NpEchelon
+        linalg.echelon(F, linalg._NP_MIN_COLS + 1), linalg._NpEchelon
     )
     rng = random.Random(f"views/{F.order}")
     assert linalg.det(F, []) == _det(F, []) == 1
@@ -295,6 +295,43 @@ def test_extending_a_form_matches_the_one_shot_rank(p, m):
             for row, c in zip(form.rows(), sorted(form.held)):
                 assert row[c] == 1 and not any(row[:c])
     assert stopped_in_first > 0
+
+
+@pytest.mark.parametrize("p", [13, 83])
+def test_representation_is_chosen_by_column_count(p):
+    # small prime-field eliminations stay generic, where numpy's per-call
+    # cost outweighs its speed; every view agrees on both sides of the line
+    F = gf.field_create(p)
+    cut = linalg._NP_MIN_COLS
+    assert type(linalg.echelon(F, cut)) is linalg._Echelon
+    assert type(linalg.echelon(F, cut + 1)) is linalg._NpEchelon
+    assert type(linalg.echelon(gf.field_create(p, 2), cut + 1)) is linalg._Echelon
+    rng = random.Random(f"cut/{p}")
+    for ncols in (cut - 1, cut, cut + 1, cut + 2):
+        for trial in range(12):
+            nrows = rng.choice([1, 2, ncols // 2, ncols, ncols + 3])
+            rows = _random_matrix(F, nrows, ncols, rng)
+            generic, numpy_form = linalg._Echelon(F, ncols), linalg._NpEchelon(F, ncols)
+            want = _rank(F, rows, ncols)
+            assert generic.extend(rows) == numpy_form.extend(rows) == want
+            assert generic.rows() == numpy_form.rows()
+            assert linalg.rank(F, rows, ncols) == want
+            assert linalg.rref(F, rows) == _rref(F, rows)
+            basis = linalg.kernel(F, rows, ncols)
+            assert len(basis) == ncols - want
+            for y in basis:
+                assert all(_dot(F, row, y) == 0 for row in rows)
+            square = _random_matrix(F, ncols, ncols, rng)
+            if trial % 3 == 0:
+                square[-1] = F.add_scaled(square[0], 1, square[1])  # singular
+            assert linalg.det(F, square) == _det(F, square)
+
+
+def _dot(F, a, b):
+    acc = 0
+    for x, y in zip(a, b):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
 
 
 def test_kernel_over_extension_field():

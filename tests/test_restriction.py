@@ -1,0 +1,216 @@
+"""Restriction over the rows' field: substitute_rows(F, rows, E) against
+the coefficient lift it replaced, and the dimension bounds built on it."""
+
+import random
+
+import pytest
+
+from transverse import certify, config, gf, linalg, locus, poly
+from transverse.certify import DimensionCertificate
+
+
+# ---------------------------------------------------------------------------
+# The coefficient lift and the lifted-scheme dimension bounds that
+# substitute_rows(F, rows, E) replaced, kept verbatim (up to module
+# prefixes) as references for the differential tests below.
+
+
+def form_lift(F: poly.Form, E: gf.Field) -> poly.Form:
+    """F with its coefficients embedded in the extension E of its field."""
+    if E == F.field:
+        return F
+    return poly.Form(
+        E,
+        F.nvars,
+        F.degree,
+        {e: gf.embed_code(F.field, E, c) for e, c in F.terms.items()},
+    )
+
+
+def _lift_scheme(S: locus.SchemeSpec, E: gf.Field) -> locus.SchemeSpec:
+    if E == S.field:
+        return S
+    return locus.SchemeSpec(E, S.nvars, [form_lift(g, E) for g in S.gens])
+
+
+def _slice_by(S: locus.SchemeSpec, row) -> locus.SchemeSpec:
+    rows = linalg.kernel(S.field, [list(row)], S.nvars)
+    return locus.SchemeSpec(
+        S.field, S.nvars - 1, [poly.substitute_rows(g, rows) for g in S.gens]
+    )
+
+
+def ref_dim_upper_bound(S, t, rng):
+    if t < -1:
+        raise ValueError("dimension bound below -1 is meaningless")
+    if t == -1:
+        verdict = "at-most" if certify.macaulay_is_empty(S) else "undetermined"
+        return DimensionCertificate(S, -1, verdict)
+    if t >= S.ambient:
+        return DimensionCertificate(S, t, "at-most")
+    E = certify._extension_with(S.field, certify._LV_MIN_FIELD)
+    lifted = _lift_scheme(S, E)
+    for attempt in range(1, certify._LV_RETRIES + 1):
+        cur = lifted
+        slices = []
+        for _ in range(t + 1):
+            while True:
+                row = tuple(rng.randrange(E.order) for _ in range(cur.nvars))
+                if any(row):
+                    break
+            slices.append(row)
+            cur = _slice_by(cur, row)
+        if certify.macaulay_is_empty(cur):
+            return DimensionCertificate(S, t, "at-most", tuple(slices), attempt)
+    return DimensionCertificate(S, t, "undetermined", (), certify._LV_RETRIES)
+
+
+def ref_dim_at_most_exact(S, t):
+    if t < -1:
+        raise ValueError("dimension bound below -1 is meaningless")
+    if t == -1:
+        return certify.macaulay_is_empty(S)
+    if t >= S.ambient:
+        return True
+    n = S.ambient
+    E = certify._extension_with(S.field, n * certify._bezout_component_bound(S) + 1)
+    branch = E.order
+    work = 1
+    for _ in range(t + 1):
+        work *= branch
+        if work > certify._EXACT_BRANCH_BUDGET:
+            raise config.SearchInfeasibleError(
+                f"exact dimension scan needs about {branch}^{t + 1} emptiness "
+                f"tests, over the {certify._EXACT_BRANCH_BUDGET} budget"
+            )
+    lifted = _lift_scheme(S, E)
+    return _ref_exact_scan(lifted, t, E)
+
+
+def _ref_exact_scan(S, t, E):
+    if certify.macaulay_is_empty(S):
+        return True
+    if t == -1:
+        return False
+    for c in range(E.order):
+        if _ref_exact_scan(_slice_by(S, certify._moment_row(E, S.nvars, c)), t - 1, E):
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+
+# (base field, extension degree over it): F_13 -> F_169, F_4 -> F_64,
+# F_3 -> F_81, F_9 -> F_729
+LIFTS = [((13, 1), 2), ((2, 2), 3), ((3, 1), 4), ((3, 2), 3)]
+
+
+def _ids(lift):
+    (p, m), k = lift
+    return f"F{p**m}-F{p**(m * k)}"
+
+
+def random_form(field, nvars, degree, rng, density=0.6):
+    mons = list(poly.monomials_of_degree(nvars, degree))
+    while True:
+        terms = {m: rng.randrange(field.order) for m in mons if rng.random() < density}
+        G = poly.Form(field, nvars, degree, terms)
+        if not G.is_zero():
+            return G
+
+
+def random_rows(E, k, nvars, rng):
+    rows = [[rng.randrange(E.order) for _ in range(nvars)] for _ in range(k)]
+    shape = rng.randrange(4)
+    if shape == 1 and k > 1:
+        # a dependent last row: c times the first
+        c = rng.randrange(E.order)
+        rows[-1] = [E.mul(c, x) for x in rows[0]]
+    elif shape == 2:
+        for row in rows:
+            row[0] = 0  # a zero column
+    return rows
+
+
+@pytest.mark.parametrize("lift", LIFTS, ids=_ids)
+def test_substitution_over_the_rows_field_matches_the_lift(lift):
+    (p, m), k = lift
+    F = gf.field_create(p, m)
+    E = gf.extension_field(F, k)
+    rng = random.Random(f"lift/{F.order}/{E.order}")
+    for trial in range(40):
+        nvars = 2 + trial % 3
+        f = random_form(F, nvars, rng.randrange(0, 4), rng)
+        rows = random_rows(E, rng.randrange(1, nvars + 1), nvars, rng)
+        got = poly.substitute_rows(f, rows, E)
+        assert got == poly.substitute_rows(form_lift(f, E), rows)
+        assert (got.field, got.nvars, got.degree) == (E, len(rows), f.degree)
+        # rows over F itself: E defaults to F's field, and naming it changes
+        # nothing
+        base = [[rng.randrange(F.order) for _ in range(nvars)] for _ in rows]
+        assert poly.substitute_rows(f, base) == poly.substitute_rows(f, base, F)
+        assert poly.substitute_rows(f, base).field == F
+
+
+@pytest.mark.parametrize("lift", LIFTS, ids=_ids)
+def test_slices_match_the_lifted_scheme(lift):
+    (p, m), k = lift
+    F = gf.field_create(p, m)
+    E = gf.extension_field(F, k)
+    rng = random.Random(f"slice/{F.order}/{E.order}")
+    for trial in range(10):
+        nvars = 3 + trial % 2
+        S = locus.SchemeSpec(
+            F, nvars, [random_form(F, nvars, rng.randrange(1, 3), rng) for _ in range(2)]
+        )
+        lifted = _lift_scheme(S, E)
+        row = [0] * nvars
+        while not any(row):
+            row = [rng.randrange(E.order) for _ in range(nvars)]
+        got = certify._slice_by(S, row, E)
+        want = _slice_by(lifted, row)
+        assert (got.field, got.nvars, got.gens) == (want.field, want.nvars, want.gens)
+        # a second slice starts from a scheme already over E
+        row = row[1:]
+        assert certify._slice_by(got, row, E).gens == _slice_by(want, row).gens
+
+
+def seeded_schemes(F, rng):
+    """Two-generator schemes in P^2 and P^3 of every dimension from -1 to 1,
+    and a line in P^3."""
+    out = []
+    for nvars in (3, 4):
+        for _ in range(3):
+            degs = [rng.randrange(1, 3) for _ in range(nvars - 1)]
+            out.append(
+                locus.SchemeSpec(F, nvars, [random_form(F, nvars, d, rng) for d in degs])
+            )
+    out.append(locus.SchemeSpec(F, 4, [random_form(F, 4, 1, rng) for _ in range(2)]))
+    return out
+
+
+@pytest.mark.parametrize("lift", LIFTS, ids=_ids)
+def test_dimension_bounds_match_the_lifted_path(lift):
+    (p, m), _ = lift
+    F = gf.field_create(p, m)
+    rng = random.Random(f"dimension/{F.order}")
+    verdicts, exact = set(), set()
+    for i, S in enumerate(seeded_schemes(F, rng)):
+        for t in range(-1, S.ambient):
+            ours, theirs = random.Random(i), random.Random(i)
+            got = certify.dim_upper_bound(S, t, ours)
+            want = ref_dim_upper_bound(S, t, theirs)
+            assert got.scheme is S
+            assert got.to_dict() == want.to_dict()  # verdict, retries_used, slices
+            assert ours.getstate() == theirs.getstate()  # the same rng draws
+            verdicts.add(got.verdict)
+            try:
+                want = ref_dim_at_most_exact(S, t)
+            except config.SearchInfeasibleError:
+                with pytest.raises(config.SearchInfeasibleError):
+                    certify.dim_at_most_exact(S, t)
+                continue
+            assert certify.dim_at_most_exact(S, t) == want
+            exact.add(want)
+    assert verdicts == {"at-most", "undetermined"}
+    assert exact == {True, False}

@@ -162,7 +162,7 @@ class TestTransverseLine:
         X = surf(F7, "x0*x1", nvars=4)
         out = find_transverse_line_reduced(X, seed=0)
         L = out.found
-        G = certify.section_form(X, L)
+        G = poly.substitute_rows(X.form, L.basis)
         assert G.degree == 2
         assert poly.binary_squarefree(G)
         assert certify.is_transverse(X, L)
