@@ -240,61 +240,78 @@ def _random_matrix(F, nrows, ncols, rng):
     return rows
 
 
+# The differential tests draw matrices of fewer than 8 columns, below the
+# column count at which echelon turns to numpy.  Each runs twice: once as
+# echelon chooses by size, once with that count lowered to 0, so that every
+# prime field below the limit also takes the numpy form through every view.
+
+
+def _representations(F, monkeypatch):
+    """Yield twice, the second time with numpy chosen for every prime field
+    below the limit, and check which form echelon returns each time."""
+    for min_cols in (None, 0):
+        with monkeypatch.context() as patch:
+            if min_cols is not None:
+                patch.setattr(linalg, "_NP_MIN_COLS", min_cols)
+            uses_np = min_cols == 0 and F.m == 1 and F.p < linalg._NP_PRIME_LIMIT
+            assert isinstance(linalg.echelon(F, 1), linalg._NpEchelon) == uses_np
+            yield
+
+
 @pytest.mark.parametrize("p, m", DIFFERENTIAL_FIELDS)
 def test_views_match_the_one_shot_references(p, m, monkeypatch):
     F = gf.field_create(p, m)
-    assert (F.m == 1 and p < linalg._NP_PRIME_LIMIT) == isinstance(
-        linalg.echelon(F, linalg._NP_MIN_COLS + 1), linalg._NpEchelon
-    )
-    rng = random.Random(f"views/{F.order}")
-    assert linalg.det(F, []) == _det(F, []) == 1
-    for _ in range(150):
-        nrows, ncols = rng.randrange(0, 8), rng.randrange(1, 8)
-        rows = _random_matrix(F, nrows, ncols, rng)
-        assert linalg.rank(F, rows, ncols) == _rank(F, rows, ncols)
-        stop = rng.randrange(1, 5)
-        assert linalg.rank(F, rows, ncols, stop) == _rank(F, rows, ncols, stop)
-        red, pivots = linalg.rref(F, rows)
-        assert (red, pivots) == _rref(F, rows)
-        assert all(type(x) is int for row in red for x in row)
-        basis = linalg.kernel(F, rows, ncols)
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "rref", _rref)
-            assert basis == linalg.kernel(F, rows, ncols)
-        assert all(type(x) is int for row in basis for x in row)
-        # square: the first rows, padded when short, often with a swap
-        n = min(ncols, 6)
-        square = [row[:n] for row in rows[:n]]
-        square += _random_matrix(F, n - len(square), n, rng)
-        if n > 1 and rng.random() < 0.5:
-            square[0] = [0] + square[0][1:]
-        assert linalg.det(F, square) == _det(F, square)
+    for _ in _representations(F, monkeypatch):
+        rng = random.Random(f"views/{F.order}")
+        assert linalg.det(F, []) == _det(F, []) == 1
+        for _ in range(150):
+            nrows, ncols = rng.randrange(0, 8), rng.randrange(1, 8)
+            rows = _random_matrix(F, nrows, ncols, rng)
+            assert linalg.rank(F, rows, ncols) == _rank(F, rows, ncols)
+            stop = rng.randrange(1, 5)
+            assert linalg.rank(F, rows, ncols, stop) == _rank(F, rows, ncols, stop)
+            red, pivots = linalg.rref(F, rows)
+            assert (red, pivots) == _rref(F, rows)
+            assert all(type(x) is int for row in red for x in row)
+            basis = linalg.kernel(F, rows, ncols)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "rref", _rref)
+                assert basis == linalg.kernel(F, rows, ncols)
+            assert all(type(x) is int for row in basis for x in row)
+            # square: the first rows, padded when short, often with a swap
+            n = min(ncols, 6)
+            square = [row[:n] for row in rows[:n]]
+            square += _random_matrix(F, n - len(square), n, rng)
+            if n > 1 and rng.random() < 0.5:
+                square[0] = [0] + square[0][1:]
+            assert linalg.det(F, square) == _det(F, square)
 
 
 @pytest.mark.parametrize("p, m", DIFFERENTIAL_FIELDS)
-def test_extending_a_form_matches_the_one_shot_rank(p, m):
+def test_extending_a_form_matches_the_one_shot_rank(p, m, monkeypatch):
     F = gf.field_create(p, m)
-    rng = random.Random(f"extend/{F.order}")
-    stopped_in_first = 0
-    for _ in range(150):
-        nrows, ncols = rng.randrange(1, 10), rng.randrange(1, 8)
-        rows = _random_matrix(F, nrows, ncols, rng)
-        cut = rng.randrange(nrows + 1)
-        stop = rng.choice([None, rng.randrange(1, ncols + 1)])
-        form = linalg.echelon(F, ncols)
-        first = linalg.rank(F, rows[:cut], ncols, stop, form=form)
-        want = _rank(F, rows, ncols, stop)
-        assert linalg.rank(F, rows[cut:], ncols, stop, form=form) == want
-        if stop is not None and first >= stop:
-            stopped_in_first += 1
-            assert first == want == stop
-        elif stop is None:
-            # the held rows span all the rows, each normalized at its pivot
-            assert linalg.rref(F, form.rows()) == _rref(F, rows)
-            assert sorted(form.held) == _rref(F, rows)[1]
-            for row, c in zip(form.rows(), sorted(form.held)):
-                assert row[c] == 1 and not any(row[:c])
-    assert stopped_in_first > 0
+    for _ in _representations(F, monkeypatch):
+        rng = random.Random(f"extend/{F.order}")
+        stopped_in_first = 0
+        for _ in range(150):
+            nrows, ncols = rng.randrange(1, 10), rng.randrange(1, 8)
+            rows = _random_matrix(F, nrows, ncols, rng)
+            cut = rng.randrange(nrows + 1)
+            stop = rng.choice([None, rng.randrange(1, ncols + 1)])
+            form = linalg.echelon(F, ncols)
+            first = linalg.rank(F, rows[:cut], ncols, stop, form=form)
+            want = _rank(F, rows, ncols, stop)
+            assert linalg.rank(F, rows[cut:], ncols, stop, form=form) == want
+            if stop is not None and first >= stop:
+                stopped_in_first += 1
+                assert first == want == stop
+            elif stop is None:
+                # the held rows span all the rows, each normalized at its pivot
+                assert linalg.rref(F, form.rows()) == _rref(F, rows)
+                assert sorted(form.held) == _rref(F, rows)[1]
+                for row, c in zip(form.rows(), sorted(form.held)):
+                    assert row[c] == 1 and not any(row[:c])
+        assert stopped_in_first > 0
 
 
 @pytest.mark.parametrize("p", [13, 83])
