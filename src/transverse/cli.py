@@ -65,7 +65,9 @@ def parse_input(path):
     Header ``p=<prime> m=<int> n=<int>`` on the first nonblank line, then
     one homogeneous polynomial on the following lines.  Errors carry the
     file position; inhomogeneous or identically zero polynomials and
-    coefficients outside the field are rejected.
+    coefficients outside the field are rejected.  A header with more than
+    config.MAX_NVARS variables raises CapExceededError before the
+    polynomial is parsed.
     """
     with open(path, encoding="utf-8") as handle:
         raw = handle.read()
@@ -88,6 +90,7 @@ def parse_input(path):
         raise InputFileError(path, header_line, 1, "m must be at least 1")
     if n < 1:
         raise InputFileError(path, header_line, 1, "n must be at least 1")
+    config.check_nvars(n + 1)
     try:
         field = gf.field_create(p, ext_deg)
     except (ValueError, config.CapExceededError) as exc:
@@ -141,9 +144,7 @@ def _emit(args, payload: dict, reports=None) -> None:
     """
     if args.format == "csv":
         rows = audit.flatten_reports(reports) if reports else [payload]
-        rows = [_strip_runtimes(r if isinstance(r, dict) else r.to_dict())
-                for r in rows]
-        text = _csv_text(rows)
+        text = _csv_text([_strip_runtimes(r) for r in rows])
     else:
         body = dict(payload)
         if reports is not None:

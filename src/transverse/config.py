@@ -46,6 +46,18 @@ class Caps:
             )
 
 
+# A smooth form in N variables needs a Macaulay matrix of at least N x N
+# entries, so past isqrt(certify._MAX_MACAULAY_ENTRIES) = 3,162 variables no
+# smoothness verdict fits; the bound refuses absurd inputs before an
+# exponent vector of that length is built.
+MAX_NVARS = 4_096
+
+
+def check_nvars(nvars: int) -> None:
+    if nvars > MAX_NVARS:
+        raise CapExceededError(f"{nvars} variables exceed cap {MAX_NVARS}")
+
+
 _CAPS: contextvars.ContextVar[Caps] = contextvars.ContextVar("caps", default=Caps())
 
 

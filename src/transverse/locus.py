@@ -1,10 +1,10 @@
 """Hypersurfaces and the tangency loci used by the search routines.
 
-A Hypersurface wraps one nonzero form of degree >= 1 with its cached
-gradient.  A SchemeSpec is nothing but a list of homogeneous generators in
-a fixed ambient space; emptiness and dimension questions about it are
-answered by `certify`, enumeration by `audit`.  Both refuse a form of
-degree above Caps.max_form_degree.
+A Hypersurface wraps one nonzero form of degree >= 1.  A SchemeSpec is
+nothing but a list of homogeneous generators in a fixed ambient space;
+emptiness, dimension and point enumeration questions about it are
+answered by `certify`.  Both refuse a form of degree above
+Caps.max_form_degree.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class Hypersurface:
         self.field = form.field
         self.ambient = form.nvars - 1
         self.degree = form.degree
-        self.partials = tuple(poly.form_partials(form))
         self.cache: dict = {}  # certification results attach here
 
     def __eq__(self, other):
@@ -69,21 +68,28 @@ class SchemeSpec:
 def tangency_locus(X: Hypersurface, H: projgeom.LinearSubspace) -> SchemeSpec:
     """Points of X whose (embedded) tangent hyperplane contains all of H.
 
-    Generators: the form of X plus one gradient contraction per basis row
-    of H.  For smooth X this cuts out exactly the locus where the tangent
-    hyperplane contains H; singular points of X always belong.
+    Generators: the form of X plus one gradient contraction
+    sum_i v_i dF/dx_i per basis row v of H, built in one pass over the
+    terms of F; zero contractions are dropped.  For smooth X this cuts out
+    exactly the locus where the tangent hyperplane contains H; singular
+    points of X always belong.
     """
     if H.field != X.field:
         raise ValueError("subspace must be over the base field of X")
     if H.ambient != X.ambient:
         raise ValueError("ambient dimension mismatch")
-    n = X.ambient
+    fld = X.field
     gens = [X.form]
     for row in H.basis:
-        acc = poly.Form(X.field, n + 1, max(X.degree - 1, 0), {})
-        for c, g in zip(row, X.partials):
-            if c and not g.is_zero():
-                acc = acc + g.scale(c)
-        if not acc.is_zero():
-            gens.append(acc)
-    return SchemeSpec(X.field, n + 1, gens)
+        terms: dict = {}
+        for exps, c in X.form.terms.items():
+            for i, v in enumerate(row):
+                e = exps[i]
+                if e and v:
+                    ne = exps[:i] + (e - 1,) + exps[i + 1 :]
+                    term = fld.mul(v, fld.mul_int(c, e))
+                    terms[ne] = fld.add(terms.get(ne, 0), term)
+        g = poly.Form(fld, X.ambient + 1, X.degree - 1, terms)
+        if not g.is_zero():
+            gens.append(g)
+    return SchemeSpec(fld, X.ambient + 1, gens)

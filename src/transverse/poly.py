@@ -3,7 +3,9 @@
 Form keeps a map from exponent vectors to nonzero coefficient codes; every
 exponent vector has the same total degree, checked at construction.  Forms
 are immutable and hashable, so they can be shared freely across threads
-and used as cache keys.  Binary forms dehomogenize to univariate code
+and used as cache keys.  A Form offers construction, equality, hashing,
++ and Form * Form; every other operation is a function here on its term
+map.  Binary forms dehomogenize to univariate code
 lists, on which ``linalg`` does the arithmetic.
 
 The one text grammar of the package lives here, for element text
@@ -81,68 +83,33 @@ class Form:
         )
 
     def __add__(self, other):
-        self._chk(other)
-        if self.is_zero():
-            return other
-        F = self.field
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = F.add(terms.get(e, 0), c)
-        return Form(F, self.nvars, self.degree, terms)
-
-    def __sub__(self, other):
-        self._chk(other)
-        if self.is_zero():
-            return -other
-        F = self.field
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = F.sub(terms.get(e, 0), c)
-        return Form(F, self.nvars, self.degree, terms)
-
-    def __neg__(self):
-        F = self.field
-        return Form(
-            F, self.nvars, self.degree, {e: F.neg(c) for e, c in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, Form):
-            if other.field != self.field or other.nvars != self.nvars:
-                raise ValueError("forms over different rings")
-            return Form(
-                self.field,
-                self.nvars,
-                self.degree + other.degree,
-                _mul_terms(self.field, self.terms, other.terms),
-            )
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c: int) -> "Form":
-        """The form times the element with code c of its field."""
-        F = self.field
-        if not 0 <= c < F.order:
-            raise ValueError(f"code {c} out of range for {F!r}")
-        if c == 0:
-            return Form(F, self.nvars, self.degree, {})
-        return Form(
-            F,
-            self.nvars,
-            self.degree,
-            {e: F.mul(v, c) for e, v in self.terms.items()},
-        )
-
-    def _chk(self, other):
         if (
             not isinstance(other, Form)
             or other.field != self.field
             or other.nvars != self.nvars
         ):
             raise ValueError("forms over different rings")
-        if other.degree != self.degree and not (self.is_zero() or other.is_zero()):
+        if self.is_zero():
+            return other
+        if other.degree != self.degree and not other.is_zero():
             raise ValueError("adding forms of different degrees")
+        F = self.field
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = F.add(terms.get(e, 0), c)
+        return Form(F, self.nvars, self.degree, terms)
+
+    def __mul__(self, other):
+        if not isinstance(other, Form):
+            return NotImplemented
+        if other.field != self.field or other.nvars != self.nvars:
+            raise ValueError("forms over different rings")
+        return Form(
+            self.field,
+            self.nvars,
+            self.degree + other.degree,
+            _mul_terms(self.field, self.terms, other.terms),
+        )
 
     def __repr__(self):
         return format_form(self)
@@ -389,13 +356,15 @@ def parse_form(field: gf.Field, text: str, nvars: int | None = None) -> Form:
 
     Homogeneity is enforced; nvars is inferred from the largest variable
     index when not given.  Text errors raise ParseError with their offset;
-    a degree above the cap raises CapExceededError.
+    more than config.MAX_NVARS variables or a degree above the cap raises
+    CapExceededError.
     """
     terms = _Parser(field, text, nvars).sum(False, "")
     if nvars is None:
         nvars = 1 + max((v for _, e, _ in terms for v in e), default=-1)
         if nvars < 1:
             raise ParseError("cannot infer variable count from a constant form", 0)
+    config.check_nvars(nvars)
     degree = sum(terms[0][1].values())
     for _, e, at in terms:
         if sum(e.values()) != degree:

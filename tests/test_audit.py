@@ -291,7 +291,9 @@ class TestBadSuperspaces:
         assert (tangent.observed, tangent.bound) == (6, 12)
         assert dual.observed == 0
         pt = pg.ProjectivePoint(F5, P.basis[0])
-        polar = [poly.form_eval_codes(g, pt.coords, F5) for g in X.partials]
+        polar = [
+            poly.form_eval_codes(g, pt.coords, F5) for g in poly.form_partials(X.form)
+        ]
         on_polar_and_X = 0
         for coords in pg.enumerate_point_codes(3, F5):
             if poly.form_eval_codes(X.form, coords, F5) != 0:

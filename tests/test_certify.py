@@ -40,7 +40,7 @@ def surf(field, text, nvars=None):
 
 def singular_scheme(X):
     """Sing(X): the form plus its nonzero partials."""
-    gens = [X.form] + [g for g in X.partials if not g.is_zero()]
+    gens = [X.form] + [g for g in poly.form_partials(X.form) if not g.is_zero()]
     return SchemeSpec(X.field, X.ambient + 1, gens)
 
 

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -315,6 +316,15 @@ class TestExitCodes:
         )
         assert cli.main(["find-line", "--input", big]) == EXIT_USAGE
         assert "form degree 5001 exceeds cap 5000" in capsys.readouterr().err
+
+    def test_absurd_variable_count_is_refused_before_parsing(self, tmp_path, capsys):
+        huge = write_input(tmp_path, "p=5 m=1 n=1000000\nx0^2 + x1^2 + x2^2\n")
+        started = time.perf_counter()
+        assert cli.main(["find-line", "--input", huge]) == EXIT_USAGE
+        assert time.perf_counter() - started < 0.5
+        assert "1000001 variables exceed cap" in capsys.readouterr().err
+        with pytest.raises(config.CapExceededError):
+            parse_input(huge)
 
     def test_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(X, seed=None):

@@ -1,12 +1,18 @@
+import random
+
 import pytest
 
 from transverse import config, gf, locus, poly, projgeom as pg
 from transverse.locus import Hypersurface, SchemeSpec
 
 
+F2 = gf.field_create(2)
 F3 = gf.field_create(3)
+F4 = gf.field_create(2, 2)
 F5 = gf.field_create(5)
 F7 = gf.field_create(7)
+F9 = gf.field_create(3, 2)
+F169 = gf.field_create(13, 2)
 
 
 def surf(field, text, nvars=None):
@@ -27,7 +33,8 @@ class TestTangencyLocus:
         )
         T = locus.tangency_locus(X, whole)
         # Sing(X): the form plus its nonzero partials
-        S = SchemeSpec(F5, 3, [X.form] + [g for g in X.partials if not g.is_zero()])
+        partials = poly.form_partials(X.form)
+        S = SchemeSpec(F5, 3, [X.form] + [g for g in partials if not g.is_zero()])
         for P in pg.enumerate_points(2, F5):
             assert T.vanishes_at_codes(P.coords, F5) == S.vanishes_at_codes(
                 P.coords, F5
@@ -49,8 +56,9 @@ class TestTangencyLocus:
         assert 0 < len(hits) <= 2 * (5 + 1)
         # hits are exactly the smooth points whose tangent plane passes
         # through P0
+        partials = poly.form_partials(X.form)
         for P in points_on(X):
-            g = [poly.form_eval_codes(d, P.coords, F5) for d in X.partials]
+            g = [poly.form_eval_codes(d, P.coords, F5) for d in partials]
             assert any(g)  # smooth quadric
             contains = sum(F5.mul(a, b) for a, b in zip(g, P0.coords)) % 5 == 0
             want = any(Q == P for Q in hits)
@@ -63,6 +71,62 @@ class TestTangencyLocus:
         assert len(T.gens) == 3  # F plus one contraction per basis row
         assert T.gens[0] == X.form
         assert all(g.degree == 2 for g in T.gens[1:])
+
+
+def contraction_reference(X, row):
+    """sum_i v_i * dF/dx_i on term maps, summed coefficient by coefficient,
+    with zero sums dropped: the construction the one-pass contraction
+    replaced."""
+    fld = X.field
+    acc = {}
+    for v, part in zip(row, poly.form_partials(X.form)):
+        for e, c in part.terms.items():
+            acc[e] = fld.add(acc.get(e, 0), fld.mul(v, c))
+    terms = {e: c for e, c in acc.items() if c}
+    return poly.Form(fld, X.ambient + 1, X.degree - 1, terms)
+
+
+def random_subspace(field, nvars, k, rng, first=None):
+    """A subspace of k rows, the first of them `first` when given."""
+    while True:
+        rows = [[rng.randrange(field.order) for _ in range(nvars)] for _ in range(k)]
+        if first is not None:
+            rows[0] = list(first)
+        try:
+            H = pg.subspace_from_rows(field, rows)
+        except ValueError:
+            continue
+        if len(H.basis) == k:
+            return H
+
+
+@pytest.mark.parametrize(
+    "field",
+    [F2, F3, F5, F4, F9, F169],
+    ids=lambda f: f"F{f.order}",
+)
+def test_one_pass_contraction_matches_the_partials(field):
+    rng = random.Random(field.order)
+    vanished = 0
+    for nvars in (3, 4):
+        for degree in range(1, 6):
+            monos = list(poly.monomials_of_degree(nvars, degree))
+            # x0 only to powers divisible by p: dF/dx0 vanishes, and so does
+            # the contraction with the row e_0
+            frob = [e for e in monos if e[0] % field.p == 0]
+            for pool, first in ((monos, None), (frob, (1,) + (0,) * (nvars - 1))):
+                terms = {e: rng.randrange(field.order) for e in pool}
+                if not any(terms.values()):
+                    continue
+                X = Hypersurface(poly.Form(field, nvars, degree, terms))
+                for k in range(1, nvars + 1):
+                    H = random_subspace(field, nvars, k, rng, first)
+                    contractions = [contraction_reference(X, row) for row in H.basis]
+                    vanished += sum(g.is_zero() for g in contractions)
+                    want = (X.form, *(g for g in contractions if not g.is_zero()))
+                    got = locus.tangency_locus(X, H).gens
+                    assert got == want, (poly.format_form(X.form), H.basis)
+    assert vanished > 0
 
 
 class TestTangencyAlongHyperplanes:

@@ -15,10 +15,6 @@ F9 = gf.field_create(3, 2)
 F169 = gf.field_create(13, 2)
 
 
-F4 = gf.field_create(2, 2)
-F25 = gf.field_create(5, 2)
-
-
 def span5(*rows):
     """The subspace of P^n(F_5) spanned by the rows."""
     return pg.subspace_from_rows(F5, rows)
@@ -193,18 +189,7 @@ class TestForm:
             ]
             for i in range(3):
                 acc = acc + x[i] * parts[i]
-            assert acc == f.scale(d % 5)
-
-    @pytest.mark.parametrize("field", [F4, F9, F25], ids=repr)
-    def test_scale_by_every_code(self, field):
-        # codes outside the prime subfield scale too (t has code p)
-        f = Form(field, 2, 2, {(2, 0): 1, (1, 1): field.order - 1, (0, 2): field.p})
-        for c in range(field.order):
-            want = {e: field.mul(v, c) for e, v in f.terms.items()}
-            assert f.scale(c) == Form(field, 2, 2, want), c
-        for bad in (-1, field.order):
-            with pytest.raises(ValueError):
-                f.scale(bad)
+            assert acc == Form(F5, 3, d, {e: c * d % 5 for e, c in f.terms.items()})
 
     def test_restrict_conic_to_lines(self):
         f = poly.parse_form(F5, "x0*x2 - x1^2")
@@ -311,6 +296,16 @@ class TestForm:
         with config.caps_scope(config.Caps(max_form_degree=3)):
             with pytest.raises(config.CapExceededError):
                 poly.parse_form(F5, "x0^2*x1^2")
+
+    def test_parse_refuses_variables_over_the_bound(self):
+        top = config.MAX_NVARS - 1
+        assert poly.parse_form(F5, f"x0 + x{top}").nvars == config.MAX_NVARS
+        with pytest.raises(config.CapExceededError, match="variables"):
+            poly.parse_form(F5, f"x0 + x{top + 1}")
+        with pytest.raises(config.CapExceededError, match="variables"):
+            poly.parse_form(F5, "x0 + x999999999")
+        with pytest.raises(config.CapExceededError, match="variables"):
+            poly.parse_form(F5, "x0 + x1", nvars=config.MAX_NVARS + 1)
 
     def test_binary_squarefree(self):
         g = poly.parse_form(F5, "x0*x1")
