@@ -173,16 +173,15 @@ def _superspace_stream(H, free):
 
 def all_lines(n: int, field: gf.Field):
     """Every line of P^n(field), by aggregating the pencils through each
-    point and keeping the first appearance."""
+    point and keeping the first appearance.  A line's first point in
+    enumeration order is the first row of its RREF basis, so the pencil
+    member kept at P is the one whose basis starts with P."""
     config.current_caps().check_enum(
         count_points(n, field) * count_points(n - 1, field), "line enumeration"
     )
-    seen = set()
     for P in enumerate_points(n, field):
-        base = point_subspace(P)
-        for L in enumerate_superspaces(base, 1):
-            if L.basis not in seen:
-                seen.add(L.basis)
+        for L in enumerate_superspaces(point_subspace(P), 1):
+            if L.basis[0] == P.coords:
                 yield L
 
 

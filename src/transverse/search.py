@@ -7,9 +7,11 @@ threshold above which exhaustion is impossible.  Exhausting a gated scan
 with exact rejections raises TheoremViolationError, because it would
 falsify the underlying counting argument rather than report a fact.
 
-Las-Vegas rejections (dimension tests that came back undetermined) are
-tallied separately; before a gated exhaustion is declared, undetermined
-candidates are retried with fresh randomness and then settled exactly.
+The reduced searches share one descent through the hyperplanes of the
+current subspace, certifying X once and each section against X itself.
+The flag search tallies Las-Vegas rejections (undetermined dimension
+tests) separately; before a gated exhaustion is declared, they are
+retried with fresh randomness and then settled exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import certify, config, gf, locus, poly, projgeom
+from . import certify, config, locus, projgeom
 
 _MODES = ("very-transverse", "reduced-line", "reduced-hyperplane")
 
@@ -148,7 +150,7 @@ def _serialize_found(found):
 
 
 # ---------------------------------------------------------------------------
-# reduced hyperplane sections
+# reduced sections: one descent through hyperplanes of the current subspace
 
 
 def _require_reduced_input(X: locus.Hypersurface, rng) -> None:
@@ -158,27 +160,31 @@ def _require_reduced_input(X: locus.Hypersurface, rng) -> None:
         raise ValueError("hypersurface must be reduced")
 
 
-def find_reduced_hyperplane(
-    X: locus.Hypersurface, seed: int | None = None
-) -> SearchOutcome:
-    """First hyperplane whose section of X is proper and reduced.
+def _hyperplanes_of(T: projgeom.LinearSubspace):
+    """Hyperplanes of the subspace T, in the order of T's dual points: each
+    row u of a hyperplane of P^dim(T) becomes u . T.basis, and the rows stay
+    in RREF (those of all_hyperplanes are e_k - c_k e_f)."""
+    F = T.field
+    for H in projgeom.all_hyperplanes(T.dim, F):
+        yield projgeom.LinearSubspace(
+            F, [projgeom.subspace_point(T, u, F).coords for u in H.basis]
+        )
 
-    Requires X itself reduced of degree >= 2 in P^n, n >= 3.  Above the
-    threshold (d(d-1)+1 for n = 3, d for n >= 4) exhaustion is impossible.
-    """
-    rng = random.Random(0 if seed is None else seed)
-    n = X.ambient
-    if n < 3:
-        raise ValueError("hyperplane search needs ambient dimension >= 3")
-    _require_reduced_input(X, rng)
+
+def _reduced_hyperplane_of(
+    X: locus.Hypersurface, T: projgeom.LinearSubspace, rng, seed
+) -> SearchOutcome:
+    """One level of the descent: the first hyperplane H of T with X cap H
+    proper and reduced, certified against X itself.  Exhaustion above the
+    reduced-hyperplane gate of P^dim(T) is a theorem violation."""
     gate = gate_status(
         "reduced-hyperplane",
-        required_q(n, X.degree, mode="reduced-hyperplane"),
+        required_q(T.dim, X.degree, mode="reduced-hyperplane"),
         X.field.order,
     )
     tested = 0
     rej = {"improper": 0, "not_reduced": 0}
-    for H in projgeom.all_hyperplanes(n, X.field):
+    for H in _hyperplanes_of(T):
         tested += 1
         try:
             if certify.is_reduced_section(X, H, rng=rng):
@@ -194,26 +200,36 @@ def find_reduced_hyperplane(
     return SearchOutcome("hyperplane", None, tested, rej, gate, seed)
 
 
-def _ambient_rows(field: gf.Field, rows, basis):
-    """Rows given in a subspace's internal coordinates, expressed in the
-    ambient coordinates through its basis."""
-    width = len(basis[0])
-    out = []
-    for row in rows:
-        acc = [0] * width
-        for c, brow in zip(row, basis):
-            if c:
-                acc = field.add_scaled(acc, c, brow)
-        out.append(acc)
-    return out
+def _whole_space(X: locus.Hypersurface) -> projgeom.LinearSubspace:
+    n = X.ambient
+    return projgeom.LinearSubspace(
+        X.field, [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    )
+
+
+def find_reduced_hyperplane(
+    X: locus.Hypersurface, seed: int | None = None
+) -> SearchOutcome:
+    """First hyperplane whose section of X is proper and reduced: one level
+    of the reduced descent, run on all of P^n.
+
+    Requires X itself reduced of degree >= 2 in P^n, n >= 3.  Above the
+    threshold (d(d-1)+1 for n = 3, d for n >= 4) exhaustion is impossible.
+    """
+    rng = random.Random(0 if seed is None else seed)
+    if X.ambient < 3:
+        raise ValueError("hyperplane search needs ambient dimension >= 3")
+    _require_reduced_input(X, rng)
+    return _reduced_hyperplane_of(X, _whole_space(X), rng, seed)
 
 
 def find_reduced_plane_section_chain(
     X: locus.Hypersurface, r: int, seed: int | None = None
 ) -> SearchOutcome:
     """Descend from P^n to an r-plane T through hyperplanes with reduced
-    sections at every stage; the final section X cap T is re-certified
-    against X directly.
+    sections at every stage.  Each level scans the hyperplanes of the
+    current subspace and certifies X cap H against X itself, so the last
+    level's verdict is the certificate for X cap T.
 
     The chain (dims n-1 down to r, in ambient coordinates) is returned
     alongside T.  Guaranteed above q >= ceil(3/2 d(d-1)).
@@ -228,33 +244,23 @@ def find_reduced_plane_section_chain(
         required_q(n, X.degree, mode="reduced-line"),
         X.field.order,
     )
-    current = X
-    basis = tuple(
-        tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n + 1)
-    )
+    T = _whole_space(X)
     chain = []
     tested = 0
     rej = {"improper": 0, "not_reduced": 0}
-    while current.ambient > r:
-        inner = find_reduced_hyperplane(current, seed=seed)
-        tested += inner.tested
+    while T.dim > r:
+        level = _reduced_hyperplane_of(X, T, rng, seed)
+        tested += level.tested
         for k in rej:
-            rej[k] += inner.rejections.get(k, 0)
-        if not inner.succeeded():
+            rej[k] += level.rejections[k]
+        if not level.succeeded():
             return SearchOutcome(
                 "plane-chain", None, tested, rej, gate, seed,
                 chain=tuple(chain),
-                note=f"stalled in ambient dimension {current.ambient}",
+                note=f"stalled in ambient dimension {T.dim}",
             )
-        H = inner.found
-        basis = tuple(
-            tuple(row) for row in _ambient_rows(X.field, H.basis, basis)
-        )
-        chain.append(projgeom.subspace_from_rows(X.field, [list(b) for b in basis]))
-        current = locus.Hypersurface(poly.substitute_rows(current.form, H.basis))
-    T = chain[-1]
-    if not certify.is_reduced_section(X, T, rng=rng):
-        raise RuntimeError("chain section failed direct re-certification")
+        T = level.found
+        chain.append(T)
     return SearchOutcome(
         "plane-chain", T, tested, rej, gate, seed, chain=tuple(chain)
     )
@@ -264,24 +270,16 @@ def find_reduced_plane_section_chain(
 # transverse lines
 
 
-def _lines_of_plane(T: projgeom.LinearSubspace):
-    """Lines inside a fixed plane, in the dual-coefficient order of the
-    plane's internal coordinates."""
-    F = T.field
-    for H in projgeom.all_hyperplanes(2, F):
-        yield projgeom.subspace_from_rows(F, _ambient_rows(F, H.basis, T.basis))
-
-
 def find_transverse_line_reduced(
     X: locus.Hypersurface, seed: int | None = None
 ) -> SearchOutcome:
     """A line meeting the reduced hypersurface X in deg X distinct smooth
     points, found by chaining down to a plane and scanning its lines.
 
-    Every candidate is tested with the exact transversality predicate
-    against X itself, never against intermediate sections.  Guaranteed
-    above q >= ceil(3/2 d(d-1)); degree 1 degenerates to the first line
-    not inside the hyperplane.
+    X is certified reduced once, and every candidate is tested with the
+    exact transversality predicate against X itself.  Guaranteed above
+    q >= ceil(3/2 d(d-1)); degree 1 degenerates to the first line not
+    inside the hyperplane.
     """
     n = X.ambient
     if n < 2:
@@ -300,10 +298,9 @@ def find_transverse_line_reduced(
                 return SearchOutcome("line", L, tested, rej, gate, seed)
             rej["not_transverse"] += 1
         raise config.TheoremViolationError("hyperplane with no transverse line")
-    rng = random.Random(0 if seed is None else seed)
-    _require_reduced_input(X, rng)
     chain = ()
     if n == 2:
+        _require_reduced_input(X, random.Random(0 if seed is None else seed))
         candidates = projgeom.all_lines(2, X.field)
     else:
         descent = find_reduced_plane_section_chain(X, 2, seed=seed)
@@ -314,7 +311,7 @@ def find_transverse_line_reduced(
                 note="no reduced plane section reached: " + descent.note,
             )
         chain = descent.chain
-        candidates = _lines_of_plane(descent.found)
+        candidates = _hyperplanes_of(descent.found)
     for L in candidates:
         tested += 1
         if certify.is_transverse(X, L):

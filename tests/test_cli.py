@@ -458,10 +458,21 @@ CSV_SHA256 = {
 }
 
 
-def corpus_stdout_sha256(argv):
+# the reduced descent over two levels, on a P^4 fixture; the relative path
+# keeps the report's "input" string stable
+THREEFOLD_FIXTURE = "tests/fixtures/fermat_cubic_threefold_f7.txt"
+THREEFOLD_SHA256 = {
+    "find-line":
+        "c466e8bb4313342aff2b58d5ee2507c01247a2807e2ccb720fe4666096d0e89d",
+    "find-reduced --r 2":
+        "a6b3ca48404978f431c7ecbebeeeaa52413d078c2f9b8fa6596ff9d79b26026d",
+}
+
+
+def corpus_stdout_sha256(argv, fixture=FIXTURE):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     if argv[0] != "audit":
-        argv = [*argv, "--input", FIXTURE]
+        argv = [*argv, "--input", fixture]
     proc = subprocess.run(
         [sys.executable, "-m", "transverse.cli", *argv],
         cwd=REPO, env=env, capture_output=True,
@@ -481,3 +492,9 @@ def test_corpus_stdout_is_pinned(command):
 def test_corpus_csv_stdout_is_pinned(command):
     argv = [*command.split(), "--format", "csv"]
     assert corpus_stdout_sha256(argv) == CSV_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(THREEFOLD_SHA256))
+def test_threefold_descent_stdout_is_pinned(command):
+    got = corpus_stdout_sha256(command.split(), THREEFOLD_FIXTURE)
+    assert got == THREEFOLD_SHA256[command]

@@ -213,3 +213,15 @@ class TestDegreeCap:
         with config.caps_scope(config.Caps(max_form_degree=cap + 1)):
             assert Hypersurface(big).degree == cap + 1
             assert SchemeSpec(F5, 3, [line, big]).gens[1] == big
+
+    def test_hypersurface_and_scheme_refuse_too_many_variables(self):
+        n = config.MAX_NVARS + 1
+        wide = poly.Form(F5, n, 1, {(1,) + (0,) * (n - 1): 1})
+        with pytest.raises(config.CapExceededError, match="variables exceed"):
+            Hypersurface(wide)
+        with pytest.raises(config.CapExceededError, match="variables exceed"):
+            SchemeSpec(F5, n, [wide])
+        top = config.MAX_NVARS
+        edge = poly.Form(F5, top, 1, {(1,) + (0,) * (top - 1): 1})
+        assert Hypersurface(edge).ambient == top - 1
+        assert SchemeSpec(F5, top, [edge]).ambient == top - 1

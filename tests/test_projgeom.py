@@ -161,6 +161,22 @@ class TestLines:
         for L in pg.all_lines(2, F3):
             assert sum(1 for _ in pg.subspace_points(L)) == 4
 
+    @pytest.mark.parametrize("field, n", [
+        (F2, 2), (F2, 3), (F2, 4), (F3, 2), (F3, 3), (F3, 4),
+        (F4, 2), (F4, 3), (F5, 2), (F5, 3), (F9, 2),
+    ], ids=str)
+    def test_matches_the_seen_set_generator(self, field, n):
+        # reference: every pencil member not seen before, in pencil order
+        def seen_set_lines():
+            seen = set()
+            for P in pg.enumerate_points(n, field):
+                for L in pg.enumerate_superspaces(pg.point_subspace(P), 1):
+                    if L.basis not in seen:
+                        seen.add(L.basis)
+                        yield L
+
+        assert list(pg.all_lines(n, field)) == list(seen_set_lines())
+
 
 class TestDual:
     def test_hyperplane_to_point(self):

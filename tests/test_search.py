@@ -1,3 +1,5 @@
+import collections
+import itertools
 import json
 import random
 
@@ -173,28 +175,288 @@ class TestTransverseLine:
         assert out.succeeded()
         assert certify.is_transverse(X, out.found)
 
+    @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("field", [F5, gf.field_create(2, 2), F9], ids=str)
-    def test_lines_of_plane_match_the_kernel_of_each_dual_point(self, field):
+    def test_hyperplanes_of_match_the_kernel_of_each_dual_point(self, field, dim):
         # reference: the kernel of each normalized dual point, lifted to the
-        # ambient space through the plane's basis, in enumeration order
+        # ambient space through T's basis, in enumeration order; subspaces
+        # compare by basis, so the helper's rows are already the RREF basis
         rng = random.Random(3)
         while True:
-            rows = [[rng.randrange(field.order) for _ in range(5)] for _ in range(3)]
-            if linalg.rank(field, rows) == 3:
+            rows = [[rng.randrange(field.order) for _ in range(6)]
+                    for _ in range(dim + 1)]
+            if linalg.rank(field, rows) == dim + 1:
                 break
         T = pg.subspace_from_rows(field, rows)
         ref = [
-            pg.subspace_from_rows(field, search._ambient_rows(
-                field, linalg.kernel(field, [list(w)], 3), T.basis))
-            for w in pg.enumerate_point_codes(2, field)
+            pg.subspace_from_rows(field, _ref_ambient_rows(
+                field, linalg.kernel(field, [list(w)], dim + 1), T.basis))
+            for w in pg.enumerate_point_codes(dim, field)
         ]
-        assert list(search._lines_of_plane(T)) == ref
+        assert list(search._hyperplanes_of(T)) == ref
 
     def test_deterministic(self):
         C = surf(F5, "x0*x2 + 4*x1^2")
         a = find_transverse_line_reduced(C, seed=9)
         b = find_transverse_line_reduced(C, seed=9)
         assert a.found.basis == b.found.basis
+
+
+# ---------------------------------------------------------------------------
+# The reduced descent as it stood when each level built its section as a new
+# Hypersurface and searched it with find_reduced_hyperplane, kept verbatim
+# as the reference for the differential tests below.
+
+
+def _ref_require_reduced_input(X, rng):
+    if X.degree < 2:
+        raise ValueError("search needs degree at least 2")
+    if not certify.is_reduced_form(X.form, rng=rng):
+        raise ValueError("hypersurface must be reduced")
+
+
+def _ref_find_reduced_hyperplane(X, seed=None):
+    rng = random.Random(0 if seed is None else seed)
+    n = X.ambient
+    if n < 3:
+        raise ValueError("hyperplane search needs ambient dimension >= 3")
+    _ref_require_reduced_input(X, rng)
+    gate = search.gate_status(
+        "reduced-hyperplane",
+        required_q(n, X.degree, mode="reduced-hyperplane"),
+        X.field.order,
+    )
+    tested = 0
+    rej = {"improper": 0, "not_reduced": 0}
+    for H in pg.all_hyperplanes(n, X.field):
+        tested += 1
+        try:
+            if certify.is_reduced_section(X, H, rng=rng):
+                return search.SearchOutcome("hyperplane", H, tested, rej, gate, seed)
+            rej["not_reduced"] += 1
+        except config.NotProperError:
+            rej["improper"] += 1
+    if gate["satisfied"]:
+        raise config.TheoremViolationError(
+            "no reduced hyperplane section although "
+            f"q = {X.field.order} >= {gate['threshold']}"
+        )
+    return search.SearchOutcome("hyperplane", None, tested, rej, gate, seed)
+
+
+def _ref_ambient_rows(field, rows, basis):
+    width = len(basis[0])
+    out = []
+    for row in rows:
+        acc = [0] * width
+        for c, brow in zip(row, basis):
+            if c:
+                acc = field.add_scaled(acc, c, brow)
+        out.append(acc)
+    return out
+
+
+def _ref_find_reduced_plane_section_chain(X, r, seed=None):
+    n = X.ambient
+    if not 2 <= r <= n - 1:
+        raise ValueError("need 2 <= r <= n-1")
+    rng = random.Random(0 if seed is None else seed)
+    _ref_require_reduced_input(X, rng)
+    gate = search.gate_status(
+        "reduced-chain",
+        required_q(n, X.degree, mode="reduced-line"),
+        X.field.order,
+    )
+    current = X
+    basis = tuple(
+        tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n + 1)
+    )
+    chain = []
+    tested = 0
+    rej = {"improper": 0, "not_reduced": 0}
+    while current.ambient > r:
+        inner = _ref_find_reduced_hyperplane(current, seed=seed)
+        tested += inner.tested
+        for k in rej:
+            rej[k] += inner.rejections.get(k, 0)
+        if not inner.succeeded():
+            return search.SearchOutcome(
+                "plane-chain", None, tested, rej, gate, seed,
+                chain=tuple(chain),
+                note=f"stalled in ambient dimension {current.ambient}",
+            )
+        H = inner.found
+        basis = tuple(
+            tuple(row) for row in _ref_ambient_rows(X.field, H.basis, basis)
+        )
+        chain.append(pg.subspace_from_rows(X.field, [list(b) for b in basis]))
+        current = locus.Hypersurface(poly.substitute_rows(current.form, H.basis))
+    T = chain[-1]
+    if not certify.is_reduced_section(X, T, rng=rng):
+        raise RuntimeError("chain section failed direct re-certification")
+    return search.SearchOutcome(
+        "plane-chain", T, tested, rej, gate, seed, chain=tuple(chain)
+    )
+
+
+def _ref_lines_of_plane(T):
+    F = T.field
+    for H in pg.all_hyperplanes(2, F):
+        yield pg.subspace_from_rows(F, _ref_ambient_rows(F, H.basis, T.basis))
+
+
+def _ref_find_transverse_line_reduced(X, seed=None):
+    n = X.ambient
+    if n < 2:
+        raise ValueError("lines need ambient dimension >= 2")
+    gate = search.gate_status(
+        "reduced-line",
+        required_q(n, X.degree, mode="reduced-line"),
+        X.field.order,
+    )
+    tested = 0
+    rej = {"not_transverse": 0}
+    if X.degree == 1:
+        for L in pg.all_lines(n, X.field):
+            tested += 1
+            if certify.is_transverse(X, L):
+                return search.SearchOutcome("line", L, tested, rej, gate, seed)
+            rej["not_transverse"] += 1
+        raise config.TheoremViolationError("hyperplane with no transverse line")
+    rng = random.Random(0 if seed is None else seed)
+    _ref_require_reduced_input(X, rng)
+    chain = ()
+    if n == 2:
+        candidates = pg.all_lines(2, X.field)
+    else:
+        descent = _ref_find_reduced_plane_section_chain(X, 2, seed=seed)
+        tested += descent.tested
+        if not descent.succeeded():
+            return search.SearchOutcome(
+                "line", None, tested, rej, gate, seed,
+                note="no reduced plane section reached: " + descent.note,
+            )
+        chain = descent.chain
+        candidates = _ref_lines_of_plane(descent.found)
+    for L in candidates:
+        tested += 1
+        if certify.is_transverse(X, L):
+            return search.SearchOutcome("line", L, tested, rej, gate, seed, chain=chain)
+        rej["not_transverse"] += 1
+    if gate["satisfied"]:
+        raise config.TheoremViolationError(
+            f"no transverse line although q = {X.field.order} "
+            f">= {gate['threshold']}"
+        )
+    return search.SearchOutcome("line", None, tested, rej, gate, seed, chain=chain)
+
+
+NEW = (
+    find_transverse_line_reduced,
+    find_reduced_hyperplane,
+    find_reduced_plane_section_chain,
+)
+REF = (
+    _ref_find_transverse_line_reduced,
+    _ref_find_reduced_hyperplane,
+    _ref_find_reduced_plane_section_chain,
+)
+
+
+def _verdicts(searches, X, r, seed):
+    """to_dict() of each reduced search on X (the line search, then the
+    hyperplane and chain searches from P^3 on), or the type and message of
+    the error it raised."""
+    line, hyperplane, chain = searches
+    calls = [(line, (X, seed))]
+    if X.ambient >= 3:
+        calls += [(hyperplane, (X, seed)), (chain, (X, r, seed))]
+    out = []
+    for fn, args in calls:
+        try:
+            out.append(fn(*args).to_dict())
+        except (ValueError, config.TheoremViolationError) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+FERMAT_THREEFOLD = "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"
+
+
+class TestReducedDescentMatchesReference:
+    @pytest.mark.parametrize("p, m, text, nvars, r, seed", [
+        (3, 2, "x0*x1*x2 + (t)*x3^3 + x4^2*x0", 5, 2, 1729),
+        (7, 1, FERMAT_THREEFOLD, 5, 2, 1729),
+        (2, 2, "x0*x1*x2", 6, 2, 0),
+        (2, 2, "x0^2*x1 + x2^3 + x3*x4*x5", 6, 3, 3),
+        (5, 1, "x0*x1*x2 + x3*x4*x5", 7, 2, 1),
+        (5, 1, "x0*x1 + x2*x3 + x4*x5 + x6^2", 7, 3, 2),
+        (7, 1, "x0*x1*x2*x3", 6, 2, 5),
+        (3, 2, "x0*x1 + x2^2", 5, 2, 0),
+        (5, 1, "x0^3 + x1^3 + x2^3 + x0*x1*x2", 3, 2, 4),
+        (5, 1, "x0^5 + x1^5", 5, 2, 0),  # a p-th power: refused
+    ])
+    def test_outcomes_match(self, p, m, text, nvars, r, seed):
+        X = surf(gf.field_create(p, m), text, nvars=nvars)
+        assert _verdicts(NEW, X, r, seed) == _verdicts(REF, X, r, seed)
+
+    def test_a_candidate_is_rejected_on_each_level(self):
+        X = surf(F9, "x0*x1*x2 + (t)*x3^3 + x4^2*x0")
+        top = find_reduced_hyperplane(X, seed=1729)
+        assert (top.tested, top.rejections["not_reduced"]) == (2, 1)
+        out = find_reduced_plane_section_chain(X, 2, seed=1729)
+        assert [H.dim for H in out.chain] == [3, 2]
+        assert out.tested == 4
+        assert out.rejections == {"improper": 0, "not_reduced": 2}
+
+    def test_stall_below_the_top_level(self):
+        # x0^15 plus the product of the 15 linear forms of P^3(F_2) in
+        # x1..x4: the first hyperplane x0 = 0 has that product as its
+        # reduced section, which contains every hyperplane of it
+        F2 = gf.field_create(2)
+        G = poly.parse_form(F2, "x0^15", nvars=5)
+        prod = poly.parse_form(F2, "1", nvars=5)
+        for w in itertools.product(range(2), repeat=4):
+            if any(w):
+                text = " + ".join(f"x{i + 1}" for i, c in enumerate(w) if c)
+                prod = prod * poly.parse_form(F2, text, nvars=5)
+        X = Hypersurface(G + prod)
+        got = _verdicts(NEW, X, 2, 0)
+        assert got == _verdicts(REF, X, 2, 0)
+        assert got[2]["note"] == "stalled in ambient dimension 3"
+        assert got[2]["rejections"] == {"improper": 15, "not_reduced": 0}
+
+    def test_exhausted_level_above_its_gate_raises_the_same_error(
+        self, monkeypatch
+    ):
+        # every candidate below the top level is refused; over F_7 the
+        # reduced-hyperplane gate of P^3, d(d-1)+1 = 7, is met
+        real = certify.is_reduced_section
+
+        def refuse_below_top(X, H, rng=None):
+            return H.dim >= 3 and real(X, H, rng=rng)
+
+        monkeypatch.setattr(certify, "is_reduced_section", refuse_below_top)
+        X = surf(F7, FERMAT_THREEFOLD)
+        got = _verdicts(NEW, X, 2, 0)
+        assert got == _verdicts(REF, X, 2, 0)
+        error = ("TheoremViolationError",
+                 "no reduced hyperplane section although q = 7 >= 7")
+        assert got[0] == got[2] == error
+
+    def test_x_is_certified_once_and_each_level_once(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("is_reduced_form", "is_reduced_section"):
+            real = getattr(certify, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(certify, name, counted)
+        out = find_transverse_line_reduced(surf(F7, FERMAT_THREEFOLD), seed=0)
+        assert len(out.chain) == 2
+        assert calls == {"is_reduced_form": 1, "is_reduced_section": 2}
 
 
 class TestVeryTransverseFlag:
