@@ -392,12 +392,12 @@ def count_bad_hyperplanes(
     started = time.perf_counter()
     improper = 0
     nonreduced = 0
-    for H in projgeom.all_hyperplanes(n, X.field):
-        try:
-            if not certify.is_reduced_section(X, H, rng=rng):
-                nonreduced += 1
-        except config.NotProperError:
+    hyperplanes = projgeom.all_hyperplanes(n, X.field)
+    for verdict in certify.reduced_sections(X, hyperplanes, rng):
+        if verdict is None:
             improper += 1
+        elif not verdict:
+            nonreduced += 1
     observed = improper + nonreduced
     params = {"n": n, "d": X.degree, "q": X.field.order, "r": n - 1, "t": t}
     extras = {

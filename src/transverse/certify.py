@@ -37,6 +37,9 @@ Reducedness is first tried by a one-sided line certificate: if G on a
 random line is nonzero of degree d and squarefree, G is squarefree (a
 factor h^2 would survive on the line unless the line lies in V(h), where G
 vanishes); G on the line is interpolated, so no section form is built.
+One kernel evaluates the lines of many spans at once in numpy (the
+field's array view in gf), and a census certifies its sections through it
+a chunk at a time.
 When p does not divide d = deg G, the Euler relation d*G = sum x_i d_iG
 puts G in the ideal of its partials, so the Jacobian scheme is generated
 by the nonzero partials alone (G is kept when p | d), and N* =
@@ -75,6 +78,9 @@ _LV_MIN_FIELD = 64
 _LV_RETRIES = 8
 _EXACT_BRANCH_BUDGET = 250_000
 _WITNESS_KMAX = 6
+# sections per line certificate kernel call in reduced_sections: the kernel's
+# arrays grow with it, its fixed cost is paid once per chunk
+_SECTION_CHUNK = 256
 # Largest rows x columns of a Macaulay matrix, refused before any row is
 # built.  Its square root bounds the pivots of the elimination, which the
 # numpy path of linalg must accept.
@@ -553,23 +559,70 @@ def is_smooth_form(G: poly.Form) -> bool:
     return macaulay_is_empty(jacobian_scheme(G))
 
 
-def _line_certificate(G: poly.Form, rows, rng: random.Random) -> bool:
-    """One-sided certificate that G on the span of ``rows`` is nonzero and
-    squarefree; False carries no information.  On a random line a + t*b of
-    the span over an extension with at least max(64, d+1) elements, f(t) =
-    G(a + t*b), interpolated at t = 0..d, must have degree d and
-    gcd(f, f') = 1."""
-    d = G.degree
-    E = _extension_with(G.field, max(_LV_MIN_FIELD, d + 1))
-    a = b = [0] * G.nvars
-    for row in rows:
-        row = [gf.embed_code(G.field, E, c) for c in row]
-        a = E.add_scaled(a, rng.randrange(E.order), row)
-        b = E.add_scaled(b, rng.randrange(E.order), row)
-    f = linalg.u_interpolate(
-        E, [poly.form_eval_codes(G, E.add_scaled(a, c, b), E) for c in range(d + 1)]
-    )
-    return f[-1] != 0 and linalg.u_squarefree(E, f)
+@functools.lru_cache(maxsize=16)
+def _interpolation_arrays(E: gf.Field, n: int):
+    """In E's array view: the node codes 0..n-1, shaped (n, 1, 1), and the
+    n x n matrix taking the values at the nodes to the coefficients of the
+    interpolant; its column j is u_interpolate of the j-th unit vector,
+    w_j M(t) / (t - j)."""
+    V = E.arrays()
+    cols = [linalg.u_interpolate(E, [int(i == j) for i in range(n)]) for j in range(n)]
+    return V.array(range(n)).reshape(n, 1, 1), V.array(cols).T
+
+
+def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
+    """One-sided certificates that G (of degree d >= 1) on the span of each
+    list of rows is nonzero and squarefree; a False carries no information.
+
+    For each span in turn, and each of its rows, a coefficient of a and
+    then one of b are drawn, uniform over the smallest extension E of G's
+    field with at least max(64, d+1) elements; a + t*b is then a random
+    line of the span.  The rest runs in E's array view over every span at
+    once: the d + 1 points a + c*b for the node codes c = 0..d, G at them
+    summed term by term into one accumulator (terms are never stacked), and
+    f(t) = G(a + t*b) from those values by one fixed interpolation matrix.  A
+    span is certified when deg f = d and gcd(f, f') = 1, checked in Python
+    only for the spans whose top coefficient is nonzero.
+    """
+    d, F, nvars = G.degree, G.field, G.nvars
+    E = _extension_with(F, max(_LV_MIN_FIELD, d + 1))
+    V, q = E.arrays(), E.order
+    k = max(len(rows) for rows in spans)
+    draws, bases = [], []
+    for rows in spans:
+        pad = k - len(rows)
+        draw = [[rng.randrange(q), rng.randrange(q)] for _ in rows]
+        draws.append(draw + [[0, 0]] * pad)
+        if E != F and F.m > 1:
+            rows = [[gf.embed_code(F, E, c) for c in row] for row in rows]
+        bases.append(list(rows) + [[0] * nvars] * pad)
+    # (2, S, k, nvars): row i of each span scaled by its a and b coefficients
+    scaled = V.mul(V.array(draws).transpose(2, 0, 1)[..., None], V.array(bases))
+    ab = scaled[:, :, 0]
+    for i in range(1, k):
+        ab = V.add(ab, scaled[:, :, i])
+    n = d + 1
+    nodes, L = _interpolation_arrays(E, n)
+    points = V.add(ab[0], V.mul(nodes, ab[1]))  # (n, S, nvars)
+    powers = [points]  # powers[e - 1] holds every coordinate to the e
+    values = None
+    for exps, c in G.terms.items():
+        term = None
+        for j, e in enumerate(exps):
+            if e:
+                while len(powers) < e:
+                    powers.append(V.mul(powers[-1], points))
+                x = powers[e - 1][..., j]  # (n, S)
+                term = x if term is None else V.mul(term, x)
+        if c != 1:
+            term = V.mul(gf.embed_code(F, E, c), term)
+        values = term if values is None else V.add(values, term)
+    f = V.mul(L[:, :1], values[0])
+    for j in range(1, n):
+        f = V.add(f, V.mul(L[:, j : j + 1], values[j]))
+    top = f[-1].tolist()
+    coeffs = f.T.tolist()
+    return [bool(t) and linalg.u_squarefree(E, f_s) for t, f_s in zip(top, coeffs)]
 
 
 def is_reduced_form(G: poly.Form, rng: random.Random | None = None) -> bool:
@@ -593,7 +646,7 @@ def is_reduced_form(G: poly.Form, rng: random.Random | None = None) -> bool:
         return poly.binary_squarefree(G)
     rng = rng or random.Random(0)
     identity = [[int(i == j) for j in range(G.nvars)] for i in range(G.nvars)]
-    if _line_certificate(G, identity, rng):
+    if _line_certificates(G, [identity], rng)[0]:
         return True
     J = jacobian_scheme(G)
     if J.gens == (G,):
@@ -609,20 +662,40 @@ def is_reduced_section(
     H: projgeom.LinearSubspace,
     rng: random.Random | None = None,
 ) -> bool:
-    """Whether X cap H is proper and cut by a squarefree restriction.
-
-    A hit of the line certificate on X.form over the span of H.basis
-    proves both without building the section; a miss builds it.
+    """Whether X cap H is proper and cut by a squarefree restriction; raises
+    NotProperError when H lies in X.  One span through reduced_sections, so
+    it draws exactly what a lone line certificate and its fallback draw.
     """
-    if H.ambient != X.ambient or H.field != X.field:
-        raise ValueError("subspace and hypersurface do not match")
-    rng = rng or random.Random(0)
-    if _line_certificate(X.form, H.basis, rng):
-        return True
-    G = poly.substitute_rows(X.form, H.basis)
-    if G.is_zero():
+    (verdict,) = reduced_sections(X, [H], rng)
+    if verdict is None:
         raise config.NotProperError("the subspace lies inside the hypersurface")
-    return is_reduced_form(G, rng=rng)
+    return verdict
+
+
+def reduced_sections(
+    X: locus.Hypersurface, subspaces, rng: random.Random | None = None
+):
+    """For each subspace H of X's ambient space, in order, whether X cap H is
+    cut by a squarefree restriction: True, False, or None when H lies in X.
+
+    The subspaces are certified in chunks of _SECTION_CHUNK, one line
+    certificate kernel call each, so the draws of a whole chunk come first.
+    A miss then builds the section form: a zero form is improper, and any
+    other is decided by is_reduced_form on the same rng, in chunk order.
+    """
+    rng = rng or random.Random(0)
+    subspaces = iter(subspaces)
+    while chunk := list(itertools.islice(subspaces, _SECTION_CHUNK)):
+        for H in chunk:
+            if H.ambient != X.ambient or H.field != X.field:
+                raise ValueError("subspace and hypersurface do not match")
+        hits = _line_certificates(X.form, [H.basis for H in chunk], rng)
+        for H, hit in zip(chunk, hits):
+            if hit:
+                yield True
+                continue
+            G = poly.substitute_rows(X.form, H.basis)
+            yield None if G.is_zero() else is_reduced_form(G, rng=rng)
 
 
 # ---------------------------------------------------------------------------

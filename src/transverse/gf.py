@@ -21,6 +21,17 @@ digit polynomials.  ``Field.add_scaled`` is the row update x + c*y that
 Gaussian elimination and polynomial arithmetic run on, looped once in the
 log domain.
 
+``Field.arrays()`` is the field's array view: elementwise ``add`` and
+``mul`` on numpy arrays of codes, for kernels that run one computation
+over many inputs at once.  It mirrors the scalar representations: int64
+residues mod p for primes below 2^31 (a product of two residues fits);
+log/exp gathers for table-backed extensions, with log 0 a sentinel that
+reads back 0, adding by XOR in characteristic 2 and by base-p digit sums
+otherwise, tabulated for every pair up to 2^8 elements; and object arrays
+through the field's own ``add`` and ``mul`` for everything else, primes
+from 2^31 up to the field-size cap and extensions past 2^16.  The view is
+built the first time it is asked for, never with the tables.
+
 Embeddings between fields of the same characteristic are computed by
 finding a root of the source modulus in the target, chosen compatibly with
 every embedding already constructed, so that going up a tower in two steps
@@ -117,6 +128,7 @@ class Field:
         self._log = None
         self._zech = None
         self._redrows = None
+        self._arrays = None
         self._lock = threading.Lock()
 
     # -- identity ----------------------------------------------------------
@@ -374,6 +386,12 @@ class Field:
             return self._exp[(self._log[a] * e) % (self.order - 1)]
         return self._pow_general(a, e)
 
+    def arrays(self) -> "ArrayView":
+        """The field's array view, built on first use."""
+        if self._arrays is None:
+            self._arrays = ArrayView(self)
+        return self._arrays
+
     def frob(self, a: int) -> int:
         """a^p."""
         return a if self.m == 1 else self.pow(a, self.p)
@@ -389,6 +407,68 @@ class Field:
 
     def format(self, code: int) -> str:
         return format_element(self, code)
+
+
+# ---------------------------------------------------------------------------
+# array view: elementwise arithmetic on numpy arrays of codes
+
+# below this, a product of two residues fits in int64
+_INT64_PRIME_LIMIT = 1 << 31
+# odd-characteristic fields up to this order add through a q x q table
+_ADD_TABLE_MAX = 1 << 8
+
+
+class ArrayView:
+    """Elementwise ``add`` and ``mul`` on numpy arrays of codes of one
+    field, broadcasting like numpy; either operand may be a Python int.
+
+    ``array`` turns (nested lists of) codes into an array of the view's
+    representation, and ``tolist`` on a result gives Python int codes.
+    """
+
+    def __init__(self, F: Field):
+        p, m, q = F.p, F.m, F.order
+        if m == 1 and p < _INT64_PRIME_LIMIT:
+            self.dtype = np.int64
+            self.add = lambda a, b: (a + b) % p
+            self.mul = lambda a, b: a * b % p
+        elif F._ensure_tables():
+            self.dtype = np.int64
+            # log[0] is a sentinel past every sum of two logs of nonzero
+            # codes, and exp reads 0 from there on, so a product with a zero
+            # factor needs no mask
+            zero = 2 * (q - 1)
+            log = np.array(F._log, dtype=np.int64)
+            log[0] = zero
+            exp = np.zeros(2 * zero + 1, dtype=np.int64)
+            exp[:zero] = F._exp
+            self.mul = lambda a, b: exp[log[a] + log[b]]
+            if p == 2:
+                self.add = np.bitwise_xor
+            else:
+                weights = [p**i for i in range(1, m)]
+
+                def add(a, b):
+                    # digit i of a + b is (a // p^i + b // p^i) mod p
+                    out = (a + b) % p
+                    for w in weights:
+                        out += (a // w + b // w) % p * w
+                    return out
+
+                if q <= _ADD_TABLE_MAX:
+                    # the digit sums of every pair, read back by one gather
+                    codes = np.arange(q, dtype=np.int64)
+                    table = add(codes[:, None], codes).ravel()
+                    self.add = lambda a, b: table[a * q + b]
+                else:
+                    self.add = add
+        else:
+            self.dtype = object
+            self.add = np.frompyfunc(F.add, 2, 1)
+            self.mul = np.frompyfunc(F.mul, 2, 1)
+
+    def array(self, codes) -> np.ndarray:
+        return np.array(codes, dtype=self.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -240,10 +240,50 @@ class TestBadHyperplanes:
     def test_census_refuses_its_pool_before_any_section(self, monkeypatch):
         # 156 hyperplanes of P^3(F_5) against a cap of 100
         X = surf(F5, "x0^3 + x1^3 + x2^3 + x3^3")
-        monkeypatch.setattr(certify, "is_reduced_section", must_not_run)
+        for name in ("is_reduced_section", "reduced_sections", "_line_certificates"):
+            monkeypatch.setattr(certify, name, must_not_run)
         with config.caps_scope(config.Caps(max_enum=100)):
             with pytest.raises(config.CapExceededError, match="156"):
                 count_bad_hyperplanes(X, t=0, seed=0)
+
+
+# (field, form, hyperplane components, improper, nonreduced): unions of
+# planes, whose section by a hyperplane through the line shared by two
+# components is non-reduced; P^3(F_9) has 820 hyperplanes, more than one
+# chunk of certify.reduced_sections
+CENSUS_FIXTURES = [
+    ((5, 1), "x0*x1", 2, 2, 4),
+    ((2, 2), "x0^2*x1 + (t)*x0*x1^2", 3, 3, 2),
+    ((3, 2), "x0*x1*x2", 3, 3, 24),
+]
+
+
+def brute_census(X):
+    """The census by building every section and deciding it directly."""
+    extras = {"pool": 0, "improper": 0, "nonreduced": 0}
+    for H in pg.all_hyperplanes(X.ambient, X.field):
+        extras["pool"] += 1
+        G = poly.substitute_rows(X.form, H.basis)
+        if G.is_zero():
+            extras["improper"] += 1
+        elif not certify.is_reduced_form(G):
+            extras["nonreduced"] += 1
+    return extras
+
+
+class TestBadHyperplanesAgainstBrute:
+    @pytest.mark.parametrize("field, text, t, improper, nonreduced", CENSUS_FIXTURES)
+    def test_census_matches_the_section_by_section_loop(
+        self, field, text, t, improper, nonreduced
+    ):
+        X = surf(gf.field_create(*field), text, nvars=4)
+        want = brute_census(X)
+        assert (want["improper"], want["nonreduced"]) == (improper, nonreduced)
+        for seed in range(4):
+            assert count_bad_hyperplanes(X, t=t, seed=seed).extras == want, seed
+
+    def test_a_pool_spans_several_chunks(self):
+        assert pg.count_points(3, gf.field_create(3, 2)) > 3 * certify._SECTION_CHUNK
 
 
 class TestBadSuperspaces:

@@ -878,7 +878,11 @@ def identity(n):
 
 
 def line_certifies(G, seed=0):
-    return certify._line_certificate(G, identity(G.nvars), random.Random(seed))
+    return certify._line_certificates(G, [identity(G.nvars)], random.Random(seed))[0]
+
+
+def never_certify(G, spans, rng):
+    return [False] * len(spans)
 
 
 class TestLineCertificate:
@@ -925,7 +929,7 @@ class TestLineCertificate:
 
         G = poly.parse_form(F5, "x0^2*x1 + x0^2*x2")
         draws = [1, 0, 1, 1, 0, 0]  # (a_i, b_i) for each identity row
-        assert not certify._line_certificate(G, identity(3), Scripted(draws))
+        assert certify._line_certificates(G, [identity(3)], Scripted(draws)) == [False]
 
     @pytest.mark.parametrize("p, m", LINE_FIELDS)
     def test_agrees_with_jacobian_chain_when_it_fires(self, p, m, monkeypatch):
@@ -938,7 +942,7 @@ class TestLineCertificate:
             for _ in range(6)
         ]
         fired = [G for G in cases if line_certifies(G)]
-        monkeypatch.setattr(certify, "_line_certificate", lambda *_a: False)
+        monkeypatch.setattr(certify, "_line_certificates", never_certify)
         for G in fired:
             assert is_reduced_form(G, rng=random.Random(0)), poly.format_form(G)
         assert len(fired) >= len(cases) // 2
@@ -955,13 +959,14 @@ class TestLineCertificate:
         hits = [
             poly.substitute_rows(X.form, H.basis)
             for H in subspaces
-            if certify._line_certificate(X.form, H.basis, random.Random(1))
+            if certify._line_certificates(X.form, [H.basis], random.Random(1))[0]
         ]
         # every line through a singular point meets it with multiplicity 2
         W = surf(F, "x0*x1^2 + x2^3", nvars=4)
         for L in pg.enumerate_superspaces(origin, 1):
-            assert not certify._line_certificate(W.form, L.basis, random.Random(2))
-        monkeypatch.setattr(certify, "_line_certificate", lambda *_a: False)
+            hit = certify._line_certificates(W.form, [L.basis], random.Random(2))
+            assert hit == [False]
+        monkeypatch.setattr(certify, "_line_certificates", never_certify)
         for G in hits:
             assert not G.is_zero()
             assert is_reduced_form(G, rng=random.Random(0)), poly.format_form(G)
@@ -991,6 +996,89 @@ class TestLineCertificate:
         assert orders == [128] * 4
         assert line_certifies(poly.parse_form(F2, "x0^2*x1 + x1^2*x2 + x2^2*x0"))
         assert orders[-1] == 64
+
+
+# The scalar certificate the kernel replaced, kept verbatim as the reference
+# of the differential test below.
+_LV_MIN_FIELD = certify._LV_MIN_FIELD
+_extension_with = certify._extension_with
+
+
+def _line_certificate(G: poly.Form, rows, rng: random.Random) -> bool:
+    """One-sided certificate that G on the span of ``rows`` is nonzero and
+    squarefree; False carries no information.  On a random line a + t*b of
+    the span over an extension with at least max(64, d+1) elements, f(t) =
+    G(a + t*b), interpolated at t = 0..d, must have degree d and
+    gcd(f, f') = 1."""
+    d = G.degree
+    E = _extension_with(G.field, max(_LV_MIN_FIELD, d + 1))
+    a = b = [0] * G.nvars
+    for row in rows:
+        row = [gf.embed_code(G.field, E, c) for c in row]
+        a = E.add_scaled(a, rng.randrange(E.order), row)
+        b = E.add_scaled(b, rng.randrange(E.order), row)
+    f = linalg.u_interpolate(
+        E, [poly.form_eval_codes(G, E.add_scaled(a, c, b), E) for c in range(d + 1)]
+    )
+    return f[-1] != 0 and linalg.u_squarefree(E, f)
+
+
+# E = F_64 by xor, F_64 from F_4, F_81 (nodes 3 and 4 of d = 4 are not
+# prime-field constants), F_81 from F_9, F_343 (digit sums), F_169 (the pair
+# table), then fields that are their own E: int64 residues, int64 near 2^20,
+# objects past 2^31 and past the tables at 2^17
+KERNEL_FIELDS = [
+    (2, 1), (2, 2), (3, 1), (3, 2), (7, 1), (13, 1), (67, 1), (1048583, 1),
+    (2147483659, 1), (2, 17),
+]
+
+
+def kernel_cases(F, d, rng):
+    """Forms of degree d in 4 variables, reduced and not, and spans: lines,
+    planes, the whole space, and a line inside V(x0)."""
+    x0 = poly.Form(F, 4, 1, {(1, 0, 0, 0): 1})
+    fermat = {tuple(d * (i == j) for i in range(4)): 1 for j in range(4)}
+    cases = [
+        random_form(F, 4, d, rng),
+        random_form(F, 4, d, rng, density=0.2),
+        poly.Form(F, 4, d, fermat),
+        x0 * random_form(F, 4, d - 1, rng),
+    ]
+    if d >= 2:
+        h = random_form(F, 4, 1, rng)
+        cases.append(h * h * random_form(F, 4, d - 2, rng))
+
+    def row(first=None):
+        r = [rng.randrange(F.order) for _ in range(4)]
+        return r if first is None else [first] + r[1:]
+
+    spans = [[row(), row()], [row(), row(), row()], identity(4), [row(0), row(0)]]
+    return cases, spans
+
+
+class TestLineCertificateKernel:
+    @pytest.mark.parametrize("p, m", KERNEL_FIELDS)
+    def test_matches_the_scalar_certificate_draw_for_draw(self, p, m):
+        F = gf.field_create(p, m)
+        rng = random.Random(f"kernel/{p}/{m}")
+        verdicts = set()
+        # a product in F_(2^17) is 40 us of digit arithmetic: degree 3 there
+        for d in range(1, 6 if F.order <= 1 << 16 else 4):
+            cases, spans = kernel_cases(F, d, rng)
+            for G in cases:
+                for seed in range(2):
+                    ref_rng, rng_ = random.Random(seed), random.Random(seed)
+                    want = [_line_certificate(G, rows, ref_rng) for rows in spans]
+                    got = certify._line_certificates(G, spans, rng_)
+                    assert got == want, (d, poly.format_form(G), seed)
+                    assert rng_.random() == ref_rng.random()
+                    # one span per call draws the same stream
+                    rng_ = random.Random(seed)
+                    assert [
+                        certify._line_certificates(G, [rows], rng_)[0] for rows in spans
+                    ] == want
+                    verdicts.update(want)
+        assert verdicts == {True, False}
 
 
 class TestTransversality:

@@ -310,3 +310,40 @@ def test_extension_field_degrees():
     E = gf.extension_field(F9, 3)
     assert (E.p, E.m) == (3, 6)
     assert gf.extension_field(gf.field_create(5), 2) is F25
+
+
+# one field per array representation: int64 residues (small, near 2^20, just
+# below 2^31), log/exp gathers adding by XOR, by the pair table (up to 2^8
+# elements) and by digit sums, and object arrays past 2^31 and past 2^16
+ARRAY_FIELDS = [
+    (13, 1), (1048583, 1), (2147483647, 1), (2, 2), (2, 6), (3, 4), (13, 2),
+    (7, 3), (5, 6), (2147483659, 1), (2, 17),
+]
+
+
+@pytest.mark.parametrize("p, m", ARRAY_FIELDS)
+def test_array_view_matches_scalar_arithmetic(p, m):
+    F = gf.field_create(p, m)
+    V = F.arrays()
+    assert F.arrays() is V
+    rng = random.Random(f"arrays/{p}/{m}")
+    codes = [0, 1, F.order - 1] + [rng.randrange(F.order) for _ in range(40)]
+    a = V.array(codes)
+    b = V.array(codes[::-1])
+    assert V.add(a, b).tolist() == [F.add(x, y) for x, y in zip(codes, codes[::-1])]
+    assert V.mul(a, b).tolist() == [F.mul(x, y) for x, y in zip(codes, codes[::-1])]
+    # every pair by broadcasting, and a Python int on either side
+    col = V.array(codes[:6]).reshape(6, 1)
+    assert V.add(col, a).tolist() == [[F.add(x, y) for y in codes] for x in codes[:6]]
+    assert V.mul(col, a).tolist() == [[F.mul(x, y) for y in codes] for x in codes[:6]]
+    for c in codes[:4]:
+        assert V.mul(c, a).tolist() == [F.mul(c, y) for y in codes]
+        assert V.add(a, c).tolist() == [F.add(y, c) for y in codes]
+
+
+def test_array_view_is_built_on_first_use_only():
+    F = gf.Field(19, 2, gf._canonical_modulus(19, 2))  # fresh, outside the registry
+    assert F._ensure_tables() and F.mul(2, 3) == 6
+    assert F._arrays is None
+    V = F.arrays()
+    assert F._arrays is V and V.add(V.array([18]), 1).tolist() == [0]
