@@ -81,6 +81,12 @@ _WITNESS_KMAX = 6
 # sections per line certificate kernel call in reduced_sections: the kernel's
 # arrays grow with it, its fixed cost is paid once per chunk
 _SECTION_CHUNK = 256
+# codes one evaluation pass of the line certificate kernel holds at once, so
+# its memory does not grow with the degree; the census stays within one pass
+_KERNEL_ELEMENTS = 1 << 16
+# interpolation matrices up to this many nodes are cached; past it the
+# kernel rebuilds the columns one at a time on every pass
+_CACHED_NODES = 64
 # Largest rows x columns of a Macaulay matrix, refused before any row is
 # built.  Its square root bounds the pivots of the elimination, which the
 # numpy path of linalg must accept.
@@ -559,15 +565,18 @@ def is_smooth_form(G: poly.Form) -> bool:
     return macaulay_is_empty(jacobian_scheme(G))
 
 
+def _interpolation_column(E: gf.Field, n: int, j: int):
+    """Column j, shaped (n, 1) in E's array view, of the n x n matrix taking
+    the values at the node codes 0..n-1 to the coefficients of the
+    interpolant: u_interpolate of the j-th unit vector, w_j M(t) / (t - j)."""
+    unit = [int(i == j) for i in range(n)]
+    return E.arrays().array(linalg.u_interpolate(E, unit))[:, None]
+
+
 @functools.lru_cache(maxsize=16)
-def _interpolation_arrays(E: gf.Field, n: int):
-    """In E's array view: the node codes 0..n-1, shaped (n, 1, 1), and the
-    n x n matrix taking the values at the nodes to the coefficients of the
-    interpolant; its column j is u_interpolate of the j-th unit vector,
-    w_j M(t) / (t - j)."""
-    V = E.arrays()
-    cols = [linalg.u_interpolate(E, [int(i == j) for i in range(n)]) for j in range(n)]
-    return V.array(range(n)).reshape(n, 1, 1), V.array(cols).T
+def _interpolation_matrix(E: gf.Field, n: int) -> tuple:
+    """Every column, for n up to _CACHED_NODES."""
+    return tuple(_interpolation_column(E, n, j) for j in range(n))
 
 
 def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
@@ -577,52 +586,79 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
     For each span in turn, and each of its rows, a coefficient of a and
     then one of b are drawn, uniform over the smallest extension E of G's
     field with at least max(64, d+1) elements; a + t*b is then a random
-    line of the span.  The rest runs in E's array view over every span at
-    once: the d + 1 points a + c*b for the node codes c = 0..d, G at them
-    summed term by term into one accumulator (terms are never stacked), and
-    f(t) = G(a + t*b) from those values by one fixed interpolation matrix.  A
-    span is certified when deg f = d and gcd(f, f') = 1, checked in Python
-    only for the spans whose top coefficient is nonzero.
+    line of the span.  The rest runs in E's array view over as many spans
+    at a time as keep the working set within _KERNEL_ELEMENTS codes: the
+    d + 1 points a + c*b for the node codes c = 0..d, G at them summed term
+    by term into one accumulator (terms are never stacked, and the points
+    are raised, by square-and-multiply, only to exponents the terms read),
+    and f(t) = G(a + t*b) from those values by the fixed interpolation
+    matrix.  A span is certified when deg f = d and gcd(f, f') = 1, checked
+    in Python only for the spans whose top coefficient is nonzero.
     """
     d, F, nvars = G.degree, G.field, G.nvars
     E = _extension_with(F, max(_LV_MIN_FIELD, d + 1))
     V, q = E.arrays(), E.order
+    emb = functools.partial(gf.embed_code, F, E)
     k = max(len(rows) for rows in spans)
     draws, bases = [], []
     for rows in spans:
         pad = k - len(rows)
         draw = [[rng.randrange(q), rng.randrange(q)] for _ in rows]
         draws.append(draw + [[0, 0]] * pad)
-        if E != F and F.m > 1:
-            rows = [[gf.embed_code(F, E, c) for c in row] for row in rows]
-        bases.append(list(rows) + [[0] * nvars] * pad)
-    # (2, S, k, nvars): row i of each span scaled by its a and b coefficients
-    scaled = V.mul(V.array(draws).transpose(2, 0, 1)[..., None], V.array(bases))
-    ab = scaled[:, :, 0]
-    for i in range(1, k):
-        ab = V.add(ab, scaled[:, :, i])
+        bases.append([[emb(c) for c in row] for row in rows] + [[0] * nvars] * pad)
+    # every exponent past the first that a term reads, or that
+    # square-and-multiply reaches it through
+    need = set()
+    for exps in G.terms:
+        for e in exps:
+            while e > 1 and e not in need:
+                need.add(e)
+                e //= 2
+    need = sorted(need)
     n = d + 1
-    nodes, L = _interpolation_arrays(E, n)
-    points = V.add(ab[0], V.mul(nodes, ab[1]))  # (n, S, nvars)
-    powers = [points]  # powers[e - 1] holds every coordinate to the e
-    values = None
-    for exps, c in G.terms.items():
-        term = None
-        for j, e in enumerate(exps):
-            if e:
-                while len(powers) < e:
-                    powers.append(V.mul(powers[-1], points))
-                x = powers[e - 1][..., j]  # (n, S)
-                term = x if term is None else V.mul(term, x)
-        if c != 1:
-            term = V.mul(gf.embed_code(F, E, c), term)
-        values = term if values is None else V.add(values, term)
-    f = V.mul(L[:, :1], values[0])
-    for j in range(1, n):
-        f = V.add(f, V.mul(L[:, j : j + 1], values[j]))
-    top = f[-1].tolist()
-    coeffs = f.T.tolist()
-    return [bool(t) and linalg.u_squarefree(E, f_s) for t, f_s in zip(top, coeffs)]
+    nodes = V.array(range(n)).reshape(n, 1, 1)
+    # per span: the points and their powers, a few (n,) temporaries, the rows
+    width = max(1, _KERNEL_ELEMENTS // (n * (nvars * (1 + len(need)) + 4) + 3 * k * nvars))
+    out = []
+    for s in range(0, len(spans), width):
+        # (2, S, k, nvars): row i of each span scaled by its a and b coefficients
+        scaled = V.mul(
+            V.array(draws[s : s + width]).transpose(2, 0, 1)[..., None],
+            V.array(bases[s : s + width]),
+        )
+        ab = scaled[:, :, 0]
+        for i in range(1, k):
+            ab = V.add(ab, scaled[:, :, i])
+        del scaled
+        points = V.add(ab[0], V.mul(nodes, ab[1]))  # (n, S, nvars)
+        powers = {1: points}  # powers[e] holds every coordinate to the e
+        for e in need:
+            h = powers[e // 2]
+            x = V.mul(h, h)
+            powers[e] = V.mul(x, points) if e % 2 else x
+        values = None
+        for exps, c in G.terms.items():
+            term = None
+            for j, e in enumerate(exps):
+                if e:
+                    x = powers[e][..., j]  # (n, S)
+                    term = x if term is None else V.mul(term, x)
+            if c != 1:
+                term = V.mul(emb(c), term)
+            values = term if values is None else V.add(values, term)
+        del powers, points, ab
+        f = None
+        if n <= _CACHED_NODES:
+            cols = _interpolation_matrix(E, n)
+        else:  # built one at a time, never held whole
+            cols = (_interpolation_column(E, n, j) for j in range(n))
+        for j, col in enumerate(cols):
+            fj = V.mul(col, values[j])
+            f = fj if f is None else V.add(f, fj)
+        top = f[-1].tolist()
+        coeffs = f.T.tolist()
+        out += [bool(t) and linalg.u_squarefree(E, f_s) for t, f_s in zip(top, coeffs)]
+    return out
 
 
 def is_reduced_form(G: poly.Form, rng: random.Random | None = None) -> bool:

@@ -26,8 +26,8 @@ log domain.
 over many inputs at once.  It mirrors the scalar representations: int64
 residues mod p for primes below 2^31 (a product of two residues fits);
 log/exp gathers for table-backed extensions, with log 0 a sentinel that
-reads back 0, adding by XOR in characteristic 2 and by base-p digit sums
-otherwise, tabulated for every pair up to 2^8 elements; and object arrays
+reads back 0, adding by XOR in characteristic 2 and otherwise by the Zech
+table, spread so that zero operands need no mask either; and object arrays
 through the field's own ``add`` and ``mul`` for everything else, primes
 from 2^31 up to the field-size cap and extensions past 2^16.  The view is
 built the first time it is asked for, never with the tables.
@@ -414,8 +414,6 @@ class Field:
 
 # below this, a product of two residues fits in int64
 _INT64_PRIME_LIMIT = 1 << 31
-# odd-characteristic fields up to this order add through a q x q table
-_ADD_TABLE_MAX = 1 << 8
 
 
 class ArrayView:
@@ -427,8 +425,8 @@ class ArrayView:
     """
 
     def __init__(self, F: Field):
-        p, m, q = F.p, F.m, F.order
-        if m == 1 and p < _INT64_PRIME_LIMIT:
+        p, q = F.p, F.order
+        if F.m == 1 and p < _INT64_PRIME_LIMIT:
             self.dtype = np.int64
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: a * b % p
@@ -437,7 +435,8 @@ class ArrayView:
             # log[0] is a sentinel past every sum of two logs of nonzero
             # codes, and exp reads 0 from there on, so a product with a zero
             # factor needs no mask
-            zero = 2 * (q - 1)
+            n = q - 1
+            zero = 2 * n
             log = np.array(F._log, dtype=np.int64)
             log[0] = zero
             exp = np.zeros(2 * zero + 1, dtype=np.int64)
@@ -446,22 +445,24 @@ class ArrayView:
             if p == 2:
                 self.add = np.bitwise_xor
             else:
-                weights = [p**i for i in range(1, m)]
+                # the scalar rule a + b = g^la * (1 + g^(lb - la)), with the
+                # Zech table spread over every difference in [-zero, zero]
+                # (negative ones index from the end): a zero b reads 0 and
+                # keeps la, a zero a reads lb - la and lands on lb, and a
+                # pair of zeros or a sum that vanishes (Zech -1, stored as
+                # zero) lands in exp's zero region
+                zech = np.zeros(2 * zero + 1, dtype=np.int64)
+                table = np.array(F._zech[:n], dtype=np.int64)
+                table[table < 0] = zero
+                zech[:n] = table  # differences 0 .. n-1
+                zech[-n + 1 :] = table[1:]  # -(n-1) .. -1
+                zech[-zero:-n] = np.arange(-zero, -n)  # a = 0
 
                 def add(a, b):
-                    # digit i of a + b is (a // p^i + b // p^i) mod p
-                    out = (a + b) % p
-                    for w in weights:
-                        out += (a // w + b // w) % p * w
-                    return out
+                    la = log[a]
+                    return exp[la + zech[log[b] - la]]
 
-                if q <= _ADD_TABLE_MAX:
-                    # the digit sums of every pair, read back by one gather
-                    codes = np.arange(q, dtype=np.int64)
-                    table = add(codes[:, None], codes).ravel()
-                    self.add = lambda a, b: table[a * q + b]
-                else:
-                    self.add = add
+                self.add = add
         else:
             self.dtype = object
             self.add = np.frompyfunc(F.add, 2, 1)

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -1024,9 +1025,9 @@ def _line_certificate(G: poly.Form, rows, rng: random.Random) -> bool:
 
 
 # E = F_64 by xor, F_64 from F_4, F_81 (nodes 3 and 4 of d = 4 are not
-# prime-field constants), F_81 from F_9, F_343 (digit sums), F_169 (the pair
-# table), then fields that are their own E: int64 residues, int64 near 2^20,
-# objects past 2^31 and past the tables at 2^17
+# prime-field constants), F_81 from F_9, F_343 and F_169 (Zech gathers), then
+# fields that are their own E: int64 residues, int64 near 2^20, objects past
+# 2^31 and past the tables at 2^17
 KERNEL_FIELDS = [
     (2, 1), (2, 2), (3, 1), (3, 2), (7, 1), (13, 1), (67, 1), (1048583, 1),
     (2147483659, 1), (2, 17),
@@ -1079,6 +1080,27 @@ class TestLineCertificateKernel:
                     ] == want
                     verdicts.update(want)
         assert verdicts == {True, False}
+
+    def test_high_degree_matches_within_a_bounded_working_set(self):
+        # 201 nodes are past the cached matrices, and the 57 lines of P^2 over
+        # F_7 take several passes; every power up to x^200 of all their
+        # points at once would hold about 55 MB
+        F = gf.field_create(7)
+        G = poly.parse_form(F, "x0^200 + x1^200 + x2^200")
+        assert G.degree + 1 > certify._CACHED_NODES
+        spans = [L.basis for L in pg.all_lines(2, F)]
+        ref_rng, rng = random.Random(0), random.Random(0)
+        want = [_line_certificate(G, rows, ref_rng) for rows in spans]
+        assert set(want) == {True, False}
+        tracemalloc.start()
+        try:
+            got = certify._line_certificates(G, spans, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert rng.random() == ref_rng.random()
+        assert peak < 1 << 20
 
 
 class TestTransversality:

@@ -313,8 +313,8 @@ def test_extension_field_degrees():
 
 
 # one field per array representation: int64 residues (small, near 2^20, just
-# below 2^31), log/exp gathers adding by XOR, by the pair table (up to 2^8
-# elements) and by digit sums, and object arrays past 2^31 and past 2^16
+# below 2^31), log/exp gathers adding by XOR and by the Zech table, and
+# object arrays past 2^31 and past 2^16
 ARRAY_FIELDS = [
     (13, 1), (1048583, 1), (2147483647, 1), (2, 2), (2, 6), (3, 4), (13, 2),
     (7, 3), (5, 6), (2147483659, 1), (2, 17),
@@ -332,6 +332,7 @@ def test_array_view_matches_scalar_arithmetic(p, m):
     b = V.array(codes[::-1])
     assert V.add(a, b).tolist() == [F.add(x, y) for x, y in zip(codes, codes[::-1])]
     assert V.mul(a, b).tolist() == [F.mul(x, y) for x, y in zip(codes, codes[::-1])]
+    assert V.add(a, V.array([F.neg(x) for x in codes])).tolist() == [0] * len(codes)
     # every pair by broadcasting, and a Python int on either side
     col = V.array(codes[:6]).reshape(6, 1)
     assert V.add(col, a).tolist() == [[F.add(x, y) for y in codes] for x in codes[:6]]
