@@ -24,6 +24,7 @@ bit-for-bit from (fixture, seed).
 from __future__ import annotations
 
 import ast
+import collections
 import itertools
 import operator
 import random
@@ -288,6 +289,15 @@ def _field_of_order(q: int) -> gf.Field:
 # experiments
 
 
+def _bad_sections(X: locus.Hypersurface, subspaces, rng) -> tuple:
+    """How many sections of X by the subspaces are improper, and how many
+    proper but not reduced, by the verdicts of certify.reduced_sections."""
+    verdicts = collections.Counter(
+        v for _, v in certify.reduced_sections(X, subspaces, rng)
+    )
+    return verdicts[None], verdicts[False]
+
+
 def count_nontransverse_lines(
     C: CurveFixture,
     seed: int | None = None,
@@ -296,11 +306,13 @@ def count_nontransverse_lines(
     """Exact census of the rational lines not transverse to the fixture.
 
     A line is transverse exactly when the restriction of the defining form
-    is a nonzero squarefree binary form, so the scan is fully exact.  The
-    primary report compares against the reduced-curve bound; an
-    irreducible fixture (one factor) gets the sharper component bound as a
-    subreport unless claim_irreducible is false, the escape hatch for a
-    caller whose single-factor fixture is of unknown factorization.
+    is a nonzero squarefree binary form: the verdict that
+    certify.reduced_sections gives each line of P^2, as the hyperplane
+    census gets its verdicts.  The primary report compares against the
+    reduced-curve bound; an irreducible fixture (one factor) gets the
+    sharper component bound as a subreport unless claim_irreducible is
+    false, the escape hatch for a caller whose single-factor fixture is of
+    unknown factorization.
     """
     if C.degree < 2:
         raise ValueError("line audit needs a curve of degree >= 2")
@@ -308,14 +320,9 @@ def count_nontransverse_lines(
     if not certify.is_reduced_form(C.form, rng=rng):
         raise ValueError("fixture form is not squarefree")
     started = time.perf_counter()
-    improper = 0
-    not_squarefree = 0
-    for L in projgeom.all_lines(2, C.field):
-        G = poly.substitute_rows(C.form, L.basis)
-        if G.is_zero():
-            improper += 1
-        elif not poly.binary_squarefree(G):
-            not_squarefree += 1
+    improper, not_squarefree = _bad_sections(
+        locus.Hypersurface(C.form), projgeom.all_lines(2, C.field), rng
+    )
     observed = improper + not_squarefree
     params = {"n": 2, "d": C.degree, "q": C.field.order, "r": 1, "t": C.t}
     extras = {
@@ -390,14 +397,9 @@ def count_bad_hyperplanes(
     if not certify.is_reduced_form(X.form, rng=rng):
         raise ValueError("hypersurface must be reduced")
     started = time.perf_counter()
-    improper = 0
-    nonreduced = 0
-    hyperplanes = projgeom.all_hyperplanes(n, X.field)
-    for verdict in certify.reduced_sections(X, hyperplanes, rng):
-        if verdict is None:
-            improper += 1
-        elif not verdict:
-            nonreduced += 1
+    improper, nonreduced = _bad_sections(
+        X, projgeom.all_hyperplanes(n, X.field), rng
+    )
     observed = improper + nonreduced
     params = {"n": n, "d": X.degree, "q": X.field.order, "r": n - 1, "t": t}
     extras = {

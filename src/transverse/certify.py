@@ -38,8 +38,8 @@ random line is nonzero of degree d and squarefree, G is squarefree (a
 factor h^2 would survive on the line unless the line lies in V(h), where G
 vanishes); G on the line is interpolated, so no section form is built.
 One kernel evaluates the lines of many spans at once in numpy (the
-field's array view in gf), and a census certifies its sections through it
-a chunk at a time.
+field's array view in gf), and every scan over sections, first-hit or
+census, certifies them through it in growing chunks (reduced_sections).
 When p does not divide d = deg G, the Euler relation d*G = sum x_i d_iG
 puts G in the ideal of its partials, so the Jacobian scheme is generated
 by the nonzero partials alone (G is kept when p | d), and N* =
@@ -78,15 +78,13 @@ _LV_MIN_FIELD = 64
 _LV_RETRIES = 8
 _EXACT_BRANCH_BUDGET = 250_000
 _WITNESS_KMAX = 6
-# sections per line certificate kernel call in reduced_sections: the kernel's
-# arrays grow with it, its fixed cost is paid once per chunk
+# largest chunk of sections per line certificate kernel call in
+# reduced_sections: the kernel's arrays grow with it, its fixed cost is paid
+# once per chunk
 _SECTION_CHUNK = 256
 # codes one evaluation pass of the line certificate kernel holds at once, so
 # its memory does not grow with the degree; the census stays within one pass
 _KERNEL_ELEMENTS = 1 << 16
-# interpolation matrices up to this many nodes are cached; past it the
-# kernel rebuilds the columns one at a time on every pass
-_CACHED_NODES = 64
 # Largest rows x columns of a Macaulay matrix, refused before any row is
 # built.  Its square root bounds the pivots of the elimination, which the
 # numpy path of linalg must accept.
@@ -565,20 +563,6 @@ def is_smooth_form(G: poly.Form) -> bool:
     return macaulay_is_empty(jacobian_scheme(G))
 
 
-def _interpolation_column(E: gf.Field, n: int, j: int):
-    """Column j, shaped (n, 1) in E's array view, of the n x n matrix taking
-    the values at the node codes 0..n-1 to the coefficients of the
-    interpolant: u_interpolate of the j-th unit vector, w_j M(t) / (t - j)."""
-    unit = [int(i == j) for i in range(n)]
-    return E.arrays().array(linalg.u_interpolate(E, unit))[:, None]
-
-
-@functools.lru_cache(maxsize=16)
-def _interpolation_matrix(E: gf.Field, n: int) -> tuple:
-    """Every column, for n up to _CACHED_NODES."""
-    return tuple(_interpolation_column(E, n, j) for j in range(n))
-
-
 def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
     """One-sided certificates that G (of degree d >= 1) on the span of each
     list of rows is nonzero and squarefree; a False carries no information.
@@ -591,9 +575,10 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
     d + 1 points a + c*b for the node codes c = 0..d, G at them summed term
     by term into one accumulator (terms are never stacked, and the points
     are raised, by square-and-multiply, only to exponents the terms read),
-    and f(t) = G(a + t*b) from those values by the fixed interpolation
-    matrix.  A span is certified when deg f = d and gcd(f, f') = 1, checked
-    in Python only for the spans whose top coefficient is nonzero.
+    and f(t) = G(a + t*b) from those values by the interpolation matrix,
+    a column at a time.  A span is certified when deg f = d and gcd(f, f')
+    = 1, checked in Python only for the spans whose top coefficient is
+    nonzero.
     """
     d, F, nvars = G.degree, G.field, G.nvars
     E = _extension_with(F, max(_LV_MIN_FIELD, d + 1))
@@ -648,12 +633,10 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
             values = term if values is None else V.add(values, term)
         del powers, points, ab
         f = None
-        if n <= _CACHED_NODES:
-            cols = _interpolation_matrix(E, n)
-        else:  # built one at a time, never held whole
-            cols = (_interpolation_column(E, n, j) for j in range(n))
-        for j, col in enumerate(cols):
-            fj = V.mul(col, values[j])
+        for j in range(n):  # one column of the matrix at a time, never whole:
+            # u_interpolate of the j-th unit vector, w_j M(t) / (t - j)
+            unit = [int(i == j) for i in range(n)]
+            fj = V.mul(V.array(linalg.u_interpolate(E, unit))[:, None], values[j])
             f = fj if f is None else V.add(f, fj)
         top = f[-1].tolist()
         coeffs = f.T.tolist()
@@ -702,7 +685,7 @@ def is_reduced_section(
     NotProperError when H lies in X.  One span through reduced_sections, so
     it draws exactly what a lone line certificate and its fallback draw.
     """
-    (verdict,) = reduced_sections(X, [H], rng)
+    ((_, verdict),) = reduced_sections(X, [H], rng)
     if verdict is None:
         raise config.NotProperError("the subspace lies inside the hypersurface")
     return verdict
@@ -711,27 +694,42 @@ def is_reduced_section(
 def reduced_sections(
     X: locus.Hypersurface, subspaces, rng: random.Random | None = None
 ):
-    """For each subspace H of X's ambient space, in order, whether X cap H is
-    cut by a squarefree restriction: True, False, or None when H lies in X.
+    """For each subspace H of X's ambient space, in order, the pair (H,
+    verdict): whether X cap H is cut by a squarefree restriction, True,
+    False, or None when H lies in X.  On a line this is transversality.
 
-    The subspaces are certified in chunks of _SECTION_CHUNK, one line
-    certificate kernel call each, so the draws of a whole chunk come first.
-    A miss then builds the section form: a zero form is improper, and any
-    other is decided by is_reduced_form on the same rng, in chunk order.
+    The subspaces are taken in chunks of 1, 2, 4, ... up to _SECTION_CHUNK,
+    one line certificate kernel call each, so the draws of a whole chunk
+    come first: a first-hit scan certifies one span before its first
+    answer, and a census reaches full chunks after eight calls.  A miss
+    then builds the section form: a zero form is improper, and any other
+    is decided by is_reduced_form on the same rng, in chunk order.  A
+    CapExceededError from the subspaces is raised after the verdicts of
+    those taken before it, so a first-hit scan answers within the cap.
     """
     rng = rng or random.Random(0)
-    subspaces = iter(subspaces)
-    while chunk := list(itertools.islice(subspaces, _SECTION_CHUNK)):
-        for H in chunk:
-            if H.ambient != X.ambient or H.field != X.field:
-                raise ValueError("subspace and hypersurface do not match")
+    subspaces, size, capped = iter(subspaces), 1, None
+    while capped is None:
+        chunk = []
+        try:
+            for H in itertools.islice(subspaces, size):
+                if H.ambient != X.ambient or H.field != X.field:
+                    raise ValueError("subspace and hypersurface do not match")
+                chunk.append(H)
+        except config.CapExceededError as exc:
+            capped = exc
+        if not chunk:
+            break
+        size = min(2 * size, _SECTION_CHUNK)
         hits = _line_certificates(X.form, [H.basis for H in chunk], rng)
         for H, hit in zip(chunk, hits):
             if hit:
-                yield True
+                yield H, True
                 continue
             G = poly.substitute_rows(X.form, H.basis)
-            yield None if G.is_zero() else is_reduced_form(G, rng=rng)
+            yield H, None if G.is_zero() else is_reduced_form(G, rng=rng)
+    if capped is not None:
+        raise capped
 
 
 # ---------------------------------------------------------------------------

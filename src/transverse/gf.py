@@ -480,13 +480,16 @@ _REG_LOCK = threading.RLock()
 
 
 def field_create(p: int, m: int = 1) -> Field:
-    """The field F_{p^m}, with its canonical modulus."""
-    if not isinstance(p, int) or not is_prime(p):
+    """The field F_{p^m}, with its canonical modulus.  A registered field
+    skips the primality test, not the caps check."""
+    key = (p, m)
+    # the type checks come first: 7.0 hashes like 7
+    known = isinstance(p, int) and isinstance(m, int) and key in _FIELDS
+    if not known and (not isinstance(p, int) or not is_prime(p)):
         raise ValueError(f"{p} is not prime")
     if not isinstance(m, int) or m < 1:
         raise ValueError("extension degree must be a positive integer")
     config.current_caps().check_field(p, m)
-    key = (p, m)
     with _REG_LOCK:
         if key not in _FIELDS:
             _FIELDS[key] = Field(p, m, _canonical_modulus(p, m))

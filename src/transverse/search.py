@@ -9,6 +9,8 @@ falsify the underlying counting argument rather than report a fact.
 
 The reduced searches share one descent through the hyperplanes of the
 current subspace, certifying X once and each section against X itself.
+Each of their scans, down to the transverse lines, is one loop over
+certify.reduced_sections, which yields every candidate with its verdict.
 The flag search tallies Las-Vegas rejections (undetermined dimension
 tests) separately; before a gated exhaustion is declared, they are
 retried with fresh randomness and then settled exactly.
@@ -184,14 +186,11 @@ def _reduced_hyperplane_of(
     )
     tested = 0
     rej = {"improper": 0, "not_reduced": 0}
-    for H in _hyperplanes_of(T):
+    for H, verdict in certify.reduced_sections(X, _hyperplanes_of(T), rng):
         tested += 1
-        try:
-            if certify.is_reduced_section(X, H, rng=rng):
-                return SearchOutcome("hyperplane", H, tested, rej, gate, seed)
-            rej["not_reduced"] += 1
-        except config.NotProperError:
-            rej["improper"] += 1
+        if verdict:
+            return SearchOutcome("hyperplane", H, tested, rej, gate, seed)
+        rej["improper" if verdict is None else "not_reduced"] += 1
     if gate["satisfied"]:
         raise config.TheoremViolationError(
             "no reduced hyperplane section although "
@@ -276,10 +275,11 @@ def find_transverse_line_reduced(
     """A line meeting the reduced hypersurface X in deg X distinct smooth
     points, found by chaining down to a plane and scanning its lines.
 
-    X is certified reduced once, and every candidate is tested with the
-    exact transversality predicate against X itself.  Guaranteed above
-    q >= ceil(3/2 d(d-1)); degree 1 degenerates to the first line not
-    inside the hyperplane.
+    X is certified reduced once, and every candidate line L is a section
+    X cap L certified against X itself through certify.reduced_sections: on
+    a line, reduced is transverse.  Guaranteed above q >= ceil(3/2 d(d-1));
+    degree 1 (gate 0) degenerates to the first line not inside the
+    hyperplane.
     """
     n = X.ambient
     if n < 2:
@@ -289,18 +289,14 @@ def find_transverse_line_reduced(
         required_q(n, X.degree, mode="reduced-line"),
         X.field.order,
     )
+    rng = random.Random(0 if seed is None else seed)
     tested = 0
     rej = {"not_transverse": 0}
-    if X.degree == 1:
-        for L in projgeom.all_lines(n, X.field):
-            tested += 1
-            if certify.is_transverse(X, L):
-                return SearchOutcome("line", L, tested, rej, gate, seed)
-            rej["not_transverse"] += 1
-        raise config.TheoremViolationError("hyperplane with no transverse line")
     chain = ()
-    if n == 2:
-        _require_reduced_input(X, random.Random(0 if seed is None else seed))
+    if X.degree == 1:
+        candidates = projgeom.all_lines(n, X.field)
+    elif n == 2:
+        _require_reduced_input(X, rng)
         candidates = projgeom.all_lines(2, X.field)
     else:
         descent = find_reduced_plane_section_chain(X, 2, seed=seed)
@@ -312,9 +308,9 @@ def find_transverse_line_reduced(
             )
         chain = descent.chain
         candidates = _hyperplanes_of(descent.found)
-    for L in candidates:
+    for L, verdict in certify.reduced_sections(X, candidates, rng):
         tested += 1
-        if certify.is_transverse(X, L):
+        if verdict:
             return SearchOutcome("line", L, tested, rej, gate, seed, chain=chain)
         rej["not_transverse"] += 1
     if gate["satisfied"]:

@@ -180,6 +180,41 @@ class TestNontransverseLines:
             count_nontransverse_lines(CurveFixture.from_strings(F5, ["x0^2", "x1"]))
 
 
+def brute_line_census(C):
+    """The line census by definition, the reference for
+    count_nontransverse_lines: every binary section built and decided."""
+    extras = {"pool": 0, "improper": 0, "not_squarefree": 0}
+    for L in pg.all_lines(2, C.field):
+        extras["pool"] += 1
+        G = poly.substitute_rows(C.form, L.basis)
+        if G.is_zero():
+            extras["improper"] += 1
+        elif not poly.binary_squarefree(G):
+            extras["not_squarefree"] += 1
+    return extras
+
+
+# the battery's conic, cusp and three lines, then a cubic over F_4 and a
+# conic with a secant line over F_9
+LINE_CENSUS_FIXTURES = [
+    ((5, 1), ["x0*x2 - x1^2"]),
+    ((7, 1), ["x1^2*x2 - x0^3"]),
+    ((7, 1), ["x0", "x1", "x0 + x1"]),
+    ((2, 2), ["x0^3 + x1^3 + (t)*x2^3"]),
+    ((3, 2), ["x0*x2 - x1^2", "x0 + (t)*x1 + x2"]),
+]
+
+
+class TestNontransverseLinesAgainstBrute:
+    @pytest.mark.parametrize("field, texts", LINE_CENSUS_FIXTURES)
+    def test_census_matches_the_line_by_line_loop(self, field, texts):
+        C = CurveFixture.from_strings(gf.field_create(*field), texts)
+        want = brute_line_census(C)
+        assert want["improper"] + want["not_squarefree"] > 0
+        for seed in range(4):
+            assert count_nontransverse_lines(C, seed=seed).extras == want, seed
+
+
 class TestBadHyperplanes:
     def test_two_planes_exact(self):
         """Both components improper, q-1 more through the double line."""

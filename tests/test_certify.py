@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from transverse import certify, config, gf, linalg, locus, poly, projgeom as pg
+from transverse import audit, certify, config, gf, linalg, locus, poly, projgeom as pg
+from transverse import search
 from transverse.certify import (
     classify_very_transverse,
     decide_very_transverse,
@@ -1082,12 +1083,10 @@ class TestLineCertificateKernel:
         assert verdicts == {True, False}
 
     def test_high_degree_matches_within_a_bounded_working_set(self):
-        # 201 nodes are past the cached matrices, and the 57 lines of P^2 over
-        # F_7 take several passes; every power up to x^200 of all their
-        # points at once would hold about 55 MB
+        # the 57 lines of P^2 over F_7 take several passes at 201 nodes; every
+        # power up to x^200 of all their points at once would hold about 55 MB
         F = gf.field_create(7)
         G = poly.parse_form(F, "x0^200 + x1^200 + x2^200")
-        assert G.degree + 1 > certify._CACHED_NODES
         spans = [L.basis for L in pg.all_lines(2, F)]
         ref_rng, rng = random.Random(0), random.Random(0)
         want = [_line_certificate(G, rows, ref_rng) for rows in spans]
@@ -1101,6 +1100,43 @@ class TestLineCertificateKernel:
         assert got == want
         assert rng.random() == ref_rng.random()
         assert peak < 1 << 20
+
+
+class TestSectionScanChunks:
+    # the benchmark's fixture, bench/fixtures/fermat_cubic_f13.txt
+    X = surf(gf.field_create(13), "x0^3 + x1^3 + x2^3 + x3^3")
+
+    def chunks(self, monkeypatch):
+        """len(spans) of every kernel call on X's own form, by rows per span:
+        4 for X itself, 3 for its hyperplanes, 2 for lines."""
+        sizes = {}
+        real = certify._line_certificates
+
+        def recorded(G, spans, rng):
+            if G == self.X.form:
+                sizes.setdefault(len(spans[0]), []).append(len(spans))
+            return real(G, spans, rng)
+
+        monkeypatch.setattr(certify, "_line_certificates", recorded)
+        return sizes
+
+    def test_each_level_of_a_first_hit_scan_starts_with_one_span(self, monkeypatch):
+        sizes = self.chunks(monkeypatch)
+        out = search.find_transverse_line_reduced(self.X, seed=1729)
+        assert out.succeeded()
+        assert sizes.keys() == {4, 3, 2}
+        for got in sizes.values():
+            assert got == [2**i for i in range(len(got))]
+
+    def test_a_census_grows_its_chunks_to_the_cap(self, monkeypatch):
+        sizes = self.chunks(monkeypatch)
+        audit.count_bad_hyperplanes(self.X, t=0, seed=1729)
+        pool = pg.count_points(3, self.X.field)
+        assert certify._SECTION_CHUNK == 256
+        doubling = [2**i for i in range(8)]
+        full, rest = divmod(pool - sum(doubling), 256)
+        assert sizes[3] == doubling + [256] * full + [rest]
+        assert sizes[4] == [1]
 
 
 class TestTransversality:

@@ -63,6 +63,31 @@ def test_registry_returns_same_object():
     assert gf.field_create(3, 2) is F9
 
 
+def test_a_registered_field_skips_the_primality_test(monkeypatch):
+    big = gf.field_create(2147483659)
+    tested = []
+    real = gf.is_prime
+    monkeypatch.setattr(gf, "is_prime", lambda n: tested.append(n) or real(n))
+    assert gf.field_create(2147483659) is big
+    assert tested == []
+    # a float key hashes like the registered int, and is still refused
+    with pytest.raises(ValueError, match="not prime"):
+        gf.field_create(2147483659.0)
+    with pytest.raises(ValueError, match="not prime"):
+        gf.field_create(2147483661)
+    assert tested == [2147483661]
+
+
+def test_a_registered_field_is_refused_under_a_smaller_cap():
+    assert gf.field_create(13, 2) is F169
+    with config.caps_scope(config.Caps(max_field_bits=7)):
+        with pytest.raises(config.CapExceededError, match="13\\^2"):
+            gf.field_create(13, 2)
+        with pytest.raises(config.CapExceededError):
+            gf.extension_field(gf.field_create(13), 2)
+    assert gf.field_create(13, 2) is F169
+
+
 def test_frobenius_on_f9_generator():
     assert F9.frob_power(3, 1) == F9.encode([0, 2])  # t^3 = 2t
 

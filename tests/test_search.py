@@ -42,6 +42,18 @@ class TestFirstHitCaps:
             with pytest.raises(config.CapExceededError, match="point enumeration"):
                 find_very_transverse_flag(X, 0, seed=0)
 
+    def test_reduced_hyperplane_scan_is_charged_only_for_what_it_visits(self):
+        # the first reduced hyperplane is the 4th, inside the scan's third
+        # chunk (spans 4 to 7); the three hyperplanes after it are not charged
+        X = surf(F3, "x0^3 + 2*x0*x3^2 + x1^2*x2")
+        out = find_reduced_hyperplane(X, seed=0)
+        assert out.tested == 4
+        with config.caps_scope(config.Caps(max_enum=4)):
+            assert find_reduced_hyperplane(X, seed=0).found == out.found
+        with config.caps_scope(config.Caps(max_enum=3)):
+            with pytest.raises(config.CapExceededError, match="point enumeration"):
+                find_reduced_hyperplane(X, seed=0)
+
 
 class TestRequiredQ:
     def test_worked_thresholds(self):
@@ -395,6 +407,9 @@ class TestReducedDescentMatchesReference:
         (3, 2, "x0*x1 + x2^2", 5, 2, 0),
         (5, 1, "x0^3 + x1^3 + x2^3 + x0*x1*x2", 3, 2, 4),
         (5, 1, "x0^5 + x1^5", 5, 2, 0),  # a p-th power: refused
+        # a plane holding the first 9 lines: degree 1 scans every line of
+        # P^3, and the reduced descent refuses it
+        (3, 2, "x2", 4, 2, 1729),
     ])
     def test_outcomes_match(self, p, m, text, nvars, r, seed):
         X = surf(gf.field_create(p, m), text, nvars=nvars)
@@ -429,14 +444,19 @@ class TestReducedDescentMatchesReference:
     def test_exhausted_level_above_its_gate_raises_the_same_error(
         self, monkeypatch
     ):
-        # every candidate below the top level is refused; over F_7 the
-        # reduced-hyperplane gate of P^3, d(d-1)+1 = 7, is met
-        real = certify.is_reduced_section
+        # every candidate below the top level is refused, uncertified; over
+        # F_7 the reduced-hyperplane gate of P^3, d(d-1)+1 = 7, is met.  The
+        # reference sees the same refusals through is_reduced_section
+        real = certify.reduced_sections
 
-        def refuse_below_top(X, H, rng=None):
-            return H.dim >= 3 and real(X, H, rng=rng)
+        def refuse_below_top(X, subspaces, rng=None):
+            for H in subspaces:
+                if H.dim >= 3:
+                    yield from real(X, [H], rng)
+                else:
+                    yield H, False
 
-        monkeypatch.setattr(certify, "is_reduced_section", refuse_below_top)
+        monkeypatch.setattr(certify, "reduced_sections", refuse_below_top)
         X = surf(F7, FERMAT_THREEFOLD)
         got = _verdicts(NEW, X, 2, 0)
         assert got == _verdicts(REF, X, 2, 0)
@@ -446,7 +466,7 @@ class TestReducedDescentMatchesReference:
 
     def test_x_is_certified_once_and_each_level_once(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("is_reduced_form", "is_reduced_section"):
+        for name in ("is_reduced_form", "reduced_sections"):
             real = getattr(certify, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -456,7 +476,8 @@ class TestReducedDescentMatchesReference:
             monkeypatch.setattr(certify, name, counted)
         out = find_transverse_line_reduced(surf(F7, FERMAT_THREEFOLD), seed=0)
         assert len(out.chain) == 2
-        assert calls == {"is_reduced_form": 1, "is_reduced_section": 2}
+        # one scan per level: two hyperplanes, then the lines of the plane
+        assert calls == {"is_reduced_form": 1, "reduced_sections": 3}
 
 
 class TestVeryTransverseFlag:
