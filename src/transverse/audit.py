@@ -26,6 +26,7 @@ from __future__ import annotations
 import ast
 import collections
 import itertools
+import math
 import operator
 import random
 import time
@@ -271,6 +272,8 @@ class CurveFixture:
 def _field_of_order(q: int) -> gf.Field:
     if q < 2:
         raise ValueError("field order must be at least 2")
+    # before the trial division, which is slow past the cap
+    config.current_caps().check_field(q, 1)
     p = 2
     while p * p <= q and q % p:
         p += 1
@@ -548,16 +551,19 @@ def audit_space_filling(n: int, q: int, dmax: int) -> AuditReport:
         raise ValueError("ambient dimension must be >= 1")
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
+    config.check_nvars(n + 1)
     fld = _field_of_order(q)
     started = time.perf_counter()
     dcap = min(dmax, q)
+    caps = config.current_caps()
     total = 0
     for deg in range(1, dcap + 1):
-        M = len(list(poly.monomials_of_degree(n + 1, deg)))
-        total += (q**M - 1) // (q - 1)
+        total += (q ** math.comb(n + deg, n) - 1) // (q - 1)
+        if total > caps.max_enum:
+            break  # the next degree's count may be out of reach
     # the linear forms alone number as many as the points, so this check
     # also bounds the point list
-    config.current_caps().check_enum(total, "form enumeration")
+    caps.check_enum(total, "form enumeration")
     points = list(projgeom.enumerate_point_codes(n, fld))
     scanned = 0
     filling = []
@@ -623,12 +629,19 @@ def separation_search(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if d < 1:
+        raise ValueError("degree must be >= 1")
     if r != 1 and r != n - 1:
         raise ValueError("supported subspace ranks: 1 and n-1")
+    config.check_nvars(n + 1)
     fld = _field_of_order(q)
-    if r != 1:
-        pool = projgeom.count_points(n, fld)
-        config.current_caps().check_enum(pool, "hyperplane scan")
+    caps = config.current_caps()
+    if r == 1:
+        lines = projgeom.count_points(n, fld) * projgeom.count_points(n - 1, fld)
+        caps.check_enum(lines, "line enumeration")
+    else:
+        caps.check_enum(projgeom.count_points(n, fld), "hyperplane scan")
+    caps.check_enum(math.comb(n + d, n), "monomials of a sampled form")
     rng = random.Random(seed)
     started = time.perf_counter()
     monos = list(poly.monomials_of_degree(n + 1, d))

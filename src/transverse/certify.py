@@ -200,28 +200,30 @@ def _residue_degree(coords, E: gf.Field, base_m: int, k: int) -> int:
     return k
 
 
-def scheme_points_upto(S: locus.SchemeSpec, kmax: int):
-    """Every geometric point of residue degree <= kmax, each exactly once.
-
-    A point rational over F_{q^j} also lives in every F_{q^(j*i)}; the
-    residue-degree filter reports it only at its exact degree, so the
-    sweep over k = 1..kmax never duplicates across subfield embeddings.
-    Conjugate points of the same closed point are distinct entries.
-    """
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
+def _points_by_residue_degree(S: locus.SchemeSpec, kmax: int):
+    """(E, sorted coordinate tuples of residue degree k) for E = F_{q^k},
+    k = 1..kmax, lazily.  A point rational over F_{q^j} also lives in every
+    F_{q^(j*i)}; the filter keeps it only at its exact degree, and starts
+    after the first nonempty block, as no point has a smaller degree."""
     base = S.field
-    found = []
+    seen = False
     for k in range(1, kmax + 1):
         E = gf.extension_field(base, k)
-        pts = []
-        for coords in _points_over(S, E):
-            if k > 1 and _residue_degree(coords, E, base.m, k) != k:
-                continue
-            pts.append(coords)
-        pts.sort()
-        found.extend(projgeom.ProjectivePoint(E, c) for c in pts)
-    return found
+        pts = _points_over(S, E)
+        if seen:
+            pts = [c for c in pts if _residue_degree(c, E, base.m, k) == k]
+        seen = seen or bool(pts)
+        yield E, sorted(pts)
+
+
+def scheme_points_upto(S: locus.SchemeSpec, kmax: int):
+    """Every geometric point of residue degree <= kmax, each exactly once:
+    never again in an extension.  Conjugate points of the same closed
+    point are distinct entries."""
+    if kmax < 1:
+        raise ValueError("kmax must be at least 1")
+    sweep = _points_by_residue_degree(S, kmax)
+    return [projgeom.ProjectivePoint(E, c) for E, pts in sweep for c in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +384,12 @@ def is_empty_projective(S: locus.SchemeSpec) -> EmptinessCertificate:
 
 def _hunt_witness(S: locus.SchemeSpec):
     """First point of minimal residue degree within field and enum caps."""
-    for k in range(1, _WITNESS_KMAX + 1):
-        if not config.current_caps().field_order_ok(S.field.p, S.field.m * k):
-            return None
-        E = gf.extension_field(S.field, k)
-        try:
-            pts = _points_over(S, E)
-        except config.CapExceededError:
-            return None
-        if pts:
-            return projgeom.ProjectivePoint(E, min(pts))
+    try:
+        for E, pts in _points_by_residue_degree(S, _WITNESS_KMAX):
+            if pts:
+                return projgeom.ProjectivePoint(E, pts[0])
+    except config.CapExceededError:
+        pass
     return None
 
 

@@ -14,17 +14,15 @@ from dataclasses import dataclass
 
 @dataclass
 class Caps:
-    """Hard limits honoured by every field construction and enumeration.
+    """Hard limits honoured by every field construction and enumeration,
+    the two a run sets (the CLI's --max-field-bits and --max-enum).
 
     max_field_bits: a field of order Q may be built only if Q <= 2**max_field_bits.
     max_enum: largest number of projective points a single scan may visit.
-    max_form_degree: largest total degree of a parsed form, a hypersurface
-        or a scheme generator.
     """
 
     max_field_bits: int = 40
     max_enum: int = 5_000_000
-    max_form_degree: int = 5_000
 
     def field_order_ok(self, p: int, degree: int) -> bool:
         return p**degree <= (1 << self.max_field_bits)
@@ -37,13 +35,9 @@ class Caps:
 
     def check_enum(self, count: int, what: str = "enumeration") -> None:
         if count > self.max_enum:
-            raise CapExceededError(f"{what} of size {count} exceeds cap {self.max_enum}")
-
-    def check_form_degree(self, degree: int) -> None:
-        if degree > self.max_form_degree:
-            raise CapExceededError(
-                f"form degree {degree} exceeds cap {self.max_form_degree}"
-            )
+            # a pool of thousands of digits is named by its binary order
+            size = count if count < 1 << 64 else f"over 2^{count.bit_length() - 1}"
+            raise CapExceededError(f"{what} of size {size} exceeds cap {self.max_enum}")
 
 
 # A smooth form in N variables needs a Macaulay matrix of at least N x N
@@ -56,6 +50,16 @@ MAX_NVARS = 4_096
 def check_nvars(nvars: int) -> None:
     if nvars > MAX_NVARS:
         raise CapExceededError(f"{nvars} variables exceed cap {MAX_NVARS}")
+
+
+# The largest total degree of a form, checked where forms enter:
+# poly.parse_form, locus.Hypersurface and locus.SchemeSpec.
+MAX_FORM_DEGREE = 5_000
+
+
+def check_form_degree(degree: int) -> None:
+    if degree > MAX_FORM_DEGREE:
+        raise CapExceededError(f"form degree {degree} exceeds cap {MAX_FORM_DEGREE}")
 
 
 _CAPS: contextvars.ContextVar[Caps] = contextvars.ContextVar("caps", default=Caps())

@@ -5,6 +5,9 @@ monic irreducible of degree m over the prime field, never as a quotient of
 a quotient.  Elements are integer codes: the base-p digit string of the
 coefficient vector, little endian, so code(sum c_i t^i) = sum c_i p^i.
 Constants therefore keep the same code in every field of characteristic p.
+``Field.decode`` (by division, never a table) is the one map from codes to
+digits and ``embed_code`` the one map between fields; outside this module
+only ``linalg``'s numpy echelon reads codes as residues mod p.
 
 The modulus is the canonical one, the first monic irreducible of its
 degree in the code order above, so two runs always agree on the
@@ -35,8 +38,9 @@ built the first time it is asked for, never with the tables.
 Embeddings between fields of the same characteristic are computed by
 finding a root of the source modulus in the target, chosen compatibly with
 every embedding already constructed, so that going up a tower in two steps
-agrees with going up in one.  The registry is process wide and lock
-protected; lookups after the first are plain dictionary reads.
+agrees with going up in one.  The registry of those roots is process wide
+and lock protected; lookups after the first are plain dictionary reads,
+and each embedded code is evaluated from its digits at the root, uncached.
 
 This module only prints elements (``format_element``, as polynomials in t);
 the one text grammar, for elements and forms alike, is parsed in ``poly``.
@@ -44,7 +48,6 @@ the one text grammar, for elements and forms alike, is parsed in ``poly``.
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 import numpy as np
@@ -123,7 +126,6 @@ class Field:
         self.order = p**m
         self.key = (p, m)  # every field is built on its canonical modulus
         self._half = (self.order - 1) // 2  # log of -1 in odd characteristic
-        self._digits = None
         self._exp = None
         self._log = None
         self._zech = None
@@ -147,9 +149,8 @@ class Field:
     # -- codes and digits --------------------------------------------------
 
     def decode(self, code: int):
-        """Digit tuple (c_0, ..., c_{m-1}) of a code."""
-        if self._digits is not None:
-            return self._digits[code]
+        """Digit tuple (c_0, ..., c_{m-1}) of a code, by repeated division:
+        the one map from codes to digits."""
         out = []
         x = code
         for _ in range(self.m):
@@ -244,8 +245,6 @@ class Field:
             if self._exp is not None:
                 return True
             q, p, m = self.order, self.p, self.m
-            # little-endian digit tuples in code order
-            self._digits = [d[::-1] for d in itertools.product(range(p), repeat=m)]
             g = self._find_generator()
             # multiplication by g is F_p-linear; its matrix has the digits
             # of g * t^j as rows, so one product gives g * c for every code c
@@ -361,7 +360,7 @@ class Field:
         k %= self.p
         if k == 0 or a == 0:
             return 0
-        return self.mul(a, k if self.m == 1 else self.encode([k]))
+        return self.mul(a, k)  # the constant k has code k in every field
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -507,7 +506,6 @@ def extension_field(base: Field, k: int) -> Field:
 # embeddings
 
 _EMBED: dict = {}
-_EMB_MAPS: dict = {}
 
 
 def _hom_eval_digits(src: Field, tgt: Field, rho: int, code: int) -> int:
@@ -530,10 +528,6 @@ def _generator_image(src: Field, tgt: Field) -> int:
     with _REG_LOCK:
         if key in _EMBED:
             return _EMBED[key]
-        if src.key == tgt.key:
-            rho = src.encode([0, 1]) if src.m > 1 else 0
-            _EMBED[key] = rho
-            return rho
         # prefer composing through an already linked intermediate
         mids = sorted(
             b for (a, b) in _EMBED if a == src.key and (b, tgt.key) in _EMBED
@@ -569,21 +563,11 @@ def _generator_image(src: Field, tgt: Field) -> int:
 
 
 def embed_code(src: Field, tgt: Field, code: int) -> int:
-    """Image of a source element code in the target field."""
-    if src.key == tgt.key:
-        return code
-    if src.m == 1:
+    """Image of a source element code in the target field: the one map of
+    codes between fields."""
+    if src.key == tgt.key or src.m == 1:
         return code  # constants keep their codes
-    mkey = (src.key, tgt.key)
-    cache = _EMB_MAPS.get(mkey)
-    if cache is None:
-        cache = _EMB_MAPS.setdefault(mkey, {})
-    got = cache.get(code)
-    if got is None:
-        rho = _generator_image(src, tgt)
-        got = _hom_eval_digits(src, tgt, rho, code)
-        cache[code] = got
-    return got
+    return _hom_eval_digits(src, tgt, _generator_image(src, tgt), code)
 
 
 # ---------------------------------------------------------------------------

@@ -159,23 +159,17 @@ def u_interpolate(F, ys):
     ys[j] at the node with code j, as its n coefficients, untrimmed.
 
     Barycentric form: the sum of ys[j] w_j M(t) / (t - j), each quotient
-    one synthetic division of M.  Only M and the weights are cached per
-    (F, n), since callers reuse a few.  When n <= p every node and every
-    coefficient of M is a prime-field constant, whose code is its residue,
-    so the divisions run in integers mod p."""
+    one synthetic division of M through the field's add and mul.  Only M
+    and the weights are cached per (F, n), since callers reuse a few."""
     n = len(ys)
     M, weights = _interpolation_nodes(F, n)
-    p, add, mul = F.p, F.add, F.mul
+    add, mul = F.add, F.mul
     out = [0] * n
     for j, (y, w) in enumerate(zip(ys, weights)):
         if y:
             quo = [1] * n  # M is monic, so the top coefficient stays 1
-            if n <= p:
-                for k in range(n - 1, 0, -1):
-                    quo[k - 1] = (M[k] + j * quo[k]) % p
-            else:
-                for k in range(n - 1, 0, -1):
-                    quo[k - 1] = add(M[k], mul(j, quo[k]))
+            for k in range(n - 1, 0, -1):
+                quo[k - 1] = add(M[k], mul(j, quo[k]))
             out = F.add_scaled(out, mul(y, w), quo)
     return out
 

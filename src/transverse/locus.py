@@ -4,7 +4,7 @@ A Hypersurface wraps one nonzero form of degree >= 1.  A SchemeSpec is
 nothing but a list of homogeneous generators in a fixed ambient space;
 emptiness, dimension and point enumeration questions about it are
 answered by `certify`.  Both refuse a form of degree above
-Caps.max_form_degree or in more than config.MAX_NVARS variables.
+config.MAX_FORM_DEGREE or in more than config.MAX_NVARS variables.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class Hypersurface:
         if form.degree < 1:
             raise ValueError("a hypersurface needs degree >= 1")
         config.check_nvars(form.nvars)
-        config.current_caps().check_form_degree(form.degree)
+        config.check_form_degree(form.degree)
         self.form = form
         self.field = form.field
         self.ambient = form.nvars - 1
@@ -49,7 +49,7 @@ class SchemeSpec:
             if g.field != field or g.nvars != nvars:
                 raise ValueError("generators must share field and ambient")
         config.check_nvars(nvars)
-        config.current_caps().check_form_degree(max(g.degree for g in gens))
+        config.check_form_degree(max(g.degree for g in gens))
         self.field = field
         self.nvars = nvars
         self.ambient = nvars - 1

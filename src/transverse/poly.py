@@ -20,6 +20,7 @@ character.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from . import config, gf, linalg
@@ -130,7 +131,7 @@ def form_specialize_last(F: Form, prefix, E: gf.Field):
     """Coefficients (codes in E, low degree first, trimmed) of F(prefix, z)
     as a polynomial in the last variable z."""
     last = F.nvars - 1
-    emb = (lambda c: gf.embed_code(F.field, E, c)) if E != F.field else (lambda c: c)
+    emb = functools.partial(gf.embed_code, F.field, E)
     coeffs = [0] * (F.degree + 1)
     for exps, c in F.terms.items():
         v = emb(c)
@@ -179,7 +180,7 @@ def substitute_rows(F: Form, rows, E: gf.Field | None = None) -> Form:
     in E (an extension of F's field, by default F's field itself); the
     result is a form over E.  No basis normalization."""
     fld = F.field if E is None else E
-    emb = (lambda c: gf.embed_code(F.field, fld, c)) if fld != F.field else (lambda c: c)
+    emb = functools.partial(gf.embed_code, F.field, fld)
     B = list(rows)
     k = len(B)
     if any(len(r) != F.nvars for r in B):
@@ -308,7 +309,7 @@ class _Parser:
         tok, at = self.tokens[self.i]
         self.i += 1
         if tok.isdigit():
-            return F.mul(code, int(tok) % F.p)
+            return F.mul_int(code, int(tok))
         if tok == "t":
             if F.m == 1:
                 raise ParseError(
@@ -356,8 +357,8 @@ def parse_form(field: gf.Field, text: str, nvars: int | None = None) -> Form:
 
     Homogeneity is enforced; nvars is inferred from the largest variable
     index when not given.  Text errors raise ParseError with their offset;
-    more than config.MAX_NVARS variables or a degree above the cap raises
-    CapExceededError.
+    more than config.MAX_NVARS variables or a degree above
+    config.MAX_FORM_DEGREE raises CapExceededError.
     """
     terms = _Parser(field, text, nvars).sum(False, "")
     if nvars is None:
@@ -370,7 +371,7 @@ def parse_form(field: gf.Field, text: str, nvars: int | None = None) -> Form:
         if sum(e.values()) != degree:
             degrees = sorted({sum(e.values()) for _, e, _ in terms})
             raise ParseError(f"form text is not homogeneous: degrees {degrees}", at)
-    config.current_caps().check_form_degree(degree)
+    config.check_form_degree(degree)
     acc: dict = {}
     for code, e, _ in terms:
         vec = tuple(e.get(v, 0) for v in range(nvars))
@@ -400,10 +401,20 @@ def format_form(F: Form) -> str:
 
 
 def monomials_of_degree(nvars: int, degree: int):
-    """All exponent vectors of the given total degree, lex order."""
-    if nvars == 1:
-        yield (degree,)
+    """All exponent vectors of the given total degree, lex order, without
+    recursion: a step takes one from the last nonzero exponent before the
+    final one and moves it, with everything after it, to its neighbour."""
+    if degree < 0:
         return
-    for first in range(degree, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, degree - first):
-            yield (first,) + rest
+    exps = [degree] + [0] * (nvars - 1)
+    while True:
+        yield tuple(exps)
+        i = nvars - 2
+        while i >= 0 and not exps[i]:
+            i -= 1
+        if i < 0:
+            return
+        rest = exps[-1] + 1
+        exps[-1] = 0
+        exps[i] -= 1
+        exps[i + 1] = rest

@@ -226,9 +226,6 @@ def subspace_contains(H: LinearSubspace, P: ProjectivePoint) -> bool:
         raise ValueError("point field is not an extension of the subspace field")
     if P.ambient != H.ambient:
         raise ValueError("ambient dimension mismatch")
-    if src == tgt:
-        rows = list(H.basis) + [P.coords]
-        return linalg.rank(src, rows) == len(H.basis)
     emb = [tuple(gf.embed_code(src, tgt, c) for c in row) for row in H.basis]
     return linalg.rank(tgt, emb + [P.coords]) == len(H.basis)
 

@@ -439,55 +439,55 @@ def check_inequality_lemmas(grid) -> dict:
     the gate q >= (n-r) d(d-1)^r; grid points outside a lemma's
     hypothesis simply skip that check.
     """
-    rows = []
-    bad = []
-    for n, d, r, q in grid:
-        if d < 2 or not 0 <= r <= n - 1 or q < 2:
-            raise ValueError(f"bad grid point {(n, d, r, q)}")
-        gate = q >= (n - r) * d * (d - 1) ** r
-        checks = {}
-        if gate and d >= 3:
-            if 1 <= r <= n - 2:
-                lhs = q ** (n - r)
-                rhs = d * (d - 1) ** r * (q + 1) ** (n - r - 1)
-                checks["pool-dominates-bad"] = {
-                    "lhs": lhs, "rhs": rhs, "holds": lhs > rhs,
-                }
-                # the induction actually consumes the aggregate form: the
-                # whole candidate pool against tangent plus dual-contained
-                pool = sum(q**i for i in range(n - r + 1))
-                total = (
-                    d * (d - 1) ** r * (q + 1) ** (n - r - 1)
-                    + d * (d - 1) ** (n - 1)
-                )
-                checks["full-pool-beats-bad"] = {
-                    "lhs": pool, "rhs": total, "holds": pool > total,
-                }
-            if r >= 1:
-                need = (n - r + 1) * d * (d - 1) ** (r - 1)
-                checks["gate-descends"] = {
-                    "lhs": q, "rhs": need, "holds": q >= need,
-                }
-            if 1 <= r <= n - 3:
-                lhs = q ** (n - r - 1)
-                rhs = d * (d - 1) ** (n - 1)
-                checks["deep-levels"] = {
-                    "lhs": lhs, "rhs": rhs, "holds": lhs > rhs,
-                }
-            if r == n - 2:
-                lhs = q * q + q + 1
-                rhs = d * (d - 1) ** (n - 2) * (q + d)
-                checks["plane-level"] = {
-                    "lhs": lhs, "rhs": rhs, "holds": lhs > rhs,
-                }
-            if r == n - 1:
-                rhs = d * (d - 1) ** (n - 1)
-                checks["hyperplane-level"] = {
-                    "lhs": q + 1, "rhs": rhs, "holds": q + 1 > rhs,
-                }
-        row = {"n": n, "d": d, "r": r, "q": q, "gate": gate, "checks": checks}
-        rows.append(row)
-        for name, c in checks.items():
-            if not c["holds"]:
-                bad.append({"point": (n, d, r, q), "check": name, **c})
+    rows = [_inequality_row(*point) for point in grid]
+    bad = [c for row in rows for c in _failed_checks(row)]
     return {"ok": not bad, "points": rows, "counterexamples": bad}
+
+
+def inequality_counterexamples(grid) -> list:
+    """The counterexamples of check_inequality_lemmas(grid), with the grid
+    streamed: no row outlives its point, so any iterable of points runs
+    in memory for its counterexamples alone."""
+    return [c for point in grid for c in _failed_checks(_inequality_row(*point))]
+
+
+def _inequality_row(n: int, d: int, r: int, q: int) -> dict:
+    if d < 2 or not 0 <= r <= n - 1 or q < 2:
+        raise ValueError(f"bad grid point {(n, d, r, q)}")
+    gate = q >= (n - r) * d * (d - 1) ** r
+    checks = {}
+    if gate and d >= 3:
+        if 1 <= r <= n - 2:
+            lhs = q ** (n - r)
+            rhs = d * (d - 1) ** r * (q + 1) ** (n - r - 1)
+            checks["pool-dominates-bad"] = _check(lhs, rhs, lhs > rhs)
+            # the induction actually consumes the aggregate form: the
+            # whole candidate pool against tangent plus dual-contained
+            pool = sum(q**i for i in range(n - r + 1))
+            total = d * (d - 1) ** r * (q + 1) ** (n - r - 1) + d * (d - 1) ** (n - 1)
+            checks["full-pool-beats-bad"] = _check(pool, total, pool > total)
+        if r >= 1:
+            need = (n - r + 1) * d * (d - 1) ** (r - 1)
+            checks["gate-descends"] = _check(q, need, q >= need)
+        if 1 <= r <= n - 3:
+            lhs = q ** (n - r - 1)
+            rhs = d * (d - 1) ** (n - 1)
+            checks["deep-levels"] = _check(lhs, rhs, lhs > rhs)
+        if r == n - 2:
+            lhs = q * q + q + 1
+            rhs = d * (d - 1) ** (n - 2) * (q + d)
+            checks["plane-level"] = _check(lhs, rhs, lhs > rhs)
+        if r == n - 1:
+            rhs = d * (d - 1) ** (n - 1)
+            checks["hyperplane-level"] = _check(q + 1, rhs, q + 1 > rhs)
+    return {"n": n, "d": d, "r": r, "q": q, "gate": gate, "checks": checks}
+
+
+def _check(lhs: int, rhs: int, holds: bool) -> dict:
+    return {"lhs": lhs, "rhs": rhs, "holds": holds}
+
+
+def _failed_checks(row: dict) -> list:
+    point = (row["n"], row["d"], row["r"], row["q"])
+    return [{"point": point, "check": k, **c} for k, c in row["checks"].items()
+            if not c["holds"]]

@@ -1,7 +1,10 @@
 import functools
+import importlib.util
 import math
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,7 @@ from transverse.locus import Hypersurface, SchemeSpec
 
 F3 = gf.field_create(3)
 F5 = gf.field_create(5)
+BENCH_WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def forms(field, texts, nvars):
@@ -169,6 +173,67 @@ class TestSchemePoints:
     def test_kmax_validation(self):
         with pytest.raises(ValueError):
             scheme_points_upto(scheme(F5, ["x0"], 2), 0)
+
+
+def reference_hunt_witness(S):
+    """The witness hunt as it stood before it shared the residue-degree
+    sweep with scheme_points_upto, kept verbatim as the reference."""
+    for k in range(1, certify._WITNESS_KMAX + 1):
+        if not config.current_caps().field_order_ok(S.field.p, S.field.m * k):
+            return None
+        E = gf.extension_field(S.field, k)
+        try:
+            pts = certify._points_over(S, E)
+        except config.CapExceededError:
+            return None
+        if pts:
+            return pg.ProjectivePoint(E, min(pts))
+    return None
+
+
+def bench_emptiness_schemes(seed):
+    """The schemes of the benchmark's emptiness corpus at a seed, read
+    off each case's bound default argument."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks the module up by name while the class is built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        return [case.compute.__defaults__[0] for case in module.build_cases("emptiness", seed)]
+    finally:
+        del sys.modules[spec.name]
+
+
+class TestWitnessHunt:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_reference_on_the_emptiness_corpus(self, seed):
+        for S in bench_emptiness_schemes(seed):
+            assert certify._hunt_witness(S) == reference_hunt_witness(S), S
+
+    @pytest.mark.parametrize(
+        "field, texts, nvars, degree",
+        [
+            (F3, ["x0^2 + x1^2"], 2, 2),
+            (gf.field_create(2), ["x0^2 + x0*x1 + x1^2"], 2, 2),
+            (F3, ["x0^3 - x0*x1^2 - x1^3"], 2, 3),
+            (F3, ["x2", "x0^3 - x0*x1^2 - x1^3"], 3, 3),
+            (F5, ["x0^2 - 2*x1^2", "x2^3 - 2*x1^3"], 3, 2),
+        ],
+    )
+    def test_first_points_of_higher_residue_degree(self, field, texts, nvars, degree):
+        S = scheme(field, texts, nvars)
+        got = certify._hunt_witness(S)
+        assert got == reference_hunt_witness(S)
+        assert got.field.m == field.m * degree
+
+    def test_refuses_like_the_reference_past_the_field_cap(self):
+        S = scheme(F3, ["x0^3 - x0*x1^2 - x1^3"], 2)
+        for bits in (3, 4, 5):
+            with config.caps_scope(config.Caps(max_field_bits=bits)):
+                assert certify._hunt_witness(S) == reference_hunt_witness(S)
+        with config.caps_scope(config.Caps(max_field_bits=4)):
+            assert certify._hunt_witness(S) is None
 
 
 def prefix_sweep(S, E):
@@ -757,6 +822,12 @@ class TestSmoothness:
         assert poly.substitute_rows(X.form, on.basis).is_zero()
         assert is_transverse(X, on) is False
         assert is_transverse(X, off)
+
+    def test_wide_quadric_is_smooth(self):
+        # 1,500 variables: past the recursion limit of a monomial generator
+        # that recursed once per variable
+        G = poly.parse_form(F5, " + ".join(f"x{i}^2" for i in range(1500)))
+        assert certify.is_smooth_form(G)
 
 
 class TestReducedness:

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -266,6 +267,58 @@ class TestAuditCommands:
         rep = json.loads(capsys.readouterr().out)["reports"][0]
         assert rep["verdict"] == "observational"
         assert rep["runtime_ms"] == 0  # normalized for reproducibility
+
+    @pytest.mark.parametrize("argv", [
+        ["space-filling", "--n", "1500", "--d", "1"],
+        ["separation", "--n", "1500", "--samples", "1"],
+    ], ids=["space-filling", "separation"])
+    def test_wide_ambient_space_is_refused_with_a_message(self, argv, capsys):
+        assert cli.main(["audit", *argv]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "of size over 2^" in err
+
+    @pytest.mark.parametrize("command", ["space-filling", "separation"])
+    @pytest.mark.parametrize("q", ["2305843009213693951", "2199023255579"])
+    def test_field_order_over_the_cap_is_refused_at_once(self, command, q, capsys):
+        started = time.perf_counter()
+        assert cli.main(["audit", command, "--q", q]) == EXIT_USAGE
+        assert time.perf_counter() - started < 2
+        assert f"error: field order {q}^1 exceeds 2^40 cap" in capsys.readouterr().err
+
+    def test_inequality_grid_is_the_sorted_set_of_its_points(self):
+        for nmax, dmax in [(2, 2), (6, 5), (9, 4)]:
+            grid = list(cli.inequality_grid(nmax, dmax))
+            assert grid == sorted(set(grid))
+            assert len(grid) == 3 * (dmax - 1) * sum(range(2, nmax + 1))
+
+    def test_inequality_grid_over_the_enum_cap_is_refused(self, capsys):
+        argv = ["audit", "inequalities", "--nmax", "40", "--dmax", "40"]
+        assert cli.main(argv + ["--max-enum", "95822"]) == EXIT_USAGE
+        assert "inequality grid of size 95823 exceeds cap 95822" in (
+            capsys.readouterr().err
+        )
+
+    def test_inequality_grid_streams_in_small_memory(self, capsys):
+        # 11,913 points, at which holding one row per point peaks at 16 MB
+        # traced; tracing the 95,823 points of --nmax 40 --dmax 40 costs
+        # ten times the untraced run, so that grid is checked untraced
+        tracemalloc.start()
+        try:
+            code = cli.main(["audit", "inequalities", "--nmax", "20", "--dmax", "20"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 10 * 2**20
+        assert json.loads(capsys.readouterr().out)["reports"][0]["grid_points"] == 11_913
+
+    def test_inequality_report_keeps_its_stdout(self, capsys):
+        code = cli.main(["audit", "inequalities", "--nmax", "40", "--dmax", "40"])
+        assert code == EXIT_OK
+        # the stdout of the version that held one row per point
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "65720baa303593db0e3d542eaf02ee1a9b4a2a5c8b37f85482e0ed9d52b44c08"
+        )
 
     def test_audit_all_small(self, tmp_path):
         out = tmp_path / "all.json"

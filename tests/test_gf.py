@@ -304,7 +304,7 @@ def test_tables_match_products_by_the_generator(p, m):
     assert F._exp == exp
     assert F._log == log
     assert F._zech == zech
-    assert F._digits == [
+    assert [F.decode(c) for c in F.elements()] == [
         tuple(c // p**i % p for i in range(m)) for c in range(F.order)
     ]
 

@@ -240,7 +240,7 @@ def ref_parse_form(field, text: str, nvars: int | None = None) -> Form:
     if len(degrees) > 1:
         raise ValueError(f"form text is not homogeneous: degrees {sorted(degrees)}")
     degree = degrees.pop()
-    config.current_caps().check_form_degree(degree)
+    config.check_form_degree(degree)
     acc: dict = {}
     for code, e in terms:
         vec = tuple(e.get(v, 0) for v in range(nvars))

@@ -202,17 +202,17 @@ class TestTangencyAlongHyperplanes:
 
 
 class TestDegreeCap:
-    def test_hypersurface_and_scheme_refuse_degree_over_cap(self):
-        cap = config.current_caps().max_form_degree
+    def test_hypersurface_and_scheme_refuse_degree_over_cap(self, monkeypatch):
+        cap = config.MAX_FORM_DEGREE
         big = poly.Form(F5, 3, cap + 1, {(cap + 1, 0, 0): 1})
         line = poly.parse_form(F5, "x1", 3)
         with pytest.raises(config.CapExceededError, match="form degree"):
             Hypersurface(big)
         with pytest.raises(config.CapExceededError, match="form degree"):
             SchemeSpec(F5, 3, [line, big])
-        with config.caps_scope(config.Caps(max_form_degree=cap + 1)):
-            assert Hypersurface(big).degree == cap + 1
-            assert SchemeSpec(F5, 3, [line, big]).gens[1] == big
+        monkeypatch.setattr(config, "MAX_FORM_DEGREE", cap + 1)
+        assert Hypersurface(big).degree == cap + 1
+        assert SchemeSpec(F5, 3, [line, big]).gens[1] == big
 
     def test_hypersurface_and_scheme_refuse_too_many_variables(self):
         n = config.MAX_NVARS + 1

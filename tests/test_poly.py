@@ -288,14 +288,14 @@ class TestForm:
         assert g.degree == 5
         assert g.terms == {(5, 0): 1, (0, 5): 2}
 
-    def test_parse_refuses_degree_over_cap(self):
-        cap = config.current_caps().max_form_degree
+    def test_parse_refuses_degree_over_cap(self, monkeypatch):
+        cap = config.MAX_FORM_DEGREE
         assert poly.parse_form(F5, f"x0^{cap} + x1^{cap}").degree == cap
         with pytest.raises(config.CapExceededError, match="form degree"):
             poly.parse_form(F5, f"x0^{cap + 1} + x1^{cap + 1}")
-        with config.caps_scope(config.Caps(max_form_degree=3)):
-            with pytest.raises(config.CapExceededError):
-                poly.parse_form(F5, "x0^2*x1^2")
+        monkeypatch.setattr(config, "MAX_FORM_DEGREE", 3)
+        with pytest.raises(config.CapExceededError):
+            poly.parse_form(F5, "x0^2*x1^2")
 
     def test_parse_refuses_variables_over_the_bound(self):
         top = config.MAX_NVARS - 1
@@ -306,6 +306,26 @@ class TestForm:
             poly.parse_form(F5, "x0 + x999999999")
         with pytest.raises(config.CapExceededError, match="variables"):
             poly.parse_form(F5, "x0 + x1", nvars=config.MAX_NVARS + 1)
+
+    def test_monomials_match_the_recursive_generator(self):
+        def recursive(nvars, degree):
+            """The generator as it was, one call per variable."""
+            if nvars == 1:
+                yield (degree,)
+                return
+            for first in range(degree, -1, -1):
+                for rest in recursive(nvars - 1, degree - first):
+                    yield (first,) + rest
+
+        for nvars in range(1, 7):
+            for degree in range(7):
+                got = list(poly.monomials_of_degree(nvars, degree))
+                assert got == list(recursive(nvars, degree)), (nvars, degree)
+
+    def test_monomials_of_many_variables(self):
+        # past the interpreter's recursion limit
+        lines = list(poly.monomials_of_degree(1500, 1))
+        assert len(lines) == 1500 and lines[0][0] == 1 and lines[-1][-1] == 1
 
     def test_binary_squarefree(self):
         g = poly.parse_form(F5, "x0*x1")

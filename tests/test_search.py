@@ -624,6 +624,25 @@ class TestInequalityLemmas:
     def test_junk_grid_rejected(self):
         with pytest.raises(ValueError):
             check_inequality_lemmas([(3, 3, 5, 7)])
+        with pytest.raises(ValueError):
+            search.inequality_counterexamples(iter([(3, 3, 5, 7)]))
+
+    def test_streamed_counterexamples_match_the_rows(self, monkeypatch):
+        row_of = search._inequality_row
+
+        def failing_descent(*point):
+            # a transcription error to report: the descent check fails
+            row = row_of(*point)
+            if "gate-descends" in row["checks"]:
+                row["checks"]["gate-descends"]["holds"] = False
+            return row
+
+        monkeypatch.setattr(search, "_inequality_row", failing_descent)
+        grid = [(n, d, r, q) for n in range(2, 6) for d in range(2, 5)
+                for r in range(n) for q in (2, 9, 64, 200)]
+        bad = check_inequality_lemmas(grid)["counterexamples"]
+        assert bad and all(c["check"] == "gate-descends" for c in bad)
+        assert search.inequality_counterexamples(iter(grid)) == bad
 
 
 class TestOutcomeSerialization:
