@@ -461,8 +461,10 @@ def count_bad_superspaces(
     tangent = []
     transverse = 0
     dual_contained = 0
-    for E in projgeom.enumerate_superspaces(H_prev, r):
-        verdict, method = certify.decide_very_transverse(X, E, rng)
+    verdicts = certify.very_transverse_verdicts(
+        X, projgeom.enumerate_superspaces(H_prev, r), rng
+    )
+    for E, verdict, method in verdicts:
         if method == "not-transverse":
             tangent.append(E)
             continue
@@ -665,6 +667,9 @@ def separation_search(
             if r == 1
             else projgeom.all_hyperplanes(n, fld)
         )
+        # one candidate at a time, not certify.very_transverse_verdicts: the
+        # next sampled form is drawn from the same rng, so the stream
+        # decides which forms the report lists
         for E in candidates:
             verdict, method = certify.decide_very_transverse(X, E, rng)
             if method == "not-transverse":

@@ -38,8 +38,10 @@ random line is nonzero of degree d and squarefree, G is squarefree (a
 factor h^2 would survive on the line unless the line lies in V(h), where G
 vanishes); G on the line is interpolated, so no section form is built.
 One kernel evaluates the lines of many spans at once in numpy (the
-field's array view in gf), and every scan over sections, first-hit or
-census, certifies them through it in growing chunks (reduced_sections).
+field's array view in gf) and tests all their restrictions for
+squarefreeness in one batched Euclid (linalg.u_squarefree_many), and every
+scan over sections, first-hit or census, certifies them through it in
+growing chunks (reduced_sections).
 When p does not divide d = deg G, the Euler relation d*G = sum x_i d_iG
 puts G in the ideal of its partials, so the Jacobian scheme is generated
 by the nonzero partials alone (G is kept when p | d), and N* =
@@ -49,7 +51,11 @@ built; the size checked is the full matrix's, even when the square
 submatrix alone would fit.
 
 Very-transversality is decided in two steps, classify and settle, so a
-scan can defer the exact part until a Las-Vegas pass has found no hit.
+scan can defer the exact part until a Las-Vegas pass has found no hit.  A
+census decides its candidates in chunks (very_transverse_verdicts): the
+first Las-Vegas slices of a chunk are drawn together and their square
+Macaulay matrices eliminated as one stack (linalg.full_rank_many); only
+the misses go on to the one-at-a-time decision.
 
 Points over an extension E are swept along normalized prefixes of
 P^(n-1)(E), with a gcd chain of the specialized generators in the last
@@ -82,9 +88,13 @@ _WITNESS_KMAX = 6
 # reduced_sections: the kernel's arrays grow with it, its fixed cost is paid
 # once per chunk
 _SECTION_CHUNK = 256
-# codes one evaluation pass of the line certificate kernel holds at once, so
-# its memory does not grow with the degree; the census stays within one pass
+# codes one pass of a batched kernel holds at once, so its memory does not
+# grow with the degree or the matrix size; the census stays within one pass
 _KERNEL_ELEMENTS = 1 << 16
+# subspaces very_transverse_verdicts holds at once, with their sliced
+# tangency loci; a full chunk's square Macaulay matrices of the census fit
+# one full_rank_many call
+_VERDICT_CHUNK = 16
 # Largest rows x columns of a Macaulay matrix, refused before any row is
 # built.  Its square root bounds the pivots of the elimination, which the
 # numpy path of linalg must accept.
@@ -268,10 +278,7 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
     At N >= N*, Macaulay's square submatrix is eliminated first; when it
     is singular, only the other rows are built, to continue its echelon form.
     """
-    ncols = math.comb(N + nvars - 1, nvars - 1)
-    nrows = sum(
-        math.comb(N - g.degree + nvars - 1, nvars - 1) for g in gens if g.degree <= N
-    )
+    nrows, ncols = _macaulay_size(gens, nvars, N)
     if nrows < ncols:
         return False
     if nrows * ncols > _MAX_MACAULAY_ENTRIES:
@@ -280,22 +287,36 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
             f"{_MAX_MACAULAY_ENTRIES} entries"
         )
     square = set()
-
-    def rows(inside):
-        return [
-            _row(g, index, ncols)
-            for j, g in enumerate(gens)
-            if g.degree <= N
-            for k, index in enumerate(_row_index(nvars, N, g.degree))
-            if ((j, k) in square) == inside
-        ]
-
     form = linalg.echelon(fld, ncols)
     if len(gens) >= nvars and N >= _macaulay_bound(gens, nvars - 1):
         square = _square_keys(gens, nvars, N)
-        if linalg.rank(fld, rows(True), stop_at=ncols, form=form) == ncols:
+        rows = _macaulay_rows(gens, nvars, N, square, True)
+        if linalg.rank(fld, rows, stop_at=ncols, form=form) == ncols:
             return True
-    return linalg.rank(fld, rows(False), stop_at=ncols, form=form) == ncols
+    rows = _macaulay_rows(gens, nvars, N, square, False)
+    return linalg.rank(fld, rows, stop_at=ncols, form=form) == ncols
+
+
+def _macaulay_size(gens, nvars: int, N: int):
+    """Rows and columns of the degree-N Macaulay matrix."""
+    ncols = math.comb(N + nvars - 1, nvars - 1)
+    nrows = sum(
+        math.comb(N - g.degree + nvars - 1, nvars - 1) for g in gens if g.degree <= N
+    )
+    return nrows, ncols
+
+
+def _macaulay_rows(gens, nvars: int, N: int, square, inside: bool):
+    """The rows of the degree-N Macaulay matrix whose (generator,
+    multiplier) key is in ``square`` (inside) or not."""
+    ncols = math.comb(N + nvars - 1, nvars - 1)
+    return [
+        _row(g, index, ncols)
+        for j, g in enumerate(gens)
+        if g.degree <= N
+        for k, index in enumerate(_row_index(nvars, N, g.degree))
+        if ((j, k) in square) == inside
+    ]
 
 
 def _square_keys(gens, nvars: int, N: int):
@@ -456,20 +477,27 @@ def dim_upper_bound(
         return DimensionCertificate(S, -1, verdict)
     if t >= S.ambient:
         return DimensionCertificate(S, t, "at-most")
-    E = _extension_with(S.field, _LV_MIN_FIELD)
     for attempt in range(1, _LV_RETRIES + 1):
-        cur = S
-        slices = []
-        for _ in range(t + 1):
-            while True:
-                row = tuple(rng.randrange(E.order) for _ in range(cur.nvars))
-                if any(row):
-                    break
-            slices.append(row)
-            cur = _slice_by(cur, row, E)
+        slices, cur = _random_slices(S, t, rng)
         if macaulay_is_empty(cur):
-            return DimensionCertificate(S, t, "at-most", tuple(slices), attempt)
+            return DimensionCertificate(S, t, "at-most", slices, attempt)
     return DimensionCertificate(S, t, "undetermined", (), _LV_RETRIES)
+
+
+def _random_slices(S: locus.SchemeSpec, t: int, rng: random.Random):
+    """One Las-Vegas attempt's t + 1 random hyperplanes over the extension
+    of S's field with at least _LV_MIN_FIELD elements, each substituted
+    away: the rows drawn, one level at a time, and the sliced scheme."""
+    E = _extension_with(S.field, _LV_MIN_FIELD)
+    cur, slices = S, []
+    for _ in range(t + 1):
+        while True:
+            row = tuple(rng.randrange(E.order) for _ in range(cur.nvars))
+            if any(row):
+                break
+        slices.append(row)
+        cur = _slice_by(cur, row, E)
+    return tuple(slices), cur
 
 
 def _bezout_component_bound(S: locus.SchemeSpec) -> int:
@@ -575,8 +603,8 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
     are raised, by square-and-multiply, only to exponents the terms read),
     and f(t) = G(a + t*b) from those values by the interpolation matrix,
     a column at a time.  A span is certified when deg f = d and gcd(f, f')
-    = 1, checked in Python only for the spans whose top coefficient is
-    nonzero.
+    = 1, the latter for every span of the pass at once by
+    linalg.u_squarefree_many.
     """
     d, F, nvars = G.degree, G.field, G.nvars
     E = _extension_with(F, max(_LV_MIN_FIELD, d + 1))
@@ -636,9 +664,7 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
             unit = [int(i == j) for i in range(n)]
             fj = V.mul(V.array(linalg.u_interpolate(E, unit))[:, None], values[j])
             f = fj if f is None else V.add(f, fj)
-        top = f[-1].tolist()
-        coeffs = f.T.tolist()
-        out += [bool(t) and linalg.u_squarefree(E, f_s) for t, f_s in zip(top, coeffs)]
+        out += ((f[-1] != 0) & linalg.u_squarefree_many(E, f.T)).tolist()
     return out
 
 
@@ -815,6 +841,81 @@ def decide_very_transverse(
             "very-transversality undecided: the exact scan is over its budget"
         )
     return verdict, method
+
+
+def very_transverse_verdicts(X: locus.Hypersurface, subspaces, rng: random.Random):
+    """For each subspace E of X's ambient space, in order, (E, verdict,
+    method) with decide_very_transverse's certified verdict, the first
+    Las-Vegas attempts of many subspaces tested at once.
+
+    The subspaces are taken _VERDICT_CHUNK at a time.  Transversality is
+    decided exactly, as by classify_very_transverse.  For each transverse E
+    below hyperplane dimension, in chunk order, the first attempt's slices
+    of its tangency locus are drawn, as dim_upper_bound draws them, and the
+    chunk's sliced schemes are tested together (_square_spans_many): a
+    full-rank square Macaulay submatrix proves the slice empty, so E is
+    ("yes", "las-vegas").  A miss asks macaulay_is_empty of the same slice,
+    and when that slice is nonempty too, decide_very_transverse decides E on
+    the same rng, in chunk order.  So the verdicts are certified, but the
+    rng stream is not that of a loop of decide_very_transverse.
+    """
+    if not ensure_smooth(X):
+        raise ValueError("very-transversality is defined for smooth X only")
+    subspaces = iter(subspaces)
+    while chunk := list(itertools.islice(subspaces, _VERDICT_CHUNK)):
+        transverse = [is_transverse(X, E) for E in chunk]
+        sliced = {
+            i: _random_slices(locus.tangency_locus(X, E), X.ambient - E.dim - 2, rng)[1]
+            for i, E in enumerate(chunk)
+            if transverse[i] and E.dim < X.ambient - 1
+        }
+        hits = dict(zip(sliced, _square_spans_many(list(sliced.values()))))
+        for i, E in enumerate(chunk):
+            if not transverse[i]:
+                yield E, "no", "not-transverse"
+            elif i not in sliced:
+                yield E, "yes", "direct"
+            elif hits[i] or macaulay_is_empty(sliced[i]):
+                yield E, "yes", "las-vegas"
+            else:
+                yield (E, *decide_very_transverse(X, E, rng))
+
+
+def _square_spans_many(schemes) -> list:
+    """For each scheme, whether Macaulay's square submatrix at N* has full
+    rank, which proves the scheme empty; a False carries no information.
+
+    A scheme with a unit generator, fewer generators than variables, a full
+    matrix over _MAX_MACAULAY_ENTRIES or a square of more than
+    _KERNEL_ELEMENTS codes gets False, for macaulay_is_empty to decide.  The
+    rest are grouped by field, variables, N* and generator degrees, which
+    fix the square's shape and rows, and each group is eliminated by
+    linalg.full_rank_many in stacks of at most _KERNEL_ELEMENTS codes.
+    """
+    out = [False] * len(schemes)
+    groups = {}
+    for i, S in enumerate(schemes):
+        gens = S.nonzero_gens()
+        if len(gens) < S.nvars or any(g.degree == 0 for g in gens):
+            continue
+        N = _macaulay_bound(gens, S.ambient)
+        nrows, ncols = _macaulay_size(gens, S.nvars, N)
+        if nrows * ncols > _MAX_MACAULAY_ENTRIES or ncols * ncols > _KERNEL_ELEMENTS:
+            continue
+        key = (S.field, S.nvars, N, tuple(g.degree for g in gens))
+        groups.setdefault(key, []).append(i)
+    for (E, nvars, N, _), members in groups.items():
+        square = _square_keys(schemes[members[0]].nonzero_gens(), nvars, N)
+        step = _KERNEL_ELEMENTS // len(square) ** 2
+        for s in range(0, len(members), step):
+            part = members[s : s + step]
+            stack = E.arrays().array([
+                _macaulay_rows(schemes[i].nonzero_gens(), nvars, N, square, True)
+                for i in part
+            ])
+            for i, hit in zip(part, linalg.full_rank_many(E, stack).tolist()):
+                out[i] = hit
+    return out
 
 
 def is_very_transverse(

@@ -20,6 +20,14 @@ The numpy path delays modular reduction: each pivot reduces only its
 column and the rows it clears, which grow by at most (p-1)^2 per pivot, so
 after k pivots every entry stays below p + k(p-1)^2 < 2^63 (asserted).
 NP_MAX_PIVOTS is the most pivots k for which this holds for every p.
+
+Two batched kernels run one computation over a stack of inputs in the
+field's array view, ``F.arrays()``, in lockstep with no per-input Python
+loop: ``u_squarefree_many``, a Euclid on f and f' for many polynomials, and
+``full_rank_many``, forward elimination of many matrices.  Both are
+fraction-free, each update a*x - b*y with no inverse (Bareiss, Math. Comp.
+22, 1968; Brown, J. ACM 18, 1971), so they run in every representation of
+the view.
 """
 
 from __future__ import annotations
@@ -141,6 +149,50 @@ def u_squarefree(F, a):
     gcd(a, 0) = monic a, so it is refused; nonzero constants pass and the
     zero polynomial does not."""
     return len(u_gcd(F, a, u_deriv(F, a))) == 1
+
+
+def u_squarefree_many(F, f):
+    """``u_squarefree`` of each row of f, an (S, d+1) code array of
+    polynomials in ascending power order, as an (S,) bool array.
+
+    A fraction-free Euclid on A = f and B = f', all rows in lockstep in the
+    field's array view.  Each is stored from its formal degree down, so its
+    leading coefficient is column 0.  A step first swaps A and B where deg
+    A < deg B; then a B with a zero lead is shifted, and otherwise A becomes
+    lc(B)*A - lc(A)*B, which cancels its lead, and is shifted.  Every step
+    lowers deg A + deg B, 2d - 1 at the start, by one, and B runs out (deg
+    -1) once A is the gcd; so after 2d - 1 steps the gcd is a nonzero
+    constant exactly when one of A and B is, the other being zero or
+    constant.  No inverse is taken, and the state is O(S*d) codes.
+    """
+    V = F.arrays()
+    S, n = f.shape
+    d = n - 1
+    zero = np.zeros_like(f[:, :1])
+    A = f[:, ::-1]
+    B = V.mul(f[:, :0:-1], V.array([i % F.p for i in range(d, 0, -1)]))
+    B = np.concatenate([B, zero], axis=1)
+    dA, dB = np.full(S, d), np.full(S, d - 1)
+    neg_one = F.neg(1)
+    for _ in range(2 * d - 1):
+        swap = dA < dB
+        A, B = np.where(swap[:, None], B, A), np.where(swap[:, None], A, B)
+        dA, dB = np.where(swap, dB, dA), np.where(swap, dA, dB)
+        live = dB >= 0
+        lead_zero = B[:, 0] == 0
+        cut, wait = live & ~lead_zero, live & lead_zero
+        rest = V.add(
+            V.mul(B[:, :1], A[:, 1:]), V.mul(V.mul(neg_one, A[:, :1]), B[:, 1:])
+        )
+        A = np.where(cut[:, None], np.concatenate([rest, zero], axis=1), A)
+        B = np.where(wait[:, None], np.concatenate([B[:, 1:], zero], axis=1), B)
+        dA, dB = dA - cut, dB - wait
+
+    def nonzero_constant(P, deg):
+        nz = P != 0
+        return (deg >= 0) & (nz.sum(axis=1) == 1) & nz[np.arange(S), np.maximum(deg, 0)]
+
+    return nonzero_constant(A, dA) | nonzero_constant(B, dB)
 
 
 @functools.lru_cache(maxsize=16)
@@ -360,6 +412,38 @@ def rank(F, rows, ncols=None, stop_at=None, form=None):
             return 0
         form = echelon(F, len(rows[0]) if ncols is None else ncols)
     return form.extend(rows, stop_at)
+
+
+def full_rank_many(F, M):
+    """Whether each matrix of M, an (S, R, C) code array with R >= C, has
+    rank C, as an (S,) bool array.
+
+    Fraction-free forward elimination, all matrices in lockstep in the
+    field's array view: in column c every matrix takes its first nonzero
+    row from row c down as the pivot, swaps it to row c, and the rows below
+    become pivot*row - lead*pivot_row.  A column with no pivot there leaves
+    its first c + 1 columns in the span of c coordinates, so the matrix is
+    rank-deficient.  No inverse is taken.
+    """
+    V = F.arrays()
+    S, R, C = M.shape
+    M = M.copy()
+    every = np.arange(S)
+    ok = np.ones(S, dtype=bool)
+    neg_one = F.neg(1)
+    for c in range(C):
+        nz = M[:, c:, c] != 0
+        ok &= nz.any(axis=1)
+        piv = c + nz.argmax(axis=1)
+        top = M[every, piv]
+        M[every, piv] = M[:, c]
+        M[:, c] = top
+        below = M[:, c + 1 :, c:]
+        M[:, c + 1 :, c:] = V.add(
+            V.mul(top[:, c, None, None], below),
+            V.mul(V.mul(neg_one, below[:, :, :1]), top[:, None, c:]),
+        )
+    return ok
 
 
 def det(F, rows):

@@ -365,6 +365,9 @@ def find_very_transverse_flag(
             scanned = 0
             certified_rej = 0
             undetermined = []
+            # one candidate at a time, not certify.very_transverse_verdicts:
+            # the report carries each hit's method and the undetermined
+            # count, and the next level draws on the same rng
             for cand in candidates:
                 sub = projgeom.point_subspace(cand) if s == 0 else cand
                 scanned += 1

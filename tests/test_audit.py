@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -612,3 +613,114 @@ class TestReportsAndWriters:
         sep = separation_search(1, 2, 2, 2, r=1, seed=0)
         flat = audit.flatten_reports([sep])
         assert flat[0]["experiment"] == "separation-search"
+
+
+# ---------------------------------------------------------------------------
+# The superspace census against the loop it replaced: one certified
+# decide_very_transverse per candidate, kept verbatim from count_bad_superspaces.
+
+
+def loop_superspace_extras(X, H_prev, r, seed):
+    rng = random.Random(seed)
+    assert certify.is_very_transverse(X, H_prev, rng=rng)
+    tangent = []
+    transverse = 0
+    dual_contained = 0
+    for E in pg.enumerate_superspaces(H_prev, r):
+        verdict, method = certify.decide_very_transverse(X, E, rng)
+        if method == "not-transverse":
+            tangent.append(E)
+            continue
+        transverse += 1
+        if verdict == "no":
+            dual_contained += 1
+
+    own_points = audit._tangency_witnesses(X, H_prev, tangent, audit._WITNESS_KMAX)
+    witnessed = None
+    if any(own_points):
+        witnessed = 0
+        for E, pts in zip(tangent, own_points):
+            T = locus.tangency_locus(X, E)
+            witnessed += any(T.vanishes_at_codes(P.coords, P.field) for P in pts)
+    return {
+        "pool": pg.count_points(X.ambient - r, X.field),
+        "transverse": transverse,
+        "tangent": len(tangent),
+        "dual_contained": dual_contained,
+        "witness_points": sum(map(len, own_points)),
+        "witnessed_tangents": witnessed,
+    }
+
+
+def smooth_cubic(field, nvars, rng):
+    mons = list(poly.monomials_of_degree(nvars, 3))
+    while True:
+        X = Hypersurface(poly.Form(field, nvars, 3, {m: rng.randrange(field.order) for m in mons}))
+        if not X.form.is_zero() and certify.ensure_smooth(X):
+            return X
+
+
+def very_transverse_anchor(X, r):
+    """The first very transverse (r-1)-plane in the pencils of points, then
+    of lines through the first such point."""
+    H = None
+    for P in pg.enumerate_points(X.ambient, X.field):
+        H = pg.point_subspace(P)
+        if certify.is_very_transverse(X, H):
+            break
+    if r == 2:
+        H = next(L for L in pg.enumerate_superspaces(H, 1) if certify.is_very_transverse(X, L))
+    return H
+
+
+# (field, number of variables, r): cubic surfaces, then a cubic threefold whose
+# slices are taken at t = 1 (lines through a point) and t = 0 (planes through a line)
+SUPERSPACE_CENSUS_CASES = [
+    ((2, 2), 4, 1), ((5, 1), 4, 1), ((7, 1), 4, 1), ((3, 2), 4, 1), ((13, 1), 4, 1),
+    ((5, 1), 5, 1), ((5, 1), 5, 2),
+]
+
+
+class TestBadSuperspacesAgainstTheLoop:
+    @pytest.mark.parametrize("field, nvars, r", SUPERSPACE_CENSUS_CASES)
+    def test_census_matches_the_candidate_by_candidate_loop(self, field, nvars, r):
+        F = gf.field_create(*field)
+        X = smooth_cubic(F, nvars, random.Random(f"superspaces/{F.order}/{nvars}"))
+        H = very_transverse_anchor(X, r)
+        for seed in range(4):
+            want = loop_superspace_extras(X, H, r, seed)
+            assert count_bad_superspaces(X, H, r, seed=seed).extras == want, seed
+
+    def test_fermat_census_matches_the_loop(self):
+        X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
+        P = pg.subspace_from_rows(F13, [(1, 0, 0, 0)])
+        for seed in range(4):
+            want = loop_superspace_extras(X, P, 1, seed)
+            assert count_bad_superspaces(X, P, 1, seed=seed).extras == want, seed
+
+    def test_square_hits_skip_the_scalar_elimination(self, monkeypatch):
+        # every sliced scheme whose square Macaulay matrix has full rank is
+        # answered without macaulay_is_empty; the misses are asked of it
+        tested, asked = [], []
+        batch, single = certify._square_spans_many, certify.macaulay_is_empty
+
+        def square_spans_many(schemes):
+            hits = batch(schemes)
+            tested.extend(zip(schemes, hits))
+            return hits
+
+        def macaulay_is_empty(S):
+            asked.append(S)
+            return single(S)
+
+        monkeypatch.setattr(certify, "_square_spans_many", square_spans_many)
+        monkeypatch.setattr(certify, "macaulay_is_empty", macaulay_is_empty)
+        X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
+        P = pg.subspace_from_rows(F13, [(1, 0, 0, 0)])
+        count_bad_superspaces(X, P, 1, seed=0)
+        asked = {id(S) for S in asked}
+        hits = [S for S, hit in tested if hit]
+        misses = [S for S, hit in tested if not hit]
+        assert len(tested) == 174  # every transverse line, once
+        assert misses and all(id(S) in asked for S in misses)
+        assert not any(id(S) in asked for S in hits)

@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import itertools
 import math
 import random
 import sys
@@ -1171,6 +1172,72 @@ class TestLineCertificateKernel:
         assert got == want
         assert rng.random() == ref_rng.random()
         assert peak < 1 << 20
+
+
+class TestVeryTransverseVerdicts:
+    # the benchmark's fixture, bench/fixtures/fermat_cubic_f13.txt
+    X = surf(gf.field_create(13), "x0^3 + x1^3 + x2^3 + x3^3")
+    P = pg.subspace_from_rows(gf.field_create(13), [(1, 0, 0, 0)])
+
+    def test_holds_a_bounded_chunk_within_a_bounded_working_set(self, monkeypatch):
+        # all 183 lines through P at once would hold about 4 MB of sliced
+        # schemes and square matrices, 64 at a time about 1.7 MB
+        sizes = []
+        full_rank_many = linalg.full_rank_many
+
+        def recorded(F, M):
+            sizes.append(M.size)
+            return full_rank_many(F, M)
+
+        monkeypatch.setattr(linalg, "full_rank_many", recorded)
+        drawn = 0
+
+        def pool():
+            nonlocal drawn
+            for E in pg.enumerate_superspaces(self.P, 1):
+                drawn += 1
+                yield E
+
+        # field tables and row indices are built once, outside the trace
+        warm = certify.very_transverse_verdicts(
+            self.X, pg.enumerate_superspaces(self.P, 1), random.Random(1)
+        )
+        list(itertools.islice(warm, certify._VERDICT_CHUNK))
+        yielded = 0
+        tracemalloc.start()
+        try:
+            for _ in certify.very_transverse_verdicts(self.X, pool(), random.Random(0)):
+                yielded += 1
+                assert drawn - yielded < certify._VERDICT_CHUNK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert yielded == drawn == 183
+        assert sizes and max(sizes) <= certify._KERNEL_ELEMENTS
+        assert peak < 1 << 20
+
+    def test_square_stacks_are_split_within_the_kernel_bound(self, monkeypatch):
+        monkeypatch.setattr(certify, "_KERNEL_ELEMENTS", 3 * 21 * 21)
+        sizes = []
+        full_rank_many = linalg.full_rank_many
+
+        def recorded(F, M):
+            sizes.append(M.shape)
+            return full_rank_many(F, M)
+
+        monkeypatch.setattr(linalg, "full_rank_many", recorded)
+        verdicts = certify.very_transverse_verdicts(
+            self.X, pg.enumerate_superspaces(self.P, 1), random.Random(0)
+        )
+        got = [(v, m) for _, v, m in verdicts]
+        rng = random.Random(0)
+        want = [
+            certify.decide_very_transverse(self.X, E, rng)[0]
+            for E in pg.enumerate_superspaces(self.P, 1)
+        ]
+        assert [v for v, _ in got] == want
+        assert {m for _, m in got} == {"not-transverse", "las-vegas"}
+        assert max(sizes) == (3, 21, 21)
 
 
 class TestSectionScanChunks:

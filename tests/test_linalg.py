@@ -455,3 +455,107 @@ def test_det_matches_leibniz_expansion(p, m):
         if rng.random() < 0.2:
             rows[-1] = list(rows[0])  # singular
         assert linalg.det(F, rows) == _leibniz_det(F, rows)
+
+
+# ---------------------------------------------------------------------------
+# The batched kernels against the scalar references u_squarefree and rank,
+# over every representation of the array view: int64 primes, xor tables in
+# characteristic 2, Zech tables in odd extensions, object arrays past 2^31
+# and past the tables at 2^16.
+
+BATCH_FIELDS = [
+    (13, 1), (1_048_583, 1), (2, 2), (2, 3), (3, 2), (13, 2), (7, 3),
+    (2_147_483_659, 1), (2, 17),
+]
+
+
+def _squarefree_cases(F, d, rng):
+    """Polynomials of formal degree d (d + 1 codes, ascending): random ones,
+    zero top coefficients, planted squares h^2 * k, p-th powers (f' = 0)
+    and the zero polynomial."""
+    p = F.p
+
+    def rand(n, top=True):
+        f = [rng.randrange(F.order) for _ in range(n)]
+        if top and n:
+            f[-1] = rng.randrange(1, F.order)
+        return f
+
+    cases = [rand(d + 1) for _ in range(12)]
+    cases += [rand(d) + [0] for _ in range(6)]
+    cases.append(rand(1) + [0] * d)  # a constant, maybe zero
+    cases.append([0] * (d + 1))
+    if d >= 2:
+        for _ in range(6):
+            h = rand(2)
+            f = linalg.u_mul(F, linalg.u_mul(F, h, h), rand(d - 1))
+            cases.append(f + [0] * (d + 1 - len(f)))
+    if d >= p:
+        for _ in range(4):
+            cases.append([rng.randrange(F.order) if i % p == 0 else 0 for i in range(d + 1)])
+    return cases
+
+
+@pytest.mark.parametrize("p, m", BATCH_FIELDS)
+def test_squarefree_many_matches_u_squarefree(p, m):
+    F = gf.field_create(p, m)
+    V = F.arrays()
+    rng = random.Random(f"squarefree/{F.order}")
+    seen = set()
+    for d in range(0, 9):
+        cases = _squarefree_cases(F, d, rng)
+        got = linalg.u_squarefree_many(F, V.array(cases)).tolist()
+        want = [linalg.u_squarefree(F, linalg.u_trim(f)) for f in cases]
+        assert got == want, (d, [f for f, g, w in zip(cases, got, want) if g != w])
+        seen.update(want)
+    assert seen == {True, False}
+
+
+def test_squarefree_many_covers_p_dividing_the_degree():
+    # deg f = p, 2p: f' drops below d - 1 or vanishes, in F_5 and F_4
+    for F in (gf.field_create(5), gf.field_create(2, 2)):
+        V = F.arrays()
+        rng = random.Random(F.order)
+        for d in (F.p, 2 * F.p, 3 * F.p):
+            cases = _squarefree_cases(F, d, rng)
+            got = linalg.u_squarefree_many(F, V.array(cases)).tolist()
+            assert got == [linalg.u_squarefree(F, linalg.u_trim(f)) for f in cases]
+
+
+def _rank_cases(F, R, C, rng):
+    """R x C matrices: random, a repeated row, a zero column, a row that is
+    a combination of two others, and a column that is one of two others."""
+    out = []
+    for kind in range(10):
+        M = [_random_row(F, C, rng) for _ in range(R)]
+        if kind == 1 and R > 1:
+            M[-1] = list(M[0])
+        elif kind == 2:
+            j = rng.randrange(C)
+            for row in M:
+                row[j] = 0
+        elif kind == 3 and R > 2:
+            M[rng.randrange(2, R)] = F.add_scaled(M[0], rng.randrange(F.order), M[1])
+        elif kind == 4 and C > 2:
+            c = rng.randrange(F.order)
+            for row in M:
+                row[-1] = F.add(row[0], F.mul(c, row[1]))
+        elif kind == 5:
+            M = [[rng.randrange(F.order) for _ in range(C)] for _ in range(R)]
+        out.append(M)
+    return out
+
+
+@pytest.mark.parametrize("p, m", BATCH_FIELDS)
+def test_full_rank_many_matches_rank(p, m):
+    F = gf.field_create(p, m)
+    V = F.arrays()
+    rng = random.Random(f"full-rank/{F.order}")
+    seen = set()
+    for R, C in [(1, 1), (2, 2), (3, 3), (4, 2), (5, 5), (7, 4), (6, 6), (9, 3)]:
+        cases = _rank_cases(F, R, C, rng)
+        got = linalg.full_rank_many(F, V.array(cases)).tolist()
+        want = [linalg.rank(F, M, C) == C for M in cases]
+        assert got == want, (R, C)
+        seen.update(want)
+    assert seen == {True, False}
