@@ -26,9 +26,9 @@ family sum_j c^j x_j of hyperplanes: a point kills at most n parameter
 values (Vandermonde), and a positive-dimensional component is contained in
 at most n family members, so over a field with more than n * B elements
 (B a Bezout bound on the total component count) the scan is complete in
-both directions.  Every slice and every section is the one restriction,
-poly.substitute_rows: a slice substitutes the scheme's own generators at
-kernel rows over the extension, so no lifted scheme is built.
+both directions.  A slice substitutes the scheme's own generators at
+kernel rows over the extension (poly.substitute_rows, or the restriction
+kernel below for a census chunk), so no lifted scheme is built.
 
 Smoothness of a section is emptiness of its Jacobian scheme; reducedness
 is the Jacobian dimension dropping below divisor dimension.  Both reuse
@@ -41,7 +41,12 @@ One kernel evaluates the lines of many spans at once in numpy (the
 field's array view in gf) and tests all their restrictions for
 squarefreeness in one batched Euclid (linalg.u_squarefree_many), and every
 scan over sections, first-hit or census, certifies them through it in
-growing chunks (reduced_sections).
+growing chunks (reduced_sections).  It shares one form evaluator
+(_form_values) with the restriction kernel, _restrict_many, which restricts
+forms to a stack of bases by evaluation at the principal lattice of each
+span and interpolation (Gasca and Sauer, Adv. Comput. Math. 12, 2000), one
+inverse matrix per field, span dimension and degree; poly.substitute_rows
+stays the reference, and the fallback where no matrix is kept.
 When p does not divide d = deg G, the Euler relation d*G = sum x_i d_iG
 puts G in the ideal of its partials, so the Jacobian scheme is generated
 by the nonzero partials alone (G is kept when p | d), and N* =
@@ -52,10 +57,14 @@ submatrix alone would fit.
 
 Very-transversality is decided in two steps, classify and settle, so a
 scan can defer the exact part until a Las-Vegas pass has found no hit.  A
-census decides its candidates in chunks (very_transverse_verdicts): the
-first Las-Vegas slices of a chunk are drawn together and their square
-Macaulay matrices eliminated as one stack (linalg.full_rank_many); only
-the misses go on to the one-at-a-time decision.
+census decides its candidates in chunks (very_transverse_verdicts), in
+arrays: the lines' restrictions of X are tested for squarefreeness
+together; the first Las-Vegas slices of the transverse candidates are
+drawn as dim_upper_bound draws them, X and its partials are restricted to
+all the composed slice bases in one kernel call, the tangency contractions
+are formed from them, and the square Macaulay matrices are scattered from
+the coefficients and eliminated as one stack (linalg.full_rank_many).
+Only the misses build a scheme and go on to the one-at-a-time decision.
 
 Points over an extension E are swept along normalized prefixes of
 P^(n-1)(E), with a gcd chain of the specialized generators in the last
@@ -77,6 +86,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import config, gf, linalg, locus, poly, projgeom
 
@@ -278,7 +289,8 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
     At N >= N*, Macaulay's square submatrix is eliminated first; when it
     is singular, only the other rows are built, to continue its echelon form.
     """
-    nrows, ncols = _macaulay_size(gens, nvars, N)
+    degs = [g.degree for g in gens]
+    nrows, ncols = _macaulay_size(degs, nvars, N)
     if nrows < ncols:
         return False
     if nrows * ncols > _MAX_MACAULAY_ENTRIES:
@@ -288,8 +300,8 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
         )
     square = set()
     form = linalg.echelon(fld, ncols)
-    if len(gens) >= nvars and N >= _macaulay_bound(gens, nvars - 1):
-        square = _square_keys(gens, nvars, N)
+    if len(gens) >= nvars and N >= _macaulay_bound(degs, nvars - 1):
+        square = _square_keys(degs, nvars, N)
         rows = _macaulay_rows(gens, nvars, N, square, True)
         if linalg.rank(fld, rows, stop_at=ncols, form=form) == ncols:
             return True
@@ -297,12 +309,11 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
     return linalg.rank(fld, rows, stop_at=ncols, form=form) == ncols
 
 
-def _macaulay_size(gens, nvars: int, N: int):
-    """Rows and columns of the degree-N Macaulay matrix."""
+def _macaulay_size(degs, nvars: int, N: int):
+    """Rows and columns of the degree-N Macaulay matrix of generators of the
+    degrees degs."""
     ncols = math.comb(N + nvars - 1, nvars - 1)
-    nrows = sum(
-        math.comb(N - g.degree + nvars - 1, nvars - 1) for g in gens if g.degree <= N
-    )
+    nrows = sum(math.comb(N - d + nvars - 1, nvars - 1) for d in degs if d <= N)
     return nrows, ncols
 
 
@@ -319,24 +330,24 @@ def _macaulay_rows(gens, nvars: int, N: int, square, inside: bool):
     ]
 
 
-def _square_keys(gens, nvars: int, N: int):
-    """Macaulay's square submatrix at N >= N*, as the (generator,
-    multiplier) indices of its rows: with top the nvars generators of
-    largest degree d_0, ..., d_(nvars-1), the degree-N monomial x^a gets the
-    one row (x^a / x_i^(d_i)) * top[i], for the first i with a_i >= d_i.
-    Such an i exists because sum(d_i - 1) < N* <= N.
+def _square_keys(degs, nvars: int, N: int):
+    """Macaulay's square submatrix at N >= N*, for generators of the degrees
+    degs, as the (generator, multiplier) indices of its rows: with top the
+    nvars generators of largest degree d_0, ..., d_(nvars-1), the degree-N
+    monomial x^a gets the one row (x^a / x_i^(d_i)) * top[i], for the first
+    i with a_i >= d_i.  Such an i exists because sum(d_i - 1) < N* <= N.
 
     The rows are a subset of the full matrix's, so full rank here proves
     spanning; a singular square matrix (a nonempty scheme, or a vanishing
     extraneous factor) proves nothing.
     """
-    top = sorted(range(len(gens)), key=lambda j: gens[j].degree, reverse=True)[:nvars]
-    degs = [gens[j].degree for j in top]
+    top = sorted(range(len(degs)), key=lambda j: degs[j], reverse=True)[:nvars]
+    tops = [degs[j] for j in top]
     return {
         (j, k)
         for i, j in enumerate(top)
-        for k, mult in enumerate(poly.monomials_of_degree(nvars, N - degs[i]))
-        if all(b < d for b, d in zip(mult[:i], degs))
+        for k, mult in enumerate(poly.monomials_of_degree(nvars, N - tops[i]))
+        if all(b < d for b, d in zip(mult[:i], tops))
     }
 
 
@@ -348,11 +359,10 @@ def _row(g, index, ncols: int):
     return row
 
 
-def _macaulay_bound(gens, ambient: int) -> int:
-    """The effective bound N*: the sum of the ambient + 1 largest generator
-    degrees, minus the ambient dimension."""
-    degs = sorted((g.degree for g in gens), reverse=True)
-    return sum(degs[: ambient + 1]) - ambient
+def _macaulay_bound(degs, ambient: int) -> int:
+    """The effective bound N*: the sum of the ambient + 1 largest of the
+    generator degrees degs, minus the ambient dimension."""
+    return sum(sorted(degs, reverse=True)[: ambient + 1]) - ambient
 
 
 def macaulay_is_empty(S: locus.SchemeSpec) -> bool:
@@ -367,7 +377,8 @@ def macaulay_is_empty(S: locus.SchemeSpec) -> bool:
         return True
     if len(gens) <= S.ambient:
         return False
-    return _macaulay_spans(gens, S.field, S.nvars, _macaulay_bound(gens, S.ambient))
+    N = _macaulay_bound([g.degree for g in gens], S.ambient)
+    return _macaulay_spans(gens, S.field, S.nvars, N)
 
 
 def is_empty_projective(S: locus.SchemeSpec) -> EmptinessCertificate:
@@ -390,7 +401,7 @@ def is_empty_projective(S: locus.SchemeSpec) -> EmptinessCertificate:
     few_gens = len(gens) <= r
     N = 0
     if not few_gens:
-        N = _macaulay_bound(gens, r)
+        N = _macaulay_bound([g.degree for g in gens], r)
         for M in range(max(g.degree for g in gens), N + 1):
             if _macaulay_spans(gens, S.field, S.nvars, M):
                 return EmptinessCertificate(S, M, "empty")
@@ -563,6 +574,177 @@ def _exact_scan(S: locus.SchemeSpec, t: int, E: gf.Field) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# forms at many points: one evaluator, and restriction by interpolation
+
+
+@functools.lru_cache(maxsize=64)
+def _monomials(nvars: int, degree: int) -> tuple:
+    """poly.monomials_of_degree as a tuple, the order of every coefficient
+    row of the kernels below."""
+    return tuple(poly.monomials_of_degree(nvars, degree))
+
+
+def _exponents_needed(forms) -> list:
+    """Every exponent past the first that a term of the forms reads, or
+    that square-and-multiply reaches it through, in increasing order."""
+    need = set()
+    for G in forms:
+        for exps in G.terms:
+            for e in exps:
+                while e > 1 and e not in need:
+                    need.add(e)
+                    e //= 2
+    return sorted(need)
+
+
+def _form_values(V, forms, points, need, emb) -> list:
+    """The value of each form at points, an (..., nvars) code array of the
+    array view V of an extension E of the forms' field, as an (...) array;
+    emb maps the forms' codes into E.
+
+    The points are raised, by square-and-multiply, only to the exponents
+    in need (_exponents_needed of the forms), and each form is summed term
+    by term into one accumulator, so terms are never stacked.
+    """
+    powers = {1: points}  # powers[e] holds every coordinate to the e
+    for e in need:
+        h = powers[e // 2]
+        x = V.mul(h, h)
+        powers[e] = V.mul(x, points) if e % 2 else x
+    shape = points.shape[:-1]
+    out = []
+    for G in forms:
+        values = None
+        for exps, c in G.terms.items():
+            term = None
+            for j, e in enumerate(exps):
+                if e:
+                    x = powers[e][..., j]
+                    term = x if term is None else V.mul(term, x)
+            if term is None:  # the constant term of a form of degree 0
+                term = np.full(shape, emb(c), dtype=V.dtype)
+            elif c != 1:
+                term = V.mul(emb(c), term)
+            values = term if values is None else V.add(values, term)
+        out.append(np.zeros(shape, dtype=V.dtype) if values is None else values)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _interpolation_grid(E: gf.Field, k: int, d: int):
+    """The principal lattice for forms of degree d in k variables over E
+    (E of more than d elements), and the inverse of its interpolation
+    matrix, both as arrays of E's view.
+
+    The lattice holds the N = C(d+k-1, k-1) points (1, a) for a in
+    N^(k-1) with |a| <= d, read as node codes; the point of the exponent
+    vector (d - |a|, a) is listed where poly.monomials_of_degree(k, d)
+    lists that vector, and the (N, k-1) array holds the a.  A form
+    G(u) = sum c_e u^e takes the value sum c_e a^(e[1:]) there, so its
+    values are the matrix of these monomials at these points times its
+    coefficients.  The vectors a are a lower set, and their coordinates
+    are the distinct nodes 0..d, so the points are unisolvent for degree
+    d (Gasca and Sauer, Adv. Comput. Math. 12, 2000): the matrix is
+    invertible.
+    """
+    mons = _monomials(k, d)
+    N = len(mons)
+    rows = []
+    for i, point in enumerate(mons):
+        row = [1] * N
+        for m, exps in enumerate(mons):
+            for a, e in zip(point[1:], exps[1:]):
+                row[m] = E.mul(row[m], E.pow(a, e))
+        rows.append(row + [int(i == j) for j in range(N)])
+    reduced, _ = linalg.rref(E, rows)
+    V = E.arrays()
+    return V.array([e[1:] for e in mons]).reshape(N, k - 1), V.array(
+        [row[N:] for row in reduced]
+    )
+
+
+def _restrict_many(forms, bases, E: gf.Field) -> list:
+    """The restriction G(u . B) of each form G, all over one subfield of E,
+    to each basis B of a nonempty stack ``bases``, an (S, k, nvars) nested
+    sequence of codes in E: for each form an (S, N) code array of E's view,
+    its coefficients in poly.monomials_of_degree(k, deg G) order.
+
+    The forms of one degree d are evaluated (_form_values) at the images
+    u . B of its interpolation grid's points u (_interpolation_grid) in
+    every span, and their values are taken to coefficients by the grid's
+    inverse matrix, a column at a time.  As many spans go at once as keep
+    the working set within _KERNEL_ELEMENTS codes.  A degree with N^2 >
+    _KERNEL_ELEMENTS, or with E of at most d elements, gets no matrix: its
+    forms go through poly.substitute_rows, the reference.
+    """
+    V = E.arrays()
+    stack = V.array(bases)
+    S, k, nvars = stack.shape
+    emb = functools.partial(gf.embed_code, forms[0].field, E)
+    out = [None] * len(forms)
+    degrees = {}
+    for i, G in enumerate(forms):
+        degrees.setdefault(G.degree, []).append(i)
+    for d, idx in degrees.items():
+        group = [forms[i] for i in idx]
+        mons = _monomials(k, d)
+        N = len(mons)
+        if E.order <= d or N * N > _KERNEL_ELEMENTS:
+            for i, G in zip(idx, group):
+                restricted = [poly.substitute_rows(G, B, E).terms for B in bases]
+                out[i] = V.array([[R.get(m, 0) for m in mons] for R in restricted])
+            continue
+        grid, inverse = _interpolation_grid(E, k, d)
+        need = _exponents_needed(group)
+        # per span: the points and their powers, each form's values, its
+        # coefficients and one temporary, and a few (N,) temporaries
+        per_span = N * (nvars * (1 + len(need)) + 3 * len(group) + 4)
+        width = max(1, _KERNEL_ELEMENTS // per_span)
+        parts = []
+        for s in range(0, S, width):
+            B = stack[s : s + width]
+            points = B[None, :, 0]  # (N, w, nvars) once the other rows are in
+            for i in range(1, k):
+                points = V.add(points, V.mul(grid[:, i - 1, None, None], B[None, :, i]))
+            values = np.stack(_form_values(V, group, points, need, emb))  # (G, N, w)
+            del points
+            coefs = None
+            for j in range(N):
+                cj = V.mul(inverse[:, j, None], values[:, j, None, :])
+                coefs = cj if coefs is None else V.add(coefs, cj)
+            parts.append(coefs.transpose(0, 2, 1))  # (G, w, N)
+        for i, coefs in zip(idx, np.concatenate(parts, axis=1)):
+            out[i] = coefs
+    return out
+
+
+def _array_form(E: gf.Field, k: int, d: int, row) -> poly.Form:
+    """The form over E in k variables of degree d whose coefficients, in
+    poly.monomials_of_degree order, are the codes of the array row."""
+    terms = {m: c for m, c in zip(_monomials(k, d), row.tolist()) if c}
+    return poly.Form._built(E, k, d, terms)
+
+
+def _by_rows(subspaces) -> dict:
+    """The positions of the subspaces, grouped by the rows of their bases."""
+    groups = {}
+    for i, H in enumerate(subspaces):
+        groups.setdefault(len(H.basis), []).append(i)
+    return groups
+
+
+def _sections(G: poly.Form, subspaces) -> list:
+    """G restricted to each subspace's basis, over G's field: one
+    _restrict_many call per basis size."""
+    out = [None] * len(subspaces)
+    for k, idx in _by_rows(subspaces).items():
+        (coefs,) = _restrict_many([G], [subspaces[i].basis for i in idx], G.field)
+        for i, row in zip(idx, coefs):
+            out[i] = _array_form(G.field, k, G.degree, row)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # smoothness and reducedness of sections
 
 
@@ -598,13 +780,13 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
     field with at least max(64, d+1) elements; a + t*b is then a random
     line of the span.  The rest runs in E's array view over as many spans
     at a time as keep the working set within _KERNEL_ELEMENTS codes: the
-    d + 1 points a + c*b for the node codes c = 0..d, G at them summed term
-    by term into one accumulator (terms are never stacked, and the points
-    are raised, by square-and-multiply, only to exponents the terms read),
-    and f(t) = G(a + t*b) from those values by the interpolation matrix,
-    a column at a time.  A span is certified when deg f = d and gcd(f, f')
-    = 1, the latter for every span of the pass at once by
-    linalg.u_squarefree_many.
+    d + 1 points a + c*b for the node codes c = 0..d, G at them
+    (_form_values), and f(t) = G(a + t*b) from those values by the
+    interpolation matrix, a column at a time.  A span is certified when deg
+    f = d and gcd(f, f') = 1, the latter for every span of the pass at once
+    by linalg.u_squarefree_many, or by the scalar linalg.u_squarefree when
+    the call holds one span, where the batched kernel's fixed cost would
+    dominate.
     """
     d, F, nvars = G.degree, G.field, G.nvars
     E = _extension_with(F, max(_LV_MIN_FIELD, d + 1))
@@ -617,15 +799,7 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
         draw = [[rng.randrange(q), rng.randrange(q)] for _ in rows]
         draws.append(draw + [[0, 0]] * pad)
         bases.append([[emb(c) for c in row] for row in rows] + [[0] * nvars] * pad)
-    # every exponent past the first that a term reads, or that
-    # square-and-multiply reaches it through
-    need = set()
-    for exps in G.terms:
-        for e in exps:
-            while e > 1 and e not in need:
-                need.add(e)
-                e //= 2
-    need = sorted(need)
+    need = _exponents_needed([G])
     n = d + 1
     nodes = V.array(range(n)).reshape(n, 1, 1)
     # per span: the points and their powers, a few (n,) temporaries, the rows
@@ -642,28 +816,18 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
             ab = V.add(ab, scaled[:, :, i])
         del scaled
         points = V.add(ab[0], V.mul(nodes, ab[1]))  # (n, S, nvars)
-        powers = {1: points}  # powers[e] holds every coordinate to the e
-        for e in need:
-            h = powers[e // 2]
-            x = V.mul(h, h)
-            powers[e] = V.mul(x, points) if e % 2 else x
-        values = None
-        for exps, c in G.terms.items():
-            term = None
-            for j, e in enumerate(exps):
-                if e:
-                    x = powers[e][..., j]  # (n, S)
-                    term = x if term is None else V.mul(term, x)
-            if c != 1:
-                term = V.mul(emb(c), term)
-            values = term if values is None else V.add(values, term)
-        del powers, points, ab
+        del ab
+        (values,) = _form_values(V, [G], points, need, emb)  # (n, S)
+        del points
         f = None
         for j in range(n):  # one column of the matrix at a time, never whole:
             # u_interpolate of the j-th unit vector, w_j M(t) / (t - j)
             unit = [int(i == j) for i in range(n)]
             fj = V.mul(V.array(linalg.u_interpolate(E, unit))[:, None], values[j])
             f = fj if f is None else V.add(f, fj)
+        if len(spans) == 1:
+            coeffs = f[:, 0].tolist()
+            return [coeffs[-1] != 0 and linalg.u_squarefree(E, coeffs)]
         out += ((f[-1] != 0) & linalg.u_squarefree_many(E, f.T)).tolist()
     return out
 
@@ -725,9 +889,10 @@ def reduced_sections(
     The subspaces are taken in chunks of 1, 2, 4, ... up to _SECTION_CHUNK,
     one line certificate kernel call each, so the draws of a whole chunk
     come first: a first-hit scan certifies one span before its first
-    answer, and a census reaches full chunks after eight calls.  A miss
-    then builds the section form: a zero form is improper, and any other
-    is decided by is_reduced_form on the same rng, in chunk order.  A
+    answer, and a census reaches full chunks after eight calls.  The
+    misses' section forms are built by one restriction kernel call
+    (_sections): a zero form is improper, and any other is decided by
+    is_reduced_form on the same rng, in chunk order.  A
     CapExceededError from the subspaces is raised after the verdicts of
     those taken before it, so a first-hit scan answers within the cap.
     """
@@ -746,11 +911,13 @@ def reduced_sections(
             break
         size = min(2 * size, _SECTION_CHUNK)
         hits = _line_certificates(X.form, [H.basis for H in chunk], rng)
+        missed = [H for H, hit in zip(chunk, hits) if not hit]
+        sections = iter(_sections(X.form, missed))
         for H, hit in zip(chunk, hits):
             if hit:
                 yield H, True
                 continue
-            G = poly.substitute_rows(X.form, H.basis)
+            G = next(sections)
             yield H, None if G.is_zero() else is_reduced_form(G, rng=rng)
     if capped is not None:
         raise capped
@@ -849,73 +1016,202 @@ def very_transverse_verdicts(X: locus.Hypersurface, subspaces, rng: random.Rando
     Las-Vegas attempts of many subspaces tested at once.
 
     The subspaces are taken _VERDICT_CHUNK at a time.  Transversality is
-    decided exactly, as by classify_very_transverse.  For each transverse E
-    below hyperplane dimension, in chunk order, the first attempt's slices
-    of its tangency locus are drawn, as dim_upper_bound draws them, and the
-    chunk's sliced schemes are tested together (_square_spans_many): a
-    full-rank square Macaulay submatrix proves the slice empty, so E is
-    ("yes", "las-vegas").  A miss asks macaulay_is_empty of the same slice,
-    and when that slice is nonempty too, decide_very_transverse decides E on
-    the same rng, in chunk order.  So the verdicts are certified, but the
-    rng stream is not that of a loop of decide_very_transverse.
+    decided exactly, as by classify_very_transverse (_transverse_many).
+    For each transverse E below hyperplane dimension, in chunk order, the
+    first attempt's slices of its tangency locus are drawn, as
+    dim_upper_bound draws them, and the sliced loci are built together in
+    arrays (_sliced_tangency_loci) and tested together
+    (_square_spans_many): a full-rank square Macaulay submatrix proves the
+    slice empty, so E is ("yes", "las-vegas").  A miss builds its sliced
+    scheme and asks macaulay_is_empty of it, and when that slice is
+    nonempty too, decide_very_transverse decides E on the same rng, in
+    chunk order.  So the verdicts are certified, but the rng stream is not
+    that of a loop of decide_very_transverse.
     """
     if not ensure_smooth(X):
         raise ValueError("very-transversality is defined for smooth X only")
     subspaces = iter(subspaces)
     while chunk := list(itertools.islice(subspaces, _VERDICT_CHUNK)):
-        transverse = [is_transverse(X, E) for E in chunk]
-        sliced = {
-            i: _random_slices(locus.tangency_locus(X, E), X.ambient - E.dim - 2, rng)[1]
-            for i, E in enumerate(chunk)
-            if transverse[i] and E.dim < X.ambient - 1
-        }
-        hits = dict(zip(sliced, _square_spans_many(list(sliced.values()))))
+        transverse = _transverse_many(X, chunk)
+        opened = [
+            i for i, E in enumerate(chunk) if transverse[i] and E.dim < X.ambient - 1
+        ]
+        field, loci = _sliced_tangency_loci(X, [chunk[i] for i in opened], rng)
+        hits = dict(zip(opened, _square_spans_many(field, loci)))
+        sliced = dict(zip(opened, loci))
         for i, E in enumerate(chunk):
             if not transverse[i]:
                 yield E, "no", "not-transverse"
-            elif i not in sliced:
+            elif i not in hits:
                 yield E, "yes", "direct"
-            elif hits[i] or macaulay_is_empty(sliced[i]):
+            elif hits[i] or macaulay_is_empty(_locus_scheme(field, *sliced[i])):
                 yield E, "yes", "las-vegas"
             else:
                 yield (E, *decide_very_transverse(X, E, rng))
 
 
-def _square_spans_many(schemes) -> list:
-    """For each scheme, whether Macaulay's square submatrix at N* has full
-    rank, which proves the scheme empty; a False carries no information.
+def _transverse_many(X: locus.Hypersurface, subspaces) -> list:
+    """is_transverse of each subspace, the lines' together.
 
-    A scheme with a unit generator, fewer generators than variables, a full
-    matrix over _MAX_MACAULAY_ENTRIES or a square of more than
-    _KERNEL_ELEMENTS codes gets False, for macaulay_is_empty to decide.  The
-    rest are grouped by field, variables, N* and generator degrees, which
-    fix the square's shape and rows, and each group is eliminated by
-    linalg.full_rank_many in stacks of at most _KERNEL_ELEMENTS codes.
+    When X's field has more than d = deg X elements, X's form is
+    restricted to every line at once over that field (_restrict_many).  A
+    restriction whose coefficient of u1^d is nonzero has no root at
+    [0:1], so as a binary form it is squarefree exactly when it is as a
+    polynomial in u1 of degree d: linalg.u_squarefree_many decides those.
+    A zero top coefficient, a subspace of dimension 2 or more and a small
+    field go through is_transverse.
     """
-    out = [False] * len(schemes)
+    for H in subspaces:
+        if H.ambient != X.ambient or H.field != X.field:
+            raise ValueError("subspace and hypersurface do not match")
+    known = {}
+    lines = [i for i, H in enumerate(subspaces) if H.dim == 1]
+    if lines and X.field.order > X.degree:
+        (f,) = _restrict_many([X.form], [subspaces[i].basis for i in lines], X.field)
+        squarefree = linalg.u_squarefree_many(X.field, f).tolist()
+        for i, top, ok in zip(lines, (f[:, -1] != 0).tolist(), squarefree):
+            if top:
+                known[i] = ok
+    return [
+        known[i] if i in known else is_transverse(X, H) for i, H in enumerate(subspaces)
+    ]
+
+
+def _sliced_tangency_loci(X: locus.Hypersurface, subspaces, rng: random.Random):
+    """The slice field E and, for each subspace H below hyperplane
+    dimension, in order, the sliced tangency locus of the first Las-Vegas
+    attempt of dim_upper_bound(tangency_locus(X, H), t), t = n - dim H -
+    2, as (k, gens): gens are the locus's generators, in tangency_locus's
+    order, restricted to the k = dim H + 2 dimensional slice, as pairs
+    (degree, coefficient row of E's view in poly.monomials_of_degree order).
+
+    The rows of every level are drawn as _random_slices draws them, from
+    the same rng stream, and the levels' linalg.kernel bases are composed,
+    so the restriction to the composed basis is, coefficient for
+    coefficient, what _slice_by gives level by level.  X's form and its
+    partials are restricted once for all the subspaces of one dimension
+    (_restrict_many); the contraction sum v_i d_iF of a basis row v of H
+    is then sum v_i (d_iF restricted), and it is dropped where it is zero
+    before restriction, as tangency_locus drops it.
+    """
+    F, nvars = X.field, X.ambient + 1
+    E = _extension_with(F, _LV_MIN_FIELD)
+    bases = []
+    for H in subspaces:
+        basis = None
+        for level in range(X.ambient - H.dim - 1):
+            while True:
+                row = [rng.randrange(E.order) for _ in range(nvars - level)]
+                if any(row):
+                    break
+            W = linalg.kernel(E, [row], nvars - level)
+            basis = W if basis is None else _compose(E, W, basis)
+        bases.append(basis)
+    partials = poly.form_partials(X.form)
+    d, mons = X.degree, _monomials(nvars, X.degree - 1)
+    VF, VE = F.arrays(), E.arrays()
+    D = VF.array([[g.terms.get(m, 0) for m in mons] for g in partials])
+    emb = functools.partial(gf.embed_code, F, E)
+    out = [None] * len(subspaces)
+    for size, idx in _by_rows(subspaces).items():
+        restricted = _restrict_many([X.form, *partials], [bases[i] for i in idx], E)
+        Hs = [subspaces[i].basis for i in idx]
+        HF = VF.array(Hs)  # (S, size, nvars)
+        HE = VE.array([[[emb(c) for c in v] for v in H] for H in Hs])
+        ambient = contracted = None
+        for i, (Di, Ri) in enumerate(zip(D, restricted[1:])):
+            a = VF.mul(HF[:, :, i, None], Di)  # (S, size, len(mons))
+            c = VE.mul(HE[:, :, i, None], Ri[:, None, :])  # (S, size, N)
+            ambient = a if ambient is None else VF.add(ambient, a)
+            contracted = c if contracted is None else VE.add(contracted, c)
+        keep = (ambient != 0).any(axis=2).tolist()
+        for s, i in enumerate(idx):
+            gens = [(d, restricted[0][s])]
+            gens += [(d - 1, g) for g, kept in zip(contracted[s], keep[s]) if kept]
+            out[i] = (size + 1, gens)
+    return E, out
+
+
+def _compose(E: gf.Field, A, B) -> list:
+    """The matrix product A . B of two lists of rows of codes in E."""
+    out = []
+    for row in A:
+        acc = [0] * len(B[0])
+        for c, b in zip(row, B):
+            if c:
+                acc = E.add_scaled(acc, c, b)
+        out.append(acc)
+    return out
+
+
+def _locus_scheme(E: gf.Field, k: int, gens) -> locus.SchemeSpec:
+    """The scheme over E in k variables of (degree, coefficient row)
+    generators, as _sliced_tangency_loci gives them."""
+    return locus.SchemeSpec(E, k, [_array_form(E, k, d, row) for d, row in gens])
+
+
+def _square_spans_many(E: gf.Field, loci) -> list:
+    """For each (k, gens) of _sliced_tangency_loci, whether Macaulay's
+    square submatrix at N* has full rank, which proves the scheme empty; a
+    False carries no information.
+
+    A scheme with a unit generator, fewer nonzero generators than
+    variables, a full matrix over _MAX_MACAULAY_ENTRIES or a square of more
+    than _KERNEL_ELEMENTS codes gets False, for macaulay_is_empty to decide.
+    The rest are grouped by variables, N* and nonzero generator degrees,
+    which fix the square's shape and rows, and each group's squares are
+    scattered from the coefficient rows by a cached index plan
+    (_square_plan) and eliminated by linalg.full_rank_many in stacks of at
+    most _KERNEL_ELEMENTS codes.
+    """
+    out = [False] * len(loci)
     groups = {}
-    for i, S in enumerate(schemes):
-        gens = S.nonzero_gens()
-        if len(gens) < S.nvars or any(g.degree == 0 for g in gens):
+    for i, (k, gens) in enumerate(loci):
+        gens = [(d, row) for d, row in gens if (row != 0).any()]
+        degs = tuple(d for d, _ in gens)
+        if len(gens) < k or 0 in degs:
             continue
-        N = _macaulay_bound(gens, S.ambient)
-        nrows, ncols = _macaulay_size(gens, S.nvars, N)
+        N = _macaulay_bound(degs, k - 1)
+        nrows, ncols = _macaulay_size(degs, k, N)
         if nrows * ncols > _MAX_MACAULAY_ENTRIES or ncols * ncols > _KERNEL_ELEMENTS:
             continue
-        key = (S.field, S.nvars, N, tuple(g.degree for g in gens))
-        groups.setdefault(key, []).append(i)
-    for (E, nvars, N, _), members in groups.items():
-        square = _square_keys(schemes[members[0]].nonzero_gens(), nvars, N)
-        step = _KERNEL_ELEMENTS // len(square) ** 2
+        groups.setdefault((k, N, degs), []).append((i, [row for _, row in gens]))
+    V = E.arrays()
+    for (k, N, degs), members in groups.items():
+        plan = _square_plan(k, N, degs)
+        size = math.comb(N + k - 1, k - 1)
+        step = _KERNEL_ELEMENTS // size**2
         for s in range(0, len(members), step):
             part = members[s : s + step]
-            stack = E.arrays().array([
-                _macaulay_rows(schemes[i].nonzero_gens(), nvars, N, square, True)
-                for i in part
-            ])
-            for i, hit in zip(part, linalg.full_rank_many(E, stack).tolist()):
+            stack = np.zeros((len(part), size, size), dtype=V.dtype)
+            for j, (rows, cols) in enumerate(plan):
+                coefs = np.stack([gens[j] for _, gens in part])
+                stack[:, rows[:, None], cols] = coefs[:, None, :]
+            for (i, _), hit in zip(part, linalg.full_rank_many(E, stack).tolist()):
                 out[i] = hit
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _square_plan(nvars: int, N: int, degs: tuple) -> tuple:
+    """Where the coefficients of generators of the degrees degs, as rows in
+    poly.monomials_of_degree order, go in Macaulay's square submatrix at N
+    (_square_keys): per generator, the positions of the square's rows that
+    are its multiples, in _macaulay_rows's order, and for each such row
+    the column of every product, as index arrays."""
+    square = _square_keys(degs, nvars, N)
+    plan, at = [], 0
+    for j, d in enumerate(degs):
+        mons = _monomials(nvars, d)
+        cols = [
+            [index[e] for e in mons]
+            for m, index in enumerate(_row_index(nvars, N, d))
+            if (j, m) in square
+        ]
+        rows = np.arange(at, at + len(cols))
+        plan.append((rows, np.array(cols, dtype=np.intp).reshape(len(cols), len(mons))))
+        at += len(cols)
+    return tuple(plan)
 
 
 def is_very_transverse(

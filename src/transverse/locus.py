@@ -91,7 +91,8 @@ def tangency_locus(X: Hypersurface, H: projgeom.LinearSubspace) -> SchemeSpec:
                     ne = exps[:i] + (e - 1,) + exps[i + 1 :]
                     term = fld.mul(v, fld.mul_int(c, e))
                     terms[ne] = fld.add(terms.get(ne, 0), term)
-        g = poly.Form(fld, X.ambient + 1, X.degree - 1, terms)
+        terms = {e: c for e, c in terms.items() if c}
+        g = poly.Form._built(fld, X.ambient + 1, X.degree - 1, terms)
         if not g.is_zero():
             gens.append(g)
     return SchemeSpec(fld, X.ambient + 1, gens)

@@ -1,7 +1,9 @@
 """Sparse homogeneous forms over finite fields.
 
 Form keeps a map from exponent vectors to nonzero coefficient codes; every
-exponent vector has the same total degree, checked at construction.  Forms
+exponent vector has the same total degree, checked at construction (forms
+the library builds itself, by restriction, partials, products and sums,
+come through Form._built and are not checked again).  Forms
 are immutable and hashable, so they can be shared freely across threads
 and used as cache keys.  A Form offers construction, equality, hashing,
 + and Form * Form; every other operation is a function here on its term
@@ -58,10 +60,22 @@ class Form:
                     f"monomial {exps} has degree {sum(exps)}, form declares {degree}"
                 )
             clean[exps] = code
+        self._fill(field, nvars, degree, clean)
+
+    @classmethod
+    def _built(cls, field: gf.Field, nvars: int, degree: int, terms: dict):
+        """A form from a term map the library has just built: exponent
+        tuples of length nvars summing to degree, with nonzero int codes.
+        Nothing is checked, and the map is kept, not copied."""
+        self = object.__new__(cls)
+        self._fill(field, nvars, degree, terms)
+        return self
+
+    def _fill(self, field, nvars, degree, terms):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):
         raise AttributeError("Form is immutable")
@@ -98,14 +112,15 @@ class Form:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = F.add(terms.get(e, 0), c)
-        return Form(F, self.nvars, self.degree, terms)
+        terms = {e: c for e, c in terms.items() if c}
+        return Form._built(F, self.nvars, self.degree, terms)
 
     def __mul__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
         if other.field != self.field or other.nvars != self.nvars:
             raise ValueError("forms over different rings")
-        return Form(
+        return Form._built(
             self.field,
             self.nvars,
             self.degree + other.degree,
@@ -170,8 +185,8 @@ def form_partials(F: Form):
             if coef == 0:
                 continue
             ne = exps[:i] + (e - 1,) + exps[i + 1 :]
-            terms[ne] = fld.add(terms.get(ne, 0), coef)
-        out.append(Form(fld, F.nvars, deg, terms))
+            terms[ne] = coef  # ne determines exps, so no two terms meet
+        out.append(Form._built(fld, F.nvars, deg, terms))
     return out
 
 
@@ -201,7 +216,7 @@ def substitute_rows(F: Form, rows, E: gf.Field | None = None) -> Form:
                 term = _mul_terms(fld, term, pw[e])
         for m, v in term.items():
             acc[m] = fld.add(acc.get(m, 0), v)
-    return Form(fld, k, F.degree, acc)
+    return Form._built(fld, k, F.degree, {m: v for m, v in acc.items() if v})
 
 
 def binary_squarefree(F: Form) -> bool:

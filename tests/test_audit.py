@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -699,18 +700,21 @@ class TestBadSuperspacesAgainstTheLoop:
             assert count_bad_superspaces(X, P, 1, seed=seed).extras == want, seed
 
     def test_square_hits_skip_the_scalar_elimination(self, monkeypatch):
-        # every sliced scheme whose square Macaulay matrix has full rank is
-        # answered without macaulay_is_empty; the misses are asked of it
+        # every sliced locus whose square Macaulay matrix has full rank is
+        # answered without macaulay_is_empty; the misses are asked of it.  A
+        # locus is known by its generators' coefficients, in the order of
+        # poly.monomials_of_degree, whether as arrays or as a built scheme
         tested, asked = [], []
         batch, single = certify._square_spans_many, certify.macaulay_is_empty
 
-        def square_spans_many(schemes):
-            hits = batch(schemes)
-            tested.extend(zip(schemes, hits))
+        def square_spans_many(E, loci):
+            hits = batch(E, loci)
+            for (_, gens), hit in zip(loci, hits):
+                tested.append((tuple((d, tuple(row.tolist())) for d, row in gens), hit))
             return hits
 
         def macaulay_is_empty(S):
-            asked.append(S)
+            asked.append(scheme_key(S))
             return single(S)
 
         monkeypatch.setattr(certify, "_square_spans_many", square_spans_many)
@@ -718,9 +722,146 @@ class TestBadSuperspacesAgainstTheLoop:
         X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
         P = pg.subspace_from_rows(F13, [(1, 0, 0, 0)])
         count_bad_superspaces(X, P, 1, seed=0)
-        asked = {id(S) for S in asked}
+        asked = set(asked)
         hits = [S for S, hit in tested if hit]
         misses = [S for S, hit in tested if not hit]
         assert len(tested) == 174  # every transverse line, once
-        assert misses and all(id(S) in asked for S in misses)
-        assert not any(id(S) in asked for S in hits)
+        assert misses and all(S in asked for S in misses)
+        assert not any(S in asked for S in hits)
+
+
+# ---------------------------------------------------------------------------
+# The census chunk path against the one it replaced: sliced tangency loci
+# built as SchemeSpecs by _random_slices and their squares read from them,
+# kept verbatim from certify (up to module prefixes, and the Macaulay helpers
+# now taking degrees), recording its sliced schemes and square hits.
+
+
+def ref_very_transverse_verdicts(X, subspaces, rng, record):
+    if not certify.ensure_smooth(X):
+        raise ValueError("very-transversality is defined for smooth X only")
+    subspaces = iter(subspaces)
+    while chunk := list(itertools.islice(subspaces, certify._VERDICT_CHUNK)):
+        transverse = [certify.is_transverse(X, E) for E in chunk]
+        sliced = {
+            i: certify._random_slices(
+                locus.tangency_locus(X, E), X.ambient - E.dim - 2, rng
+            )[1]
+            for i, E in enumerate(chunk)
+            if transverse[i] and E.dim < X.ambient - 1
+        }
+        hits = dict(zip(sliced, ref_square_spans_many(list(sliced.values()))))
+        record += [(scheme_key(sliced[i]), hits[i]) for i in sliced]
+        for i, E in enumerate(chunk):
+            if not transverse[i]:
+                yield E, "no", "not-transverse"
+            elif i not in sliced:
+                yield E, "yes", "direct"
+            elif hits[i] or certify.macaulay_is_empty(sliced[i]):
+                yield E, "yes", "las-vegas"
+            else:
+                yield (E, *certify.decide_very_transverse(X, E, rng))
+
+
+def ref_square_spans_many(schemes) -> list:
+    out = [False] * len(schemes)
+    groups = {}
+    for i, S in enumerate(schemes):
+        gens = S.nonzero_gens()
+        if len(gens) < S.nvars or any(g.degree == 0 for g in gens):
+            continue
+        degs = [g.degree for g in gens]
+        N = certify._macaulay_bound(degs, S.ambient)
+        nrows, ncols = certify._macaulay_size(degs, S.nvars, N)
+        if (
+            nrows * ncols > certify._MAX_MACAULAY_ENTRIES
+            or ncols * ncols > certify._KERNEL_ELEMENTS
+        ):
+            continue
+        key = (S.field, S.nvars, N, tuple(degs))
+        groups.setdefault(key, []).append(i)
+    for (E, nvars, N, degs), members in groups.items():
+        square = certify._square_keys(degs, nvars, N)
+        step = certify._KERNEL_ELEMENTS // len(square) ** 2
+        for s in range(0, len(members), step):
+            part = members[s : s + step]
+            stack = E.arrays().array([
+                certify._macaulay_rows(
+                    schemes[i].nonzero_gens(), nvars, N, square, True
+                )
+                for i in part
+            ])
+            for i, hit in zip(part, linalg.full_rank_many(E, stack).tolist()):
+                out[i] = hit
+    return out
+
+
+def scheme_key(S):
+    """The generators' degrees and coefficients, in monomials_of_degree order."""
+    return tuple(
+        (g.degree, tuple(g.terms.get(m, 0) for m in certify._monomials(S.nvars, g.degree)))
+        for g in S.gens
+    )
+
+
+# (field, number of variables, r): a cubic threefold over F_5 whose lines
+# through a point take two slice levels each, and whose planes through a line
+# are transverse by is_transverse; a cubic surface over F_3, too small a field
+# for the batched transversality; one over F_4, in xor
+CHUNK_PATH_CASES = [((5, 1), 5, 1), ((5, 1), 5, 2), ((3, 1), 4, 1), ((2, 2), 4, 1)]
+
+
+class TestChunkPathAgainstTheSchemePath:
+    @pytest.mark.parametrize("field, nvars, r", CHUNK_PATH_CASES)
+    def test_same_slices_hits_verdicts_and_stream(self, field, nvars, r, monkeypatch):
+        F = gf.field_create(*field)
+        X = smooth_cubic(F, nvars, random.Random(f"chunks/{F.order}/{nvars}"))
+        H = very_transverse_anchor(X, r)
+        tested = []
+        batch = certify._square_spans_many
+
+        def square_spans_many(E, loci):
+            hits = batch(E, loci)
+            for (k, gens), hit in zip(loci, hits):
+                S = certify._locus_scheme(E, k, gens)
+                tested.append((scheme_key(S), hit))
+            return hits
+
+        monkeypatch.setattr(certify, "_square_spans_many", square_spans_many)
+        methods = set()
+        for seed in range(2):
+            tested.clear()
+            record = []
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = list(certify.very_transverse_verdicts(
+                X, pg.enumerate_superspaces(H, r), ours
+            ))
+            want = list(ref_very_transverse_verdicts(
+                X, pg.enumerate_superspaces(H, r), theirs, record
+            ))
+            assert got == want
+            assert tested == record  # the sliced coefficients and the hits
+            assert ours.getstate() == theirs.getstate()
+            methods.update(m for _, _, m in got)
+        assert {"not-transverse", "las-vegas"} <= methods
+        assert any(hit for _, hit in tested)
+
+    def test_a_contraction_zero_before_restriction_is_dropped(self):
+        # on x0^2 + x1*x2 + x3*x4 over F_4 the contraction by e0 is d0F = 0,
+        # so tangency_locus drops it for every line through e0; the batched
+        # loci must drop it too
+        F = gf.field_create(2, 2)
+        X = Hypersurface(poly.parse_form(F, "x0^2 + x1*x2 + x3*x4"))
+        assert certify.ensure_smooth(X)
+        e0 = pg.point_subspace(pg.ProjectivePoint(F, (1, 0, 0, 0, 0)))
+        lines = list(pg.enumerate_superspaces(e0, 1))
+        ours, theirs = random.Random(0), random.Random(0)
+        E, loci = certify._sliced_tangency_loci(X, lines, ours)
+        got = [scheme_key(certify._locus_scheme(E, *locus_)) for locus_ in loci]
+        want = [
+            scheme_key(certify._random_slices(locus.tangency_locus(X, L), 1, theirs)[1])
+            for L in lines
+        ]
+        assert got == want
+        assert ours.getstate() == theirs.getstate()
+        assert {len(key) for key in got} == {2}  # X and one contraction

@@ -520,8 +520,9 @@ class TestSquareSubmatrix:
         # x0^3, x0^2*x1 miss x1^3, which only the multiples of x1 reach
         S = scheme(F5, ["x0*x1", "x0^2", "x1"], 2)
         gens = S.nonzero_gens()
-        assert certify._macaulay_bound(gens, 1) == 3
-        assert certify._square_keys(gens, 2, 3) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        degs = [g.degree for g in gens]
+        assert certify._macaulay_bound(degs, 1) == 3
+        assert certify._square_keys(degs, 2, 3) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert full_matrix_spans(gens, F5, 2, 3)
         assert macaulay_is_empty(S) is True
         # the miss continues the square echelon form with the three
@@ -1132,10 +1133,20 @@ def kernel_cases(F, d, rng):
 
 class TestLineCertificateKernel:
     @pytest.mark.parametrize("p, m", KERNEL_FIELDS)
-    def test_matches_the_scalar_certificate_draw_for_draw(self, p, m):
+    def test_matches_the_scalar_certificate_draw_for_draw(self, p, m, monkeypatch):
         F = gf.field_create(p, m)
         rng = random.Random(f"kernel/{p}/{m}")
         verdicts = set()
+        # a call with one span tests its interpolant with the scalar
+        # u_squarefree, a call with more with u_squarefree_many
+        batched = []
+        squarefree_many = linalg.u_squarefree_many
+
+        def recorded(E, f):
+            batched.append(len(f))
+            return squarefree_many(E, f)
+
+        monkeypatch.setattr(linalg, "u_squarefree_many", recorded)
         # a product in F_(2^17) is 40 us of digit arithmetic: degree 3 there
         for d in range(1, 6 if F.order <= 1 << 16 else 4):
             cases, spans = kernel_cases(F, d, rng)
@@ -1143,14 +1154,18 @@ class TestLineCertificateKernel:
                 for seed in range(2):
                     ref_rng, rng_ = random.Random(seed), random.Random(seed)
                     want = [_line_certificate(G, rows, ref_rng) for rows in spans]
+                    batched.clear()
                     got = certify._line_certificates(G, spans, rng_)
                     assert got == want, (d, poly.format_form(G), seed)
                     assert rng_.random() == ref_rng.random()
+                    assert sum(batched) == len(spans)
                     # one span per call draws the same stream
+                    batched.clear()
                     rng_ = random.Random(seed)
                     assert [
                         certify._line_certificates(G, [rows], rng_)[0] for rows in spans
                     ] == want
+                    assert batched == []
                     verdicts.update(want)
         assert verdicts == {True, False}
 

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from transverse import audit, cli, config, gf, poly
+from transverse import audit, certify, cli, config, gf, poly
 from transverse.cli import (
     DEFAULT_SEED,
     EXIT_OK,
@@ -551,3 +551,33 @@ def test_corpus_csv_stdout_is_pinned(command):
 def test_threefold_descent_stdout_is_pinned(command):
     got = corpus_stdout_sha256(command.split(), THREEFOLD_FIXTURE)
     assert got == THREEFOLD_SHA256[command]
+
+
+def count_calls(monkeypatch, module, name, tally):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        tally.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_census_restrictions_stay_batched(monkeypatch, capsys):
+    # the census restricts forms in batched kernels: a superspace census makes
+    # a few dozen dict-product restrictions, where one per candidate and
+    # slice would make 733, and a hyperplane census at most one per
+    # line-certificate miss
+    fixture = str(REPO / FIXTURE)
+    restrictions, certificates = [], []
+    count_calls(monkeypatch, poly, "substitute_rows", restrictions)
+    count_calls(monkeypatch, certify, "_line_certificates", certificates)
+    assert cli.main(["count", "superspaces", "--r", "1", "--input", fixture]) == 0
+    assert 0 < len(restrictions) < 60
+    restrictions.clear()
+    certificates.clear()
+    assert cli.main(["count", "hyperplanes", "--input", fixture]) == 0
+    misses = sum(not hit for hits in certificates for hit in hits)
+    assert len(restrictions) <= misses
+    capsys.readouterr()

@@ -128,6 +128,49 @@ class TestForm:
         with pytest.raises(ValueError):
             Form(F5, 2, 2, {(1, 0): 1})
 
+    def test_public_construction_still_validates(self):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Form(F5, 3, 2, {(1, 1): 1})
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Form(F5, 2, 2, {(3, -1): 1})
+        with pytest.raises(ValueError, match="form declares 3"):
+            Form(F5, 3, 3, {(1, 1, 0): 1})
+        with pytest.raises(ValueError, match="homogeneous"):
+            poly.parse_form(F5, "x0^2 + x1")
+
+    def test_library_built_forms_skip_validation(self, monkeypatch):
+        # restriction, the restriction kernel's sections, partials, products,
+        # sums and tangency loci build their forms through Form._built; each
+        # must equal the validated form of the same terms, with no zero codes
+        from transverse import certify, locus
+
+        f = poly.parse_form(F5, "x0^3 + 2*x0*x1*x2 + 4*x2^3 + x1^2*x2")
+        X = locus.Hypersurface(f)
+        scaled = [(4, 0, 0), (0, 4, 0), (0, 0, 4)]  # f(4x) = 64 f = 4 f
+        line, plane = span5((1, 2, 0), (0, 1, 3)), span5((1, 0, 0), (0, 1, 1))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a library-built form was validated again")
+
+        monkeypatch.setattr(Form, "__init__", refuse)
+        sections = certify._sections(f, [line, plane])
+        cancelled = f + poly.substitute_rows(f, scaled)
+        built = [
+            poly.substitute_rows(f, line.basis),
+            *sections,
+            *poly.form_partials(f),
+            f * f,
+            f + f,
+            cancelled,
+            *locus.tangency_locus(X, line).gens,
+        ]
+        monkeypatch.undo()
+        assert cancelled.is_zero()
+        assert sections == [built[0], poly.substitute_rows(f, plane.basis)]
+        for G in built:
+            assert all(G.terms.values())
+            assert Form(G.field, G.nvars, G.degree, G.terms) == G
+
     def test_zero_coeffs_dropped(self):
         f = Form(F5, 2, 2, {(2, 0): 0, (1, 1): 3})
         assert f.terms == {(1, 1): 3}

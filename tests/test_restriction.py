@@ -1,6 +1,8 @@
 """Restriction over the rows' field: substitute_rows(F, rows, E) against
-the coefficient lift it replaced, and the dimension bounds built on it."""
+the coefficient lift it replaced, the dimension bounds built on it, and the
+batched restriction kernel against substitute_rows."""
 
+import functools
 import random
 
 import pytest
@@ -214,3 +216,115 @@ def test_dimension_bounds_match_the_lifted_path(lift):
             exact.add(want)
     assert verdicts == {"at-most", "undetermined"}
     assert exact == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# The dict-product restriction, kept verbatim (up to module prefixes) as the
+# reference of the restriction kernel's differential test below.
+
+
+def _mul_terms(fld: gf.Field, a: dict, b: dict) -> dict:
+    """Product of two raw term maps (exponent tuple -> nonzero code)."""
+    add, mul = fld.add, fld.mul
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = add(out.get(e, 0), mul(c1, c2))
+    return {e: c for e, c in out.items() if c}
+
+
+def substitute_rows(F: poly.Form, rows, E: gf.Field | None = None) -> poly.Form:
+    fld = F.field if E is None else E
+    emb = functools.partial(gf.embed_code, F.field, fld)
+    B = list(rows)
+    k = len(B)
+    if any(len(r) != F.nvars for r in B):
+        raise ValueError("parametrization rows must have nvars columns")
+    unit = [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
+    lin = [{unit[i]: B[i][j] for i in range(k) if B[i][j]} for j in range(F.nvars)]
+    const = (0,) * k
+    powers = [[{const: 1}] for _ in range(F.nvars)]
+    acc: dict = {}
+    for exps, c in F.terms.items():
+        term = {const: emb(c)}
+        for j, e in enumerate(exps):
+            if e:
+                pw = powers[j]
+                while len(pw) <= e:
+                    pw.append(_mul_terms(fld, pw[-1], lin[j]))
+                term = _mul_terms(fld, term, pw[e])
+        for m, v in term.items():
+            acc[m] = fld.add(acc.get(m, 0), v)
+    return poly.Form(fld, k, F.degree, acc)
+
+
+def kernel_forms(kernel_out, forms, k, E):
+    """The kernel's coefficient rows as forms, one list per form."""
+    return [
+        [certify._array_form(E, k, G.degree, row) for row in coefs]
+        for G, coefs in zip(forms, kernel_out)
+    ]
+
+
+# (base field, extension degree) per array-view representation: int64
+# residues for F_13 and the prime 2^31 - 1, Zech gathers for F_169 and F_243
+# (from F_13 and F_3), xor for F_4 and F_256 (from F_2), objects for the
+# prime 2^31 + 11
+RESTRICTION_FIELDS = [
+    ((13, 1), 1), ((2147483647, 1), 1), ((13, 1), 2), ((3, 1), 5), ((2, 2), 1),
+    ((2, 1), 8), ((2147483659, 1), 1),
+]
+
+
+@pytest.mark.parametrize("lift", RESTRICTION_FIELDS, ids=_ids)
+def test_restriction_kernel_matches_substitute_rows(lift, monkeypatch):
+    (p, m), ext = lift
+    F = gf.field_create(p, m)
+    E = gf.extension_field(F, ext)
+    rng = random.Random(f"restrict/{F.order}/{E.order}")
+    nvars = 4
+    fallback = []
+    library = poly.substitute_rows
+
+    def recorded(G, rows, field=None):
+        fallback.append(G.degree)
+        return library(G, rows, field)
+
+    monkeypatch.setattr(poly, "substitute_rows", recorded)
+    for k in (2, 3, 4):
+        for d in range(1, 7):
+            forms = [
+                random_form(F, nvars, d, rng),
+                random_form(F, nvars, d, rng, density=0.15),
+                random_form(F, nvars, d - 1, rng),  # another degree, same call
+                poly.Form(F, nvars, d, {}),
+            ]
+            bases = [random_rows(E, k, nvars, rng) for _ in range(3)]
+            got = kernel_forms(certify._restrict_many(forms, bases, E), forms, k, E)
+            want = [[substitute_rows(G, B, E) for B in bases] for G in forms]
+            assert got == want, (k, d)
+    # a field of at most d elements has no grid: F_4 from degree 4 on
+    assert set(fallback) == ({4, 5, 6} if E.order == 4 else set())
+
+
+def test_restriction_kernel_falls_back_past_the_kernel_bound(monkeypatch):
+    # N = C(d + 2, 2) for k = 3: with 100 codes, degree 3 (N = 10) gets a
+    # matrix, in passes of one span, and degree 4 (N = 15) does not
+    F = gf.field_create(13)
+    E = gf.extension_field(F, 2)
+    rng = random.Random("restrict/bound")
+    monkeypatch.setattr(certify, "_KERNEL_ELEMENTS", 100)
+    grids = []
+    grid = certify._interpolation_grid.__wrapped__
+
+    def spy(E_, k, d):
+        grids.append(d)
+        return grid(E_, k, d)
+
+    monkeypatch.setattr(certify, "_interpolation_grid", spy)
+    forms = [random_form(F, 4, d, rng) for d in (3, 4)]
+    bases = [random_rows(E, 3, 4, rng) for _ in range(4)]
+    got = kernel_forms(certify._restrict_many(forms, bases, E), forms, 3, E)
+    assert got == [[substitute_rows(G, B, E) for B in bases] for G in forms]
+    assert grids == [3]
