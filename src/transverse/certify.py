@@ -14,8 +14,10 @@ ch. 3): each degree-N monomial gets one row, a multiple of one of the
 nvars generators of largest degree.  Its rows are a subset of the full
 matrix's, so full rank proves spanning; a singular square matrix (a
 nonempty scheme, or a vanishing extraneous factor) falls through: only the
-other rows are built, they continue its echelon form, and the full
-matrix's rank alone decides a negative answer.
+other rows are scattered, they continue its echelon form, and the full
+matrix's rank alone decides a negative answer.  One cached plan per
+shape places the rows, square block first, for one scheme and for a
+census stack of squares alike (_macaulay_plan).
 
 Dimension upper bounds come in two strengths.  dim_upper_bound slices by
 random hyperplanes over an extension with at least 64 elements: if t+1
@@ -26,9 +28,10 @@ family sum_j c^j x_j of hyperplanes: a point kills at most n parameter
 values (Vandermonde), and a positive-dimensional component is contained in
 at most n family members, so over a field with more than n * B elements
 (B a Bezout bound on the total component count) the scan is complete in
-both directions.  A slice substitutes the scheme's own generators at
-kernel rows over the extension (poly.substitute_rows, or the restriction
-kernel below for a census chunk), so no lifted scheme is built.
+both directions.  A Las-Vegas attempt composes the kernel bases of its
+t+1 hyperplanes (_slice_basis) and restricts each generator once, at that
+basis over the extension (poly.substitute_rows, or the restriction kernel
+below for a census chunk), so no lifted scheme is built.
 
 Smoothness of a section is emptiness of its Jacobian scheme; reducedness
 is the Jacobian dimension dropping below divisor dimension.  Both reuse
@@ -266,30 +269,14 @@ class EmptinessCertificate:
         return d
 
 
-@functools.lru_cache(maxsize=32)
-def _row_index(nvars: int, N: int, deg: int):
-    """Column of every product: one dict per multiplier of degree N - deg,
-    from the exponent vectors of degree deg to the column of their product
-    among the degree-N monomials.
-
-    Cached because a run reuses few shapes (at most 17 keys in one pass of
-    any benchmark workload); a table is smaller than the matrix it fills.
-    """
-    cols = {m: i for i, m in enumerate(poly.monomials_of_degree(nvars, N))}
-    exps = list(poly.monomials_of_degree(nvars, deg))
-    return tuple(
-        {e: cols[tuple(a + b for a, b in zip(e, mult))] for e in exps}
-        for mult in poly.monomials_of_degree(nvars, N - deg)
-    )
-
-
 def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
     """Whether degree-N multiples of the generators span all degree-N forms.
 
-    At N >= N*, Macaulay's square submatrix is eliminated first; when it
-    is singular, only the other rows are built, to continue its echelon form.
+    The rows are scattered from the generators' coefficient rows by the
+    plan's blocks: at N >= N*, a singular square block is continued by the
+    other rows alone.
     """
-    degs = [g.degree for g in gens]
+    degs = tuple(g.degree for g in gens)
     nrows, ncols = _macaulay_size(degs, nvars, N)
     if nrows < ncols:
         return False
@@ -298,15 +285,17 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
             f"Macaulay matrix {nrows} x {ncols} exceeds cap "
             f"{_MAX_MACAULAY_ENTRIES} entries"
         )
-    square = set()
+    square = len(gens) >= nvars and N >= _macaulay_bound(degs, nvars - 1)
+    V = fld.arrays()
+    coefs = [_coefficients(g, V) for g in gens]
     form = linalg.echelon(fld, ncols)
-    if len(gens) >= nvars and N >= _macaulay_bound(degs, nvars - 1):
-        square = _square_keys(degs, nvars, N)
-        rows = _macaulay_rows(gens, nvars, N, square, True)
-        if linalg.rank(fld, rows, stop_at=ncols, form=form) == ncols:
+    for height, parts in _macaulay_plan(nvars, N, degs, square):
+        block = np.zeros((height, ncols), dtype=V.dtype)
+        for j, rows, cols in parts:
+            block[rows[:, None], cols] = coefs[j]
+        if linalg.rank(fld, block, stop_at=ncols, form=form) == ncols:
             return True
-    rows = _macaulay_rows(gens, nvars, N, square, False)
-    return linalg.rank(fld, rows, stop_at=ncols, form=form) == ncols
+    return False
 
 
 def _macaulay_size(degs, nvars: int, N: int):
@@ -317,46 +306,59 @@ def _macaulay_size(degs, nvars: int, N: int):
     return nrows, ncols
 
 
-def _macaulay_rows(gens, nvars: int, N: int, square, inside: bool):
-    """The rows of the degree-N Macaulay matrix whose (generator,
-    multiplier) key is in ``square`` (inside) or not."""
-    ncols = math.comb(N + nvars - 1, nvars - 1)
-    return [
-        _row(g, index, ncols)
-        for j, g in enumerate(gens)
-        if g.degree <= N
-        for k, index in enumerate(_row_index(nvars, N, g.degree))
-        if ((j, k) in square) == inside
-    ]
+@functools.lru_cache(maxsize=32)
+def _macaulay_plan(nvars: int, N: int, degs: tuple, square: bool) -> tuple:
+    """Where the coefficient rows of generators of the degrees degs go in
+    the degree-N Macaulay matrix: blocks (height, parts), a part (j, rows,
+    cols) putting the multiples of generator j, by each multiplier in
+    monomials_of_degree order, at the block's rows ``rows``, with each
+    product's columns ``cols``.
 
-
-def _square_keys(degs, nvars: int, N: int):
-    """Macaulay's square submatrix at N >= N*, for generators of the degrees
-    degs, as the (generator, multiplier) indices of its rows: with top the
-    nvars generators of largest degree d_0, ..., d_(nvars-1), the degree-N
-    monomial x^a gets the one row (x^a / x_i^(d_i)) * top[i], for the first
-    i with a_i >= d_i.  Such an i exists because sum(d_i - 1) < N* <= N.
-
-    The rows are a subset of the full matrix's, so full rank here proves
-    spanning; a singular square matrix (a nonempty scheme, or a vanishing
-    extraneous factor) proves nothing.
+    With ``square`` (N >= N*, at least nvars generators) the first block is
+    Macaulay's square submatrix: with top the nvars generators of largest
+    degree d_0, ..., d_(nvars-1), ties by position, the degree-N monomial
+    x^a gets the one row (x^a / x_i^(d_i)) * top[i], for the first i with
+    a_i >= d_i, which exists because sum(d_i - 1) < N* <= N.  The other
+    rows form the last block, the only one without ``square``.
     """
     top = sorted(range(len(degs)), key=lambda j: degs[j], reverse=True)[:nvars]
     tops = [degs[j] for j in top]
-    return {
-        (j, k)
-        for i, j in enumerate(top)
-        for k, mult in enumerate(poly.monomials_of_degree(nvars, N - tops[i]))
-        if all(b < d for b, d in zip(mult[:i], tops))
-    }
+    place = {j: i for i, j in enumerate(top)} if square else {}
+    parts, heights = ([], []), [0, 0]
+    for j, d in enumerate(degs):
+        if d > N:
+            continue
+        cols = _product_columns(nvars, N, d)
+        inside = np.zeros(len(cols), dtype=bool)
+        if j in place:
+            i = place[j]
+            mults = _monomials(nvars, N - d)
+            inside[:] = [all(b < t for b, t in zip(m[:i], tops)) for m in mults]
+        for b, sel in enumerate((inside, ~inside)):
+            rows = np.arange(heights[b], heights[b] + int(sel.sum()))
+            if len(rows):
+                parts[b].append((j, rows, cols if sel.all() else cols[sel]))
+                heights[b] += len(rows)
+    plan = tuple(zip(heights, map(tuple, parts)))
+    return plan if square else plan[1:]
 
 
-def _row(g, index, ncols: int):
-    """The coefficients of one multiple of g, placed by its column index."""
-    row = [0] * ncols
-    for e, c in g.terms.items():
-        row[index[e]] = c
-    return row
+@functools.lru_cache(maxsize=32)
+def _product_columns(nvars: int, N: int, deg: int) -> np.ndarray:
+    """Column of every product: an (M, C) index array whose row m holds the
+    column, among the degree-N monomials, of the m-th multiplier of degree
+    N - deg times each exponent vector of degree deg (_monomials order).
+    Cached per shape, never per generator: a run reuses few shapes (21 keys
+    in a flags pass, the most of any benchmark workload)."""
+    cols = _monomial_index(nvars, N)
+    exps = _monomials(nvars, deg)
+    return np.array(
+        [
+            [cols[tuple(a + b for a, b in zip(e, mult))] for e in exps]
+            for mult in _monomials(nvars, N - deg)
+        ],
+        dtype=np.intp,
+    ).reshape(-1, len(exps))
 
 
 def _macaulay_bound(degs, ambient: int) -> int:
@@ -475,10 +477,10 @@ def dim_upper_bound(
     """Las-Vegas certificate that dim S <= t; never certifies falsely.
 
     Slices by t+1 random hyperplanes over an extension with >= 64
-    elements, substituting each one away so the emptiness test runs in a
-    progressively smaller ring; emptiness of the fully sliced scheme is
-    exact, so "at-most" is sound.  "undetermined" carries no information.
-    Each recorded slice is a coefficient row in the coordinates of its own
+    elements, restricting each generator once to their intersection, so
+    the emptiness test runs in t+1 fewer variables; emptiness of the sliced
+    scheme is exact, so "at-most" is sound.  "undetermined" carries no
+    information.  Each recorded slice is a coefficient row in the coordinates of its own
     level, not of the original ambient space.
     """
     if t < -1:
@@ -497,18 +499,31 @@ def dim_upper_bound(
 
 def _random_slices(S: locus.SchemeSpec, t: int, rng: random.Random):
     """One Las-Vegas attempt's t + 1 random hyperplanes over the extension
-    of S's field with at least _LV_MIN_FIELD elements, each substituted
-    away: the rows drawn, one level at a time, and the sliced scheme."""
+    E of S's field with at least _LV_MIN_FIELD elements: the rows drawn, and
+    the sliced scheme over E, each generator restricted once (_slice_basis)."""
     E = _extension_with(S.field, _LV_MIN_FIELD)
-    cur, slices = S, []
-    for _ in range(t + 1):
+    slices, basis = _slice_basis(E, S.nvars, t + 1, rng)
+    gens = [poly.substitute_rows(g, basis, E) for g in S.gens]
+    return slices, locus.SchemeSpec(E, len(basis), gens)
+
+
+def _slice_basis(E: gf.Field, nvars: int, levels: int, rng: random.Random):
+    """The rows of ``levels`` random hyperplanes over E, and the basis of
+    their intersection in nvars coordinates.  Level l's row has nvars - l
+    codes, in the coordinates of the level before, redrawn while zero; the
+    levels' linalg.kernel bases are composed, so a form restricted to the
+    basis is, coefficient for coefficient, what _slice_by gives level by
+    level."""
+    slices, basis = [], None
+    for level in range(levels):
         while True:
-            row = tuple(rng.randrange(E.order) for _ in range(cur.nvars))
+            row = tuple(rng.randrange(E.order) for _ in range(nvars - level))
             if any(row):
                 break
         slices.append(row)
-        cur = _slice_by(cur, row, E)
-    return tuple(slices), cur
+        W = linalg.kernel(E, [row], nvars - level)
+        basis = W if basis is None else _compose(E, W, basis)
+    return tuple(slices), basis
 
 
 def _bezout_component_bound(S: locus.SchemeSpec) -> int:
@@ -582,6 +597,21 @@ def _monomials(nvars: int, degree: int) -> tuple:
     """poly.monomials_of_degree as a tuple, the order of every coefficient
     row of the kernels below."""
     return tuple(poly.monomials_of_degree(nvars, degree))
+
+
+@functools.lru_cache(maxsize=64)
+def _monomial_index(nvars: int, degree: int) -> dict:
+    """The position of every exponent vector in _monomials(nvars, degree)."""
+    return {m: i for i, m in enumerate(_monomials(nvars, degree))}
+
+
+def _coefficients(G: poly.Form, V) -> np.ndarray:
+    """The coefficient row of G in _monomials order, an array of V, the
+    array view of G's field; only G's terms are read."""
+    index = _monomial_index(G.nvars, G.degree)
+    row = np.zeros(len(index), dtype=V.dtype)
+    row[[index[e] for e in G.terms]] = list(G.terms.values())
+    return row
 
 
 def _exponents_needed(forms) -> list:
@@ -691,8 +721,9 @@ def _restrict_many(forms, bases, E: gf.Field) -> list:
         N = len(mons)
         if E.order <= d or N * N > _KERNEL_ELEMENTS:
             for i, G in zip(idx, group):
-                restricted = [poly.substitute_rows(G, B, E).terms for B in bases]
-                out[i] = V.array([[R.get(m, 0) for m in mons] for R in restricted])
+                out[i] = np.stack(
+                    [_coefficients(poly.substitute_rows(G, B, E), V) for B in bases]
+                )
             continue
         grid, inverse = _interpolation_grid(E, k, d)
         need = _exponents_needed(group)
@@ -1085,32 +1116,19 @@ def _sliced_tangency_loci(X: locus.Hypersurface, subspaces, rng: random.Random):
     order, restricted to the k = dim H + 2 dimensional slice, as pairs
     (degree, coefficient row of E's view in poly.monomials_of_degree order).
 
-    The rows of every level are drawn as _random_slices draws them, from
-    the same rng stream, and the levels' linalg.kernel bases are composed,
-    so the restriction to the composed basis is, coefficient for
-    coefficient, what _slice_by gives level by level.  X's form and its
-    partials are restricted once for all the subspaces of one dimension
-    (_restrict_many); the contraction sum v_i d_iF of a basis row v of H
-    is then sum v_i (d_iF restricted), and it is dropped where it is zero
-    before restriction, as tangency_locus drops it.
+    Each subspace's slice basis is drawn by _slice_basis, as _random_slices
+    draws it, from the same rng stream.  X's form and its partials are
+    restricted once for all the subspaces of one dimension (_restrict_many);
+    the contraction sum v_i d_iF of a basis row v of H is then sum v_i
+    (d_iF restricted), and it is dropped where it is zero before
+    restriction, as tangency_locus drops it.
     """
     F, nvars = X.field, X.ambient + 1
     E = _extension_with(F, _LV_MIN_FIELD)
-    bases = []
-    for H in subspaces:
-        basis = None
-        for level in range(X.ambient - H.dim - 1):
-            while True:
-                row = [rng.randrange(E.order) for _ in range(nvars - level)]
-                if any(row):
-                    break
-            W = linalg.kernel(E, [row], nvars - level)
-            basis = W if basis is None else _compose(E, W, basis)
-        bases.append(basis)
+    bases = [_slice_basis(E, nvars, X.ambient - H.dim - 1, rng)[1] for H in subspaces]
     partials = poly.form_partials(X.form)
-    d, mons = X.degree, _monomials(nvars, X.degree - 1)
-    VF, VE = F.arrays(), E.arrays()
-    D = VF.array([[g.terms.get(m, 0) for m in mons] for g in partials])
+    d, VF, VE = X.degree, F.arrays(), E.arrays()
+    D = np.stack([_coefficients(g, VF) for g in partials])
     emb = functools.partial(gf.embed_code, F, E)
     out = [None] * len(subspaces)
     for size, idx in _by_rows(subspaces).items():
@@ -1120,7 +1138,7 @@ def _sliced_tangency_loci(X: locus.Hypersurface, subspaces, rng: random.Random):
         HE = VE.array([[[emb(c) for c in v] for v in H] for H in Hs])
         ambient = contracted = None
         for i, (Di, Ri) in enumerate(zip(D, restricted[1:])):
-            a = VF.mul(HF[:, :, i, None], Di)  # (S, size, len(mons))
+            a = VF.mul(HF[:, :, i, None], Di)  # (S, size, columns of D)
             c = VE.mul(HE[:, :, i, None], Ri[:, None, :])  # (S, size, N)
             ambient = a if ambient is None else VF.add(ambient, a)
             contracted = c if contracted is None else VE.add(contracted, c)
@@ -1160,9 +1178,9 @@ def _square_spans_many(E: gf.Field, loci) -> list:
     than _KERNEL_ELEMENTS codes gets False, for macaulay_is_empty to decide.
     The rest are grouped by variables, N* and nonzero generator degrees,
     which fix the square's shape and rows, and each group's squares are
-    scattered from the coefficient rows by a cached index plan
-    (_square_plan) and eliminated by linalg.full_rank_many in stacks of at
-    most _KERNEL_ELEMENTS codes.
+    scattered from the coefficient rows by the square block of the plan
+    macaulay_is_empty scatters by (_macaulay_plan), and eliminated by
+    linalg.full_rank_many in stacks of at most _KERNEL_ELEMENTS codes.
     """
     out = [False] * len(loci)
     groups = {}
@@ -1178,40 +1196,17 @@ def _square_spans_many(E: gf.Field, loci) -> list:
         groups.setdefault((k, N, degs), []).append((i, [row for _, row in gens]))
     V = E.arrays()
     for (k, N, degs), members in groups.items():
-        plan = _square_plan(k, N, degs)
-        size = math.comb(N + k - 1, k - 1)
+        (size, parts), _ = _macaulay_plan(k, N, degs, True)
         step = _KERNEL_ELEMENTS // size**2
         for s in range(0, len(members), step):
             part = members[s : s + step]
             stack = np.zeros((len(part), size, size), dtype=V.dtype)
-            for j, (rows, cols) in enumerate(plan):
+            for j, rows, cols in parts:
                 coefs = np.stack([gens[j] for _, gens in part])
                 stack[:, rows[:, None], cols] = coefs[:, None, :]
             for (i, _), hit in zip(part, linalg.full_rank_many(E, stack).tolist()):
                 out[i] = hit
     return out
-
-
-@functools.lru_cache(maxsize=32)
-def _square_plan(nvars: int, N: int, degs: tuple) -> tuple:
-    """Where the coefficients of generators of the degrees degs, as rows in
-    poly.monomials_of_degree order, go in Macaulay's square submatrix at N
-    (_square_keys): per generator, the positions of the square's rows that
-    are its multiples, in _macaulay_rows's order, and for each such row
-    the column of every product, as index arrays."""
-    square = _square_keys(degs, nvars, N)
-    plan, at = [], 0
-    for j, d in enumerate(degs):
-        mons = _monomials(nvars, d)
-        cols = [
-            [index[e] for e in mons]
-            for m, index in enumerate(_row_index(nvars, N, d))
-            if (j, m) in square
-        ]
-        rows = np.arange(at, at + len(cols))
-        plan.append((rows, np.array(cols, dtype=np.intp).reshape(len(cols), len(mons))))
-        at += len(cols)
-    return tuple(plan)
 
 
 def is_very_transverse(

@@ -339,7 +339,7 @@ class _Echelon:
         pivot row is cleared with it in every block row; a new one takes its
         pivot from the block.  At rank ``stop_at`` the rest is dropped."""
         F, held = self.F, self.held
-        rows = [list(row) for row in rows]
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else list(map(list, rows))
         r = 0
         for col in range(self.ncols):
             if stop_at is not None and len(held) >= stop_at:
@@ -364,11 +364,13 @@ class _Echelon:
 
 class _NpEchelon(_Echelon):
     """Each pivot row is written back into its block's array, reduced once
-    the block is done, and held as a view of it."""
+    the block is done, and held as a view of it.  A block given as an int64
+    array is that array, eliminated in place: its caller gives it up."""
 
     def extend(self, rows, stop_at=None):
         p, held = self.F.p, self.held
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), self.ncols) % p
+        arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.ncols)
+        arr %= p
         k = min(len(held) + len(arr), self.ncols)
         assert p + k * (p - 1) ** 2 < 1 << 63, "int64 overflow"
         r = 0

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import macaulay_reference as ref
 from transverse import audit, certify, config, gf, linalg, locus, poly, projgeom as pg
 from transverse import cli, search
 from transverse.audit import (
@@ -734,7 +735,22 @@ class TestBadSuperspacesAgainstTheLoop:
 # The census chunk path against the one it replaced: sliced tangency loci
 # built as SchemeSpecs by _random_slices and their squares read from them,
 # kept verbatim from certify (up to module prefixes, and the Macaulay helpers
-# now taking degrees), recording its sliced schemes and square hits.
+# now taking degrees), recording its sliced schemes and square hits.  Its
+# slices are substituted away one level at a time, and its squares are built
+# by the dict-row Macaulay builders (macaulay_reference).
+
+
+def ref_random_slices(S, t, rng):
+    E = certify._extension_with(S.field, certify._LV_MIN_FIELD)
+    cur, slices = S, []
+    for _ in range(t + 1):
+        while True:
+            row = tuple(rng.randrange(E.order) for _ in range(cur.nvars))
+            if any(row):
+                break
+        slices.append(row)
+        cur = certify._slice_by(cur, row, E)
+    return tuple(slices), cur
 
 
 def ref_very_transverse_verdicts(X, subspaces, rng, record):
@@ -744,7 +760,7 @@ def ref_very_transverse_verdicts(X, subspaces, rng, record):
     while chunk := list(itertools.islice(subspaces, certify._VERDICT_CHUNK)):
         transverse = [certify.is_transverse(X, E) for E in chunk]
         sliced = {
-            i: certify._random_slices(
+            i: ref_random_slices(
                 locus.tangency_locus(X, E), X.ambient - E.dim - 2, rng
             )[1]
             for i, E in enumerate(chunk)
@@ -781,12 +797,12 @@ def ref_square_spans_many(schemes) -> list:
         key = (S.field, S.nvars, N, tuple(degs))
         groups.setdefault(key, []).append(i)
     for (E, nvars, N, degs), members in groups.items():
-        square = certify._square_keys(degs, nvars, N)
+        square = ref._square_keys(degs, nvars, N)
         step = certify._KERNEL_ELEMENTS // len(square) ** 2
         for s in range(0, len(members), step):
             part = members[s : s + step]
             stack = E.arrays().array([
-                certify._macaulay_rows(
+                ref._macaulay_rows(
                     schemes[i].nonzero_gens(), nvars, N, square, True
                 )
                 for i in part
@@ -859,7 +875,7 @@ class TestChunkPathAgainstTheSchemePath:
         E, loci = certify._sliced_tangency_loci(X, lines, ours)
         got = [scheme_key(certify._locus_scheme(E, *locus_)) for locus_ in loci]
         want = [
-            scheme_key(certify._random_slices(locus.tangency_locus(X, L), 1, theirs)[1])
+            scheme_key(ref_random_slices(locus.tangency_locus(X, L), 1, theirs)[1])
             for L in lines
         ]
         assert got == want

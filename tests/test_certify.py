@@ -7,8 +7,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import macaulay_reference as ref
 from transverse import audit, certify, config, gf, linalg, locus, poly, projgeom as pg
 from transverse import search
 from transverse.certify import (
@@ -522,23 +524,28 @@ class TestSquareSubmatrix:
         gens = S.nonzero_gens()
         degs = [g.degree for g in gens]
         assert certify._macaulay_bound(degs, 1) == 3
-        assert certify._square_keys(degs, 2, 3) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        square = ref._square_keys(degs, 2, 3)
+        assert square == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        # the plan's square block holds those keys' rows, and its other
+        # block the three multiples of x1 only
+        (_, inside), (_, outside) = certify._macaulay_plan(2, 3, tuple(degs), True)
+        placed = [[(j, rows.tolist()) for j, rows, _ in b] for b in (inside, outside)]
+        assert placed == [[(0, [0, 1]), (1, [2, 3])], [(2, [0, 1, 2])]]
         assert full_matrix_spans(gens, F5, 2, 3)
         assert macaulay_is_empty(S) is True
         # the miss continues the square echelon form with the three
-        # multiples of x1 only: every row is built and eliminated once
-        built, steps, rank = [], [], linalg.rank
-        row = certify._row
-        monkeypatch.setattr(certify, "_row", lambda *a: built.append(a[0]) or row(*a))
+        # multiples of x1 only: every row is scattered and eliminated once
+        steps, rank = [], linalg.rank
 
         def traced_rank(F, rows, *args, **kwargs):
-            steps.append([tuple(r) for r in rows])
+            steps.append(np.asarray(rows).tolist())
             return rank(F, rows, *args, **kwargs)
 
         monkeypatch.setattr(linalg, "rank", traced_rank)
         assert certify._macaulay_spans(gens, F5, 2, 3) is True
-        assert [len(rows) for rows in steps] == [4, 3] and len(built) == 7
-        assert built[4:] == [gens[2]] * 3
+        assert [len(rows) for rows in steps] == [4, 3]
+        assert steps[0] == ref._macaulay_rows(gens, 2, 3, square, True)
+        assert steps[1] == ref._macaulay_rows(gens, 2, 3, square, False)
         assert rank(F5, steps[0], ncols=4) == 3
         assert rank(F5, steps[0] + steps[1], ncols=4) == 4
         assert is_empty_projective(S).degree_N == ladder_degree(S) == 2
@@ -550,11 +557,72 @@ class TestSquareSubmatrix:
         assert 2300 * 2300 < certify._MAX_MACAULAY_ENTRIES < 5747 * 2300
 
         def no_rows(*_args):
-            raise AssertionError("a row was built")
+            raise AssertionError("a row was planned")
 
-        monkeypatch.setattr(certify, "_row_index", no_rows)
+        monkeypatch.setattr(certify, "_macaulay_plan", no_rows)
         with pytest.raises(config.CapExceededError, match="5747 x 2300"):
             macaulay_is_empty(S)
+
+
+class TestMacaulayPlan:
+    """The blocks _macaulay_spans scatters from the plan against the
+    dict-row builders the plan replaced (macaulay_reference), row for row:
+    at N >= N* the square block and then the other rows, below it every
+    row in one block."""
+
+    # F_5 in the prime-field array view, F_4 and F_169 in table views
+    FIELDS = [(5, 1), (2, 2), (13, 2)]
+    # (nvars, generator degrees): ties among the top degrees, inside the
+    # top and across its cut, and generators of degree above N for N < N*
+    CASES = [
+        (1, (2,)),
+        (1, (3, 2, 3)),
+        (2, (2, 2, 2)),
+        (2, (3, 1, 3, 2)),
+        (2, (1, 2)),
+        (3, (2, 2, 1, 2)),
+        (3, (3, 2, 2, 2)),
+        (3, (1, 1, 1)),
+        (4, (2, 1, 2, 2, 1)),
+        (4, (2, 2, 2, 2)),
+        (5, (1, 2, 1, 2, 1, 2)),
+        (5, (2, 1, 1, 1, 1)),
+    ]
+
+    @pytest.mark.parametrize("p, m", FIELDS)
+    def test_blocks_match_the_reference_rows(self, p, m, monkeypatch):
+        field = gf.field_create(p, m)
+        rng = random.Random(f"plan/{field.order}")
+        blocks, seen = [], set()
+
+        def recorded_rank(F, rows, **_kw):
+            blocks.append(np.asarray(rows).tolist())
+            return 0  # never full: every block is scattered
+
+        monkeypatch.setattr(linalg, "rank", recorded_rank)
+        for nvars, degs in self.CASES:
+            gens = [random_form(field, nvars, d, rng) for d in degs]
+            top = certify._macaulay_bound(degs, nvars - 1)
+            for N in range(1, top + 2):
+                blocks.clear()
+                assert certify._macaulay_spans(gens, field, nvars, N) is False
+                ncols = math.comb(N + nvars - 1, nvars - 1)
+                if len(gens) >= nvars and N >= top:
+                    square = ref._square_keys(degs, nvars, N)
+                    want = [ref._macaulay_rows(gens, nvars, N, square, True)]
+                    want.append(ref._macaulay_rows(gens, nvars, N, square, False))
+                    assert len(want[0]) == ncols
+                    seen.add("square")
+                else:
+                    want = [ref._macaulay_rows(gens, nvars, N, set(), False)]
+                if sum(map(len, want)) < ncols:
+                    want = []  # refused before any row is scattered
+                assert blocks == want, (nvars, degs, N)
+                if want and max(degs) > N:
+                    seen.add("above N")
+                if len(want) == 2 and want[1]:
+                    seen.add("other rows")
+        assert seen == {"square", "above N", "other rows"}
 
 
 class TestEmptinessCertificate:
@@ -811,9 +879,9 @@ class TestSmoothness:
         G = poly.parse_form(F5, "x0^4 + x1^4 + x2^4 + x3^4 + x4^4 + x5^4")
 
         def no_rows(*_args):
-            raise AssertionError("a row was built")
+            raise AssertionError("a row was planned")
 
-        monkeypatch.setattr(certify, "_row_index", no_rows)
+        monkeypatch.setattr(certify, "_macaulay_plan", no_rows)
         with pytest.raises(config.CapExceededError, match="18018 x 8568"):
             certify.is_smooth_form(G)
 
@@ -829,7 +897,12 @@ class TestSmoothness:
         # 1,500 variables: past the recursion limit of a monomial generator
         # that recursed once per variable
         G = poly.parse_form(F5, " + ".join(f"x{i}^2" for i in range(1500)))
+        certify._macaulay_plan.cache_clear()
+        certify._product_columns.cache_clear()
         assert certify.is_smooth_form(G)
+        # the 1,500 partials share one product-column map, of (nvars, N,
+        # degree) = (1500, 1, 1): a map per generator took minutes
+        assert certify._product_columns.cache_info().misses == 1
 
 
 class TestReducedness:

@@ -177,6 +177,33 @@ def test_slices_match_the_lifted_scheme(lift):
         assert certify._slice_by(got, row, E).gens == _slice_by(want, row).gens
 
 
+@pytest.mark.parametrize("field", [(13, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+def test_composed_slices_match_level_by_level(field):
+    # _random_slices restricts each generator once, at the composed basis of
+    # _slice_basis; the reference substitutes the levels away one at a time
+    # from the lifted scheme, on the same rng stream
+    F = gf.field_create(*field)
+    E = certify._extension_with(F, certify._LV_MIN_FIELD)
+    rng = random.Random(f"composed/{F.order}")
+    for trial in range(6):
+        nvars = 3 + trial % 3
+        gens = [random_form(F, nvars, rng.randrange(1, 4), rng) for _ in range(3)]
+        S = locus.SchemeSpec(F, nvars, gens)
+        t = rng.randrange(nvars - 1)
+        ours, theirs = random.Random(trial), random.Random(trial)
+        slices, got = certify._random_slices(S, t, ours)
+        cur, want = _lift_scheme(S, E), []
+        for _ in range(t + 1):
+            row = (0,)
+            while not any(row):
+                row = tuple(theirs.randrange(E.order) for _ in range(cur.nvars))
+            want.append(row)
+            cur = _slice_by(cur, row)
+        assert slices == tuple(want)
+        assert (got.field, got.nvars, got.gens) == (cur.field, cur.nvars, cur.gens)
+        assert ours.getstate() == theirs.getstate()
+
+
 def seeded_schemes(F, rng):
     """Two-generator schemes in P^2 and P^3 of every dimension from -1 to 1,
     and a line in P^3."""
