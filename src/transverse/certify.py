@@ -30,8 +30,9 @@ at most n family members, so over a field with more than n * B elements
 (B a Bezout bound on the total component count) the scan is complete in
 both directions.  A Las-Vegas attempt composes the kernel bases of its
 t+1 hyperplanes (_slice_basis) and restricts each generator once, at that
-basis over the extension (poly.substitute_rows, or the restriction kernel
-below for a census chunk), so no lifted scheme is built.
+basis over the extension, so no lifted scheme is built: a single attempt
+by poly.substitute_rows, a census chunk's attempts together by the
+restriction kernel below.
 
 Smoothness of a section is emptiness of its Jacobian scheme; reducedness
 is the Jacobian dimension dropping below divisor dimension.  Both reuse
@@ -44,12 +45,16 @@ One kernel evaluates the lines of many spans at once in numpy (the
 field's array view in gf) and tests all their restrictions for
 squarefreeness in one batched Euclid (linalg.u_squarefree_many), and every
 scan over sections, first-hit or census, certifies them through it in
-growing chunks (reduced_sections).  It shares one form evaluator
-(_form_values) with the restriction kernel, _restrict_many, which restricts
-forms to a stack of bases by evaluation at the principal lattice of each
-span and interpolation (Gasca and Sauer, Adv. Comput. Math. 12, 2000), one
-inverse matrix per field, span dimension and degree; poly.substitute_rows
-stays the reference, and the fallback where no matrix is kept.
+growing chunks (reduced_sections).  The line kernel reads its restrictions
+from the one restriction kernel, _restrict_many, which restricts forms to
+a stack of bases by evaluation at the principal lattice of each span
+(_form_values, the one form evaluator) and Newton interpolation on that
+lower set, one axis at a time (Dyn and Floater, J. Approx. Theory 177,
+2014): whole-array steps, with no matrix and no bound on the degree, and
+only the steps' indices kept per span dimension and degree.  A field with
+too few elements for the nodes is lifted to an extension and the
+coefficients mapped back.  poly.substitute_rows serves
+the single spans (is_transverse, _random_slices, _slice_by).
 When p does not divide d = deg G, the Euler relation d*G = sum x_i d_iG
 puts G in the ideal of its partials, so the Jacobian scheme is generated
 by the nonzero partials alone (G is kept when p | d), and N* =
@@ -660,37 +665,62 @@ def _form_values(V, forms, points, need, emb) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _interpolation_grid(E: gf.Field, k: int, d: int):
-    """The principal lattice for forms of degree d in k variables over E
-    (E of more than d elements), and the inverse of its interpolation
-    matrix, both as arrays of E's view.
+def _run(idx):
+    """An index array as a plain slice when it runs over consecutive
+    positions, which numpy reads and writes without a gather."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
-    The lattice holds the N = C(d+k-1, k-1) points (1, a) for a in
-    N^(k-1) with |a| <= d, read as node codes; the point of the exponent
-    vector (d - |a|, a) is listed where poly.monomials_of_degree(k, d)
-    lists that vector, and the (N, k-1) array holds the a.  A form
-    G(u) = sum c_e u^e takes the value sum c_e a^(e[1:]) there, so its
-    values are the matrix of these monomials at these points times its
-    coefficients.  The vectors a are a lower set, and their coordinates
-    are the distinct nodes 0..d, so the points are unisolvent for degree
-    d (Gasca and Sauer, Adv. Comput. Math. 12, 2000): the matrix is
-    invertible.
+
+@functools.lru_cache(maxsize=16)
+def _newton_steps(k: int, d: int) -> tuple:
+    """The steps of the Newton transform of _restrict_many for degree d in
+    k variables, on the principal lattice listed in _monomials(k, d) order:
+    point i is (1, a) for the vector a = _monomials(k, d)[i][1:], read as
+    node codes.
+
+    The divided differences, as (level l, target, source, rank): for each
+    axis j and each level l = 1..d in turn, every point a with a_j >= l
+    (target) and the point a - e_j (source), and a_j - l (rank), the
+    position of the target's reciprocal among the level's.  Then the
+    change to monomials, as (node n, target, source): for each axis j and
+    each level n = d-1..1, every point a with a_j >= n and |a| < d, and
+    the point a + e_j; level 0 multiplies by the node 0 and is skipped.
+    Targets, sources and ranks are plain slices where they are consecutive,
+    which they always are for k = 2.
     """
     mons = _monomials(k, d)
-    N = len(mons)
-    rows = []
-    for i, point in enumerate(mons):
-        row = [1] * N
-        for m, exps in enumerate(mons):
-            for a, e in zip(point[1:], exps[1:]):
-                row[m] = E.mul(row[m], E.pow(a, e))
-        rows.append(row + [int(i == j) for j in range(N)])
-    reduced, _ = linalg.rref(E, rows)
-    V = E.arrays()
-    return V.array([e[1:] for e in mons]).reshape(N, k - 1), V.array(
-        [row[N:] for row in reduced]
-    )
+    index = _monomial_index(k, d)
+    lattice = np.array(mons, dtype=np.intp).reshape(len(mons), k)
+    total = lattice[:, 1:].sum(axis=1)
+
+    def moved(points, j, step):
+        # the positions of the points a + step * e_j
+        out = lattice[points].copy()
+        out[:, 0] -= step
+        out[:, j] += step
+        return np.array([index[tuple(e)] for e in out.tolist()], dtype=np.intp)
+
+    divided, horner = [], []
+    for j in range(1, k):
+        for l in range(1, d + 1):
+            tgt = np.flatnonzero(lattice[:, j] >= l)
+            rank = lattice[tgt, j] - l
+            divided.append((l, _run(tgt), _run(moved(tgt, j, -1)), _run(rank)))
+    for j in range(1, k):
+        for n in range(d - 1, 0, -1):
+            tgt = np.flatnonzero((lattice[:, j] >= n) & (total < d))
+            horner.append((n, _run(tgt), _run(moved(tgt, j, 1))))
+    return tuple(divided), tuple(horner)
+
+
+def _kernel_width(N: int, nvars: int, need, nforms: int) -> int:
+    """Spans per pass of the restriction kernel at N lattice points, so the
+    working set stays within _KERNEL_ELEMENTS codes: per span, the points
+    and their powers, each form's values and two temporaries, and a few
+    (N,) temporaries."""
+    return max(1, _KERNEL_ELEMENTS // (N * (nvars * (1 + len(need)) + 3 * nforms + 4)))
 
 
 def _restrict_many(forms, bases, E: gf.Field) -> list:
@@ -700,12 +730,17 @@ def _restrict_many(forms, bases, E: gf.Field) -> list:
     its coefficients in poly.monomials_of_degree(k, deg G) order.
 
     The forms of one degree d are evaluated (_form_values) at the images
-    u . B of its interpolation grid's points u (_interpolation_grid) in
-    every span, and their values are taken to coefficients by the grid's
-    inverse matrix, a column at a time.  As many spans go at once as keep
-    the working set within _KERNEL_ELEMENTS codes.  A degree with N^2 >
-    _KERNEL_ELEMENTS, or with E of at most d elements, gets no matrix: its
-    forms go through poly.substitute_rows, the reference.
+    u . B of the principal lattice u = (1, a), |a| <= d, with the codes
+    0..d as nodes, in every span.  The lattice is a lower set, so Newton
+    interpolation runs one axis at a time (Dyn and Floater, J. Approx.
+    Theory 177, 2014): the divided differences of every axis first, then
+    the change from the Newton to the monomial basis of every axis, each
+    step one whole-array operation over the values of a pass
+    (_newton_steps).  As many spans go at once as keep the working set
+    within _KERNEL_ELEMENTS codes (_kernel_width).  An E of at most d
+    elements has no d + 1 distinct nodes: the degree is restricted over
+    the smallest extension with enough, and its coefficients, which lie in
+    E, are mapped back.
     """
     V = E.arrays()
     stack = V.array(bases)
@@ -717,33 +752,41 @@ def _restrict_many(forms, bases, E: gf.Field) -> list:
         degrees.setdefault(G.degree, []).append(i)
     for d, idx in degrees.items():
         group = [forms[i] for i in idx]
+        if E.order <= d:
+            L = _extension_with(E, d + 1)
+            up = np.array([gf.embed_code(E, L, c) for c in range(E.order)])
+            back = np.argsort(up)  # the codes of E by their images' order
+            lifted = _restrict_many(group, up[stack.astype(np.int64)], L)
+            for i, coefs in zip(idx, lifted):
+                at = np.searchsorted(up[back], coefs.astype(np.int64))
+                out[i] = back[at].astype(V.dtype)
+            continue
         mons = _monomials(k, d)
         N = len(mons)
-        if E.order <= d or N * N > _KERNEL_ELEMENTS:
-            for i, G in zip(idx, group):
-                out[i] = np.stack(
-                    [_coefficients(poly.substitute_rows(G, B, E), V) for B in bases]
-                )
-            continue
-        grid, inverse = _interpolation_grid(E, k, d)
+        lattice = V.array([e[1:] for e in mons]).reshape(N, k - 1)
+        divided, horner = _newton_steps(k, d)
+        # level l's reciprocals 1 / (x_i - x_(i-l)), i = l..d, x_i the code i
+        reciprocal = [
+            V.array([E.inv(E.sub(i, i - l)) for i in range(l, d + 1)])[:, None]
+            for l in range(1, d + 1)
+        ]
+        neg = [E.neg(n) for n in range(d + 1)]
         need = _exponents_needed(group)
-        # per span: the points and their powers, each form's values, its
-        # coefficients and one temporary, and a few (N,) temporaries
-        per_span = N * (nvars * (1 + len(need)) + 3 * len(group) + 4)
-        width = max(1, _KERNEL_ELEMENTS // per_span)
+        width = _kernel_width(N, nvars, need, len(group))
         parts = []
         for s in range(0, S, width):
             B = stack[s : s + width]
             points = B[None, :, 0]  # (N, w, nvars) once the other rows are in
             for i in range(1, k):
-                points = V.add(points, V.mul(grid[:, i - 1, None, None], B[None, :, i]))
-            values = np.stack(_form_values(V, group, points, need, emb))  # (G, N, w)
+                points = V.add(points, V.mul(lattice[:, i - 1, None, None], B[None, :, i]))
+            c = np.stack(_form_values(V, group, points, need, emb))  # (G, N, w)
             del points
-            coefs = None
-            for j in range(N):
-                cj = V.mul(inverse[:, j, None], values[:, j, None, :])
-                coefs = cj if coefs is None else V.add(coefs, cj)
-            parts.append(coefs.transpose(0, 2, 1))  # (G, w, N)
+            for l, tgt, src, rank in divided:
+                diff = V.add(c[:, tgt], V.mul(neg[1], c[:, src]))
+                c[:, tgt] = V.mul(reciprocal[l - 1][rank], diff)
+            for n, tgt, src in horner:
+                c[:, tgt] = V.add(c[:, tgt], V.mul(neg[n], c[:, src]))
+            parts.append(c.transpose(0, 2, 1))  # (G, w, N)
         for i, coefs in zip(idx, np.concatenate(parts, axis=1)):
             out[i] = coefs
     return out
@@ -809,57 +852,47 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
     For each span in turn, and each of its rows, a coefficient of a and
     then one of b are drawn, uniform over the smallest extension E of G's
     field with at least max(64, d+1) elements; a + t*b is then a random
-    line of the span.  The rest runs in E's array view over as many spans
-    at a time as keep the working set within _KERNEL_ELEMENTS codes: the
-    d + 1 points a + c*b for the node codes c = 0..d, G at them
-    (_form_values), and f(t) = G(a + t*b) from those values by the
-    interpolation matrix, a column at a time.  A span is certified when deg
-    f = d and gcd(f, f') = 1, the latter for every span of the pass at once
-    by linalg.u_squarefree_many, or by the scalar linalg.u_squarefree when
-    the call holds one span, where the batched kernel's fixed cost would
-    dominate.
+    line of the span.  The spans' rows are padded with zero rows to one
+    length, and their codes embedded in E once per distinct code.  The
+    spans go in passes of the restriction kernel's width: each pass builds
+    its (a, b) stack and reads f(t) = G(a + t*b) straight from
+    _restrict_many, whose coefficient order puts t^0 first.  A span is
+    certified when deg f = d and gcd(f, f') = 1, the latter for every span
+    of the pass at once by linalg.u_squarefree_many, or by the scalar
+    linalg.u_squarefree when the call holds one span, where the batched
+    kernel's fixed cost would dominate.
     """
     d, F, nvars = G.degree, G.field, G.nvars
     E = _extension_with(F, max(_LV_MIN_FIELD, d + 1))
     V, q = E.arrays(), E.order
-    emb = functools.partial(gf.embed_code, F, E)
     k = max(len(rows) for rows in spans)
     draws, bases = [], []
     for rows in spans:
         pad = k - len(rows)
         draw = [[rng.randrange(q), rng.randrange(q)] for _ in rows]
         draws.append(draw + [[0, 0]] * pad)
-        bases.append([[emb(c) for c in row] for row in rows] + [[0] * nvars] * pad)
-    need = _exponents_needed([G])
-    n = d + 1
-    nodes = V.array(range(n)).reshape(n, 1, 1)
-    # per span: the points and their powers, a few (n,) temporaries, the rows
-    width = max(1, _KERNEL_ELEMENTS // (n * (nvars * (1 + len(need)) + 4) + 3 * k * nvars))
+        bases.append(list(rows) + [[0] * nvars] * pad)
+    codes = np.array(bases, dtype=np.int64)
+    distinct, at = np.unique(codes, return_inverse=True)
+    images = V.array([gf.embed_code(F, E, c) for c in distinct.tolist()])
+    bases = images[at.reshape(codes.shape)]  # (S, k, nvars)
+    width = _kernel_width(d + 1, nvars, _exponents_needed([G]), 1)
     out = []
     for s in range(0, len(spans), width):
         # (2, S, k, nvars): row i of each span scaled by its a and b coefficients
         scaled = V.mul(
             V.array(draws[s : s + width]).transpose(2, 0, 1)[..., None],
-            V.array(bases[s : s + width]),
+            bases[s : s + width],
         )
         ab = scaled[:, :, 0]
         for i in range(1, k):
             ab = V.add(ab, scaled[:, :, i])
         del scaled
-        points = V.add(ab[0], V.mul(nodes, ab[1]))  # (n, S, nvars)
-        del ab
-        (values,) = _form_values(V, [G], points, need, emb)  # (n, S)
-        del points
-        f = None
-        for j in range(n):  # one column of the matrix at a time, never whole:
-            # u_interpolate of the j-th unit vector, w_j M(t) / (t - j)
-            unit = [int(i == j) for i in range(n)]
-            fj = V.mul(V.array(linalg.u_interpolate(E, unit))[:, None], values[j])
-            f = fj if f is None else V.add(f, fj)
+        (f,) = _restrict_many([G], ab.transpose(1, 0, 2), E)  # (S, d + 1)
         if len(spans) == 1:
-            coeffs = f[:, 0].tolist()
+            coeffs = f[0].tolist()
             return [coeffs[-1] != 0 and linalg.u_squarefree(E, coeffs)]
-        out += ((f[-1] != 0) & linalg.u_squarefree_many(E, f.T)).tolist()
+        out += ((f[:, -1] != 0) & linalg.u_squarefree_many(E, f)).tolist()
     return out
 
 
@@ -1084,20 +1117,19 @@ def very_transverse_verdicts(X: locus.Hypersurface, subspaces, rng: random.Rando
 def _transverse_many(X: locus.Hypersurface, subspaces) -> list:
     """is_transverse of each subspace, the lines' together.
 
-    When X's field has more than d = deg X elements, X's form is
-    restricted to every line at once over that field (_restrict_many).  A
-    restriction whose coefficient of u1^d is nonzero has no root at
-    [0:1], so as a binary form it is squarefree exactly when it is as a
-    polynomial in u1 of degree d: linalg.u_squarefree_many decides those.
-    A zero top coefficient, a subspace of dimension 2 or more and a small
-    field go through is_transverse.
+    X's form is restricted to every line at once over X's field
+    (_restrict_many).  A restriction whose coefficient of u1^d, d = deg X,
+    is nonzero has no root at [0:1], so as a binary form it is squarefree
+    exactly when it is as a polynomial in u1 of degree d:
+    linalg.u_squarefree_many decides those.  A zero top coefficient and a
+    subspace of dimension 2 or more go through is_transverse.
     """
     for H in subspaces:
         if H.ambient != X.ambient or H.field != X.field:
             raise ValueError("subspace and hypersurface do not match")
     known = {}
     lines = [i for i, H in enumerate(subspaces) if H.dim == 1]
-    if lines and X.field.order > X.degree:
+    if lines:
         (f,) = _restrict_many([X.form], [subspaces[i].basis for i in lines], X.field)
         squarefree = linalg.u_squarefree_many(X.field, f).tolist()
         for i, top, ok in zip(lines, (f[:, -1] != 0).tolist(), squarefree):

@@ -289,23 +289,6 @@ def u_distinct_roots(F, a, seed=0):
     return sorted(_split_into_roots(F, g, rng))
 
 
-def u_roots_with_multiplicity(F, a, seed=0):
-    roots = u_distinct_roots(F, a, seed)
-    out = []
-    for r in roots:
-        lin = [F.neg(r), 1]
-        m = 0
-        rest = list(a)
-        while True:
-            quo, rem = u_divmod(F, rest, lin)
-            if rem:
-                break
-            m += 1
-            rest = quo
-        out.append((r, m))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gaussian elimination
 

@@ -219,17 +219,6 @@ def dual(H: LinearSubspace) -> LinearSubspace:
     return subspace_from_rows(H.field, ker)
 
 
-def subspace_contains(H: LinearSubspace, P: ProjectivePoint) -> bool:
-    """Whether P (possibly over an extension) lies on H."""
-    src, tgt = H.field, P.field
-    if src.p != tgt.p or tgt.m % src.m != 0:
-        raise ValueError("point field is not an extension of the subspace field")
-    if P.ambient != H.ambient:
-        raise ValueError("ambient dimension mismatch")
-    emb = [tuple(gf.embed_code(src, tgt, c) for c in row) for row in H.basis]
-    return linalg.rank(tgt, emb + [P.coords]) == len(H.basis)
-
-
 def subspace_le(A: LinearSubspace, B: LinearSubspace) -> bool:
     """Whether A is contained in B."""
     if A.field != B.field or A.ambient != B.ambient:
@@ -245,15 +234,6 @@ def subspace_point(H: LinearSubspace, u, field: gf.Field) -> ProjectivePoint:
     for c, row in zip(u, H.basis):
         vec = field.add_scaled(vec, c, [gf.embed_code(H.field, field, x) for x in row])
     return ProjectivePoint(field, vec)
-
-
-def subspace_points(H: LinearSubspace, ext: gf.Field | None = None):
-    """The points of H over an extension (by default over its own field)."""
-    field = ext or H.field
-    if field.p != H.field.p or field.m % H.field.m != 0:
-        raise ValueError("not an extension of the subspace field")
-    for u in enumerate_point_codes(H.dim, field):
-        yield subspace_point(H, u, field)
 
 
 # ---------------------------------------------------------------------------

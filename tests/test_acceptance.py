@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import point_reference as points
 from transverse import audit, certify, config, gf, linalg, locus, poly, projgeom, search
 
 # pinned budgets (seconds) and case-count floors
@@ -90,7 +91,7 @@ def geometric_points_of_cubic_section(X, L):
     if len(f) > 1:
         E = gf.extension_field(X.field, 6)
         lifted = [gf.embed_code(X.field, E, c) for c in f]
-        roots = linalg.u_roots_with_multiplicity(E, lifted)
+        roots = points.u_roots_with_multiplicity(E, lifted)
         count += len(roots)
         worst = max([worst] + [m for _, m in roots])
     return count, worst

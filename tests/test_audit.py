@@ -5,6 +5,7 @@ import random
 import pytest
 
 import macaulay_reference as ref
+import point_reference as points
 from transverse import audit, certify, config, gf, linalg, locus, poly, projgeom as pg
 from transverse import cli, search
 from transverse.audit import (
@@ -149,7 +150,7 @@ class TestNontransverseLines:
         for L in pg.all_lines(2, F7):
             G = poly.substitute_rows(C.form, L.basis)
             if G.is_zero() or not poly.binary_squarefree(G):
-                if pg.subspace_contains(L, cusp):
+                if points.subspace_contains(L, cusp):
                     through_cusp += 1
                 else:
                     elsewhere += 1
@@ -428,7 +429,7 @@ class TestRationalJoinReference:
     def test_points_of_anchor_always_in(self):
         F9 = gf.extension_field(F3, 2)
         L = pg.subspace_from_rows(F3, [(1, 0, 0, 2), (0, 1, 1, 0)])
-        for P in pg.subspace_points(L, F9):
+        for P in points.subspace_points(L, F9):
             assert in_rational_join_locus(L, P)
 
     def test_non_rational_line_excluded(self):
@@ -441,7 +442,7 @@ class TestRationalJoinReference:
         F9 = gf.extension_field(F3, 2)
         H0 = pg.point_subspace(pg.ProjectivePoint(F3, (1, 2, 0)))
         for L in pg.enumerate_superspaces(H0, 1):
-            for P in pg.subspace_points(L, F9):
+            for P in points.subspace_points(L, F9):
                 assert in_rational_join_locus(H0, P)
 
     def test_join_locus_meets_conic_in_few_points(self):
@@ -489,7 +490,7 @@ class TestWitnessPool:
         # hunts on its tangent candidates alone
         for E, pts in zip(superspaces, own):
             assert not pts or not certify.is_transverse(X, E)
-            assert all(pg.subspace_contains(E, P) for P in pts)
+            assert all(points.subspace_contains(E, P) for P in pts)
 
     def test_pool_empty_when_global_sweep_over_caps(self):
         X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import macaulay_reference as ref
+import point_reference as points
 from transverse import audit, certify, config, gf, linalg, locus, poly, projgeom as pg
 from transverse import search
 from transverse.certify import (
@@ -748,7 +749,7 @@ class TestJacobianScheme:
     def test_double_line_is_singular_along_line(self):
         S = certify.jacobian_scheme(poly.parse_form(F5, "x0^2*x1", nvars=3))
         line = pg.subspace_from_rows(F5, [(0, 1, 0), (0, 0, 1)])
-        for P in pg.subspace_points(line):
+        for P in points.subspace_points(line):
             assert S.vanishes_at_codes(P.coords, F5)
 
     def test_cuspidal_cubic_singular_point(self):
@@ -1384,7 +1385,7 @@ class TestTransversality:
         through = line_through(F5, (0, 0, 1), (1, 0, 0))
         away = line_through(F5, (1, 1, 1), (0, 1, 3))
         assert not is_transverse(C, through)
-        assert cusp not in pg.subspace_points(away)
+        assert cusp not in points.subspace_points(away)
 
     def test_degree_one_always_transverse_off_nothing(self):
         H = surf(F5, "x0 + x1 + x2")
@@ -1449,6 +1450,34 @@ class TestTransversality:
                 assert macaulay_is_empty(aug), (X, pg.format_subspace(H))
                 checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 1)])
+    def test_batched_lines_match_is_transverse(self, field, monkeypatch):
+        # _transverse_many restricts every line at once, over F_2 and F_3
+        # too, whose degrees 2..4 reach past their sizes: the restriction
+        # kernel lifts such a field
+        F = gf.field_create(*field)
+        rng = random.Random(f"transverse-many/{F.order}")
+        single = []
+
+        def one_at_a_time(X, H):
+            single.append(H)
+            return is_transverse(X, H)
+
+        monkeypatch.setattr(certify, "is_transverse", one_at_a_time)
+        verdicts, batched = set(), 0
+        for n in (2, 3):
+            lines = list(pg.all_lines(n, F))
+            for d in range(2, 5):
+                for _ in range(2):
+                    X = Hypersurface(random_form(F, n + 1, d, rng))
+                    single.clear()
+                    got = certify._transverse_many(X, lines)
+                    batched += len(lines) - len(single)
+                    assert got == [is_transverse(X, L) for L in lines], (n, d)
+                    verdicts.update(got)
+        assert verdicts == {True, False}
+        assert batched
 
     def test_mismatched_inputs_rejected(self):
         X = surf(F5, "x0*x2 + 4*x1^2")

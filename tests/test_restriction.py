@@ -3,6 +3,7 @@ the coefficient lift it replaced, the dimension bounds built on it, and the
 batched restriction kernel against substitute_rows."""
 
 import functools
+import math
 import random
 
 import pytest
@@ -294,13 +295,24 @@ def kernel_forms(kernel_out, forms, k, E):
     ]
 
 
+def no_dict_product(monkeypatch):
+    """Make the library's poly.substitute_rows raise, so a kernel call that
+    still reached the dict product would fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the restriction kernel called poly.substitute_rows")
+
+    monkeypatch.setattr(poly, "substitute_rows", refuse)
+
+
 # (base field, extension degree) per array-view representation: int64
 # residues for F_13 and the prime 2^31 - 1, Zech gathers for F_169 and F_243
 # (from F_13 and F_3), xor for F_4 and F_256 (from F_2), objects for the
-# prime 2^31 + 11
+# prime 2^31 + 11; F_2, F_3 and F_4 have at most d elements from degree 2, 3
+# and 4 on, and are lifted
 RESTRICTION_FIELDS = [
     ((13, 1), 1), ((2147483647, 1), 1), ((13, 1), 2), ((3, 1), 5), ((2, 2), 1),
-    ((2, 1), 8), ((2147483659, 1), 1),
+    ((2, 1), 8), ((2147483659, 1), 1), ((2, 1), 1), ((3, 1), 1),
 ]
 
 
@@ -311,15 +323,8 @@ def test_restriction_kernel_matches_substitute_rows(lift, monkeypatch):
     E = gf.extension_field(F, ext)
     rng = random.Random(f"restrict/{F.order}/{E.order}")
     nvars = 4
-    fallback = []
-    library = poly.substitute_rows
-
-    def recorded(G, rows, field=None):
-        fallback.append(G.degree)
-        return library(G, rows, field)
-
-    monkeypatch.setattr(poly, "substitute_rows", recorded)
-    for k in (2, 3, 4):
+    no_dict_product(monkeypatch)
+    for k in range(1, 6):
         for d in range(1, 7):
             forms = [
                 random_form(F, nvars, d, rng),
@@ -331,27 +336,30 @@ def test_restriction_kernel_matches_substitute_rows(lift, monkeypatch):
             got = kernel_forms(certify._restrict_many(forms, bases, E), forms, k, E)
             want = [[substitute_rows(G, B, E) for B in bases] for G in forms]
             assert got == want, (k, d)
-    # a field of at most d elements has no grid: F_4 from degree 4 on
-    assert set(fallback) == ({4, 5, 6} if E.order == 4 else set())
 
 
-def test_restriction_kernel_falls_back_past_the_kernel_bound(monkeypatch):
-    # N = C(d + 2, 2) for k = 3: with 100 codes, degree 3 (N = 10) gets a
-    # matrix, in passes of one span, and degree 4 (N = 15) does not
-    F = gf.field_create(13)
-    E = gf.extension_field(F, 2)
-    rng = random.Random("restrict/bound")
-    monkeypatch.setattr(certify, "_KERNEL_ELEMENTS", 100)
-    grids = []
-    grid = certify._interpolation_grid.__wrapped__
+# N = C(d + k - 1, k - 1) lattice points is 325 for k = 3 at degree 24 and 301
+# for k = 2 at degree 300: both past N^2 = 2^16, where the kernel once refused
+# its inverse matrix; F_2 has no 301 distinct nodes and is lifted to F_512
+PAST_THE_OLD_BOUND = [
+    pytest.param((13, 1), 2, 3, 24, 4, id="F169-k3-d24"),
+    pytest.param((13, 1), 2, 2, 300, 3, id="F169-k2-d300"),
+    pytest.param((2, 1), 1, 2, 300, 3, id="F2-k2-d300"),
+]
 
-    def spy(E_, k, d):
-        grids.append(d)
-        return grid(E_, k, d)
 
-    monkeypatch.setattr(certify, "_interpolation_grid", spy)
-    forms = [random_form(F, 4, d, rng) for d in (3, 4)]
-    bases = [random_rows(E, 3, 4, rng) for _ in range(4)]
-    got = kernel_forms(certify._restrict_many(forms, bases, E), forms, 3, E)
+@pytest.mark.parametrize("field, ext, k, d, nvars", PAST_THE_OLD_BOUND)
+def test_restriction_kernel_needs_no_bound_on_the_lattice(field, ext, k, d, nvars, monkeypatch):
+    F = gf.field_create(*field)
+    E = gf.extension_field(F, ext)
+    rng = random.Random(f"restrict/past/{F.order}/{k}/{d}")
+    no_dict_product(monkeypatch)
+    # sparse forms, so the dict-product reference stays fast
+    fermat = {tuple(d * (i == j) for i in range(nvars)): 1 for j in range(nvars)}
+    forms = [
+        random_form(F, nvars, d, rng, density=40 / math.comb(d + nvars - 1, nvars - 1)),
+        poly.Form(F, nvars, d, fermat),
+    ]
+    bases = [random_rows(E, k, nvars, rng) for _ in range(2)]
+    got = kernel_forms(certify._restrict_many(forms, bases, E), forms, k, E)
     assert got == [[substitute_rows(G, B, E) for B in bases] for G in forms]
-    assert grids == [3]

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import point_reference as points
 from transverse import certify, config, gf, linalg, locus, poly, projgeom as pg, search
 from transverse.locus import Hypersurface
 from transverse.search import (
@@ -170,7 +171,7 @@ class TestTransverseLine:
         assert certify.is_transverse(X, L)
         # the returned line misses the common point of the three lines
         common = pg.ProjectivePoint(F9, (0, 0, 1))
-        assert common not in pg.subspace_points(L)
+        assert common not in points.subspace_points(L)
 
     def test_two_planes_line_meets_two_distinct_points(self):
         X = surf(F7, "x0*x1", nvars=4)
@@ -507,7 +508,7 @@ class TestVeryTransverseFlag:
         out = find_very_transverse_flag(X, 0, seed=0)
         P = out.found.levels[0]
         assert P.dim == 0
-        codes = next(iter(pg.subspace_points(P))).coords
+        codes = next(iter(points.subspace_points(P))).coords
         assert poly.form_eval_codes(X.form, codes, F13) != 0
 
     def test_level_zero_gate_is_the_point_threshold(self):
