@@ -529,11 +529,10 @@ def _tangency_witnesses(X, H_prev, superspaces, kmax: int):
     except config.CapExceededError:
         return [[] for _ in superspaces]
     gens = locus.tangency_locus(X, H_prev).gens
+    restricted = poly.restrict(gens, [E.basis for E in superspaces], X.field)
     out = []
-    for E in superspaces:
-        S = locus.SchemeSpec(
-            X.field, len(E.basis), [poly.substitute_rows(g, E.basis) for g in gens]
-        )
+    for E, sections in zip(superspaces, restricted):
+        S = locus.SchemeSpec(X.field, len(E.basis), sections)
         out.append([
             projgeom.subspace_point(E, P.coords, P.field)
             for P in certify.scheme_points_upto(S, kmax)

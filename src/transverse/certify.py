@@ -29,10 +29,13 @@ values (Vandermonde), and a positive-dimensional component is contained in
 at most n family members, so over a field with more than n * B elements
 (B a Bezout bound on the total component count) the scan is complete in
 both directions.  A Las-Vegas attempt composes the kernel bases of its
-t+1 hyperplanes (_slice_basis) and restricts each generator once, at that
-basis over the extension, so no lifted scheme is built: a single attempt
-by poly.substitute_rows, a census chunk's attempts together by the
-restriction kernel below.
+t+1 hyperplanes (_slice_basis) and restricts its generators once, at that
+basis over the extension, so no lifted scheme is built.
+
+Every restriction goes through poly.restrict_many, the one restriction
+kernel, and one call takes all the forms a caller restricts to one basis
+or stack: a Las-Vegas attempt, a step of the exact scan, a census chunk,
+a pass of the line certificates.
 
 Smoothness of a section is emptiness of its Jacobian scheme; reducedness
 is the Jacobian dimension dropping below divisor dimension.  Both reuse
@@ -45,16 +48,7 @@ One kernel evaluates the lines of many spans at once in numpy (the
 field's array view in gf) and tests all their restrictions for
 squarefreeness in one batched Euclid (linalg.u_squarefree_many), and every
 scan over sections, first-hit or census, certifies them through it in
-growing chunks (reduced_sections).  The line kernel reads its restrictions
-from the one restriction kernel, _restrict_many, which restricts forms to
-a stack of bases by evaluation at the principal lattice of each span
-(_form_values, the one form evaluator) and Newton interpolation on that
-lower set, one axis at a time (Dyn and Floater, J. Approx. Theory 177,
-2014): whole-array steps, with no matrix and no bound on the degree, and
-only the steps' indices kept per span dimension and degree.  A field with
-too few elements for the nodes is lifted to an extension and the
-coefficients mapped back.  poly.substitute_rows serves
-the single spans (is_transverse, _random_slices, _slice_by).
+growing chunks (reduced_sections).
 When p does not divide d = deg G, the Euler relation d*G = sum x_i d_iG
 puts G in the ideal of its partials, so the Jacobian scheme is generated
 by the nonzero partials alone (G is kept when p | d), and N* =
@@ -107,8 +101,8 @@ _WITNESS_KMAX = 6
 # reduced_sections: the kernel's arrays grow with it, its fixed cost is paid
 # once per chunk
 _SECTION_CHUNK = 256
-# codes one pass of a batched kernel holds at once, so its memory does not
-# grow with the degree or the matrix size; the census stays within one pass
+# codes one stack of square Macaulay matrices holds at once, so the census's
+# eliminations do not grow with the matrix size
 _KERNEL_ELEMENTS = 1 << 16
 # subspaces very_transverse_verdicts holds at once, with their sliced
 # tangency loci; a full chunk's square Macaulay matrices of the census fit
@@ -292,7 +286,7 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
         )
     square = len(gens) >= nvars and N >= _macaulay_bound(degs, nvars - 1)
     V = fld.arrays()
-    coefs = [_coefficients(g, V) for g in gens]
+    coefs = [poly.coefficients(g, V) for g in gens]
     form = linalg.echelon(fld, ncols)
     for height, parts in _macaulay_plan(nvars, N, degs, square):
         block = np.zeros((height, ncols), dtype=V.dtype)
@@ -337,7 +331,7 @@ def _macaulay_plan(nvars: int, N: int, degs: tuple, square: bool) -> tuple:
         inside = np.zeros(len(cols), dtype=bool)
         if j in place:
             i = place[j]
-            mults = _monomials(nvars, N - d)
+            mults = poly.monomials(nvars, N - d)
             inside[:] = [all(b < t for b, t in zip(m[:i], tops)) for m in mults]
         for b, sel in enumerate((inside, ~inside)):
             rows = np.arange(heights[b], heights[b] + int(sel.sum()))
@@ -352,15 +346,15 @@ def _macaulay_plan(nvars: int, N: int, degs: tuple, square: bool) -> tuple:
 def _product_columns(nvars: int, N: int, deg: int) -> np.ndarray:
     """Column of every product: an (M, C) index array whose row m holds the
     column, among the degree-N monomials, of the m-th multiplier of degree
-    N - deg times each exponent vector of degree deg (_monomials order).
+    N - deg times each exponent vector of degree deg (poly.monomials order).
     Cached per shape, never per generator: a run reuses few shapes (21 keys
     in a flags pass, the most of any benchmark workload)."""
-    cols = _monomial_index(nvars, N)
-    exps = _monomials(nvars, deg)
+    cols = poly.monomial_index(nvars, N)
+    exps = poly.monomials(nvars, deg)
     return np.array(
         [
             [cols[tuple(a + b for a, b in zip(e, mult))] for e in exps]
-            for mult in _monomials(nvars, N - deg)
+            for mult in poly.monomials(nvars, N - deg)
         ],
         dtype=np.intp,
     ).reshape(-1, len(exps))
@@ -456,14 +450,6 @@ class DimensionCertificate:
         }
 
 
-def _extension_with(F: gf.Field, at_least: int) -> gf.Field:
-    """The smallest extension of F with at least ``at_least`` elements."""
-    k = 1
-    while F.order**k < at_least:
-        k += 1
-    return gf.extension_field(F, k)
-
-
 def _slice_by(S: locus.SchemeSpec, row, E: gf.Field) -> locus.SchemeSpec:
     """Intersect with the hyperplane row . x = 0 (row over E, an extension
     of S's field), rewritten over E in the hyperplane's own coordinates
@@ -471,9 +457,7 @@ def _slice_by(S: locus.SchemeSpec, row, E: gf.Field) -> locus.SchemeSpec:
     basis works; emptiness and dimension do not see the change of
     coordinates."""
     rows = linalg.kernel(E, [list(row)], S.nvars)
-    return locus.SchemeSpec(
-        E, S.nvars - 1, [poly.substitute_rows(g, rows, E) for g in S.gens]
-    )
+    return locus.SchemeSpec(E, S.nvars - 1, poly.restrict(S.gens, [rows], E)[0])
 
 
 def dim_upper_bound(
@@ -505,11 +489,11 @@ def dim_upper_bound(
 def _random_slices(S: locus.SchemeSpec, t: int, rng: random.Random):
     """One Las-Vegas attempt's t + 1 random hyperplanes over the extension
     E of S's field with at least _LV_MIN_FIELD elements: the rows drawn, and
-    the sliced scheme over E, each generator restricted once (_slice_basis)."""
-    E = _extension_with(S.field, _LV_MIN_FIELD)
+    the sliced scheme over E, every generator restricted by one kernel call
+    at the composed basis (_slice_basis)."""
+    E = gf.extension_with(S.field, _LV_MIN_FIELD)
     slices, basis = _slice_basis(E, S.nvars, t + 1, rng)
-    gens = [poly.substitute_rows(g, basis, E) for g in S.gens]
-    return slices, locus.SchemeSpec(E, len(basis), gens)
+    return slices, locus.SchemeSpec(E, len(basis), poly.restrict(S.gens, [basis], E)[0])
 
 
 def _slice_basis(E: gf.Field, nvars: int, levels: int, rng: random.Random):
@@ -564,7 +548,7 @@ def dim_at_most_exact(S: locus.SchemeSpec, t: int) -> bool:
     if t >= S.ambient:
         return True
     n = S.ambient
-    E = _extension_with(S.field, n * _bezout_component_bound(S) + 1)
+    E = gf.extension_with(S.field, n * _bezout_component_bound(S) + 1)
     branch = E.order
     work = 1
     for _ in range(t + 1):
@@ -591,231 +575,6 @@ def _exact_scan(S: locus.SchemeSpec, t: int, E: gf.Field) -> bool:
         if _exact_scan(_slice_by(S, _moment_row(E, S.nvars, c), E), t - 1, E):
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# forms at many points: one evaluator, and restriction by interpolation
-
-
-@functools.lru_cache(maxsize=64)
-def _monomials(nvars: int, degree: int) -> tuple:
-    """poly.monomials_of_degree as a tuple, the order of every coefficient
-    row of the kernels below."""
-    return tuple(poly.monomials_of_degree(nvars, degree))
-
-
-@functools.lru_cache(maxsize=64)
-def _monomial_index(nvars: int, degree: int) -> dict:
-    """The position of every exponent vector in _monomials(nvars, degree)."""
-    return {m: i for i, m in enumerate(_monomials(nvars, degree))}
-
-
-def _coefficients(G: poly.Form, V) -> np.ndarray:
-    """The coefficient row of G in _monomials order, an array of V, the
-    array view of G's field; only G's terms are read."""
-    index = _monomial_index(G.nvars, G.degree)
-    row = np.zeros(len(index), dtype=V.dtype)
-    row[[index[e] for e in G.terms]] = list(G.terms.values())
-    return row
-
-
-def _exponents_needed(forms) -> list:
-    """Every exponent past the first that a term of the forms reads, or
-    that square-and-multiply reaches it through, in increasing order."""
-    need = set()
-    for G in forms:
-        for exps in G.terms:
-            for e in exps:
-                while e > 1 and e not in need:
-                    need.add(e)
-                    e //= 2
-    return sorted(need)
-
-
-def _form_values(V, forms, points, need, emb) -> list:
-    """The value of each form at points, an (..., nvars) code array of the
-    array view V of an extension E of the forms' field, as an (...) array;
-    emb maps the forms' codes into E.
-
-    The points are raised, by square-and-multiply, only to the exponents
-    in need (_exponents_needed of the forms), and each form is summed term
-    by term into one accumulator, so terms are never stacked.
-    """
-    powers = {1: points}  # powers[e] holds every coordinate to the e
-    for e in need:
-        h = powers[e // 2]
-        x = V.mul(h, h)
-        powers[e] = V.mul(x, points) if e % 2 else x
-    shape = points.shape[:-1]
-    out = []
-    for G in forms:
-        values = None
-        for exps, c in G.terms.items():
-            term = None
-            for j, e in enumerate(exps):
-                if e:
-                    x = powers[e][..., j]
-                    term = x if term is None else V.mul(term, x)
-            if term is None:  # the constant term of a form of degree 0
-                term = np.full(shape, emb(c), dtype=V.dtype)
-            elif c != 1:
-                term = V.mul(emb(c), term)
-            values = term if values is None else V.add(values, term)
-        out.append(np.zeros(shape, dtype=V.dtype) if values is None else values)
-    return out
-
-
-def _run(idx):
-    """An index array as a plain slice when it runs over consecutive
-    positions, which numpy reads and writes without a gather."""
-    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
-@functools.lru_cache(maxsize=16)
-def _newton_steps(k: int, d: int) -> tuple:
-    """The steps of the Newton transform of _restrict_many for degree d in
-    k variables, on the principal lattice listed in _monomials(k, d) order:
-    point i is (1, a) for the vector a = _monomials(k, d)[i][1:], read as
-    node codes.
-
-    The divided differences, as (level l, target, source, rank): for each
-    axis j and each level l = 1..d in turn, every point a with a_j >= l
-    (target) and the point a - e_j (source), and a_j - l (rank), the
-    position of the target's reciprocal among the level's.  Then the
-    change to monomials, as (node n, target, source): for each axis j and
-    each level n = d-1..1, every point a with a_j >= n and |a| < d, and
-    the point a + e_j; level 0 multiplies by the node 0 and is skipped.
-    Targets, sources and ranks are plain slices where they are consecutive,
-    which they always are for k = 2.
-    """
-    mons = _monomials(k, d)
-    index = _monomial_index(k, d)
-    lattice = np.array(mons, dtype=np.intp).reshape(len(mons), k)
-    total = lattice[:, 1:].sum(axis=1)
-
-    def moved(points, j, step):
-        # the positions of the points a + step * e_j
-        out = lattice[points].copy()
-        out[:, 0] -= step
-        out[:, j] += step
-        return np.array([index[tuple(e)] for e in out.tolist()], dtype=np.intp)
-
-    divided, horner = [], []
-    for j in range(1, k):
-        for l in range(1, d + 1):
-            tgt = np.flatnonzero(lattice[:, j] >= l)
-            rank = lattice[tgt, j] - l
-            divided.append((l, _run(tgt), _run(moved(tgt, j, -1)), _run(rank)))
-    for j in range(1, k):
-        for n in range(d - 1, 0, -1):
-            tgt = np.flatnonzero((lattice[:, j] >= n) & (total < d))
-            horner.append((n, _run(tgt), _run(moved(tgt, j, 1))))
-    return tuple(divided), tuple(horner)
-
-
-def _kernel_width(N: int, nvars: int, need, nforms: int) -> int:
-    """Spans per pass of the restriction kernel at N lattice points, so the
-    working set stays within _KERNEL_ELEMENTS codes: per span, the points
-    and their powers, each form's values and two temporaries, and a few
-    (N,) temporaries."""
-    return max(1, _KERNEL_ELEMENTS // (N * (nvars * (1 + len(need)) + 3 * nforms + 4)))
-
-
-def _restrict_many(forms, bases, E: gf.Field) -> list:
-    """The restriction G(u . B) of each form G, all over one subfield of E,
-    to each basis B of a nonempty stack ``bases``, an (S, k, nvars) nested
-    sequence of codes in E: for each form an (S, N) code array of E's view,
-    its coefficients in poly.monomials_of_degree(k, deg G) order.
-
-    The forms of one degree d are evaluated (_form_values) at the images
-    u . B of the principal lattice u = (1, a), |a| <= d, with the codes
-    0..d as nodes, in every span.  The lattice is a lower set, so Newton
-    interpolation runs one axis at a time (Dyn and Floater, J. Approx.
-    Theory 177, 2014): the divided differences of every axis first, then
-    the change from the Newton to the monomial basis of every axis, each
-    step one whole-array operation over the values of a pass
-    (_newton_steps).  As many spans go at once as keep the working set
-    within _KERNEL_ELEMENTS codes (_kernel_width).  An E of at most d
-    elements has no d + 1 distinct nodes: the degree is restricted over
-    the smallest extension with enough, and its coefficients, which lie in
-    E, are mapped back.
-    """
-    V = E.arrays()
-    stack = V.array(bases)
-    S, k, nvars = stack.shape
-    emb = functools.partial(gf.embed_code, forms[0].field, E)
-    out = [None] * len(forms)
-    degrees = {}
-    for i, G in enumerate(forms):
-        degrees.setdefault(G.degree, []).append(i)
-    for d, idx in degrees.items():
-        group = [forms[i] for i in idx]
-        if E.order <= d:
-            L = _extension_with(E, d + 1)
-            up = np.array([gf.embed_code(E, L, c) for c in range(E.order)])
-            back = np.argsort(up)  # the codes of E by their images' order
-            lifted = _restrict_many(group, up[stack.astype(np.int64)], L)
-            for i, coefs in zip(idx, lifted):
-                at = np.searchsorted(up[back], coefs.astype(np.int64))
-                out[i] = back[at].astype(V.dtype)
-            continue
-        mons = _monomials(k, d)
-        N = len(mons)
-        lattice = V.array([e[1:] for e in mons]).reshape(N, k - 1)
-        divided, horner = _newton_steps(k, d)
-        # level l's reciprocals 1 / (x_i - x_(i-l)), i = l..d, x_i the code i
-        reciprocal = [
-            V.array([E.inv(E.sub(i, i - l)) for i in range(l, d + 1)])[:, None]
-            for l in range(1, d + 1)
-        ]
-        neg = [E.neg(n) for n in range(d + 1)]
-        need = _exponents_needed(group)
-        width = _kernel_width(N, nvars, need, len(group))
-        parts = []
-        for s in range(0, S, width):
-            B = stack[s : s + width]
-            points = B[None, :, 0]  # (N, w, nvars) once the other rows are in
-            for i in range(1, k):
-                points = V.add(points, V.mul(lattice[:, i - 1, None, None], B[None, :, i]))
-            c = np.stack(_form_values(V, group, points, need, emb))  # (G, N, w)
-            del points
-            for l, tgt, src, rank in divided:
-                diff = V.add(c[:, tgt], V.mul(neg[1], c[:, src]))
-                c[:, tgt] = V.mul(reciprocal[l - 1][rank], diff)
-            for n, tgt, src in horner:
-                c[:, tgt] = V.add(c[:, tgt], V.mul(neg[n], c[:, src]))
-            parts.append(c.transpose(0, 2, 1))  # (G, w, N)
-        for i, coefs in zip(idx, np.concatenate(parts, axis=1)):
-            out[i] = coefs
-    return out
-
-
-def _array_form(E: gf.Field, k: int, d: int, row) -> poly.Form:
-    """The form over E in k variables of degree d whose coefficients, in
-    poly.monomials_of_degree order, are the codes of the array row."""
-    terms = {m: c for m, c in zip(_monomials(k, d), row.tolist()) if c}
-    return poly.Form._built(E, k, d, terms)
-
-
-def _by_rows(subspaces) -> dict:
-    """The positions of the subspaces, grouped by the rows of their bases."""
-    groups = {}
-    for i, H in enumerate(subspaces):
-        groups.setdefault(len(H.basis), []).append(i)
-    return groups
-
-
-def _sections(G: poly.Form, subspaces) -> list:
-    """G restricted to each subspace's basis, over G's field: one
-    _restrict_many call per basis size."""
-    out = [None] * len(subspaces)
-    for k, idx in _by_rows(subspaces).items():
-        (coefs,) = _restrict_many([G], [subspaces[i].basis for i in idx], G.field)
-        for i, row in zip(idx, coefs):
-            out[i] = _array_form(G.field, k, G.degree, row)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -856,14 +615,14 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
     length, and their codes embedded in E once per distinct code.  The
     spans go in passes of the restriction kernel's width: each pass builds
     its (a, b) stack and reads f(t) = G(a + t*b) straight from
-    _restrict_many, whose coefficient order puts t^0 first.  A span is
+    poly.restrict_many, whose coefficient order puts t^0 first.  A span is
     certified when deg f = d and gcd(f, f') = 1, the latter for every span
     of the pass at once by linalg.u_squarefree_many, or by the scalar
     linalg.u_squarefree when the call holds one span, where the batched
     kernel's fixed cost would dominate.
     """
     d, F, nvars = G.degree, G.field, G.nvars
-    E = _extension_with(F, max(_LV_MIN_FIELD, d + 1))
+    E = gf.extension_with(F, max(_LV_MIN_FIELD, d + 1))
     V, q = E.arrays(), E.order
     k = max(len(rows) for rows in spans)
     draws, bases = [], []
@@ -876,7 +635,7 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
     distinct, at = np.unique(codes, return_inverse=True)
     images = V.array([gf.embed_code(F, E, c) for c in distinct.tolist()])
     bases = images[at.reshape(codes.shape)]  # (S, k, nvars)
-    width = _kernel_width(d + 1, nvars, _exponents_needed([G]), 1)
+    width = poly.kernel_width(d + 1, nvars, poly.exponents_needed([G]), 1)
     out = []
     for s in range(0, len(spans), width):
         # (2, S, k, nvars): row i of each span scaled by its a and b coefficients
@@ -888,7 +647,7 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
         for i in range(1, k):
             ab = V.add(ab, scaled[:, :, i])
         del scaled
-        (f,) = _restrict_many([G], ab.transpose(1, 0, 2), E)  # (S, d + 1)
+        (f,) = poly.restrict_many([G], ab.transpose(1, 0, 2), E)  # (S, d + 1)
         if len(spans) == 1:
             coeffs = f[0].tolist()
             return [coeffs[-1] != 0 and linalg.u_squarefree(E, coeffs)]
@@ -955,7 +714,7 @@ def reduced_sections(
     come first: a first-hit scan certifies one span before its first
     answer, and a census reaches full chunks after eight calls.  The
     misses' section forms are built by one restriction kernel call
-    (_sections): a zero form is improper, and any other is decided by
+    (poly.restrict): a zero form is improper, and any other is decided by
     is_reduced_form on the same rng, in chunk order.  A
     CapExceededError from the subspaces is raised after the verdicts of
     those taken before it, so a first-hit scan answers within the cap.
@@ -976,12 +735,12 @@ def reduced_sections(
         size = min(2 * size, _SECTION_CHUNK)
         hits = _line_certificates(X.form, [H.basis for H in chunk], rng)
         missed = [H for H, hit in zip(chunk, hits) if not hit]
-        sections = iter(_sections(X.form, missed))
+        sections = iter(poly.restrict([X.form], [H.basis for H in missed], X.field))
         for H, hit in zip(chunk, hits):
             if hit:
                 yield H, True
                 continue
-            G = next(sections)
+            (G,) = next(sections)
             yield H, None if G.is_zero() else is_reduced_form(G, rng=rng)
     if capped is not None:
         raise capped
@@ -1118,7 +877,7 @@ def _transverse_many(X: locus.Hypersurface, subspaces) -> list:
     """is_transverse of each subspace, the lines' together.
 
     X's form is restricted to every line at once over X's field
-    (_restrict_many).  A restriction whose coefficient of u1^d, d = deg X,
+    (poly.restrict_many).  A restriction whose coefficient of u1^d, d = deg X,
     is nonzero has no root at [0:1], so as a binary form it is squarefree
     exactly when it is as a polynomial in u1 of degree d:
     linalg.u_squarefree_many decides those.  A zero top coefficient and a
@@ -1130,7 +889,8 @@ def _transverse_many(X: locus.Hypersurface, subspaces) -> list:
     known = {}
     lines = [i for i, H in enumerate(subspaces) if H.dim == 1]
     if lines:
-        (f,) = _restrict_many([X.form], [subspaces[i].basis for i in lines], X.field)
+        bases = [subspaces[i].basis for i in lines]
+        (f,) = poly.restrict_many([X.form], bases, X.field)
         squarefree = linalg.u_squarefree_many(X.field, f).tolist()
         for i, top, ok in zip(lines, (f[:, -1] != 0).tolist(), squarefree):
             if top:
@@ -1138,6 +898,14 @@ def _transverse_many(X: locus.Hypersurface, subspaces) -> list:
     return [
         known[i] if i in known else is_transverse(X, H) for i, H in enumerate(subspaces)
     ]
+
+
+def _by_rows(subspaces) -> dict:
+    """The positions of the subspaces, grouped by the rows of their bases."""
+    groups = {}
+    for i, H in enumerate(subspaces):
+        groups.setdefault(len(H.basis), []).append(i)
+    return groups
 
 
 def _sliced_tangency_loci(X: locus.Hypersurface, subspaces, rng: random.Random):
@@ -1150,21 +918,21 @@ def _sliced_tangency_loci(X: locus.Hypersurface, subspaces, rng: random.Random):
 
     Each subspace's slice basis is drawn by _slice_basis, as _random_slices
     draws it, from the same rng stream.  X's form and its partials are
-    restricted once for all the subspaces of one dimension (_restrict_many);
+    restricted once for all the subspaces of one dimension (poly.restrict_many);
     the contraction sum v_i d_iF of a basis row v of H is then sum v_i
     (d_iF restricted), and it is dropped where it is zero before
     restriction, as tangency_locus drops it.
     """
     F, nvars = X.field, X.ambient + 1
-    E = _extension_with(F, _LV_MIN_FIELD)
+    E = gf.extension_with(F, _LV_MIN_FIELD)
     bases = [_slice_basis(E, nvars, X.ambient - H.dim - 1, rng)[1] for H in subspaces]
     partials = poly.form_partials(X.form)
     d, VF, VE = X.degree, F.arrays(), E.arrays()
-    D = np.stack([_coefficients(g, VF) for g in partials])
+    D = np.stack([poly.coefficients(g, VF) for g in partials])
     emb = functools.partial(gf.embed_code, F, E)
     out = [None] * len(subspaces)
     for size, idx in _by_rows(subspaces).items():
-        restricted = _restrict_many([X.form, *partials], [bases[i] for i in idx], E)
+        restricted = poly.restrict_many([X.form, *partials], [bases[i] for i in idx], E)
         Hs = [subspaces[i].basis for i in idx]
         HF = VF.array(Hs)  # (S, size, nvars)
         HE = VE.array([[[emb(c) for c in v] for v in H] for H in Hs])
@@ -1197,7 +965,7 @@ def _compose(E: gf.Field, A, B) -> list:
 def _locus_scheme(E: gf.Field, k: int, gens) -> locus.SchemeSpec:
     """The scheme over E in k variables of (degree, coefficient row)
     generators, as _sliced_tangency_loci gives them."""
-    return locus.SchemeSpec(E, k, [_array_form(E, k, d, row) for d, row in gens])
+    return locus.SchemeSpec(E, k, [poly.array_form(E, k, d, row) for d, row in gens])
 
 
 def _square_spans_many(E: gf.Field, loci) -> list:

@@ -502,6 +502,14 @@ def extension_field(base: Field, k: int) -> Field:
     return field_create(base.p, base.m * k)
 
 
+def extension_with(base: Field, at_least: int) -> Field:
+    """The smallest extension of ``base`` with at least ``at_least`` elements."""
+    k = 1
+    while base.order**k < at_least:
+        k += 1
+    return extension_field(base, k)
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 

@@ -10,6 +10,11 @@ and used as cache keys.  A Form offers construction, equality, hashing,
 map.  Binary forms dehomogenize to univariate code
 lists, on which ``linalg`` does the arithmetic.
 
+Restriction has one kernel, restrict_many: forms evaluated at the
+principal lattice of each span of a stack (_form_values, the one evaluator
+of forms at many points) and interpolated by Newton on that lower set.
+substitute_rows is its one-span case; no restriction multiplies term maps.
+
 The one text grammar of the package lives here, for element text
 (``parse_element``) and form text (``parse_form``) alike: one tokenizer of
 (token, offset) pairs and one recursive sum-of-products parser.  A term is
@@ -24,6 +29,8 @@ from __future__ import annotations
 
 import functools
 import re
+
+import numpy as np
 
 from . import config, gf, linalg
 
@@ -190,33 +197,241 @@ def form_partials(F: Form):
     return out
 
 
+# ---------------------------------------------------------------------------
+# restriction: forms at many points, and coefficients by interpolation
+
+# codes one pass of restrict_many holds at once, whatever the degree
+_KERNEL_ELEMENTS = 1 << 16
+
+
+@functools.lru_cache(maxsize=64)
+def monomials(nvars: int, degree: int) -> tuple:
+    """monomials_of_degree as a tuple, the order of every coefficient row."""
+    return tuple(monomials_of_degree(nvars, degree))
+
+
+@functools.lru_cache(maxsize=64)
+def monomial_index(nvars: int, degree: int) -> dict:
+    """The position of every exponent vector in monomials(nvars, degree)."""
+    return {m: i for i, m in enumerate(monomials(nvars, degree))}
+
+
+def coefficients(G: Form, V) -> np.ndarray:
+    """The coefficient row of G in monomials order, an array of V, the array
+    view of G's field; only G's terms are read."""
+    index = monomial_index(G.nvars, G.degree)
+    row = np.zeros(len(index), dtype=V.dtype)
+    row[[index[e] for e in G.terms]] = list(G.terms.values())
+    return row
+
+
+def array_form(E: gf.Field, k: int, d: int, row) -> Form:
+    """The form over E in k variables of degree d whose coefficients, in
+    monomials order, are the codes of the array row."""
+    terms = {m: c for m, c in zip(monomials(k, d), row.tolist()) if c}
+    return Form._built(E, k, d, terms)
+
+
 def substitute_rows(F: Form, rows, E: gf.Field | None = None) -> Form:
     """F(u . B) for a raw parametrization matrix B, whose entries are codes
     in E (an extension of F's field, by default F's field itself); the
-    result is a form over E.  No basis normalization."""
-    fld = F.field if E is None else E
-    emb = functools.partial(gf.embed_code, F.field, fld)
-    B = list(rows)
-    k = len(B)
-    if any(len(r) != F.nvars for r in B):
+    result is a form over E in len(B) variables, by restrict."""
+    rows = list(rows)
+    if any(len(r) != F.nvars for r in rows):
         raise ValueError("parametrization rows must have nvars columns")
-    # x_j = sum_i u_i B[i][j]; powers[j][e] is the raw term map of x_j^e
-    unit = [tuple(1 if t == i else 0 for t in range(k)) for i in range(k)]
-    lin = [{unit[i]: B[i][j] for i in range(k) if B[i][j]} for j in range(F.nvars)]
-    const = (0,) * k
-    powers = [[{const: 1}] for _ in range(F.nvars)]
-    acc: dict = {}
-    for exps, c in F.terms.items():
-        term = {const: emb(c)}
-        for j, e in enumerate(exps):
-            if e:
-                pw = powers[j]
-                while len(pw) <= e:
-                    pw.append(_mul_terms(fld, pw[-1], lin[j]))
-                term = _mul_terms(fld, term, pw[e])
-        for m, v in term.items():
-            acc[m] = fld.add(acc.get(m, 0), v)
-    return Form._built(fld, k, F.degree, {m: v for m, v in acc.items() if v})
+    return restrict([F], [rows], F.field if E is None else E)[0][0]
+
+
+def restrict(forms, bases, E: gf.Field) -> list:
+    """For each basis B in bases, row lists of codes in E of any lengths,
+    the forms G(u . B) as forms over E, by one restrict_many call per
+    number of rows."""
+    out = [None] * len(bases)
+    by_rows = {}
+    for s, B in enumerate(bases):
+        by_rows.setdefault(len(B), []).append(s)
+    for k, idx in by_rows.items():
+        coefs = restrict_many(forms, [bases[s] for s in idx], E)
+        for j, s in enumerate(idx):
+            out[s] = [array_form(E, k, G.degree, c[j]) for G, c in zip(forms, coefs)]
+    return out
+
+
+def exponents_needed(forms) -> list:
+    """Every exponent past the first that a term of the forms reads, or
+    that square-and-multiply reaches it through, in increasing order."""
+    need = set()
+    for G in forms:
+        for exps in G.terms:
+            for e in exps:
+                while e > 1 and e not in need:
+                    need.add(e)
+                    e //= 2
+    return sorted(need)
+
+
+def _form_values(V, forms, coefs, points, need) -> list:
+    """The value of each form at points, an (..., nvars) code array of the
+    array view V of an extension E of the forms' field, as an (...) array;
+    coefs holds each form's coefficients in E, in term order.
+
+    The points are raised, by square-and-multiply, only to the exponents
+    in need (exponents_needed of the forms), and each form is summed term
+    by term into one accumulator, so terms are never stacked.
+    """
+    powers = {1: points}  # powers[e] holds every coordinate to the e
+    for e in need:
+        h = powers[e // 2]
+        x = V.mul(h, h)
+        powers[e] = V.mul(x, points) if e % 2 else x
+    shape = points.shape[:-1]
+    out = []
+    for G, cs in zip(forms, coefs):
+        values = None
+        for exps, c in zip(G.terms, cs):
+            term = None
+            for j, e in enumerate(exps):
+                if e:
+                    x = powers[e][..., j]
+                    term = x if term is None else V.mul(term, x)
+            if term is None:  # the constant term of a form of degree 0
+                term = np.full(shape, c, dtype=V.dtype)
+            elif c != 1:
+                term = V.mul(c, term)
+            values = term if values is None else V.add(values, term)
+        out.append(np.zeros(shape, dtype=V.dtype) if values is None else values)
+    return out
+
+
+def _run(idx):
+    """An index array as a plain slice when it runs over consecutive
+    positions, which numpy reads and writes without a gather."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+@functools.lru_cache(maxsize=32)
+def _newton_plan(E: gf.Field, k: int, d: int) -> tuple:
+    """The principal lattice of restrict_many for degree d in k variables
+    over E, and the steps and constants of its Newton transform.  Point i
+    is (1, a) for the vector a = monomials(k, d)[i][1:], read as node
+    codes; the lattice is the (N, k - 1) array of those vectors, in E's
+    view.
+
+    The divided differences, as (level l, target, source, rank): for each
+    axis j and each level l = 1..d in turn, every point a with a_j >= l
+    (target) and the point a - e_j (source), and a_j - l (rank), the
+    position of the target's reciprocal among the level's.  Then the
+    change to monomials, as (node n, target, source): for each axis j and
+    each level n = d-1..1, every point a with a_j >= n and |a| < d, and
+    the point a + e_j; level 0 multiplies by the node 0 and is skipped.
+    Targets, sources and ranks are plain slices where they are consecutive,
+    which they always are for k = 2.  The constants: level l's reciprocals
+    1 / (x_i - x_(i-l)), i = l..d, x_i the code i, and the nodes -x_n.
+    """
+    mons = monomials(k, d)
+    index = monomial_index(k, d)
+    lattice = np.array(mons, dtype=np.intp).reshape(len(mons), k)
+    total = lattice[:, 1:].sum(axis=1)
+
+    def moved(points, j, step):
+        # the positions of the points a + step * e_j
+        out = lattice[points].copy()
+        out[:, 0] -= step
+        out[:, j] += step
+        return np.array([index[tuple(e)] for e in out.tolist()], dtype=np.intp)
+
+    divided, horner = [], []
+    for j in range(1, k):
+        for l in range(1, d + 1):
+            tgt = np.flatnonzero(lattice[:, j] >= l)
+            rank = lattice[tgt, j] - l
+            divided.append((l, _run(tgt), _run(moved(tgt, j, -1)), _run(rank)))
+    for j in range(1, k):
+        for n in range(d - 1, 0, -1):
+            tgt = np.flatnonzero((lattice[:, j] >= n) & (total < d))
+            horner.append((n, _run(tgt), _run(moved(tgt, j, 1))))
+    V = E.arrays()
+    reciprocal = tuple(
+        V.array([E.inv(E.sub(i, i - l)) for i in range(l, d + 1)])[:, None]
+        for l in range(1, d + 1)
+    )
+    neg = tuple(E.neg(n) for n in range(d + 1))
+    lattice = lattice[:, 1:].astype(V.dtype)
+    return lattice, tuple(divided), tuple(horner), reciprocal, neg
+
+
+def kernel_width(N: int, nvars: int, need, nforms: int) -> int:
+    """Spans per pass of restrict_many at N lattice points within
+    _KERNEL_ELEMENTS codes: per span, the points and their powers (need),
+    each form's values and two temporaries, and a few (N,) temporaries."""
+    return max(1, _KERNEL_ELEMENTS // (N * (nvars * (1 + len(need)) + 3 * nforms + 4)))
+
+
+def restrict_many(forms, bases, E: gf.Field) -> list:
+    """The restriction G(u . B) of each form G, all over one subfield of E,
+    to each basis B of a nonempty stack ``bases``, an (S, k, nvars) nested
+    sequence of codes in E: for each form an (S, N) code array of E's view,
+    its coefficients in monomials(k, deg G) order.
+
+    The forms of one degree d are evaluated (_form_values) at the images
+    u . B of the principal lattice u = (1, a), |a| <= d, with the codes
+    0..d as nodes, in every span.  The lattice is a lower set, so Newton
+    interpolation runs one axis at a time (Dyn and Floater, J. Approx.
+    Theory 177, 2014): the divided differences of every axis first, then
+    the change from the Newton to the monomial basis of every axis, each
+    step one whole-array operation over the values of a pass
+    (_newton_plan).  Each distinct coefficient of a degree's forms is
+    mapped into E once, and as many spans go at once as kernel_width
+    allows.  An E of at most d elements has no d + 1 distinct nodes: the
+    degree is restricted over the smallest extension with enough, and its
+    coefficients are mapped back.
+    """
+    V = E.arrays()
+    stack = V.array(bases)
+    S, k, nvars = stack.shape
+    out = [None] * len(forms)
+    degrees = {}
+    for i, G in enumerate(forms):
+        degrees.setdefault(G.degree, []).append(i)
+    for d, idx in degrees.items():
+        group = [forms[i] for i in idx]
+        if E.order <= d:
+            L = gf.extension_with(E, d + 1)
+            up = np.array([gf.embed_code(E, L, c) for c in range(E.order)])
+            back = np.argsort(up)  # the codes of E by their images' order
+            lifted = restrict_many(group, up[stack.astype(np.int64)], L)
+            for i, coefs in zip(idx, lifted):
+                at = np.searchsorted(up[back], coefs.astype(np.int64))
+                out[i] = back[at].astype(V.dtype)
+            continue
+        lattice, divided, horner, reciprocal, neg = _newton_plan(E, k, d)
+        coefs = [list(G.terms.values()) for G in group]
+        F = group[0].field
+        if F != E and F.m > 1:  # constants keep their codes
+            distinct = {c for row in coefs for c in row}
+            image = {c: gf.embed_code(F, E, c) for c in distinct}
+            coefs = [[image[c] for c in row] for row in coefs]
+        need = exponents_needed(group)
+        width = kernel_width(len(lattice), nvars, need, len(group))
+        parts = []
+        for s in range(0, S, width):
+            B = stack[s : s + width]
+            points = B[None, :, 0]  # (N, w, nvars) once the other rows are in
+            for i in range(1, k):
+                points = V.add(points, V.mul(lattice[:, i - 1, None, None], B[None, :, i]))
+            c = np.stack(_form_values(V, group, coefs, points, need))  # (G, N, w)
+            del points
+            for l, tgt, src, rank in divided:
+                diff = V.add(c[:, tgt], V.mul(neg[1], c[:, src]))
+                c[:, tgt] = V.mul(reciprocal[l - 1][rank], diff)
+            for n, tgt, src in horner:
+                c[:, tgt] = V.add(c[:, tgt], V.mul(neg[n], c[:, src]))
+            parts.append(c.transpose(0, 2, 1))  # (G, w, N)
+        for i, coefs in zip(idx, np.concatenate(parts, axis=1)):
+            out[i] = coefs
+    return out
 
 
 def binary_squarefree(F: Form) -> bool:

@@ -742,7 +742,7 @@ class TestBadSuperspacesAgainstTheLoop:
 
 
 def ref_random_slices(S, t, rng):
-    E = certify._extension_with(S.field, certify._LV_MIN_FIELD)
+    E = gf.extension_with(S.field, certify._LV_MIN_FIELD)
     cur, slices = S, []
     for _ in range(t + 1):
         while True:
@@ -816,7 +816,7 @@ def ref_square_spans_many(schemes) -> list:
 def scheme_key(S):
     """The generators' degrees and coefficients, in monomials_of_degree order."""
     return tuple(
-        (g.degree, tuple(g.terms.get(m, 0) for m in certify._monomials(S.nvars, g.degree)))
+        (g.degree, tuple(g.terms.get(m, 0) for m in poly.monomials(S.nvars, g.degree)))
         for g in S.gens
     )
 

@@ -1126,14 +1126,14 @@ class TestLineCertificate:
         # the 64-element floor: the certificate works in F_128
         F2 = gf.field_create(2)
         orders = []
-        real = certify._extension_with
+        real = gf.extension_with
 
         def spy(F, at_least):
             E = real(F, at_least)
             orders.append(E.order)
             return E
 
-        monkeypatch.setattr(certify, "_extension_with", spy)
+        monkeypatch.setattr(gf, "extension_with", spy)
         binary = poly.parse_form(F2, "x0^64 + x0*x1^63", nvars=2)
         assert poly.binary_squarefree(binary)
         cone = poly.parse_form(F2, "x0^64 + x0*x1^63", nvars=3)
@@ -1150,7 +1150,7 @@ class TestLineCertificate:
 # The scalar certificate the kernel replaced, kept verbatim as the reference
 # of the differential test below.
 _LV_MIN_FIELD = certify._LV_MIN_FIELD
-_extension_with = certify._extension_with
+_extension_with = gf.extension_with
 
 
 def _line_certificate(G: poly.Form, rows, rng: random.Random) -> bool:

@@ -143,7 +143,7 @@ class TestForm:
         # restriction, the restriction kernel's sections, partials, products,
         # sums and tangency loci build their forms through Form._built; each
         # must equal the validated form of the same terms, with no zero codes
-        from transverse import certify, locus
+        from transverse import locus
 
         f = poly.parse_form(F5, "x0^3 + 2*x0*x1*x2 + 4*x2^3 + x1^2*x2")
         X = locus.Hypersurface(f)
@@ -154,7 +154,7 @@ class TestForm:
             raise AssertionError("a library-built form was validated again")
 
         monkeypatch.setattr(Form, "__init__", refuse)
-        sections = certify._sections(f, [line, plane])
+        sections = [G for (G,) in poly.restrict([f], [line.basis, plane.basis], F5)]
         cancelled = f + poly.substitute_rows(f, scaled)
         built = [
             poly.substitute_rows(f, line.basis),

@@ -1,14 +1,19 @@
 """Restriction over the rows' field: substitute_rows(F, rows, E) against
 the coefficient lift it replaced, the dimension bounds built on it, and the
-batched restriction kernel against substitute_rows."""
+restriction kernel, batched and one span at a time, against the dict
+product it replaced."""
 
+import contextlib
 import functools
+import io
 import math
+import pathlib
 import random
 
 import pytest
 
-from transverse import certify, config, gf, linalg, locus, poly
+from transverse import audit, certify, cli, config, gf, linalg, locus, poly, projgeom
+from transverse import search
 from transverse.certify import DimensionCertificate
 
 
@@ -51,7 +56,7 @@ def ref_dim_upper_bound(S, t, rng):
         return DimensionCertificate(S, -1, verdict)
     if t >= S.ambient:
         return DimensionCertificate(S, t, "at-most")
-    E = certify._extension_with(S.field, certify._LV_MIN_FIELD)
+    E = gf.extension_with(S.field, certify._LV_MIN_FIELD)
     lifted = _lift_scheme(S, E)
     for attempt in range(1, certify._LV_RETRIES + 1):
         cur = lifted
@@ -76,7 +81,7 @@ def ref_dim_at_most_exact(S, t):
     if t >= S.ambient:
         return True
     n = S.ambient
-    E = certify._extension_with(S.field, n * certify._bezout_component_bound(S) + 1)
+    E = gf.extension_with(S.field, n * certify._bezout_component_bound(S) + 1)
     branch = E.order
     work = 1
     for _ in range(t + 1):
@@ -184,7 +189,7 @@ def test_composed_slices_match_level_by_level(field):
     # _slice_basis; the reference substitutes the levels away one at a time
     # from the lifted scheme, on the same rng stream
     F = gf.field_create(*field)
-    E = certify._extension_with(F, certify._LV_MIN_FIELD)
+    E = gf.extension_with(F, certify._LV_MIN_FIELD)
     rng = random.Random(f"composed/{F.order}")
     for trial in range(6):
         nvars = 3 + trial % 3
@@ -290,29 +295,29 @@ def substitute_rows(F: poly.Form, rows, E: gf.Field | None = None) -> poly.Form:
 def kernel_forms(kernel_out, forms, k, E):
     """The kernel's coefficient rows as forms, one list per form."""
     return [
-        [certify._array_form(E, k, G.degree, row) for row in coefs]
+        [poly.array_form(E, k, G.degree, row) for row in coefs]
         for G, coefs in zip(forms, kernel_out)
     ]
 
 
 def no_dict_product(monkeypatch):
-    """Make the library's poly.substitute_rows raise, so a kernel call that
-    still reached the dict product would fail."""
+    """Make the library's term-map product raise, so a restriction that
+    still multiplied term maps would fail."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the restriction kernel called poly.substitute_rows")
+        raise AssertionError("a restriction multiplied term maps")
 
-    monkeypatch.setattr(poly, "substitute_rows", refuse)
+    monkeypatch.setattr(poly, "_mul_terms", refuse)
 
 
 # (base field, extension degree) per array-view representation: int64
 # residues for F_13 and the prime 2^31 - 1, Zech gathers for F_169 and F_243
 # (from F_13 and F_3), xor for F_4 and F_256 (from F_2), objects for the
 # prime 2^31 + 11; F_2, F_3 and F_4 have at most d elements from degree 2, 3
-# and 4 on, and are lifted
+# and 4 on, and are lifted; F_64 from F_4 embeds codes that are not constants
 RESTRICTION_FIELDS = [
     ((13, 1), 1), ((2147483647, 1), 1), ((13, 1), 2), ((3, 1), 5), ((2, 2), 1),
-    ((2, 1), 8), ((2147483659, 1), 1), ((2, 1), 1), ((3, 1), 1),
+    ((2, 1), 8), ((2147483659, 1), 1), ((2, 1), 1), ((3, 1), 1), ((2, 2), 3),
 ]
 
 
@@ -333,9 +338,14 @@ def test_restriction_kernel_matches_substitute_rows(lift, monkeypatch):
                 poly.Form(F, nvars, d, {}),
             ]
             bases = [random_rows(E, k, nvars, rng) for _ in range(3)]
-            got = kernel_forms(certify._restrict_many(forms, bases, E), forms, k, E)
+            # a zero row, and for k = 1 the zero span
+            bases.append([[0] * nvars] + random_rows(E, k - 1, nvars, rng))
+            got = kernel_forms(poly.restrict_many(forms, bases, E), forms, k, E)
             want = [[substitute_rows(G, B, E) for B in bases] for G in forms]
             assert got == want, (k, d)
+            # one span at a time, through the kernel's one-span face
+            single = [[poly.substitute_rows(G, B, E) for B in bases] for G in forms]
+            assert single == want, (k, d)
 
 
 # N = C(d + k - 1, k - 1) lattice points is 325 for k = 3 at degree 24 and 301
@@ -361,5 +371,45 @@ def test_restriction_kernel_needs_no_bound_on_the_lattice(field, ext, k, d, nvar
         poly.Form(F, nvars, d, fermat),
     ]
     bases = [random_rows(E, k, nvars, rng) for _ in range(2)]
-    got = kernel_forms(certify._restrict_many(forms, bases, E), forms, k, E)
+    got = kernel_forms(poly.restrict_many(forms, bases, E), forms, k, E)
     assert got == [[substitute_rows(G, B, E) for B in bases] for G in forms]
+
+
+FIXTURE = pathlib.Path(__file__).resolve().parents[1] / "bench/fixtures/fermat_cubic_f13.txt"
+
+
+def test_no_restriction_path_multiplies_term_maps(monkeypatch):
+    # every restriction goes through the kernel: single spans, Las-Vegas
+    # slices, the exact scan, the census with its tangent witnesses and the
+    # flag search all run with the term-map product refused
+    F = gf.field_create(13)
+    X = locus.Hypersurface(poly.parse_form(F, "x0^3 + x1^3 + x2^3 + x3^3"))
+    witnesses = []
+    tangency_witnesses = audit._tangency_witnesses
+
+    def recorded(*args):
+        out = tangency_witnesses(*args)
+        witnesses.extend(out)
+        return out
+
+    monkeypatch.setattr(audit, "_tangency_witnesses", recorded)
+    no_dict_product(monkeypatch)
+    secant = projgeom.subspace_from_rows(F, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    # X restricts to t^3 on a line through (1, -1, 0, 0) in its tangent plane
+    tangent = projgeom.subspace_from_rows(F, [(1, 12, 0, 0), (0, 0, 1, 0)])
+    plane = projgeom.subspace_from_rows(F, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1)])
+    assert certify.is_transverse(X, secant)
+    assert not certify.is_transverse(X, tangent)
+    assert certify.is_transverse(X, plane)
+    curve = locus.SchemeSpec(F, 3, [poly.parse_form(F, "x0^2 + x1*x2")])
+    points = locus.SchemeSpec(F, 3, [*curve.gens, poly.parse_form(F, "x0 + 2*x1 + 3*x2")])
+    rng = random.Random(0)
+    assert certify.dim_upper_bound(curve, 1, rng).holds()
+    assert certify.dim_upper_bound(points, 0, rng).holds()
+    assert not certify.dim_at_most_exact(curve, 0)
+    assert certify.dim_at_most_exact(points, 0)
+    with contextlib.redirect_stdout(io.StringIO()):
+        argv = ["count", "superspaces", "--r", "1", "--input", str(FIXTURE)]
+        assert cli.main(argv) == 0
+    assert any(witnesses)
+    assert search.find_very_transverse_flag(X, 1, seed=0).succeeded()

@@ -571,30 +571,35 @@ class TestVeryTransverseFlag:
 
     def test_wide_quadric_restricts_once_per_attempt(self, monkeypatch):
         # r = 0 on a 200-variable quadric: a point's tangency locus is cut by
-        # 198 hyperplanes per Las-Vegas attempt, and each of its generators
-        # is restricted once, at the composed slice basis; restricting level
-        # by level made 198 restrictions per generator and took minutes
+        # 198 hyperplanes per Las-Vegas attempt, and its generators are
+        # restricted by one kernel call, at the composed slice basis;
+        # restricting level by level made 198 restrictions per generator and
+        # took minutes
         X = surf(F5, " + ".join(f"x{i}^2" for i in range(200)))
         restrictions, attempts = [], []
-        substitute, slices = poly.substitute_rows, certify._random_slices
+        restrict, slices = poly.restrict_many, certify._random_slices
 
-        def counted_substitute(G, rows, E=None):
-            restrictions.append(len(rows))
-            return substitute(G, rows, E)
+        def counted_restrict(forms, bases, E):
+            restrictions.append((len(forms), len(bases), len(bases[0])))
+            return restrict(forms, bases, E)
 
         def counted_slices(S, t, rng):
             attempts.append(len(S.gens))
             return slices(S, t, rng)
 
-        monkeypatch.setattr(poly, "substitute_rows", counted_substitute)
+        monkeypatch.setattr(poly, "restrict_many", counted_restrict)
         monkeypatch.setattr(certify, "_random_slices", counted_slices)
         out = find_very_transverse_flag(X, 0, seed=0)
         assert out.succeeded()
         assert attempts
         # is_transverse restricts X once to each point tested, and every
-        # attempt restricts each generator once, to the 2-dimensional slice
-        assert len(restrictions) == out.tested + sum(attempts)
-        assert restrictions.count(2) == sum(attempts)
+        # attempt restricts all its generators in one call, to the
+        # 2-dimensional slice
+        assert len(restrictions) == out.tested + len(attempts)
+        assert restrictions.count((1, 1, 1)) == out.tested
+        assert sorted(c for c in restrictions if c[2] == 2) == sorted(
+            (n, 1, 2) for n in attempts
+        )
 
     def test_deterministic(self):
         X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
