@@ -272,8 +272,9 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
     """Whether degree-N multiples of the generators span all degree-N forms.
 
     The rows are scattered from the generators' coefficient rows by the
-    plan's blocks: at N >= N*, a singular square block is continued by the
-    other rows alone.
+    plan's blocks, each built in the echelon form's element type so that
+    it is eliminated in place: at N >= N*, a singular square block is
+    continued by the other rows alone.
     """
     degs = tuple(g.degree for g in gens)
     nrows, ncols = _macaulay_size(degs, nvars, N)
@@ -288,8 +289,9 @@ def _macaulay_spans(gens, fld: gf.Field, nvars: int, N: int) -> bool:
     V = fld.arrays()
     coefs = [poly.coefficients(g, V) for g in gens]
     form = linalg.echelon(fld, ncols)
+    dtype = V.dtype if form.dtype is None else form.dtype
     for height, parts in _macaulay_plan(nvars, N, degs, square):
-        block = np.zeros((height, ncols), dtype=V.dtype)
+        block = np.zeros((height, ncols), dtype=dtype)
         for j, rows, cols in parts:
             block[rows[:, None], cols] = coefs[j]
         if linalg.rank(fld, block, stop_at=ncols, form=form) == ncols:
@@ -321,8 +323,9 @@ def _macaulay_plan(nvars: int, N: int, degs: tuple, square: bool) -> tuple:
     rows form the last block, the only one without ``square``.
     """
     top = sorted(range(len(degs)), key=lambda j: degs[j], reverse=True)[:nvars]
-    tops = [degs[j] for j in top]
+    tops = np.array([degs[j] for j in top])
     place = {j: i for i, j in enumerate(top)} if square else {}
+    mults = {}  # multiplier exponent vectors per degree, for the square
     parts, heights = ([], []), [0, 0]
     for j, d in enumerate(degs):
         if d > N:
@@ -331,8 +334,9 @@ def _macaulay_plan(nvars: int, N: int, degs: tuple, square: bool) -> tuple:
         inside = np.zeros(len(cols), dtype=bool)
         if j in place:
             i = place[j]
-            mults = poly.monomials(nvars, N - d)
-            inside[:] = [all(b < t for b, t in zip(m[:i], tops)) for m in mults]
+            if d not in mults:
+                mults[d] = np.array(poly.monomials(nvars, N - d)).reshape(-1, nvars)
+            inside[:] = (mults[d][:, :i] < tops[:i]).all(axis=1)
         for b, sel in enumerate((inside, ~inside)):
             rows = np.arange(heights[b], heights[b] + int(sel.sum()))
             if len(rows):
@@ -348,16 +352,32 @@ def _product_columns(nvars: int, N: int, deg: int) -> np.ndarray:
     column, among the degree-N monomials, of the m-th multiplier of degree
     N - deg times each exponent vector of degree deg (poly.monomials order).
     Cached per shape, never per generator: a run reuses few shapes (21 keys
-    in a flags pass, the most of any benchmark workload)."""
-    cols = poly.monomial_index(nvars, N)
-    exps = poly.monomials(nvars, deg)
-    return np.array(
-        [
-            [cols[tuple(a + b for a, b in zip(e, mult))] for e in exps]
-            for mult in poly.monomials(nvars, N - deg)
-        ],
+    in a flags pass, the most of any benchmark workload).
+
+    A column is a closed-form rank: in the lex order of poly.monomials, the
+    exponent vector e of degree N comes after the sum over i < nvars - 1 of
+    C(nvars - 1 - i + j_i, j_i) others, j_i = N - (e_0 + ... + e_i) - 1,
+    the terms with j_i < 0 dropped.  A factor is read as its sorted
+    variable indices (itertools.combinations_with_replacement, in the same
+    order), so e_0 + ... + e_i of a product is the count of its factors'
+    indices up to i, and no exponent vector is built.
+    """
+    binom = np.array(
+        [[0] + [math.comb(nvars - 1 - i + j, j) for j in range(N)] for i in range(nvars - 1)],
         dtype=np.intp,
-    ).reshape(-1, len(exps))
+    ).reshape(nvars - 1, N + 1)
+
+    def indices(degree):
+        seqs = list(itertools.combinations_with_replacement(range(nvars), degree))
+        return np.array(seqs, dtype=np.min_scalar_type(nvars)).reshape(len(seqs), degree)
+
+    mults, exps = indices(N - deg), indices(deg)
+    cols = np.zeros((len(mults), len(exps)), dtype=np.intp)
+    for i in range(nvars - 1):
+        # column j_i + 1 of binom[i], whose column 0 stands for j_i < 0
+        left = N - (mults <= i).sum(axis=1)
+        cols += binom[i, left[:, None] - (exps <= i).sum(axis=1)]
+    return cols
 
 
 def _macaulay_bound(degs, ambient: int) -> int:

@@ -18,8 +18,12 @@ elimination can continue with more rows; ``rank``, ``det``, ``rref`` and
 ``kernel`` are views of it.
 The numpy path delays modular reduction: each pivot reduces only its
 column and the rows it clears, which grow by at most (p-1)^2 per pivot, so
-after k pivots every entry stays below p + k(p-1)^2 < 2^63 (asserted).
-NP_MAX_PIVOTS is the most pivots k for which this holds for every p.
+after k pivots every entry stays below p + k(p-1)^2 (asserted).  That
+bound picks the element type, the narrowest that keeps the arithmetic
+exact (delayed reduction in the smallest machine word, as in FFLAS-FFPACK:
+Dumas, Giorgi and Pernet, ACM TOMS 35, 2008): int32 when p + ncols(p-1)^2
+< 2^31, int64 otherwise.  NP_MAX_PIVOTS is the most pivots k for which the
+int64 bound holds for every p.
 
 Two batched kernels run one computation over a stack of inputs in the
 field's array view, ``F.arrays()``, in lockstep with no per-input Python
@@ -294,6 +298,7 @@ def u_distinct_roots(F, a, seed=0):
 
 _NP_PRIME_LIMIT = 1 << 20
 _NP_MIN_COLS = 12
+_INT32_BOUND = 1 << 31
 NP_MAX_PIVOTS = ((1 << 63) - 1 - _NP_PRIME_LIMIT) // (_NP_PRIME_LIMIT - 1) ** 2
 
 
@@ -307,6 +312,8 @@ def echelon(F, ncols):
 class _Echelon:
     """The generic echelon form.  ``det`` is the product of the pivots with
     a sign per row swap: the determinant if one square block was added."""
+
+    dtype = None  # blocks are rows of codes in any integer type
 
     def __init__(self, F, ncols):
         self.F, self.ncols = F, ncols
@@ -347,44 +354,75 @@ class _Echelon:
 
 class _NpEchelon(_Echelon):
     """Each pivot row is written back into its block's array, reduced once
-    the block is done, and held as a view of it.  A block given as an int64
-    array is that array, eliminated in place: its caller gives it up."""
+    the block is done, and held as a view of it.  The element type
+    ``dtype`` is the narrowest that keeps the delayed reduction exact for
+    ncols pivots: int32 when p + ncols(p-1)^2 < _INT32_BOUND, int64
+    otherwise.  A block given as an array of that type is eliminated in
+    place: its caller builds it in ``dtype`` and gives it up, and no copy
+    is made.
+
+    A clearing step writes its products into one workspace per block.  The
+    rows it clears are updated through a slice when they form a dense run,
+    at least 3/4 of the rows from the first to the last (the others take a
+    zero multiple), and through a fancy index otherwise.
+    """
+
+    def __init__(self, F, ncols):
+        super().__init__(F, ncols)
+        small = F.p + ncols * (F.p - 1) ** 2 < _INT32_BOUND
+        self.dtype = np.dtype(np.int32 if small else np.int64)
 
     def extend(self, rows, stop_at=None):
-        p, held = self.F.p, self.held
-        arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), self.ncols)
-        arr %= p
-        k = min(len(held) + len(arr), self.ncols)
-        assert p + k * (p - 1) ** 2 < 1 << 63, "int64 overflow"
+        p, held, ncols = self.F.p, self.held, self.ncols
+        if isinstance(rows, np.ndarray) and rows.dtype == self.dtype:
+            arr = rows.reshape(len(rows), ncols)
+            arr %= p
+        else:
+            arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), ncols) % p
+            arr = arr.astype(self.dtype, copy=False)
+        k = min(len(held) + len(arr), ncols)
+        assert p + k * (p - 1) ** 2 <= np.iinfo(self.dtype).max, "overflow"
+        work = np.empty(arr.size, dtype=self.dtype)  # every product, in turn
         r = 0
-        for col in range(self.ncols):
+        for col in range(ncols):
             if stop_at is not None and len(held) >= stop_at:
                 break
             h = held.get(col)
             if h is not None:
-                column = arr[:, col] % p
-                nz = column.nonzero()[0]
-                column = column[nz]
+                top = 0
             elif r < len(arr):
-                column = arr[r:, col] % p
-                nz = column.nonzero()[0]
+                top = r
+            else:
+                continue
+            # each row x becomes x + (-x[col] mod p) h
+            column = -arr[top:, col] % p
+            nz = column.nonzero()[0]
+            if h is None:
                 if nz.size == 0:
                     continue
                 piv = r + int(nz[0])
                 if piv != r:
                     arr[[r, piv]] = arr[[piv, r]]
-                c = int(column[nz[0]])
+                c = p - int(column[nz[0]])
                 self.det = self.det * (c if piv == r else p - c) % p
                 # reduce the pivot row before scaling it, or the product overflows
                 arr[r, col:] = arr[r, col:] % p * pow(c, p - 2, p) % p
                 h = held[col] = arr[r]
                 # the old row r, now at piv, has a zero in this column
-                nz, column = r + nz[1:], column[nz[1:]]
-                r += 1
-            else:
+                column[nz[0]] = column[0]
+                column, nz, top, r = column[1:], nz[1:] - 1, r + 1, r + 1
+            if nz.size == 0:
                 continue
-            if nz.size:
-                arr[nz, col:] += (p - column)[:, None] * h[col:]
+            lo, hi = int(nz[0]), int(nz[-1]) + 1
+            width = ncols - col
+            if 4 * nz.size >= 3 * (hi - lo):  # a dense run: through a slice
+                prod = work[: (hi - lo) * width].reshape(hi - lo, width)
+                np.multiply(column[lo:hi, None], h[col:], out=prod)
+                arr[top + lo : top + hi, col:] += prod
+            else:
+                prod = work[: nz.size * width].reshape(nz.size, width)
+                np.multiply(column[nz, None], h[col:], out=prod)
+                arr[top + nz, col:] += prod
         arr[:r] %= p  # new pivot rows that held ones cleared, for later blocks
         return len(held)
 

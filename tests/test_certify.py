@@ -625,6 +625,43 @@ class TestMacaulayPlan:
                     seen.add("other rows")
         assert seen == {"square", "above N", "other rows"}
 
+    # (nvars, N, generator degrees): the Jacobian schemes of the benchmark's
+    # quintic and quartic surfaces and cubic threefolds at N*, a 200-variable
+    # quadric's at N* = 1, and a 200-variable scheme at N = 2 below its N*.
+    # A code of the exponents in base N + 1, in place of the closed-form
+    # rank, would overflow int64 at 200 variables.
+    SHAPES = [
+        (4, 13, (4, 4, 4, 4)),
+        (4, 9, (3, 3, 3, 3)),
+        (5, 6, (2, 2, 2, 2, 2)),
+        (200, 1, (1,) * 200),
+        (200, 2, (1, 1, 2)),
+    ]
+
+    @pytest.mark.parametrize("nvars, N, degs", SHAPES)
+    def test_plan_matches_the_reference_at_corpus_and_wide_shapes(self, nvars, N, degs):
+        square = len(degs) >= nvars and N >= certify._macaulay_bound(degs, nvars - 1)
+        keys = ref._square_keys(degs, nvars, N) if square else set()
+        plan = certify._macaulay_plan(nvars, N, degs, square)
+        assert len(plan) == (2 if square else 1)
+        for (height, parts), inside in zip(plan, (True, False) if square else (False,)):
+            want, top = [], 0
+            for j, d in enumerate(degs):
+                index = ref._row_index(nvars, N, d)
+                cols = [list(index[k].values()) for k in range(len(index)) if ((j, k) in keys) == inside]
+                if cols:
+                    want.append((j, list(range(top, top + len(cols))), cols))
+                    top += len(cols)
+            assert height == top
+            assert [(j, rows.tolist(), cols.tolist()) for j, rows, cols in parts] == want
+
+    @pytest.mark.parametrize("nvars, N, deg", [(200, 2, 0), (1, 4, 2), (3, 0, 0)])
+    def test_product_columns_match_the_reference(self, nvars, N, deg):
+        # the shapes no plan above reaches: multipliers or products of
+        # degree 0, and one variable, where the rank has no term
+        want = [list(index.values()) for index in ref._row_index(nvars, N, deg)]
+        assert certify._product_columns(nvars, N, deg).tolist() == want
+
 
 class TestEmptinessCertificate:
     def test_empty_scheme_certificate(self):

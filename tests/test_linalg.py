@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from transverse import gf, linalg
+import echelon_reference as ref
+from transverse import certify, gf, linalg, poly
 
 
 def _random_row(F, n, rng):
@@ -241,20 +242,29 @@ def _random_matrix(F, nrows, ncols, rng):
 
 
 # The differential tests draw matrices of fewer than 8 columns, below the
-# column count at which echelon turns to numpy.  Each runs twice: once as
-# echelon chooses by size, once with that count lowered to 0, so that every
-# prime field below the limit also takes the numpy form through every view.
+# column count at which echelon turns to numpy.  Each runs three times: once
+# as echelon chooses by size, once with that count lowered to 0, so that
+# every prime field below the limit also takes the numpy form through every
+# view, and once more with the int32 bound lowered to 0, so that the numpy
+# form works in int64 where it would pick int32.
 
 
 def _representations(F, monkeypatch):
-    """Yield twice, the second time with numpy chosen for every prime field
-    below the limit, and check which form echelon returns each time."""
-    for min_cols in (None, 0):
+    """Yield three times, the last two with numpy chosen for every prime
+    field below the limit, in the element type echelon picks and then in
+    int64, and check which form and type echelon returns each time."""
+    for min_cols, bound in ((None, None), (0, None), (0, 0)):
         with monkeypatch.context() as patch:
             if min_cols is not None:
                 patch.setattr(linalg, "_NP_MIN_COLS", min_cols)
+            if bound is not None:
+                patch.setattr(linalg, "_INT32_BOUND", bound)
             uses_np = min_cols == 0 and F.m == 1 and F.p < linalg._NP_PRIME_LIMIT
-            assert isinstance(linalg.echelon(F, 1), linalg._NpEchelon) == uses_np
+            form = linalg.echelon(F, 1)
+            assert isinstance(form, linalg._NpEchelon) == uses_np
+            if uses_np:
+                small = bound is None and F.p + (F.p - 1) ** 2 < 1 << 31
+                assert form.dtype == (np.int32 if small else np.int64)
             yield
 
 
@@ -342,6 +352,110 @@ def test_representation_is_chosen_by_column_count(p):
             if trial % 3 == 0:
                 square[-1] = F.add_scaled(square[0], 1, square[1])  # singular
             assert linalg.det(F, square) == _det(F, square)
+
+
+# ---------------------------------------------------------------------------
+# The prime path against the int64 form it replaced (echelon_reference): the
+# same held rows, rank after every block and det, in either element type.
+
+
+def _against_the_reference(F, ncols, blocks, stop=None):
+    """Feed the blocks to a numpy form and to the reference; each block goes
+    to the numpy form as an array of its element type, so it is eliminated
+    in place, and to the reference as an int64 copy.  Returns the form and
+    its rank after each block."""
+    form, old = linalg._NpEchelon(F, ncols), ref.NpEchelonReference(F, ncols)
+    ranks = []
+    for block in blocks:
+        block = np.asarray(block, dtype=np.int64).reshape(len(block), ncols)
+        ranks.append(form.extend(block.astype(form.dtype), stop))
+        assert ranks[-1] == old.extend(block.copy(), stop)
+        assert form.rows() == old.rows() and form.det == old.det
+    return form, ranks
+
+
+def test_singular_quintic_square_and_continuation_match_the_reference():
+    # a quintic surface over F_83 drawn as flags seed 1 draws its first: the
+    # Macaulay square of its partials at N* = 13 is singular (rank 559 of
+    # 560), and its 320 other rows continue the elimination to full rank
+    F = gf.field_create(83)
+    rng = random.Random("flags/1")
+    terms = {e: rng.randrange(83) for e in poly.monomials_of_degree(4, 5)}
+    gens = poly.form_partials(poly.Form(F, 4, 5, terms))
+    degs = tuple(g.degree for g in gens)
+    assert certify._macaulay_bound(degs, 3) == 13
+    V = F.arrays()
+    coefs = [poly.coefficients(g, V) for g in gens]
+    blocks = []
+    for height, parts in certify._macaulay_plan(4, 13, degs, True):
+        block = np.zeros((height, 560), dtype=np.int64)
+        for j, rows, cols in parts:
+            block[rows[:, None], cols] = coefs[j]
+        blocks.append(block)
+    assert [len(b) for b in blocks] == [560, 320]
+    form, ranks = _against_the_reference(F, 560, blocks)
+    assert form.dtype == np.int32
+    assert ranks == [559, 560]
+    assert certify._macaulay_spans(gens, F, 4, 13)
+
+
+@pytest.mark.parametrize(
+    "p, ncols, dtype",
+    [
+        (2, 40, np.int32),
+        (83, 60, np.int32),
+        (1_048_573, 30, np.int64),
+        # p + ncols(p-1)^2 is just below 2^31 at 50 columns, just above at 51
+        (6_553, 50, np.int32),
+        (6_553, 51, np.int64),
+    ],
+)
+def test_random_blocks_match_the_reference(p, ncols, dtype):
+    F = gf.field_create(p)
+    assert linalg.echelon(F, ncols).dtype == dtype
+    rng = random.Random(f"reference/{p}/{ncols}")
+    stopped = 0
+    for trial in range(12):
+        # sparse, medium and dense rows in turn: the rows a column clears
+        # are few and scattered, or a dense run
+        density = (0.05, 0.3, 1.0)[trial % 3]
+        seen, blocks = [], []
+        for _ in range(rng.randrange(1, 5)):
+            block = []
+            for _ in range(rng.randrange(0, ncols)):
+                kind = rng.random()
+                if kind < 0.1:
+                    row = [0] * ncols
+                elif kind < 0.3 and len(seen) > 1:
+                    # dependent: a combination of two rows, maybe of an
+                    # earlier block
+                    a, b = rng.sample(seen, 2)
+                    row = F.add_scaled(a, rng.randrange(p), b)
+                else:
+                    row = [rng.randrange(p) if rng.random() < density else 0 for _ in range(ncols)]
+                block.append(row)
+            seen += block
+            blocks.append(block)
+        stop = rng.choice([None, None, rng.randrange(1, ncols + 1)])
+        form, _ = _against_the_reference(F, ncols, blocks, stop)
+        assert form.dtype == dtype
+        stopped += stop is not None and len(form.held) == stop
+    assert stopped
+
+
+def test_lists_and_other_integer_arrays_are_converted():
+    # a block that is not an array of the form's type is copied into one,
+    # reduced mod p first: the caller's rows are left as they were
+    F = gf.field_create(83)
+    rng = random.Random("convert")
+    rows = [[rng.randrange(3 * 83) for _ in range(20)] for _ in range(15)]
+    want = _rank(F, [[x % 83 for x in row] for row in rows])
+    for given in (rows, np.array(rows, dtype=np.int64), np.array(rows, dtype=np.int16)):
+        before = np.array(given).copy()
+        form = linalg._NpEchelon(F, 20)
+        assert form.dtype == np.int32
+        assert form.extend(given) == want
+        assert (np.array(given) == before).all()
 
 
 def _dot(F, a, b):
