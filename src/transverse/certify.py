@@ -325,18 +325,17 @@ def _macaulay_plan(nvars: int, N: int, degs: tuple, square: bool) -> tuple:
     top = sorted(range(len(degs)), key=lambda j: degs[j], reverse=True)[:nvars]
     tops = np.array([degs[j] for j in top])
     place = {j: i for i, j in enumerate(top)} if square else {}
-    mults = {}  # multiplier exponent vectors per degree, for the square
+    first = {}  # per multiplier degree, for the square: see _first_full
     parts, heights = ([], []), [0, 0]
     for j, d in enumerate(degs):
         if d > N:
             continue
-        cols = _product_columns(nvars, N, d)
+        cols = poly.product_index(nvars, N - d, d)
         inside = np.zeros(len(cols), dtype=bool)
         if j in place:
-            i = place[j]
-            if d not in mults:
-                mults[d] = np.array(poly.monomials(nvars, N - d)).reshape(-1, nvars)
-            inside[:] = (mults[d][:, :i] < tops[:i]).all(axis=1)
+            if d not in first:
+                first[d] = _first_full(poly.monomial_factors(nvars, N - d), tops)
+            inside[:] = first[d] >= place[j]
         for b, sel in enumerate((inside, ~inside)):
             rows = np.arange(heights[b], heights[b] + int(sel.sum()))
             if len(rows):
@@ -346,38 +345,16 @@ def _macaulay_plan(nvars: int, N: int, degs: tuple, square: bool) -> tuple:
     return plan if square else plan[1:]
 
 
-@functools.lru_cache(maxsize=32)
-def _product_columns(nvars: int, N: int, deg: int) -> np.ndarray:
-    """Column of every product: an (M, C) index array whose row m holds the
-    column, among the degree-N monomials, of the m-th multiplier of degree
-    N - deg times each exponent vector of degree deg (poly.monomials order).
-    Cached per shape, never per generator: a run reuses few shapes (21 keys
-    in a flags pass, the most of any benchmark workload).
-
-    A column is a closed-form rank: in the lex order of poly.monomials, the
-    exponent vector e of degree N comes after the sum over i < nvars - 1 of
-    C(nvars - 1 - i + j_i, j_i) others, j_i = N - (e_0 + ... + e_i) - 1,
-    the terms with j_i < 0 dropped.  A factor is read as its sorted
-    variable indices (itertools.combinations_with_replacement, in the same
-    order), so e_0 + ... + e_i of a product is the count of its factors'
-    indices up to i, and no exponent vector is built.
-    """
-    binom = np.array(
-        [[0] + [math.comb(nvars - 1 - i + j, j) for j in range(N)] for i in range(nvars - 1)],
-        dtype=np.intp,
-    ).reshape(nvars - 1, N + 1)
-
-    def indices(degree):
-        seqs = list(itertools.combinations_with_replacement(range(nvars), degree))
-        return np.array(seqs, dtype=np.min_scalar_type(nvars)).reshape(len(seqs), degree)
-
-    mults, exps = indices(N - deg), indices(deg)
-    cols = np.zeros((len(mults), len(exps)), dtype=np.intp)
-    for i in range(nvars - 1):
-        # column j_i + 1 of binom[i], whose column 0 stands for j_i < 0
-        left = N - (mults <= i).sum(axis=1)
-        cols += binom[i, left[:, None] - (exps <= i).sum(axis=1)]
-    return cols
+def _first_full(factors: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """The first variable k in which each multiplier, a row of
+    poly.monomial_factors, has exponent at least tops[k] (all >= 1), or
+    len(tops) if none: the multiplier times top[i] is a square row when this
+    is at least i.  The factors are ascending, so the exponent of k reaches
+    tops[k] where a factor k is followed by tops[k] - 1 more of them."""
+    deg = factors.shape[1]
+    end = np.arange(deg) + tops[factors] - 1
+    full = (end < deg) & (np.take_along_axis(factors, np.minimum(end, deg - 1), axis=1) == factors)
+    return np.where(full, factors, len(tops)).min(axis=1, initial=len(tops))
 
 
 def _macaulay_bound(degs, ambient: int) -> int:

@@ -15,6 +15,11 @@ principal lattice of each span of a stack (_form_values, the one evaluator
 of forms at many points) and interpolated by Newton on that lower set.
 substitute_rows is its one-span case; no restriction multiplies term maps.
 
+The monomial order of every coefficient row is defined here alone, lex
+(monomials_of_degree): monomials and monomial_index, and, for Macaulay
+matrices, monomial_factors and product_index, the position of a product
+in closed form.
+
 The one text grammar of the package lives here, for element text
 (``parse_element``) and form text (``parse_form``) alike: one tokenizer of
 (token, offset) pairs and one recursive sum-of-products parser.  A term is
@@ -28,6 +33,8 @@ character.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import re
 
 import numpy as np
@@ -214,6 +221,46 @@ def monomials(nvars: int, degree: int) -> tuple:
 def monomial_index(nvars: int, degree: int) -> dict:
     """The position of every exponent vector in monomials(nvars, degree)."""
     return {m: i for i, m in enumerate(monomials(nvars, degree))}
+
+
+@functools.lru_cache(maxsize=64)
+def monomial_factors(nvars: int, degree: int) -> np.ndarray:
+    """monomials(nvars, degree) as factor lists: a read-only (M, degree)
+    array whose row m holds the variable of each factor of the m-th
+    monomial in ascending order, x0^2*x2 as (0, 0, 2).
+    itertools.combinations_with_replacement lists them in the same order."""
+    seqs = list(itertools.combinations_with_replacement(range(nvars), degree))
+    out = np.array(seqs, dtype=np.min_scalar_type(nvars)).reshape(len(seqs), degree)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def product_index(nvars: int, a: int, b: int) -> np.ndarray:
+    """The position in monomials(nvars, a + b) of every product: an (M, K)
+    array whose row m holds that of the m-th monomial of degree a times
+    each monomial of degree b.  Cached per shape: a run reuses few (21 in a
+    flags pass, the most of any benchmark workload).
+
+    A position is a closed-form rank: in the lex order of monomials, the
+    exponent vector e of degree N comes after the sum over i < nvars - 1 of
+    C(nvars - 1 - i + j_i, j_i) others, j_i = N - (e_0 + ... + e_i) - 1,
+    the terms with j_i < 0 dropped.  e_0 + ... + e_i of a product is the
+    count of its factors' variables up to i, read off monomial_factors, so
+    no exponent vector is built.
+    """
+    N = a + b
+    binom = np.array(
+        [[0] + [math.comb(nvars - 1 - i + j, j) for j in range(N)] for i in range(nvars - 1)],
+        dtype=np.intp,
+    ).reshape(nvars - 1, N + 1)
+    left, right = monomial_factors(nvars, a), monomial_factors(nvars, b)
+    out = np.zeros((len(left), len(right)), dtype=np.intp)
+    for i in range(nvars - 1):
+        # column j_i + 1 of binom[i], whose column 0 stands for j_i < 0
+        rest = N - (left <= i).sum(axis=1)
+        out += binom[i, rest[:, None] - (right <= i).sum(axis=1)]
+    return out
 
 
 def coefficients(G: Form, V) -> np.ndarray:

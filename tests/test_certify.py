@@ -660,7 +660,7 @@ class TestMacaulayPlan:
         # the shapes no plan above reaches: multipliers or products of
         # degree 0, and one variable, where the rank has no term
         want = [list(index.values()) for index in ref._row_index(nvars, N, deg)]
-        assert certify._product_columns(nvars, N, deg).tolist() == want
+        assert poly.product_index(nvars, N - deg, deg).tolist() == want
 
 
 class TestEmptinessCertificate:
@@ -936,11 +936,11 @@ class TestSmoothness:
         # that recursed once per variable
         G = poly.parse_form(F5, " + ".join(f"x{i}^2" for i in range(1500)))
         certify._macaulay_plan.cache_clear()
-        certify._product_columns.cache_clear()
+        poly.product_index.cache_clear()
         assert certify.is_smooth_form(G)
-        # the 1,500 partials share one product-column map, of (nvars, N,
-        # degree) = (1500, 1, 1): a map per generator took minutes
-        assert certify._product_columns.cache_info().misses == 1
+        # the 1,500 partials share one product index, of (nvars, a, b) =
+        # (1500, 0, 1): an index per generator took minutes
+        assert poly.product_index.cache_info().misses == 1
 
 
 class TestReducedness:

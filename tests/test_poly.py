@@ -371,6 +371,22 @@ class TestForm:
         lines = list(poly.monomials_of_degree(1500, 1))
         assert len(lines) == 1500 and lines[0][0] == 1 and lines[-1][-1] == 1
 
+    def test_factors_and_product_index_follow_the_monomial_order(self):
+        for nvars in range(1, 6):
+            for a in range(5):
+                factors = poly.monomial_factors(nvars, a)
+                assert not factors.flags.writeable
+                assert [tuple(map(list(f).count, range(nvars))) for f in factors.tolist()] == list(
+                    poly.monomials(nvars, a)
+                )
+                for b in range(4):
+                    index = poly.monomial_index(nvars, a + b)
+                    want = [
+                        [index[tuple(map(sum, zip(m, e)))] for e in poly.monomials(nvars, b)]
+                        for m in poly.monomials(nvars, a)
+                    ]
+                    assert poly.product_index(nvars, a, b).tolist() == want, (nvars, a, b)
+
     def test_binary_squarefree(self):
         g = poly.parse_form(F5, "x0*x1")
         assert poly.binary_squarefree(g)
