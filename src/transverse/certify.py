@@ -28,9 +28,9 @@ family sum_j c^j x_j of hyperplanes: a point kills at most n parameter
 values (Vandermonde), and a positive-dimensional component is contained in
 at most n family members, so over a field with more than n * B elements
 (B a Bezout bound on the total component count) the scan is complete in
-both directions.  A Las-Vegas attempt composes the kernel bases of its
-t+1 hyperplanes (_slice_basis) and restricts its generators once, at that
-basis over the extension, so no lifted scheme is built.
+both directions.  A Las-Vegas attempt restricts its generators once, over
+the extension, to the intersection of its t+1 hyperplanes, read off the
+rows by back substitution (_section_basis): no lifted scheme is built.
 
 Every restriction goes through poly.restrict_many, the one restriction
 kernel, and one call takes all the forms a caller restricts to one basis
@@ -63,8 +63,8 @@ census decides its candidates in chunks (very_transverse_verdicts), in
 arrays: the lines' restrictions of X are tested for squarefreeness
 together; the first Las-Vegas slices of the transverse candidates are
 drawn as dim_upper_bound draws them, X and its partials are restricted to
-all the composed slice bases in one kernel call, the tangency contractions
-are formed from them, and the square Macaulay matrices are scattered from
+all the slice bases in one kernel call, the tangency contractions are
+formed from them, and the square Macaulay matrices are scattered from
 the coefficients and eliminated as one stack (linalg.full_rank_many).
 Only the misses build a scheme and go on to the one-at-a-time decision.
 
@@ -101,9 +101,6 @@ _WITNESS_KMAX = 6
 # reduced_sections: the kernel's arrays grow with it, its fixed cost is paid
 # once per chunk
 _SECTION_CHUNK = 256
-# codes one stack of square Macaulay matrices holds at once, so the census's
-# eliminations do not grow with the matrix size
-_KERNEL_ELEMENTS = 1 << 16
 # subspaces very_transverse_verdicts holds at once, with their sliced
 # tangency loci; a full chunk's square Macaulay matrices of the census fit
 # one full_rank_many call
@@ -449,12 +446,11 @@ class DimensionCertificate:
 
 def _slice_by(S: locus.SchemeSpec, row, E: gf.Field) -> locus.SchemeSpec:
     """Intersect with the hyperplane row . x = 0 (row over E, an extension
-    of S's field), rewritten over E in the hyperplane's own coordinates
-    (one variable fewer), so downstream rank tests shrink.  Any kernel
-    basis works; emptiness and dimension do not see the change of
-    coordinates."""
-    rows = linalg.kernel(E, [list(row)], S.nvars)
-    return locus.SchemeSpec(E, S.nvars - 1, poly.restrict(S.gens, [rows], E)[0])
+    of S's field), rewritten over E at the row's _section_basis (one
+    variable fewer), so downstream rank tests shrink.  Any basis works;
+    emptiness and dimension do not see the change of coordinates."""
+    basis = _section_basis(E, S.nvars, [row])
+    return locus.SchemeSpec(E, S.nvars - 1, poly.restrict(S.gens, [basis], E)[0])
 
 
 def dim_upper_bound(
@@ -496,37 +492,52 @@ def _random_slices(S: locus.SchemeSpec, t: int, rng: random.Random):
 def _slice_basis(E: gf.Field, nvars: int, levels: int, rng: random.Random):
     """The rows of ``levels`` random hyperplanes over E, and the basis of
     their intersection in nvars coordinates.  Level l's row has nvars - l
-    codes, in the coordinates of the level before, redrawn while zero; the
-    levels' linalg.kernel bases are composed, so a form restricted to the
-    basis is, coefficient for coefficient, what _slice_by gives level by
-    level."""
-    slices, basis = [], None
+    codes, in the coordinates of the level before, redrawn while zero.  The
+    basis is _section_basis of the rows, so a form restricted to it is,
+    coefficient for coefficient, what _slice_by gives level by level."""
+    slices = []
     for level in range(levels):
         while True:
             row = tuple(rng.randrange(E.order) for _ in range(nvars - level))
             if any(row):
                 break
         slices.append(row)
-        W = linalg.kernel(E, [row], nvars - level)
-        basis = W if basis is None else _compose(E, W, basis)
-    return tuple(slices), basis
+    return tuple(slices), _section_basis(E, nvars, slices)
+
+
+def _section_basis(E: gf.Field, nvars: int, rows) -> list:
+    """The basis in nvars coordinates of the intersection of hyperplanes
+    over E given level by level, each row nonzero and in the coordinates
+    the rows before it leave.  A row eliminates the coordinate of its first
+    nonzero entry, linalg.kernel's pivot; each coordinate left gives one
+    basis row, in order: the unit vector there, completed on the eliminated
+    coordinates by back substitution from the last row.  This is the
+    product of the levels' kernel bases, in at most levels x nvars x basis
+    rows multiplications, without an elimination."""
+    alive, pivots = list(range(nvars)), []
+    for row in rows:
+        p = next(i for i, c in enumerate(row) if c)
+        pivots.append((p, alive.pop(p)))
+    basis = [[int(y == x) for y in range(nvars)] for x in alive]
+    for row, (p, x) in zip(reversed(rows), reversed(pivots)):
+        alive.insert(p, x)  # the coordinates of row; vec[x] is still 0
+        scale = E.neg(E.inv(row[p]))
+        for vec in basis:
+            acc = 0
+            for c, y in zip(row, alive):
+                if c and vec[y]:
+                    acc = E.add(acc, E.mul(c, vec[y]))
+            vec[x] = E.mul(scale, acc)
+    return basis
 
 
 def _bezout_component_bound(S: locus.SchemeSpec) -> int:
     degs = sorted((g.degree for g in S.nonzero_gens()), reverse=True)
-    acc = 1
-    for d in degs[: S.ambient]:
-        acc *= d
-    return acc
+    return math.prod(degs[: S.ambient])
 
 
 def _moment_row(E: gf.Field, nvars: int, c: int):
-    row = []
-    acc = 1
-    for _ in range(nvars):
-        row.append(acc)
-        acc = E.mul(acc, c)
-    return row
+    return [E.pow(c, j) for j in range(nvars)]
 
 
 def dim_at_most_exact(S: locus.SchemeSpec, t: int) -> bool:
@@ -547,14 +558,11 @@ def dim_at_most_exact(S: locus.SchemeSpec, t: int) -> bool:
     n = S.ambient
     E = gf.extension_with(S.field, n * _bezout_component_bound(S) + 1)
     branch = E.order
-    work = 1
-    for _ in range(t + 1):
-        work *= branch
-        if work > _EXACT_BRANCH_BUDGET:
-            raise config.SearchInfeasibleError(
-                f"exact dimension scan needs about {branch}^{t + 1} emptiness "
-                f"tests, over the {_EXACT_BRANCH_BUDGET} budget"
-            )
+    if branch ** (t + 1) > _EXACT_BRANCH_BUDGET:
+        raise config.SearchInfeasibleError(
+            f"exact dimension scan needs about {branch}^{t + 1} emptiness "
+            f"tests, over the {_EXACT_BRANCH_BUDGET} budget"
+        )
     return _exact_scan(S, t, E)
 
 
@@ -615,8 +623,10 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
     poly.restrict_many, whose coefficient order puts t^0 first.  A span is
     certified when deg f = d and gcd(f, f') = 1, the latter for every span
     of the pass at once by linalg.u_squarefree_many, or by the scalar
-    linalg.u_squarefree when the call holds one span, where the batched
-    kernel's fixed cost would dominate.
+    linalg.u_squarefree when the call holds one span.  Of the 61 calls in a
+    seed-0 census pass, 45 hold one span (flags and emptiness make none); a
+    cubic over F_169 takes about 13 us in u_squarefree against 115-136 us in
+    u_squarefree_many, so the branch saves about 5 ms of a 65-85 ms pass.
     """
     d, F, nvars = G.degree, G.field, G.nvars
     E = gf.extension_with(F, max(_LV_MIN_FIELD, d + 1))
@@ -947,18 +957,6 @@ def _sliced_tangency_loci(X: locus.Hypersurface, subspaces, rng: random.Random):
     return E, out
 
 
-def _compose(E: gf.Field, A, B) -> list:
-    """The matrix product A . B of two lists of rows of codes in E."""
-    out = []
-    for row in A:
-        acc = [0] * len(B[0])
-        for c, b in zip(row, B):
-            if c:
-                acc = E.add_scaled(acc, c, b)
-        out.append(acc)
-    return out
-
-
 def _locus_scheme(E: gf.Field, k: int, gens) -> locus.SchemeSpec:
     """The scheme over E in k variables of (degree, coefficient row)
     generators, as _sliced_tangency_loci gives them."""
@@ -972,12 +970,12 @@ def _square_spans_many(E: gf.Field, loci) -> list:
 
     A scheme with a unit generator, fewer nonzero generators than
     variables, a full matrix over _MAX_MACAULAY_ENTRIES or a square of more
-    than _KERNEL_ELEMENTS codes gets False, for macaulay_is_empty to decide.
+    than poly.KERNEL_ELEMENTS codes gets False, for macaulay_is_empty to decide.
     The rest are grouped by variables, N* and nonzero generator degrees,
     which fix the square's shape and rows, and each group's squares are
     scattered from the coefficient rows by the square block of the plan
     macaulay_is_empty scatters by (_macaulay_plan), and eliminated by
-    linalg.full_rank_many in stacks of at most _KERNEL_ELEMENTS codes.
+    linalg.full_rank_many in stacks of at most poly.KERNEL_ELEMENTS codes.
     """
     out = [False] * len(loci)
     groups = {}
@@ -988,13 +986,13 @@ def _square_spans_many(E: gf.Field, loci) -> list:
             continue
         N = _macaulay_bound(degs, k - 1)
         nrows, ncols = _macaulay_size(degs, k, N)
-        if nrows * ncols > _MAX_MACAULAY_ENTRIES or ncols * ncols > _KERNEL_ELEMENTS:
+        if nrows * ncols > _MAX_MACAULAY_ENTRIES or ncols * ncols > poly.KERNEL_ELEMENTS:
             continue
         groups.setdefault((k, N, degs), []).append((i, [row for _, row in gens]))
     V = E.arrays()
     for (k, N, degs), members in groups.items():
         (size, parts), _ = _macaulay_plan(k, N, degs, True)
-        step = _KERNEL_ELEMENTS // size**2
+        step = poly.KERNEL_ELEMENTS // size**2
         for s in range(0, len(members), step):
             part = members[s : s + step]
             stack = np.zeros((len(part), size, size), dtype=V.dtype)

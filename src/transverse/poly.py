@@ -207,9 +207,6 @@ def form_partials(F: Form):
 # ---------------------------------------------------------------------------
 # restriction: forms at many points, and coefficients by interpolation
 
-# codes one pass of restrict_many holds at once, whatever the degree
-_KERNEL_ELEMENTS = 1 << 16
-
 
 @functools.lru_cache(maxsize=64)
 def monomials(nvars: int, degree: int) -> tuple:
@@ -409,11 +406,16 @@ def _newton_plan(E: gf.Field, k: int, d: int) -> tuple:
     return lattice, tuple(divided), tuple(horner), reciprocal, neg
 
 
+# codes one batched array pass holds at once, whatever the degree or size:
+# a pass of restrict_many, a stack of certify's square Macaulay matrices
+KERNEL_ELEMENTS = 1 << 16
+
+
 def kernel_width(N: int, nvars: int, need, nforms: int) -> int:
     """Spans per pass of restrict_many at N lattice points within
-    _KERNEL_ELEMENTS codes: per span, the points and their powers (need),
+    KERNEL_ELEMENTS codes: per span, the points and their powers (need),
     each form's values and two temporaries, and a few (N,) temporaries."""
-    return max(1, _KERNEL_ELEMENTS // (N * (nvars * (1 + len(need)) + 3 * nforms + 4)))
+    return max(1, KERNEL_ELEMENTS // (N * (nvars * (1 + len(need)) + 3 * nforms + 4)))
 
 
 def restrict_many(forms, bases, E: gf.Field) -> list:

@@ -792,14 +792,14 @@ def ref_square_spans_many(schemes) -> list:
         nrows, ncols = certify._macaulay_size(degs, S.nvars, N)
         if (
             nrows * ncols > certify._MAX_MACAULAY_ENTRIES
-            or ncols * ncols > certify._KERNEL_ELEMENTS
+            or ncols * ncols > poly.KERNEL_ELEMENTS
         ):
             continue
         key = (S.field, S.nvars, N, tuple(degs))
         groups.setdefault(key, []).append(i)
     for (E, nvars, N, degs), members in groups.items():
         square = ref._square_keys(degs, nvars, N)
-        step = certify._KERNEL_ELEMENTS // len(square) ** 2
+        step = poly.KERNEL_ELEMENTS // len(square) ** 2
         for s in range(0, len(members), step):
             part = members[s : s + step]
             stack = E.arrays().array([

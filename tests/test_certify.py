@@ -1339,11 +1339,11 @@ class TestVeryTransverseVerdicts:
         finally:
             tracemalloc.stop()
         assert yielded == drawn == 183
-        assert sizes and max(sizes) <= certify._KERNEL_ELEMENTS
+        assert sizes and max(sizes) <= poly.KERNEL_ELEMENTS
         assert peak < 1 << 20
 
     def test_square_stacks_are_split_within_the_kernel_bound(self, monkeypatch):
-        monkeypatch.setattr(certify, "_KERNEL_ELEMENTS", 3 * 21 * 21)
+        monkeypatch.setattr(poly, "KERNEL_ELEMENTS", 3 * 21 * 21)
         sizes = []
         full_rank_many = linalg.full_rank_many
 

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import slice_reference as slices_ref
 from transverse import audit, certify, cli, config, gf, linalg, locus, poly, projgeom
 from transverse import search
 from transverse.certify import DimensionCertificate
@@ -208,6 +209,96 @@ def test_composed_slices_match_level_by_level(field):
         assert slices == tuple(want)
         assert (got.field, got.nvars, got.gens) == (cur.field, cur.nvars, cur.gens)
         assert ours.getstate() == theirs.getstate()
+
+
+# the fields the slice bases are compared over: tables of both
+# characteristics, table-less primes, and a prime past 2^20
+SECTION_FIELDS = [(2, 1), (3, 1), (2, 2), (13, 1), (13, 2), (5, 3), (1048583, 1)]
+
+
+class _Scripted:
+    """An rng whose randrange hands out prepared codes, in order."""
+
+    def __init__(self, codes):
+        self.codes = iter(codes)
+
+    def randrange(self, order):
+        return next(self.codes)
+
+
+def _leading_zero_rows(E, nvars, levels, rng):
+    """Nonzero rows level by level, each with a run of leading zeros, so
+    the pivots fall past column 0, and with zeros inside."""
+    rows = []
+    for level in range(levels):
+        width = nvars - level
+        lead = rng.randrange(width)
+        row = [0] * lead + [rng.randrange(1, E.order)]
+        for _ in range(width - lead - 1):
+            row.append(rng.randrange(E.order) if rng.random() < 0.6 else 0)
+        rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("field", SECTION_FIELDS, ids=lambda f: f"F{f[0] ** f[1]}")
+def test_section_basis_matches_the_composed_kernels(field):
+    # _slice_basis against the per-level linalg.kernel and matrix product it
+    # replaced: on the same rng stream, and on scripted rows whose pivots
+    # fall past column 0 (an all-zero row first, which both redraw)
+    E = gf.field_create(*field)
+    rng = random.Random(f"section/{E.order}")
+    for nvars in range(2, 9):
+        for levels in range(1, nvars):
+            ours, theirs = random.Random(nvars * levels), random.Random(nvars * levels)
+            got = certify._slice_basis(E, nvars, levels, ours)
+            want = slices_ref._slice_basis(E, nvars, levels, theirs)
+            assert got[0] == want[0]
+            assert got[1] == [list(v) for v in want[1]]
+            assert ours.getstate() == theirs.getstate()
+            rows = _leading_zero_rows(E, nvars, levels, rng)
+            codes = [0] * nvars + [c for row in rows for c in row]
+            got = certify._slice_basis(E, nvars, levels, _Scripted(codes))
+            want = slices_ref._slice_basis(E, nvars, levels, _Scripted(codes))
+            assert got[0] == want[0] == tuple(rows)
+            assert got[1] == [list(v) for v in want[1]]
+
+
+@pytest.mark.parametrize("field", SECTION_FIELDS, ids=lambda f: f"F{f[0] ** f[1]}")
+def test_one_row_slice_is_the_kernel_slice(field):
+    # _slice_by against substitution at linalg.kernel's basis of its row,
+    # on rows whose pivot falls past column 0
+    E = gf.field_create(*field)
+    rng = random.Random(f"one-row/{E.order}")
+    for nvars in range(2, 9):
+        S = locus.SchemeSpec(E, nvars, [random_form(E, nvars, 2, rng) for _ in range(2)])
+        for _ in range(3):
+            (row,) = _leading_zero_rows(E, nvars, 1, rng)
+            assert certify._slice_by(S, row, E).gens == _slice_by(S, row).gens
+
+
+def test_wide_slice_basis_needs_no_elimination_and_bounded_work(monkeypatch):
+    # 400 variables and 398 levels, the Las-Vegas slice of a point on a
+    # 400-variable hypersurface: no kernel, no row operation, and at most
+    # levels x nvars x basis rows + levels multiplications
+    E = gf.extension_with(gf.field_create(5, 1), certify._LV_MIN_FIELD)
+    nvars, levels = 400, 398
+
+    def refuse(*args):
+        raise AssertionError("the slice basis needs no elimination")
+
+    monkeypatch.setattr(linalg, "kernel", refuse)
+    monkeypatch.setattr(E, "add_scaled", refuse)
+    muls, mul = [0], E.mul
+
+    def counted(a, b):
+        muls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(E, "mul", counted)
+    slices, basis = certify._slice_basis(E, nvars, levels, random.Random(0))
+    rows = nvars - levels
+    assert len(slices) == levels and len(basis) == rows
+    assert 0 < muls[0] <= levels * nvars * rows + levels
 
 
 def seeded_schemes(F, rng):
