@@ -24,7 +24,6 @@ bit-for-bit from (fixture, seed).
 from __future__ import annotations
 
 import ast
-import collections
 import itertools
 import math
 import operator
@@ -292,15 +291,6 @@ def _field_of_order(q: int) -> gf.Field:
 # experiments
 
 
-def _bad_sections(X: locus.Hypersurface, subspaces, rng) -> tuple:
-    """How many sections of X by the subspaces are improper, and how many
-    proper but not reduced, by the verdicts of certify.reduced_sections."""
-    verdicts = collections.Counter(
-        v for _, v in certify.reduced_sections(X, subspaces, rng)
-    )
-    return verdicts[None], verdicts[False]
-
-
 def count_nontransverse_lines(
     C: CurveFixture,
     seed: int | None = None,
@@ -309,9 +299,11 @@ def count_nontransverse_lines(
     """Exact census of the rational lines not transverse to the fixture.
 
     A line is transverse exactly when the restriction of the defining form
-    is a nonzero squarefree binary form: the verdict that
-    certify.reduced_sections gives each line of P^2, as the hyperplane
-    census gets its verdicts.  The primary report compares against the
+    is a nonzero squarefree binary form.  The lines of P^2 are its
+    hyperplanes, each its own pencil in certify.hyperplane_section_counts,
+    so that binary test, run on every line by one restriction kernel call
+    per chunk, is the verdict: no section form is built and nothing is
+    drawn.  The primary report compares against the
     reduced-curve bound; an irreducible fixture (one factor) gets the
     sharper component bound as a subreport unless claim_irreducible is
     false, the escape hatch for a caller whose single-factor fixture is of
@@ -319,17 +311,19 @@ def count_nontransverse_lines(
     """
     if C.degree < 2:
         raise ValueError("line audit needs a curve of degree >= 2")
+    pool = projgeom.count_lines(2, C.field)
+    config.current_caps().check_enum(pool, "line census")
     rng = random.Random(0 if seed is None else seed)
     if not certify.is_reduced_form(C.form, rng=rng):
         raise ValueError("fixture form is not squarefree")
     started = time.perf_counter()
-    improper, not_squarefree = _bad_sections(
-        locus.Hypersurface(C.form), projgeom.all_lines(2, C.field), rng
+    improper, not_squarefree = certify.hyperplane_section_counts(
+        locus.Hypersurface(C.form), rng
     )
     observed = improper + not_squarefree
     params = {"n": 2, "d": C.degree, "q": C.field.order, "r": 1, "t": C.t}
     extras = {
-        "pool": projgeom.count_lines(2, C.field),
+        "pool": pool,
         "improper": improper,
         "not_squarefree": not_squarefree,
     }
@@ -387,7 +381,9 @@ def count_bad_hyperplanes(
 
     t is the number of hyperplane components of X and comes from the
     caller's knowledge of the fixture; it only enters the bound, never the
-    classification, which tests each section form directly.
+    classification, which is exact: certify.hyperplane_section_counts
+    certifies the pencils through the transverse lines of a fixed plane
+    and decides the other sections one by one.
     """
     n = X.ambient
     if n < 2:
@@ -400,9 +396,7 @@ def count_bad_hyperplanes(
     if not certify.is_reduced_form(X.form, rng=rng):
         raise ValueError("hypersurface must be reduced")
     started = time.perf_counter()
-    improper, nonreduced = _bad_sections(
-        X, projgeom.all_hyperplanes(n, X.field), rng
-    )
+    improper, nonreduced = certify.hyperplane_section_counts(X, rng)
     observed = improper + nonreduced
     params = {"n": n, "d": X.degree, "q": X.field.order, "r": n - 1, "t": t}
     extras = {

@@ -47,8 +47,15 @@ vanishes); G on the line is interpolated, so no section form is built.
 One kernel evaluates the lines of many spans at once in numpy (the
 field's array view in gf) and tests all their restrictions for
 squarefreeness in one batched Euclid (linalg.u_squarefree_many), and every
-scan over sections, first-hit or census, certifies them through it in
-growing chunks (reduced_sections).
+first-hit scan over sections certifies them through it in growing chunks
+(reduced_sections).  A hyperplane census needs no random line: a line ell
+of the plane Pi = span(e0, e1, e2) on which G is nonzero and squarefree
+proves every hyperplane section through ell proper and reduced, since an
+improper or non-reduced section would leave G on ell zero or with a
+repeated root.  hyperplane_section_counts tests every line of Pi exactly,
+and only the hyperplanes through the other lines, and those containing
+Pi, go through reduced_sections; in P^2 the lines are the hyperplanes, so
+the test is the census.
 When p does not divide d = deg G, the Euler relation d*G = sum x_i d_iG
 puts G in the ideal of its partials, so the Jacobian scheme is generated
 by the nonzero partials alone (G is kept when p | d), and N* =
@@ -83,6 +90,7 @@ elimination would cost at least as many field operations as the sweep.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -623,10 +631,10 @@ def _line_certificates(G: poly.Form, spans, rng: random.Random) -> list:
     poly.restrict_many, whose coefficient order puts t^0 first.  A span is
     certified when deg f = d and gcd(f, f') = 1, the latter for every span
     of the pass at once by linalg.u_squarefree_many, or by the scalar
-    linalg.u_squarefree when the call holds one span.  Of the 61 calls in a
-    seed-0 census pass, 45 hold one span (flags and emptiness make none); a
-    cubic over F_169 takes about 13 us in u_squarefree against 115-136 us in
-    u_squarefree_many, so the branch saves about 5 ms of a 65-85 ms pass.
+    linalg.u_squarefree when the call holds one span: is_reduced_form's
+    call, and the first chunk of every scan through reduced_sections.  A
+    cubic over F_169 takes about 13 us in u_squarefree against 115-136 us
+    in u_squarefree_many.
     """
     d, F, nvars = G.degree, G.field, G.nvars
     E = gf.extension_with(F, max(_LV_MIN_FIELD, d + 1))
@@ -751,6 +759,60 @@ def reduced_sections(
             yield H, None if G.is_zero() else is_reduced_form(G, rng=rng)
     if capped is not None:
         raise capped
+
+
+def hyperplane_section_counts(
+    X: locus.Hypersurface, rng: random.Random | None = None
+) -> tuple:
+    """How many hyperplane sections of X are improper, and how many proper
+    but not reduced, certified a pencil at a time.
+
+    Fix the plane Pi = span(e0, e1, e2).  The hyperplane of the normalized
+    dual point w with u = w[:3] nonzero meets Pi in the line of dual point
+    u, and the pencil of hyperplanes through that line is the q^(n-2)
+    points (u, c), c in F_q^(n-2).  Call the line transverse when X.form on
+    it is nonzero and squarefree (poly.binary_squarefree).  If X cap H is
+    improper, X.form on the line is zero; if X.form on H is h^2 k with h
+    non-constant, it is zero or divisible by the square of h on the line.
+    So a transverse line proves every section of its pencil proper and
+    reduced: none is built and nothing is drawn from rng.  X.form is
+    restricted to Pi, then to the lines of Pi by one restriction kernel
+    call per chunk of _SECTION_CHUNK lines.
+
+    In P^2, Pi is the whole space and each line its own pencil, so the
+    binary test is the verdict.  From P^3 on, the hyperplanes through the
+    other lines and the |P^(n-3)| hyperplanes containing Pi are built and
+    decided by reduced_sections on rng.
+    """
+    n, F = X.ambient, X.field
+    if n < 2:
+        raise ValueError("a hyperplane census needs ambient dimension >= 2")
+    plane = [[int(i == j) for j in range(n + 1)] for i in range(3)]
+    ((G,),) = poly.restrict([X.form], [plane], F)
+    failed, improper = [], 0  # the lines that certify nothing, and the zero ones
+    lines = projgeom.enumerate_point_codes(2, F)
+    while chunk := list(itertools.islice(lines, _SECTION_CHUNK)):
+        bases = [projgeom.hyperplane(F, u).basis for u in chunk]
+        (coefs,) = poly.restrict_many([G], bases, F)
+        for u, row in zip(chunk, coefs):
+            g = poly.array_form(F, 2, G.degree, row)
+            if g.is_zero() or not poly.binary_squarefree(g):
+                failed.append(u)
+                improper += g.is_zero()
+    if n == 2:
+        return improper, len(failed) - improper
+
+    def fallbacks():
+        for u in failed:
+            for c in itertools.product(range(F.order), repeat=n - 2):
+                yield projgeom.hyperplane(F, u + c)
+        for w in projgeom.enumerate_point_codes(n - 3, F):
+            yield projgeom.hyperplane(F, (0, 0, 0) + w)
+
+    verdicts = collections.Counter(
+        v for _, v in reduced_sections(X, fallbacks(), rng)
+    )
+    return verdicts[None], verdicts[False]
 
 
 # ---------------------------------------------------------------------------

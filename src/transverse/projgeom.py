@@ -67,6 +67,16 @@ class LinearSubspace:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "basis", rows)
 
+    @classmethod
+    def _built(cls, field: gf.Field, basis: tuple):
+        """A subspace from an RREF basis the library has just built: a
+        nonempty tuple of tuples of int codes.  Nothing is checked, and
+        the tuple is kept, not copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "basis", basis)
+        return self
+
     def __setattr__(self, *a):
         raise AttributeError("LinearSubspace is immutable")
 
@@ -192,22 +202,27 @@ def count_lines(n: int, field: gf.Field) -> int:
     return num // (q + 1)
 
 
-def all_hyperplanes(n: int, field: gf.Field):
-    """Every hyperplane of P^n(field) exactly once, as the kernel of each
-    normalized dual point w; order follows enumerate_point_codes.  With f
+def hyperplane(field: gf.Field, w) -> LinearSubspace:
+    """The hyperplane sum w_i x_i = 0 of the nonzero dual vector w.  With f
     the last index where w_f != 0, the rows e_k - (w_k / w_f) e_f for
     k != f are already the reduced row echelon basis."""
+    f = max(i for i, c in enumerate(w) if c)
+    scale = field.neg(field.inv(w[f]))
+    rows = []
+    for k, c in enumerate(w):
+        if k != f:
+            row = [0] * len(w)
+            row[k] = 1
+            row[f] = field.mul(c, scale)
+            rows.append(tuple(row))
+    return LinearSubspace._built(field, tuple(rows))
+
+
+def all_hyperplanes(n: int, field: gf.Field):
+    """Every hyperplane of P^n(field) exactly once, the hyperplane of each
+    normalized dual point w; order follows enumerate_point_codes."""
     for w in enumerate_point_codes(n, field):
-        f = max(i for i, c in enumerate(w) if c)
-        scale = field.neg(field.inv(w[f]))
-        rows = []
-        for k in range(n + 1):
-            if k != f:
-                row = [0] * (n + 1)
-                row[k] = 1
-                row[f] = field.mul(w[k], scale)
-                rows.append(row)
-        yield LinearSubspace(field, rows)
+        yield hyperplane(field, w)
 
 
 def dual(H: LinearSubspace) -> LinearSubspace:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -183,6 +184,15 @@ class TestNontransverseLines:
         with pytest.raises(ValueError):
             count_nontransverse_lines(CurveFixture.from_strings(F5, ["x0^2", "x1"]))
 
+    def test_census_refuses_its_pool_before_any_line(self, monkeypatch):
+        # 31 lines of P^2(F_5) against a cap of 30
+        C = CurveFixture.from_strings(F5, ["x0*x2 + 4*x1^2"])
+        for name in ("is_reduced_form", "hyperplane_section_counts"):
+            monkeypatch.setattr(certify, name, must_not_run)
+        with config.caps_scope(config.Caps(max_enum=30)):
+            with pytest.raises(config.CapExceededError, match="31"):
+                count_nontransverse_lines(C, seed=0)
+
 
 def brute_line_census(C):
     """The line census by definition, the reference for
@@ -279,7 +289,12 @@ class TestBadHyperplanes:
     def test_census_refuses_its_pool_before_any_section(self, monkeypatch):
         # 156 hyperplanes of P^3(F_5) against a cap of 100
         X = surf(F5, "x0^3 + x1^3 + x2^3 + x3^3")
-        for name in ("is_reduced_section", "reduced_sections", "_line_certificates"):
+        for name in (
+            "is_reduced_section",
+            "reduced_sections",
+            "_line_certificates",
+            "hyperplane_section_counts",
+        ):
             monkeypatch.setattr(certify, name, must_not_run)
         with config.caps_scope(config.Caps(max_enum=100)):
             with pytest.raises(config.CapExceededError, match="156"):
@@ -294,6 +309,21 @@ CENSUS_FIXTURES = [
     ((5, 1), "x0*x1", 2, 2, 4),
     ((2, 2), "x0^2*x1 + (t)*x0*x1^2", 3, 3, 2),
     ((3, 2), "x0*x1*x2", 3, 3, 24),
+]
+
+
+# (field, form, nvars, hyperplane components, improper, nonreduced) for the
+# pencils of certify.hyperplane_section_counts through the lines of the plane
+# x3 = ... = 0: a Fermat cubic with tangent lines there; a quadric cone and
+# the plane x3 = 0, which contains the plane; a cone whose form has a double
+# root on every line there; a cubic cut by each of x0, x1 and x2 = 0 in a
+# triple line; a quartic threefold, a hyperplane and a Fermat cubic
+PENCIL_FIXTURES = [
+    ((7, 1), "x0^3 + x1^3 + x2^3 + x3^3", 4, 0, 0, 0),
+    ((5, 1), "x0^2*x3 + x1^2*x3 + x2^2*x3 + x3^3", 4, 1, 1, 0),
+    ((7, 1), "x0^2*x3 + x1^2*x2", 4, 0, 0, 10),
+    ((11, 1), "x0*x1*x2 + x3^3", 4, 0, 0, 3),
+    ((5, 1), "x0^4 + x0*x1^3 + x0*x2^3 + x0*x3^3 + x0*x4^3", 5, 1, 1, 0),
 ]
 
 
@@ -323,6 +353,73 @@ class TestBadHyperplanesAgainstBrute:
 
     def test_a_pool_spans_several_chunks(self):
         assert pg.count_points(3, gf.field_create(3, 2)) > 3 * certify._SECTION_CHUNK
+
+    @pytest.mark.parametrize(
+        "field, text, nvars, t, improper, nonreduced", PENCIL_FIXTURES
+    )
+    def test_pencil_census_matches_the_section_by_section_loop(
+        self, field, text, nvars, t, improper, nonreduced
+    ):
+        X = surf(gf.field_create(*field), text, nvars=nvars)
+        want = brute_census(X)
+        assert (want["improper"], want["nonreduced"]) == (improper, nonreduced)
+        for seed in range(4):
+            assert count_bad_hyperplanes(X, t=t, seed=seed).extras == want, seed
+
+
+def fallbacks(monkeypatch, X, seed=0):
+    """The hyperplanes that certify.hyperplane_section_counts hands to
+    reduced_sections on X, and whether it draws exactly what
+    reduced_sections draws on them alone."""
+    real = certify.reduced_sections
+    seen = []
+
+    def recorded(X_, subspaces, rng):
+        subspaces = list(subspaces)
+        seen.extend(subspaces)
+        return real(X_, subspaces, rng)
+
+    monkeypatch.setattr(certify, "reduced_sections", recorded)
+    rng = random.Random(seed)
+    certify.hyperplane_section_counts(X, rng)
+    alone = random.Random(seed)
+    for _ in real(X, seen, alone):
+        pass
+    return seen, rng.getstate() == alone.getstate()
+
+
+class TestPencilCensus:
+    def test_the_bench_fixture_falls_back_on_118_hyperplanes(self, monkeypatch):
+        # bench/fixtures/fermat_cubic_f13.txt: 174 of the 183 lines of the
+        # plane x3 = 0 are transverse, which certifies 174 * 13 of the 2,380
+        # hyperplanes; 9 * 13 go through the other 9 lines, 1 contains the plane
+        X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
+        seen, same_draws = fallbacks(monkeypatch, X)
+        assert len(seen) == len(set(seen)) == 118
+        assert same_draws
+        pencils = collections.Counter(pg.dual(H).basis[0][:3] for H in seen)
+        assert pencils.pop((0, 0, 0)) == 1
+        assert sorted(pencils.values()) == [13] * 9
+
+    def test_every_hyperplane_falls_back_when_no_line_is_transverse(
+        self, monkeypatch
+    ):
+        X = surf(gf.field_create(3, 2), "x0^2*x3 + x1^2*x2")
+        seen, same_draws = fallbacks(monkeypatch, X)
+        assert len(seen) == 820
+        assert set(seen) == set(pg.all_hyperplanes(3, X.field))
+        assert same_draws
+
+    def test_a_line_census_is_decided_by_its_binary_tests(self, monkeypatch):
+        monkeypatch.setattr(certify, "reduced_sections", must_not_run)
+        for field, texts in LINE_CENSUS_FIXTURES:
+            C = CurveFixture.from_strings(gf.field_create(*field), texts)
+            rng = random.Random(0)
+            state = rng.getstate()
+            got = certify.hyperplane_section_counts(Hypersurface(C.form), rng)
+            assert rng.getstate() == state
+            want = brute_line_census(C)
+            assert got == (want["improper"], want["not_squarefree"])
 
 
 class TestBadSuperspaces:

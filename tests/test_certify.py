@@ -1370,14 +1370,14 @@ class TestSectionScanChunks:
     # the benchmark's fixture, bench/fixtures/fermat_cubic_f13.txt
     X = surf(gf.field_create(13), "x0^3 + x1^3 + x2^3 + x3^3")
 
-    def chunks(self, monkeypatch):
+    def chunks(self, monkeypatch, X=X):
         """len(spans) of every kernel call on X's own form, by rows per span:
         4 for X itself, 3 for its hyperplanes, 2 for lines."""
         sizes = {}
         real = certify._line_certificates
 
         def recorded(G, spans, rng):
-            if G == self.X.form:
+            if G == X.form:
                 sizes.setdefault(len(spans[0]), []).append(len(spans))
             return real(G, spans, rng)
 
@@ -1393,9 +1393,13 @@ class TestSectionScanChunks:
             assert got == [2**i for i in range(len(got))]
 
     def test_a_census_grows_its_chunks_to_the_cap(self, monkeypatch):
-        sizes = self.chunks(monkeypatch)
-        audit.count_bad_hyperplanes(self.X, t=0, seed=1729)
-        pool = pg.count_points(3, self.X.field)
+        # a cone on which no line of the census plane is transverse, so every
+        # one of the 820 hyperplanes of P^3(F_9) is decided by reduced_sections
+        X = surf(gf.field_create(3, 2), "x0^2*x3 + x1^2*x2")
+        sizes = self.chunks(monkeypatch, X)
+        audit.count_bad_hyperplanes(X, t=0, seed=1729)
+        pool = pg.count_points(3, X.field)
+        assert pool > 3 * certify._SECTION_CHUNK
         assert certify._SECTION_CHUNK == 256
         doubling = [2**i for i in range(8)]
         full, rest = divmod(pool - sum(doubling), 256)

@@ -557,8 +557,9 @@ def test_census_restrictions_stay_batched(monkeypatch, capsys):
     # the census restricts forms in batched kernel calls: a superspace census
     # makes a few dozen, one per chunk, Las-Vegas attempt and tangent-witness
     # batch, where one per candidate and slice would make 733; a hyperplane
-    # census, past the kernel calls of its line certificates, makes at most
-    # one per line-certificate miss
+    # census restricts X to its plane once and then makes one call per chunk
+    # of the plane's 183 lines, and past those and the kernel calls of its
+    # line certificates, at most one per line-certificate miss
     fixture = str(REPO / FIXTURE)
     restrictions, certificates, inside = [], [], []
     restrict, line_certificates = poly.restrict_many, certify._line_certificates
@@ -585,5 +586,7 @@ def test_census_restrictions_stay_batched(monkeypatch, capsys):
     certificates.clear()
     assert cli.main(["count", "hyperplanes", "--input", fixture]) == 0
     misses = sum(not hit for hits in certificates for hit in hits)
-    assert 0 < len(restrictions) <= misses
+    assert 183 <= certify._SECTION_CHUNK
+    assert restrictions[:2] == [1, 183]
+    assert len(restrictions) <= 2 + misses
     capsys.readouterr()

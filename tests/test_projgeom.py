@@ -236,6 +236,10 @@ class TestHyperplanes:
                 for w in pg.enumerate_point_codes(n, field)
             ]
             assert list(pg.all_hyperplanes(n, field)) == ref, n
+            # any nonzero multiple of w names the same hyperplane
+            c = field.order - 1
+            for w, H in zip(pg.enumerate_point_codes(n, field), ref):
+                assert pg.hyperplane(field, [field.mul(c, x) for x in w]) == H
 
 
 def parse_rows(field, text):
