@@ -73,7 +73,10 @@ drawn as dim_upper_bound draws them, X and its partials are restricted to
 all the slice bases in one kernel call, the tangency contractions are
 formed from them, and the square Macaulay matrices are scattered from
 the coefficients and eliminated as one stack (linalg.full_rank_many).
-Only the misses build a scheme and go on to the one-at-a-time decision.
+The misses' full Macaulay matrices are scattered and eliminated as a
+second stack, which decides their slices exactly; only a slice whose
+matrix is too large for a stack builds a scheme, and only a nonempty
+slice goes on to the one-at-a-time decision.
 
 Points over an extension E are swept along normalized prefixes of
 P^(n-1)(E), with a gcd chain of the specialized generators in the last
@@ -111,8 +114,10 @@ _WITNESS_KMAX = 6
 _SECTION_CHUNK = 256
 # subspaces very_transverse_verdicts holds at once, with their sliced
 # tangency loci; a full chunk's square Macaulay matrices of the census fit
-# one full_rank_many call
-_VERDICT_CHUNK = 16
+# one full_rank_many call, and so do its misses' full matrices.  On the
+# benchmark fixture's 183 lines a chunk of 32 peaks at about 0.8 MiB of
+# working set against 0.4 MiB at 16, and takes about 29 ms against 35 ms
+_VERDICT_CHUNK = 32
 # Largest rows x columns of a Macaulay matrix, refused before any row is
 # built.  Its square root bounds the pivots of the elimination, which the
 # numpy path of linalg must accept.
@@ -771,13 +776,13 @@ def hyperplane_section_counts(
     dual point w with u = w[:3] nonzero meets Pi in the line of dual point
     u, and the pencil of hyperplanes through that line is the q^(n-2)
     points (u, c), c in F_q^(n-2).  Call the line transverse when X.form on
-    it is nonzero and squarefree (poly.binary_squarefree).  If X cap H is
+    it is nonzero and squarefree (poly.binary_squarefree_many).  If X cap H is
     improper, X.form on the line is zero; if X.form on H is h^2 k with h
     non-constant, it is zero or divisible by the square of h on the line.
     So a transverse line proves every section of its pencil proper and
     reduced: none is built and nothing is drawn from rng.  X.form is
     restricted to Pi, then to the lines of Pi by one restriction kernel
-    call per chunk of _SECTION_CHUNK lines.
+    call and one stacked binary test per chunk of _SECTION_CHUNK lines.
 
     In P^2, Pi is the whole space and each line its own pencil, so the
     binary test is the verdict.  From P^3 on, the hyperplanes through the
@@ -794,11 +799,9 @@ def hyperplane_section_counts(
     while chunk := list(itertools.islice(lines, _SECTION_CHUNK)):
         bases = [projgeom.hyperplane(F, u).basis for u in chunk]
         (coefs,) = poly.restrict_many([G], bases, F)
-        for u, row in zip(chunk, coefs):
-            g = poly.array_form(F, 2, G.degree, row)
-            if g.is_zero() or not poly.binary_squarefree(g):
-                failed.append(u)
-                improper += g.is_zero()
+        passed = poly.binary_squarefree_many(F, coefs).tolist()
+        failed += [u for u, ok in zip(chunk, passed) if not ok]
+        improper += int((coefs == 0).all(axis=1).sum())
     if n == 2:
         return improper, len(failed) - improper
 
@@ -914,11 +917,12 @@ def very_transverse_verdicts(X: locus.Hypersurface, subspaces, rng: random.Rando
     dim_upper_bound draws them, and the sliced loci are built together in
     arrays (_sliced_tangency_loci) and tested together
     (_square_spans_many): a full-rank square Macaulay submatrix proves the
-    slice empty, so E is ("yes", "las-vegas").  A miss builds its sliced
-    scheme and asks macaulay_is_empty of it, and when that slice is
-    nonempty too, decide_very_transverse decides E on the same rng, in
-    chunk order.  So the verdicts are certified, but the rng stream is not
-    that of a loop of decide_very_transverse.
+    slice empty, so E is ("yes", "las-vegas").  The chunk's misses are
+    decided together and exactly, as macaulay_is_empty decides them, by the
+    ranks of their full Macaulay matrices (_empty_many), and when a slice
+    is nonempty, decide_very_transverse decides E on the same rng, in chunk
+    order.  So the verdicts are certified, but the rng stream is not that
+    of a loop of decide_very_transverse, and it moves with _VERDICT_CHUNK.
     """
     if not ensure_smooth(X):
         raise ValueError("very-transversality is defined for smooth X only")
@@ -929,14 +933,17 @@ def very_transverse_verdicts(X: locus.Hypersurface, subspaces, rng: random.Rando
             i for i, E in enumerate(chunk) if transverse[i] and E.dim < X.ambient - 1
         ]
         field, loci = _sliced_tangency_loci(X, [chunk[i] for i in opened], rng)
-        hits = dict(zip(opened, _square_spans_many(field, loci)))
-        sliced = dict(zip(opened, loci))
+        empty = _square_spans_many(field, loci)
+        missed = [s for s, hit in enumerate(empty) if not hit]
+        for s, verdict in zip(missed, _empty_many(field, [loci[s] for s in missed])):
+            empty[s] = verdict
+        empty = dict(zip(opened, empty))
         for i, E in enumerate(chunk):
             if not transverse[i]:
                 yield E, "no", "not-transverse"
-            elif i not in hits:
+            elif i not in empty:
                 yield E, "yes", "direct"
-            elif hits[i] or macaulay_is_empty(_locus_scheme(field, *sliced[i])):
+            elif empty[i]:
                 yield E, "yes", "las-vegas"
             else:
                 yield (E, *decide_very_transverse(X, E, rng))
@@ -946,11 +953,9 @@ def _transverse_many(X: locus.Hypersurface, subspaces) -> list:
     """is_transverse of each subspace, the lines' together.
 
     X's form is restricted to every line at once over X's field
-    (poly.restrict_many).  A restriction whose coefficient of u1^d, d = deg X,
-    is nonzero has no root at [0:1], so as a binary form it is squarefree
-    exactly when it is as a polynomial in u1 of degree d:
-    linalg.u_squarefree_many decides those.  A zero top coefficient and a
-    subspace of dimension 2 or more go through is_transverse.
+    (poly.restrict_many), and the restrictions are tested together by
+    poly.binary_squarefree_many.  A subspace of dimension 2 or more goes
+    through is_transverse.
     """
     for H in subspaces:
         if H.ambient != X.ambient or H.field != X.field:
@@ -960,10 +965,7 @@ def _transverse_many(X: locus.Hypersurface, subspaces) -> list:
     if lines:
         bases = [subspaces[i].basis for i in lines]
         (f,) = poly.restrict_many([X.form], bases, X.field)
-        squarefree = linalg.u_squarefree_many(X.field, f).tolist()
-        for i, top, ok in zip(lines, (f[:, -1] != 0).tolist(), squarefree):
-            if top:
-                known[i] = ok
+        known = dict(zip(lines, poly.binary_squarefree_many(X.field, f).tolist()))
     return [
         known[i] if i in known else is_transverse(X, H) for i, H in enumerate(subspaces)
     ]
@@ -1032,35 +1034,72 @@ def _square_spans_many(E: gf.Field, loci) -> list:
 
     A scheme with a unit generator, fewer nonzero generators than
     variables, a full matrix over _MAX_MACAULAY_ENTRIES or a square of more
-    than poly.KERNEL_ELEMENTS codes gets False, for macaulay_is_empty to decide.
-    The rest are grouped by variables, N* and nonzero generator degrees,
-    which fix the square's shape and rows, and each group's squares are
-    scattered from the coefficient rows by the square block of the plan
-    macaulay_is_empty scatters by (_macaulay_plan), and eliminated by
-    linalg.full_rank_many in stacks of at most poly.KERNEL_ELEMENTS codes.
+    than poly.KERNEL_ELEMENTS codes gets False, for _empty_many to decide.
     """
-    out = [False] * len(loci)
+    return [bool(v) for v in _macaulay_many(E, loci, full=False)]
+
+
+def _empty_many(E: gf.Field, loci) -> list:
+    """macaulay_is_empty of the scheme of each (k, gens) of
+    _sliced_tangency_loci, the stacked ones decided together.
+
+    A unit generator makes the scheme empty and fewer nonzero generators
+    than variables leave it nonempty.  The rest have their full degree-N*
+    Macaulay matrix, both blocks of _macaulay_plan, scattered and its rank
+    tested by linalg.full_rank_many: full rank is exactly what
+    macaulay_is_empty decides.  Only a scheme whose full matrix holds more
+    than poly.KERNEL_ELEMENTS codes is built and asked of macaulay_is_empty.
+    """
+    out = _macaulay_many(E, loci, full=True)
+    return [
+        macaulay_is_empty(_locus_scheme(E, *locus_)) if v is None else v
+        for locus_, v in zip(loci, out)
+    ]
+
+
+def _macaulay_many(E: gf.Field, loci, full: bool) -> list:
+    """For each (k, gens) of _sliced_tangency_loci, whether its degree-N*
+    Macaulay matrix (with ``full``) or Macaulay's square submatrix (without)
+    has full rank, or None where no stack holds it.
+
+    A unit generator gives True with ``full``, fewer nonzero generators
+    than variables False, and each gives None without ``full``.  A full
+    matrix over _MAX_MACAULAY_ENTRIES, or a matrix of more than
+    poly.KERNEL_ELEMENTS codes, gives None.  The rest are grouped by
+    variables, N* and nonzero generator degrees, which fix the matrix's
+    shape and rows, and each group's matrices are scattered from the
+    coefficient rows by the blocks of the plan macaulay_is_empty scatters
+    by (_macaulay_plan), and eliminated by linalg.full_rank_many in stacks
+    of at most poly.KERNEL_ELEMENTS codes.
+    """
+    out = [None] * len(loci)
     groups = {}
     for i, (k, gens) in enumerate(loci):
         gens = [(d, row) for d, row in gens if (row != 0).any()]
         degs = tuple(d for d, _ in gens)
         if len(gens) < k or 0 in degs:
+            out[i] = 0 in degs if full else None
             continue
         N = _macaulay_bound(degs, k - 1)
         nrows, ncols = _macaulay_size(degs, k, N)
-        if nrows * ncols > _MAX_MACAULAY_ENTRIES or ncols * ncols > poly.KERNEL_ELEMENTS:
+        codes = (nrows if full else ncols) * ncols
+        if nrows * ncols > _MAX_MACAULAY_ENTRIES or codes > poly.KERNEL_ELEMENTS:
             continue
         groups.setdefault((k, N, degs), []).append((i, [row for _, row in gens]))
     V = E.arrays()
     for (k, N, degs), members in groups.items():
-        (size, parts), _ = _macaulay_plan(k, N, degs, True)
-        step = poly.KERNEL_ELEMENTS // size**2
+        blocks = _macaulay_plan(k, N, degs, True)[: 2 if full else 1]
+        nrows, ncols = sum(h for h, _ in blocks), blocks[0][0]
+        step = poly.KERNEL_ELEMENTS // (nrows * ncols)
         for s in range(0, len(members), step):
             part = members[s : s + step]
-            stack = np.zeros((len(part), size, size), dtype=V.dtype)
-            for j, rows, cols in parts:
-                coefs = np.stack([gens[j] for _, gens in part])
-                stack[:, rows[:, None], cols] = coefs[:, None, :]
+            stack = np.zeros((len(part), nrows, ncols), dtype=V.dtype)
+            offset = 0
+            for height, parts in blocks:
+                for j, rows, cols in parts:
+                    coefs = np.stack([gens[j] for _, gens in part])
+                    stack[:, offset + rows[:, None], cols] = coefs[:, None, :]
+                offset += height
             for (i, _), hit in zip(part, linalg.full_rank_many(E, stack).tolist()):
                 out[i] = hit
     return out

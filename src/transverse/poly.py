@@ -493,6 +493,30 @@ def binary_squarefree(F: Form) -> bool:
     return inf_mult <= 1 and linalg.u_squarefree(F.field, f)
 
 
+def binary_squarefree_many(E: gf.Field, f) -> np.ndarray:
+    """Whether each row of f, an (S, d+1) code array of E's view holding
+    binary forms of degree d in monomials order, is nonzero and squarefree,
+    as an (S,) bool array: binary_squarefree of each nonzero row.
+
+    A row whose x1^d coefficient is nonzero has no root at [0:1], so it is
+    squarefree exactly when f(1, x1), of degree d, is; a row whose x1^d
+    coefficient is zero but whose x0^d coefficient is not is reversed first,
+    f(x0, x1) -> f(x1, x0) keeping squarefreeness.  All of those go through
+    one linalg.u_squarefree_many call; only the nonzero rows zero at both
+    ends take the scalar binary_squarefree.
+    """
+    top, bottom = f[:, -1] != 0, f[:, 0] != 0
+    ends = top | bottom
+    out = np.zeros(len(f), dtype=bool)
+    if ends.any():
+        rows = np.where(top[:, None], f, f[:, ::-1])[ends]
+        out[ends] = linalg.u_squarefree_many(E, rows)
+    d = f.shape[1] - 1
+    for s in np.flatnonzero(~ends & (f != 0).any(axis=1)).tolist():
+        out[s] = binary_squarefree(array_form(E, 2, d, f[s]))
+    return out
+
+
 def binary_dehomogenize(F: Form):
     """(multiplicity of the root [1:0], the codes of F(x, 1) low degree first).
 

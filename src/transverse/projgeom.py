@@ -158,27 +158,37 @@ def enumerate_superspaces(H: LinearSubspace, r: int):
 
     Cosets of H in the ambient space have unique representatives supported
     on H's non-pivot columns, so the pencil is indexed by the points of a
-    projective space of dimension n - r.
+    projective space of dimension n - r.  Each r-plane's RREF basis is
+    written down directly (_superspace_stream): no elimination is run.
     """
     n = H.ambient
     if r != H.dim + 1:
         raise ValueError(f"can only extend dim {H.dim} by one, asked for {r}")
     if r > n:
         raise ValueError(f"no {r}-planes in P^{n}")
-    pivots = []
-    for row in H.basis:
-        pivots.append(next(i for i, c in enumerate(row) if c))
+    pivots = [next(i for i, c in enumerate(row) if c) for row in H.basis]
     free = [j for j in range(n + 1) if j not in pivots]
-    return _superspace_stream(H, free)
+    return _superspace_stream(H, pivots, free)
 
 
-def _superspace_stream(H, free):
-    n = H.ambient
-    for rep in enumerate_point_codes(len(free) - 1, H.field):
+def _superspace_stream(H, pivots, free):
+    """The RREF basis of H + vec for each normalized vec on the free columns.
+    vec's leading 1 sits at a free column f and vec is zero on H's pivots,
+    so clearing H's rows in column f (row - row[f] * vec) leaves every pivot
+    column a unit column; the rows, ordered by pivot, are the RREF basis."""
+    F, n = H.field, H.ambient
+    for rep in enumerate_point_codes(len(free) - 1, F):
         vec = [0] * (n + 1)
         for j, c in zip(free, rep):
             vec[j] = c
-        yield subspace_from_rows(H.field, list(H.basis) + [tuple(vec)])
+        f = free[next(i for i, c in enumerate(rep) if c)]
+        rows = [
+            tuple(F.add_scaled(row, F.neg(row[f]), vec)) if row[f] else row
+            for row in H.basis
+        ]
+        at = sum(p < f for p in pivots)
+        rows.insert(at, tuple(vec))
+        yield LinearSubspace._built(F, tuple(rows))
 
 
 def all_lines(n: int, field: gf.Field):

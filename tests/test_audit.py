@@ -799,34 +799,75 @@ class TestBadSuperspacesAgainstTheLoop:
             assert count_bad_superspaces(X, P, 1, seed=seed).extras == want, seed
 
     def test_square_hits_skip_the_scalar_elimination(self, monkeypatch):
-        # every sliced locus whose square Macaulay matrix has full rank is
-        # answered without macaulay_is_empty; the misses are asked of it.  A
-        # locus is known by its generators' coefficients, in the order of
-        # poly.monomials_of_degree, whether as arrays or as a built scheme
-        tested, asked = [], []
-        batch, single = certify._square_spans_many, certify.macaulay_is_empty
+        # neither the square hits nor the misses reach macaulay_is_empty: the
+        # misses are decided by the batch, and each batched verdict is
+        # macaulay_is_empty's on the same scheme.  A locus is known by its
+        # generators' coefficients, in the order of poly.monomials_of_degree,
+        # whether as arrays or as a built scheme
+        tested, batched, asked = [], [], []
+        square, batch, single = (
+            certify._square_spans_many, certify._empty_many, certify.macaulay_is_empty
+        )
 
         def square_spans_many(E, loci):
-            hits = batch(E, loci)
+            hits = square(E, loci)
             for (_, gens), hit in zip(loci, hits):
                 tested.append((tuple((d, tuple(row.tolist())) for d, row in gens), hit))
             return hits
+
+        def empty_many(E, loci):
+            verdicts = batch(E, loci)
+            batched.extend(
+                (certify._locus_scheme(E, *locus_), v) for locus_, v in zip(loci, verdicts)
+            )
+            return verdicts
 
         def macaulay_is_empty(S):
             asked.append(scheme_key(S))
             return single(S)
 
         monkeypatch.setattr(certify, "_square_spans_many", square_spans_many)
+        monkeypatch.setattr(certify, "_empty_many", empty_many)
         monkeypatch.setattr(certify, "macaulay_is_empty", macaulay_is_empty)
         X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
         P = pg.subspace_from_rows(F13, [(1, 0, 0, 0)])
         count_bad_superspaces(X, P, 1, seed=0)
         asked = set(asked)
-        hits = [S for S, hit in tested if hit]
         misses = [S for S, hit in tested if not hit]
         assert len(tested) == 174  # every transverse line, once
-        assert misses and all(S in asked for S in misses)
-        assert not any(S in asked for S in hits)
+        assert misses and [scheme_key(S) for S, _ in batched] == misses
+        assert not any(S in asked for S, _ in tested)
+        for S, verdict in batched:
+            assert verdict == single(S)
+
+    def test_census_runs_no_rref_and_no_scalar_emptiness_on_its_slices(self, monkeypatch):
+        # the candidates' bases are written down, not eliminated, and every
+        # sliced locus of the chunks is decided in a stack
+        rrefs, asked, sliced = [], [], []
+        rref, square, single = linalg.rref, certify._square_spans_many, certify.macaulay_is_empty
+
+        def counted_rref(F, rows):
+            rrefs.append(rows)
+            return rref(F, rows)
+
+        def square_spans_many(E, loci):
+            sliced.extend(scheme_key(certify._locus_scheme(E, *locus_)) for locus_ in loci)
+            return square(E, loci)
+
+        def macaulay_is_empty(S):
+            asked.append(scheme_key(S))
+            return single(S)
+
+        X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
+        P = pg.subspace_from_rows(F13, [(1, 0, 0, 0)])
+        monkeypatch.setattr(linalg, "rref", counted_rref)
+        monkeypatch.setattr(certify, "_square_spans_many", square_spans_many)
+        monkeypatch.setattr(certify, "macaulay_is_empty", macaulay_is_empty)
+        for seed in range(3):
+            report = count_bad_superspaces(X, P, 1, seed=seed)
+            assert report.extras["pool"] == 183
+        assert not rrefs
+        assert len(sliced) == 3 * 174 and not set(sliced) & set(asked)
 
 
 # ---------------------------------------------------------------------------

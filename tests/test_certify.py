@@ -1307,7 +1307,8 @@ class TestVeryTransverseVerdicts:
 
     def test_holds_a_bounded_chunk_within_a_bounded_working_set(self, monkeypatch):
         # all 183 lines through P at once would hold about 4 MB of sliced
-        # schemes and square matrices, 64 at a time about 1.7 MB
+        # schemes and Macaulay matrices, 64 at a time about 1.6 MB; the peak
+        # reads about 425 KiB at 16 a chunk and 813 KiB at 32
         sizes = []
         full_rank_many = linalg.full_rank_many
 

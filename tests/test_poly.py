@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -396,6 +398,40 @@ class TestForm:
         # x0^2*x1 + x0*x1^2 = x0*x1*(x0+x1): simple root at infinity, f = x^2+x
         m, f = poly.binary_dehomogenize(poly.parse_form(F5, "x0^2*x1 + x0*x1^2"))
         assert m == 1 and f == (0, 1, 1)
+
+    @pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (13, 1), (13, 2)])
+    def test_stacked_binary_test_matches_binary_squarefree(self, field):
+        # every binary form of degree <= 3 over the small fields; random ones
+        # of degree <= 6 over F_13 and F_169, with the zero row and rows zero
+        # at one end or both (a root at [1:0], [0:1], or both) planted
+        F = gf.field_create(*field)
+        rng = random.Random(f"binary/{F.order}")
+        for d in range(7 if F.order > 4 else 4):
+            if F.order <= 4:
+                rows = list(itertools.product(range(F.order), repeat=d + 1))
+            else:
+                rows = [[rng.randrange(F.order) for _ in range(d + 1)] for _ in range(300)]
+                for row in rows[:150]:
+                    for end in rng.choice([[0], [d], [0, d], list(range(d + 1))]):
+                        row[end] = 0
+                rows.append([0] * (d + 1))
+                # x0^2 * x1 * g and x0 * x1^2 * g: zero at both ends and never
+                # squarefree
+                for _ in range(20 if d >= 3 else 0):
+                    g = [rng.randrange(F.order) for _ in range(d - 2)]
+                    rows += [[0] + g + [0, 0], [0, 0] + g + [0]]
+            f = F.arrays().array(rows)
+            want = []
+            for row in rows:
+                g = poly.array_form(F, 2, d, np.array(row))
+                want.append(not g.is_zero() and poly.binary_squarefree(g))
+            got = poly.binary_squarefree_many(F, f)
+            assert got.dtype == bool and got.tolist() == want, d
+            if d >= 1:
+                assert set(want) == {True, False}
+            if d >= 3:  # x0*x1*h, squarefree or not, through the scalar test
+                ends = [w for row, w in zip(rows, want) if row[0] == row[-1] == 0 and any(row)]
+                assert set(ends) == {True, False}
 
 
 class TestGrammar:

@@ -144,6 +144,57 @@ class TestSuperspaces:
                     got = sum(1 for _ in pg.enumerate_superspaces(H, r))
                     assert got == sum(q**i for i in range(n - r + 1))
 
+    @pytest.mark.parametrize("F", [F2, F3, F4, F5, F9], ids=str)
+    def test_direct_bases_match_rref(self, F):
+        # every superspace of H, for each H of dimension 0 to n - 2 in P^2 to
+        # P^4 (every H where there are at most 150, else 40 random ones),
+        # against subspace_from_rows on H's rows and the coset vector that
+        # enumerate_superspaces documents
+        rng = random.Random(f"superspaces/{F.order}")
+        compared = 0
+        for n in range(2, 5):
+            for h in range(n - 1):
+                pool = list(itertools.islice(self._rref_bases(F, n, h, None), 151))
+                if len(pool) > 150:
+                    pool = list(itertools.islice(self._rref_bases(F, n, h, rng), 40))
+                for basis in pool:
+                    H = pg.subspace_from_rows(F, basis)
+                    assert H.basis == basis
+                    pivots = [next(i for i, c in enumerate(row) if c) for row in basis]
+                    free = [j for j in range(n + 1) if j not in pivots]
+                    got = list(pg.enumerate_superspaces(H, h + 1))
+                    want = []
+                    for rep in pg.enumerate_point_codes(len(free) - 1, F):
+                        vec = [0] * (n + 1)
+                        for j, c in zip(free, rep):
+                            vec[j] = c
+                        want.append(pg.subspace_from_rows(F, list(basis) + [vec]))
+                    assert [E.basis for E in got] == [E.basis for E in want]
+                    assert all(type(c) is int for E in got for row in E.basis for c in row)
+                    compared += len(got)
+        assert compared > 1_000
+
+    @staticmethod
+    def _rref_bases(F, n, h, rng):
+        """RREF bases of h-planes of P^n(F): every one, by pivot columns and
+        then entries, or with an rng, random ones without end."""
+        if rng is None:
+            shapes = itertools.combinations(range(n + 1), h + 1)
+        else:
+            shapes = iter(lambda: sorted(rng.sample(range(n + 1), h + 1)), None)
+        for pivots in shapes:
+            slots = [(i, j) for i, p in enumerate(pivots)
+                     for j in range(p + 1, n + 1) if j not in pivots]
+            if rng is None:
+                fills = itertools.product(range(F.order), repeat=len(slots))
+            else:
+                fills = [[rng.randrange(F.order) for _ in slots]]
+            for fill in fills:
+                rows = [[int(j == p) for j in range(n + 1)] for p in pivots]
+                for (i, j), c in zip(slots, fill):
+                    rows[i][j] = c
+                yield tuple(map(tuple, rows))
+
     def test_wrong_target_dim_rejected(self):
         P = pg.point_subspace(pg.ProjectivePoint(F5, (1, 0, 0)))
         with pytest.raises(ValueError):
