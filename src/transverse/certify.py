@@ -64,19 +64,15 @@ _MAX_MACAULAY_ENTRIES entries raises CapExceededError before any row is
 built; the size checked is the full matrix's, even when the square
 submatrix alone would fit.
 
-Very-transversality is decided in two steps, classify and settle, so a
-scan can defer the exact part until a Las-Vegas pass has found no hit.  A
-census decides its candidates in chunks (very_transverse_verdicts), in
-arrays: the lines' restrictions of X are tested for squarefreeness
-together; the first Las-Vegas slices of the transverse candidates are
-drawn as dim_upper_bound draws them, X and its partials are restricted to
-all the slice bases in one kernel call, the tangency contractions are
-formed from them, and the square Macaulay matrices are scattered from
-the coefficients and eliminated as one stack (linalg.full_rank_many).
-The misses' full Macaulay matrices are scattered and eliminated as a
-second stack, which decides their slices exactly; only a slice whose
-matrix is too large for a stack builds a scheme, and only a nonempty
-slice goes on to the one-at-a-time decision.
+Very-transversality is decided by one attempt loop (_las_vegas): a chunk
+of subspaces is tested for transversality once, then each attempt draws
+the pending subspaces' Las-Vegas slices of their tangency loci, as
+dim_upper_bound draws them, restricts X and its contractions to them,
+and decides the sliced loci's emptiness exactly: one locus by
+macaulay_is_empty, more by their square and then full Macaulay matrices
+eliminated as stacks (linalg.full_rank_many).  A nonempty slice stays
+pending for the next attempt.  A subspace the loop leaves open is settled
+by one more run of it, then by the exact scan of its tangency locus.
 
 Points over an extension E are swept along normalized prefixes of
 P^(n-1)(E), with a gcd chain of the specialized generators in the last
@@ -847,40 +843,24 @@ def is_transverse(X: locus.Hypersurface, H: projgeom.LinearSubspace) -> bool:
 def classify_very_transverse(
     X: locus.Hypersurface, H: projgeom.LinearSubspace, rng: random.Random
 ) -> tuple:
-    """First step of the very-transverse decision: (verdict, method).
-
-    Transversality is decided exactly; for hyperplanes it is the whole
-    answer.  Smaller subspaces get one Las-Vegas round on the tangency
-    locus, and a round that misses leaves the verdict "undetermined" for
-    settle_very_transverse, never a rejection.
-    """
-    if not ensure_smooth(X):
-        raise ValueError("very-transversality is defined for smooth X only")
-    if not is_transverse(X, H):
-        return "no", "not-transverse"
-    if H.dim >= X.ambient - 1:
-        return "yes", "direct"
-    T = locus.tangency_locus(X, H)
-    if dim_upper_bound(T, X.ambient - H.dim - 2, rng=rng).holds():
-        return "yes", "las-vegas"
-    return "undetermined", "las-vegas"
+    """First step of the very-transverse decision: (verdict, method) of
+    the attempt loop on H alone (_classify_many); a loop that misses leaves
+    "undetermined" for settle_very_transverse, never a rejection."""
+    return _classify_many(X, [H], rng)[0]
 
 
 def settle_very_transverse(
     X: locus.Hypersurface, H: projgeom.LinearSubspace, rng: random.Random
 ) -> str:
-    """Second step, for a transverse H that classification left open.
-
-    One more Las-Vegas round, then the exact dimension scan; "yes" and
-    "no" are certified, and "undetermined" means the scan is over its
-    budget.
-    """
-    T = locus.tangency_locus(X, H)
-    t = X.ambient - H.dim - 2
-    if dim_upper_bound(T, t, rng=rng).holds():
+    """Second step, for a transverse H that classification left open: one
+    more run of the attempt loop, then the exact dimension scan of H's
+    tangency locus.  "yes" and "no" are certified, and "undetermined"
+    means the scan is over its budget."""
+    if _las_vegas(X, [H], rng)[0]:
         return "yes"
+    T = locus.tangency_locus(X, H)
     try:
-        return "yes" if dim_at_most_exact(T, t) else "no"
+        return "yes" if dim_at_most_exact(T, X.ambient - H.dim - 2) else "no"
     except config.SearchInfeasibleError:
         return "undetermined"
 
@@ -888,14 +868,28 @@ def settle_very_transverse(
 def decide_very_transverse(
     X: locus.Hypersurface, H: projgeom.LinearSubspace, rng: random.Random
 ) -> tuple:
-    """The certified very-transverse decision: (verdict, method).
+    """The certified very-transverse decision: (verdict, method), "yes" or
+    "no" by classify_very_transverse, then by settle_very_transverse on the
+    same rng when it is left open (method "exact").  Raises
+    SearchInfeasibleError when the exact scan is over its budget."""
+    return _decided(X, H, classify_very_transverse(X, H, rng), rng)
 
-    Classification, then settlement on the same rng when it is left open
-    (method "exact").  The verdict is "yes" or "no"; a non-transverse H is
-    ("no", "not-transverse").  Raises SearchInfeasibleError when the exact
-    scan is over its budget.
-    """
-    verdict, method = classify_very_transverse(X, H, rng)
+
+def very_transverse_verdicts(X: locus.Hypersurface, subspaces, rng: random.Random):
+    """For each subspace E of X's ambient space, in order, (E, verdict,
+    method) with decide_very_transverse's certified verdict: the subspaces
+    are classified _VERDICT_CHUNK at a time (_classify_many), and each one
+    left open is settled on the same rng, in chunk order.  The verdicts do
+    not depend on _VERDICT_CHUNK; the rng stream does."""
+    subspaces = iter(subspaces)
+    while chunk := list(itertools.islice(subspaces, _VERDICT_CHUNK)):
+        for E, classified in zip(chunk, _classify_many(X, chunk, rng)):
+            yield (E, *_decided(X, E, classified, rng))
+
+
+def _decided(X, H, classified: tuple, rng: random.Random) -> tuple:
+    """The (verdict, method) classified, settled when it is left open."""
+    verdict, method = classified
     if verdict == "undetermined":
         verdict, method = settle_very_transverse(X, H, rng), "exact"
     if verdict == "undetermined":
@@ -905,64 +899,55 @@ def decide_very_transverse(
     return verdict, method
 
 
-def very_transverse_verdicts(X: locus.Hypersurface, subspaces, rng: random.Random):
-    """For each subspace E of X's ambient space, in order, (E, verdict,
-    method) with decide_very_transverse's certified verdict, the first
-    Las-Vegas attempts of many subspaces tested at once.
-
-    The subspaces are taken _VERDICT_CHUNK at a time.  Transversality is
-    decided exactly, as by classify_very_transverse (_transverse_many).
-    For each transverse E below hyperplane dimension, in chunk order, the
-    first attempt's slices of its tangency locus are drawn, as
-    dim_upper_bound draws them, and the sliced loci are built together in
-    arrays (_sliced_tangency_loci) and tested together
-    (_square_spans_many): a full-rank square Macaulay submatrix proves the
-    slice empty, so E is ("yes", "las-vegas").  The chunk's misses are
-    decided together and exactly, as macaulay_is_empty decides them, by the
-    ranks of their full Macaulay matrices (_empty_many), and when a slice
-    is nonempty, decide_very_transverse decides E on the same rng, in chunk
-    order.  So the verdicts are certified, but the rng stream is not that
-    of a loop of decide_very_transverse, and it moves with _VERDICT_CHUNK.
-    """
+def _classify_many(X: locus.Hypersurface, subspaces, rng: random.Random) -> list:
+    """classify_very_transverse of each subspace: transversality once for
+    all (_transverse_many), the whole answer for a hyperplane ("direct"),
+    then the attempt loop on the transverse rest ("las-vegas")."""
     if not ensure_smooth(X):
         raise ValueError("very-transversality is defined for smooth X only")
-    subspaces = iter(subspaces)
-    while chunk := list(itertools.islice(subspaces, _VERDICT_CHUNK)):
-        transverse = _transverse_many(X, chunk)
-        opened = [
-            i for i, E in enumerate(chunk) if transverse[i] and E.dim < X.ambient - 1
-        ]
-        field, loci = _sliced_tangency_loci(X, [chunk[i] for i in opened], rng)
-        empty = _square_spans_many(field, loci)
-        missed = [s for s, hit in enumerate(empty) if not hit]
-        for s, verdict in zip(missed, _empty_many(field, [loci[s] for s in missed])):
-            empty[s] = verdict
-        empty = dict(zip(opened, empty))
-        for i, E in enumerate(chunk):
-            if not transverse[i]:
-                yield E, "no", "not-transverse"
-            elif i not in empty:
-                yield E, "yes", "direct"
-            elif empty[i]:
-                yield E, "yes", "las-vegas"
-            else:
-                yield (E, *decide_very_transverse(X, E, rng))
+    transverse = _transverse_many(X, subspaces)
+    opened = [
+        i for i, E in enumerate(subspaces) if transverse[i] and E.dim < X.ambient - 1
+    ]
+    empty = dict(zip(opened, _las_vegas(X, [subspaces[i] for i in opened], rng)))
+    return [
+        ("no", "not-transverse") if not transverse[i]
+        else ("yes", "direct") if i not in empty
+        else ("yes" if empty[i] else "undetermined", "las-vegas")
+        for i in range(len(subspaces))
+    ]
+
+
+def _las_vegas(X: locus.Hypersurface, subspaces, rng: random.Random) -> list:
+    """For each transverse subspace H below hyperplane dimension, whether
+    up to _LV_RETRIES attempts certify dim tangency_locus(X, H) <= n - dim
+    H - 2; a False carries no information.  Each attempt slices the
+    pending subspaces' loci (_sliced_tangency_loci) and decides their
+    emptiness exactly (_empty_loci); a nonempty slice stays pending.  On
+    one subspace this is dim_upper_bound's loop, draw for draw."""
+    empty = [False] * len(subspaces)
+    pending = list(range(len(subspaces)))
+    for _ in range(_LV_RETRIES):
+        if not pending:
+            break
+        E, loci = _sliced_tangency_loci(X, [subspaces[i] for i in pending], rng)
+        hits = _empty_loci(E, loci)
+        for i, hit in zip(pending, hits):
+            empty[i] = hit
+        pending = [i for i, hit in zip(pending, hits) if not hit]
+    return empty
 
 
 def _transverse_many(X: locus.Hypersurface, subspaces) -> list:
-    """is_transverse of each subspace, the lines' together.
-
-    X's form is restricted to every line at once over X's field
-    (poly.restrict_many), and the restrictions are tested together by
-    poly.binary_squarefree_many.  A subspace of dimension 2 or more goes
-    through is_transverse.
-    """
+    """is_transverse of each subspace.  Two lines or more have X's form
+    restricted to them at once (poly.restrict_many) and tested together by
+    poly.binary_squarefree_many; the rest go through is_transverse."""
     for H in subspaces:
         if H.ambient != X.ambient or H.field != X.field:
             raise ValueError("subspace and hypersurface do not match")
     known = {}
     lines = [i for i, H in enumerate(subspaces) if H.dim == 1]
-    if lines:
+    if len(lines) > 1:
         bases = [subspaces[i].basis for i in lines]
         (f,) = poly.restrict_many([X.form], bases, X.field)
         known = dict(zip(lines, poly.binary_squarefree_many(X.field, f).tolist()))
@@ -971,38 +956,38 @@ def _transverse_many(X: locus.Hypersurface, subspaces) -> list:
     ]
 
 
-def _by_rows(subspaces) -> dict:
-    """The positions of the subspaces, grouped by the rows of their bases."""
-    groups = {}
-    for i, H in enumerate(subspaces):
-        groups.setdefault(len(H.basis), []).append(i)
-    return groups
-
-
 def _sliced_tangency_loci(X: locus.Hypersurface, subspaces, rng: random.Random):
-    """The slice field E and, for each subspace H below hyperplane
-    dimension, in order, the sliced tangency locus of the first Las-Vegas
-    attempt of dim_upper_bound(tangency_locus(X, H), t), t = n - dim H -
-    2, as (k, gens): gens are the locus's generators, in tangency_locus's
-    order, restricted to the k = dim H + 2 dimensional slice, as pairs
-    (degree, coefficient row of E's view in poly.monomials_of_degree order).
+    """One Las-Vegas attempt: the slice field E and, for each subspace H
+    below hyperplane dimension, in order, (k, gens): the generators of
+    locus.tangency_locus(X, H), in its order, restricted to the k = dim H +
+    2 dimensional section of n - dim H - 1 random hyperplanes over E, as
+    pairs (degree, coefficient row of E's view in monomials order).
 
-    Each subspace's slice basis is drawn by _slice_basis, as _random_slices
-    draws it, from the same rng stream.  X's form and its partials are
-    restricted once for all the subspaces of one dimension (poly.restrict_many);
-    the contraction sum v_i d_iF of a basis row v of H is then sum v_i
-    (d_iF restricted), and it is dropped where it is zero before
-    restriction, as tangency_locus drops it.
+    Each slice basis is drawn by _slice_basis, as dim_upper_bound draws an
+    attempt.  A subspace alone in its dimension has X and its contractions
+    (locus.contractions) restricted to its basis.  For more, X and its
+    partials are restricted once for all their bases (poly.restrict_many),
+    and the contraction by a basis row v is sum v_i (d_iF restricted),
+    dropped where sum v_i d_iF is zero, as tangency_locus drops it.
     """
     F, nvars = X.field, X.ambient + 1
     E = gf.extension_with(F, _LV_MIN_FIELD)
     bases = [_slice_basis(E, nvars, X.ambient - H.dim - 1, rng)[1] for H in subspaces]
+    groups, out = {}, [None] * len(subspaces)
+    for i, H in enumerate(subspaces):
+        groups.setdefault(len(H.basis), []).append(i)
+    for i in (idx[0] for idx in groups.values() if len(idx) == 1):
+        forms = [X.form, *locus.contractions(X, subspaces[i].basis)]
+        restricted = poly.restrict_many(forms, [bases[i]], E)
+        out[i] = (len(bases[i]), [(G.degree, R[0]) for G, R in zip(forms, restricted)])
+    groups = [idx for idx in groups.values() if len(idx) > 1]
+    if not groups:
+        return E, out
     partials = poly.form_partials(X.form)
     d, VF, VE = X.degree, F.arrays(), E.arrays()
     D = np.stack([poly.coefficients(g, VF) for g in partials])
     emb = functools.partial(gf.embed_code, F, E)
-    out = [None] * len(subspaces)
-    for size, idx in _by_rows(subspaces).items():
+    for idx in groups:
         restricted = poly.restrict_many([X.form, *partials], [bases[i] for i in idx], E)
         Hs = [subspaces[i].basis for i in idx]
         HF = VF.array(Hs)  # (S, size, nvars)
@@ -1017,7 +1002,7 @@ def _sliced_tangency_loci(X: locus.Hypersurface, subspaces, rng: random.Random):
         for s, i in enumerate(idx):
             gens = [(d, restricted[0][s])]
             gens += [(d - 1, g) for g, kept in zip(contracted[s], keep[s]) if kept]
-            out[i] = (size + 1, gens)
+            out[i] = (len(bases[i]), gens)
     return E, out
 
 
@@ -1027,29 +1012,32 @@ def _locus_scheme(E: gf.Field, k: int, gens) -> locus.SchemeSpec:
     return locus.SchemeSpec(E, k, [poly.array_form(E, k, d, row) for d, row in gens])
 
 
+def _empty_loci(E: gf.Field, loci) -> list:
+    """macaulay_is_empty of the scheme of each (k, gens) of
+    _sliced_tangency_loci: a lone locus by macaulay_is_empty itself, more
+    by their square Macaulay submatrices stacked (_square_spans_many) and
+    the misses' full matrices stacked (_empty_many)."""
+    if len(loci) == 1:
+        return [macaulay_is_empty(_locus_scheme(E, *loci[0]))]
+    empty = _square_spans_many(E, loci)
+    missed = [s for s, hit in enumerate(empty) if not hit]
+    for s, verdict in zip(missed, _empty_many(E, [loci[s] for s in missed])):
+        empty[s] = verdict
+    return empty
+
+
 def _square_spans_many(E: gf.Field, loci) -> list:
     """For each (k, gens) of _sliced_tangency_loci, whether Macaulay's
     square submatrix at N* has full rank, which proves the scheme empty; a
-    False carries no information.
-
-    A scheme with a unit generator, fewer nonzero generators than
-    variables, a full matrix over _MAX_MACAULAY_ENTRIES or a square of more
-    than poly.KERNEL_ELEMENTS codes gets False, for _empty_many to decide.
-    """
+    False, also where no stack holds it, carries no information."""
     return [bool(v) for v in _macaulay_many(E, loci, full=False)]
 
 
 def _empty_many(E: gf.Field, loci) -> list:
     """macaulay_is_empty of the scheme of each (k, gens) of
-    _sliced_tangency_loci, the stacked ones decided together.
-
-    A unit generator makes the scheme empty and fewer nonzero generators
-    than variables leave it nonempty.  The rest have their full degree-N*
-    Macaulay matrix, both blocks of _macaulay_plan, scattered and its rank
-    tested by linalg.full_rank_many: full rank is exactly what
-    macaulay_is_empty decides.  Only a scheme whose full matrix holds more
-    than poly.KERNEL_ELEMENTS codes is built and asked of macaulay_is_empty.
-    """
+    _sliced_tangency_loci, by the full rank of its degree-N* Macaulay
+    matrix, the stacked ones decided together; one no stack holds is built
+    and asked of macaulay_is_empty."""
     out = _macaulay_many(E, loci, full=True)
     return [
         macaulay_is_empty(_locus_scheme(E, *locus_)) if v is None else v
@@ -1063,14 +1051,12 @@ def _macaulay_many(E: gf.Field, loci, full: bool) -> list:
     has full rank, or None where no stack holds it.
 
     A unit generator gives True with ``full``, fewer nonzero generators
-    than variables False, and each gives None without ``full``.  A full
-    matrix over _MAX_MACAULAY_ENTRIES, or a matrix of more than
-    poly.KERNEL_ELEMENTS codes, gives None.  The rest are grouped by
-    variables, N* and nonzero generator degrees, which fix the matrix's
-    shape and rows, and each group's matrices are scattered from the
-    coefficient rows by the blocks of the plan macaulay_is_empty scatters
-    by (_macaulay_plan), and eliminated by linalg.full_rank_many in stacks
-    of at most poly.KERNEL_ELEMENTS codes.
+    than variables False, and each None without.  A full matrix over
+    _MAX_MACAULAY_ENTRIES, or a matrix of more than poly.KERNEL_ELEMENTS
+    codes, gives None.  The rest are grouped by variables, N* and nonzero
+    generator degrees, scattered from the coefficient rows by the blocks of
+    _macaulay_plan, and eliminated by linalg.full_rank_many in stacks of at
+    most poly.KERNEL_ELEMENTS codes.
     """
     out = [None] * len(loci)
     groups = {}

@@ -70,29 +70,36 @@ class SchemeSpec:
 def tangency_locus(X: Hypersurface, H: projgeom.LinearSubspace) -> SchemeSpec:
     """Points of X whose (embedded) tangent hyperplane contains all of H.
 
-    Generators: the form of X plus one gradient contraction
-    sum_i v_i dF/dx_i per basis row v of H, built in one pass over the
-    terms of F; zero contractions are dropped.  For smooth X this cuts out
-    exactly the locus where the tangent hyperplane contains H; singular
-    points of X always belong.
+    Generators: the form of X plus the nonzero gradient contractions by the
+    basis rows of H (contractions).  For smooth X this cuts out exactly the
+    locus where the tangent hyperplane contains H; singular points of X
+    always belong.
     """
     if H.field != X.field:
         raise ValueError("subspace must be over the base field of X")
     if H.ambient != X.ambient:
         raise ValueError("ambient dimension mismatch")
+    return SchemeSpec(X.field, X.ambient + 1, [X.form, *contractions(X, H.basis)])
+
+
+def contractions(X: Hypersurface, rows) -> list:
+    """The gradient contractions sum_i v_i dF/dx_i of X's form F by each
+    row v of codes, in order, each built in one pass over the terms of F
+    and the nonzero entries of v; zero contractions are dropped."""
     fld = X.field
-    gens = [X.form]
-    for row in H.basis:
+    out = []
+    for row in rows:
+        support = [(i, v) for i, v in enumerate(row) if v]
         terms: dict = {}
         for exps, c in X.form.terms.items():
-            for i, v in enumerate(row):
+            for i, v in support:
                 e = exps[i]
-                if e and v:
+                if e:
                     ne = exps[:i] + (e - 1,) + exps[i + 1 :]
                     term = fld.mul(v, fld.mul_int(c, e))
                     terms[ne] = fld.add(terms.get(ne, 0), term)
         terms = {e: c for e, c in terms.items() if c}
         g = poly.Form._built(fld, X.ambient + 1, X.degree - 1, terms)
         if not g.is_zero():
-            gens.append(g)
-    return SchemeSpec(fld, X.ambient + 1, gens)
+            out.append(g)
+    return out

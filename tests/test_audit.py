@@ -799,15 +799,20 @@ class TestBadSuperspacesAgainstTheLoop:
             assert count_bad_superspaces(X, P, 1, seed=seed).extras == want, seed
 
     def test_square_hits_skip_the_scalar_elimination(self, monkeypatch):
-        # neither the square hits nor the misses reach macaulay_is_empty: the
-        # misses are decided by the batch, and each batched verdict is
-        # macaulay_is_empty's on the same scheme.  A locus is known by its
-        # generators' coefficients, in the order of poly.monomials_of_degree,
-        # whether as arrays or as a built scheme
-        tested, batched, asked = [], [], []
+        # neither the square hits nor the misses of a stack reach
+        # macaulay_is_empty: the misses are decided by the batch, and each
+        # batched verdict is macaulay_is_empty's on the same scheme.  A locus
+        # is known by its generators' coefficients, in the order of
+        # poly.monomials_of_degree, whether as arrays or as a built scheme
+        tested, batched, asked, attempts = [], [], [], []
         square, batch, single = (
             certify._square_spans_many, certify._empty_many, certify.macaulay_is_empty
         )
+        sliced_loci = certify._sliced_tangency_loci
+
+        def sliced_tangency_loci(X, subspaces, rng):
+            attempts.append([E.basis for E in subspaces if E.dim == 1])
+            return sliced_loci(X, subspaces, rng)
 
         def square_spans_many(E, loci):
             hits = square(E, loci)
@@ -829,12 +834,16 @@ class TestBadSuperspacesAgainstTheLoop:
         monkeypatch.setattr(certify, "_square_spans_many", square_spans_many)
         monkeypatch.setattr(certify, "_empty_many", empty_many)
         monkeypatch.setattr(certify, "macaulay_is_empty", macaulay_is_empty)
+        monkeypatch.setattr(certify, "_sliced_tangency_loci", sliced_tangency_loci)
         X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
         P = pg.subspace_from_rows(F13, [(1, 0, 0, 0)])
         count_bad_superspaces(X, P, 1, seed=0)
         asked = set(asked)
         misses = [S for S, hit in tested if not hit]
-        assert len(tested) == 174  # every transverse line, once
+        assert len({B for lines in attempts for B in lines}) == 174  # every transverse line
+        # every locus of a stack of two or more is square-tested once; a lone
+        # one, a retry after a nonempty slice, goes to macaulay_is_empty
+        assert len(tested) == sum(len(lines) for lines in attempts if len(lines) > 1)
         assert misses and [scheme_key(S) for S, _ in batched] == misses
         assert not any(S in asked for S, _ in tested)
         for S, verdict in batched:
@@ -842,9 +851,14 @@ class TestBadSuperspacesAgainstTheLoop:
 
     def test_census_runs_no_rref_and_no_scalar_emptiness_on_its_slices(self, monkeypatch):
         # the candidates' bases are written down, not eliminated, and every
-        # sliced locus of the chunks is decided in a stack
-        rrefs, asked, sliced = [], [], []
+        # sliced locus of a stack of two or more is decided in the stack
+        rrefs, asked, sliced, stacked = [], [], [], []
         rref, square, single = linalg.rref, certify._square_spans_many, certify.macaulay_is_empty
+        sliced_loci = certify._sliced_tangency_loci
+
+        def sliced_tangency_loci(X, subspaces, rng):
+            stacked.append(len(subspaces) if len(subspaces) > 1 else 0)
+            return sliced_loci(X, subspaces, rng)
 
         def counted_rref(F, rows):
             rrefs.append(rows)
@@ -863,11 +877,12 @@ class TestBadSuperspacesAgainstTheLoop:
         monkeypatch.setattr(linalg, "rref", counted_rref)
         monkeypatch.setattr(certify, "_square_spans_many", square_spans_many)
         monkeypatch.setattr(certify, "macaulay_is_empty", macaulay_is_empty)
+        monkeypatch.setattr(certify, "_sliced_tangency_loci", sliced_tangency_loci)
         for seed in range(3):
             report = count_bad_superspaces(X, P, 1, seed=seed)
             assert report.extras["pool"] == 183
         assert not rrefs
-        assert len(sliced) == 3 * 174 and not set(sliced) & set(asked)
+        assert len(sliced) == sum(stacked) >= 3 * 174 and not set(sliced) & set(asked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import functools
 import importlib.util
 import itertools
@@ -12,6 +13,7 @@ import pytest
 
 import macaulay_reference as ref
 import point_reference as points
+import very_transverse_reference as vt_ref
 from transverse import audit, certify, config, gf, linalg, locus, poly, projgeom as pg
 from transverse import search
 from transverse.certify import (
@@ -1528,8 +1530,9 @@ class TestTransversality:
             is_transverse(X, L)
 
 
-def _lv_never_holds(S, t, **_kw):
-    return certify.DimensionCertificate(S, t, "undetermined")
+def _lv_never_holds(E, loci):
+    """The attempt loop's emptiness test, forced to miss every slice."""
+    return [False] * len(loci)
 
 
 class TestVeryTransverse:
@@ -1566,8 +1569,9 @@ class TestVeryTransverse:
     def test_las_vegas_miss_is_settled_exactly(self, monkeypatch):
         Q = surf(F5, "x0*x3 + 4*x1*x2")
         L = next(L for L in pg.all_lines(3, F5) if is_transverse(Q, L))
-        monkeypatch.setattr(certify, "dim_upper_bound", _lv_never_holds)
+        monkeypatch.setattr(certify, "_empty_loci", _lv_never_holds)
         assert is_very_transverse(Q, L)
+        assert decide_very_transverse(Q, L, random.Random(0)) == ("yes", "exact")
 
     def test_classify_then_settle(self, monkeypatch):
         Q = surf(F5, "x0*x3 + 4*x1*x2")
@@ -1580,7 +1584,7 @@ class TestVeryTransverse:
         assert classify_very_transverse(Q, plane, random.Random(0)) == (
             "yes", "direct",
         )
-        monkeypatch.setattr(certify, "dim_upper_bound", _lv_never_holds)
+        monkeypatch.setattr(certify, "_empty_loci", _lv_never_holds)
         assert classify_very_transverse(Q, L, random.Random(0)) == (
             "undetermined", "las-vegas",
         )
@@ -1594,8 +1598,11 @@ class TestVeryTransverse:
         def over_budget(S, t):
             raise config.SearchInfeasibleError("over budget")
 
-        monkeypatch.setattr(certify, "dim_upper_bound", _lv_never_holds)
+        monkeypatch.setattr(certify, "_empty_loci", _lv_never_holds)
         monkeypatch.setattr(certify, "dim_at_most_exact", over_budget)
+        assert classify_very_transverse(Q, L, random.Random(0)) == (
+            "undetermined", "las-vegas",
+        )
         assert settle_very_transverse(Q, L, random.Random(0)) == "undetermined"
         with pytest.raises(config.SearchInfeasibleError):
             decide_very_transverse(Q, L, random.Random(0))
@@ -1615,3 +1622,169 @@ class TestVeryTransverse:
         L = line_through(F5, (1, 0, 0), (0, 1, 0))
         with pytest.raises(ValueError):
             is_very_transverse(C, L)
+
+
+# ---------------------------------------------------------------------------
+# The one attempt loop against the scheme path it replaced
+# (very_transverse_reference): the same verdict, method and rng state after
+# every call, and none of the loop's calls reaches dim_upper_bound or builds
+# a tangency locus outside the exact scan.
+
+
+def smooth_form(field, nvars, degree, rng):
+    mons = list(poly.monomials_of_degree(nvars, degree))
+    while True:
+        G = poly.Form(field, nvars, degree, {m: rng.randrange(field.order) for m in mons})
+        if not G.is_zero() and ensure_smooth(Hypersurface(G)):
+            return Hypersurface(G)
+
+
+def dim_upper_bound_drawing_every_attempt(S, t, rng):
+    """dim_upper_bound forced to miss: every attempt drawn, none decided."""
+    for _ in range(certify._LV_RETRIES):
+        certify._random_slices(S, t, rng)
+    return certify.DimensionCertificate(S, t, "undetermined", (), certify._LV_RETRIES)
+
+
+def points_lines_and_planes(X, per_level):
+    """The first points, the first lines through the first transverse
+    point, and the first planes through the first transverse line."""
+    first = itertools.islice(pg.enumerate_points(X.ambient, X.field), per_level)
+    points = [pg.point_subspace(P) for P in first]
+    P = next(H for H in points if is_transverse(X, H))
+    lines = list(itertools.islice(pg.enumerate_superspaces(P, 1), per_level))
+    L = next(H for H in lines if is_transverse(X, H))
+    return points + lines + list(itertools.islice(pg.enumerate_superspaces(L, 2), per_level))
+
+
+class TestOneAttemptLoopAgainstTheSchemePath:
+    def assert_same_decisions(self, X, subspaces, monkeypatch, seed=0):
+        """Classify (and settle what is left open) each subspace on both
+        paths, one rng each; the counts of methods and verdicts seen."""
+        calls = collections.Counter()
+        lv, tangency = certify.dim_upper_bound, locus.tangency_locus
+
+        def counted_lv(S, t, rng):
+            calls["dim_upper_bound"] += 1
+            return lv(S, t, rng)
+
+        def counted_tangency(X, H):
+            calls["tangency_locus"] += 1
+            return tangency(X, H)
+
+        monkeypatch.setattr(certify, "dim_upper_bound", counted_lv)
+        monkeypatch.setattr(locus, "tangency_locus", counted_tangency)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        seen = collections.Counter()
+        for H in subspaces:
+            before = calls.copy()
+            got = classify_very_transverse(X, H, ours)
+            assert calls == before  # the loop alone
+            assert got == vt_ref.classify_very_transverse(X, H, theirs), pg.format_subspace(H)
+            assert ours.getstate() == theirs.getstate()
+            seen[got] += 1
+            if got[0] == "undetermined":
+                before = calls.copy()
+                got = settle_very_transverse(X, H, ours)
+                # the loop, then the exact scan of the tangency locus
+                added = calls - before
+                assert not added["dim_upper_bound"] and added["tangency_locus"] <= 1
+                assert got == vt_ref.settle_very_transverse(X, H, theirs)
+                assert ours.getstate() == theirs.getstate()
+                seen[got, "exact"] += 1
+        return seen
+
+    @pytest.mark.parametrize("field", [(2, 2), (5, 1), (13, 1)])
+    @pytest.mark.parametrize("nvars", [4, 5])
+    def test_points_lines_and_planes_of_cubics(self, field, nvars, monkeypatch):
+        F = gf.field_create(*field)
+        X = smooth_form(F, nvars, 3, random.Random(f"one-loop/{F.order}/{nvars}"))
+        seen = self.assert_same_decisions(X, points_lines_and_planes(X, 12), monkeypatch)
+        assert seen[("no", "not-transverse")] and seen[("yes", "las-vegas")]
+        if nvars == 4:
+            assert seen[("yes", "direct")]  # the planes of P^3 are hyperplanes
+
+    def test_points_and_lines_of_a_quintic_surface_over_f83(self, monkeypatch):
+        F = gf.field_create(83)
+        X = smooth_form(F, 4, 5, random.Random("one-loop/quintic"))
+        seen = self.assert_same_decisions(X, points_lines_and_planes(X, 4)[:8], monkeypatch)
+        assert seen[("yes", "las-vegas")]
+
+    def test_a_true_miss_is_settled_alike(self, monkeypatch):
+        # every tangent line of the conic x0^2 + x1*x2 over F_4 passes through
+        # its nucleus e0, whose contraction d0F is zero: e0 is transverse, its
+        # tangency locus is the whole conic, and every attempt of both paths
+        # misses before the exact scan refutes the bound
+        X = surf(gf.field_create(2, 2), "x0^2 + x1*x2")
+        e0 = pg.point_subspace(pg.ProjectivePoint(X.field, (1, 0, 0)))
+        seen = self.assert_same_decisions(X, [e0], monkeypatch)
+        assert seen == {("undetermined", "las-vegas"): 1, ("no", "exact"): 1}
+
+    def test_a_forced_miss_is_settled_alike(self, monkeypatch):
+        # every slice of the loop is taken as nonempty, and the reference's
+        # dim_upper_bound draws all its attempts and decides none of them
+        monkeypatch.setattr(certify, "_empty_loci", _lv_never_holds)
+        monkeypatch.setattr(certify, "dim_upper_bound", dim_upper_bound_drawing_every_attempt)
+        Q = surf(F5, "x0*x3 + 4*x1*x2")
+        lines = [L for L in itertools.islice(pg.all_lines(3, F5), 40) if is_transverse(Q, L)][:3]
+        ours, theirs = random.Random(3), random.Random(3)
+        for L in lines:
+            assert classify_very_transverse(Q, L, ours) == ("undetermined", "las-vegas")
+            assert vt_ref.classify_very_transverse(Q, L, theirs) == ("undetermined", "las-vegas")
+            assert ours.getstate() == theirs.getstate()
+            assert settle_very_transverse(Q, L, ours) == "yes"
+            assert vt_ref.settle_very_transverse(Q, L, theirs) == "yes"
+            assert ours.getstate() == theirs.getstate()
+
+
+class TestNoRestartInTheCensus:
+    # the benchmark's fixture, bench/fixtures/fermat_cubic_f13.txt
+    X = surf(gf.field_create(13), "x0^3 + x1^3 + x2^3 + x3^3")
+    P = pg.subspace_from_rows(gf.field_create(13), [(1, 0, 0, 0)])
+
+    def test_a_miss_goes_on_to_its_next_attempt(self, monkeypatch):
+        # the first three attempts take every slice as nonempty: the first
+        # chunk's lines stay pending for a fourth, and none is tested for
+        # transversality again or drawn from attempt 1 again
+        lines = list(pg.enumerate_superspaces(self.P, 1))
+        want = list(certify.very_transverse_verdicts(self.X, lines, random.Random(0)))
+        transversality, single, sliced, draws = [], [], [], []
+        many, one = certify._transverse_many, certify.is_transverse
+        slicer, drawer, empty = (
+            certify._sliced_tangency_loci, certify._slice_basis, certify._empty_loci
+        )
+
+        def transverse_many(X, subspaces):
+            transversality.extend(H.basis for H in subspaces)
+            return many(X, subspaces)
+
+        def is_transverse_(X, H):
+            single.append(H.basis)
+            return one(X, H)
+
+        def sliced_tangency_loci(X, subspaces, rng):
+            sliced.append([H.basis for H in subspaces])
+            return slicer(X, subspaces, rng)
+
+        def slice_basis(E, nvars, levels, rng):
+            draws.append(levels)
+            return drawer(E, nvars, levels, rng)
+
+        def empty_loci(E, loci):
+            return [False] * len(loci) if len(sliced) <= 3 else empty(E, loci)
+
+        monkeypatch.setattr(certify, "_transverse_many", transverse_many)
+        monkeypatch.setattr(certify, "is_transverse", is_transverse_)
+        monkeypatch.setattr(certify, "_sliced_tangency_loci", sliced_tangency_loci)
+        monkeypatch.setattr(certify, "_slice_basis", slice_basis)
+        monkeypatch.setattr(certify, "_empty_loci", empty_loci)
+        got = list(certify.very_transverse_verdicts(self.X, lines, random.Random(0)))
+        assert [v for _, v, _ in got] == [v for _, v, _ in want]
+        assert sorted(transversality) == sorted(H.basis for H in lines)  # each once
+        assert not single  # every chunk's lines are tested together
+        # every draw is one subspace's attempt in the loop
+        assert len(draws) == sum(map(len, sliced))
+        first = [H.basis for H, _, m in got[: certify._VERDICT_CHUNK] if m != "not-transverse"]
+        assert sliced[0] == sliced[1] == sliced[2] == sliced[3] == first  # attempts 1 to 4
+        per_line = collections.Counter(B for attempt in sliced for B in attempt)
+        assert max(per_line.values()) <= certify._LV_RETRIES

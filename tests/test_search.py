@@ -571,35 +571,34 @@ class TestVeryTransverseFlag:
 
     def test_wide_quadric_restricts_once_per_attempt(self, monkeypatch):
         # r = 0 on a 200-variable quadric: a point's tangency locus is cut by
-        # 198 hyperplanes per Las-Vegas attempt, and its generators are
-        # restricted by one kernel call, at the composed slice basis;
-        # restricting level by level made 198 restrictions per generator and
-        # took minutes
+        # 198 hyperplanes per Las-Vegas attempt, and its generators, X and
+        # the point's one contraction, are restricted by one kernel call, at
+        # the composed slice basis; restricting level by level made 198
+        # restrictions per generator and took minutes, and restricting all
+        # 200 partials would make 201 forms a call
         X = surf(F5, " + ".join(f"x{i}^2" for i in range(200)))
         restrictions, attempts = [], []
-        restrict, slices = poly.restrict_many, certify._random_slices
+        restrict, slices = poly.restrict_many, certify._slice_basis
 
         def counted_restrict(forms, bases, E):
             restrictions.append((len(forms), len(bases), len(bases[0])))
             return restrict(forms, bases, E)
 
-        def counted_slices(S, t, rng):
-            attempts.append(len(S.gens))
-            return slices(S, t, rng)
+        def counted_slices(E, nvars, levels, rng):
+            attempts.append((nvars, levels))
+            return slices(E, nvars, levels, rng)
 
         monkeypatch.setattr(poly, "restrict_many", counted_restrict)
-        monkeypatch.setattr(certify, "_random_slices", counted_slices)
+        monkeypatch.setattr(certify, "_slice_basis", counted_slices)
         out = find_very_transverse_flag(X, 0, seed=0)
         assert out.succeeded()
-        assert attempts
+        assert attempts and set(attempts) == {(200, 198)}
         # is_transverse restricts X once to each point tested, and every
         # attempt restricts all its generators in one call, to the
         # 2-dimensional slice
         assert len(restrictions) == out.tested + len(attempts)
         assert restrictions.count((1, 1, 1)) == out.tested
-        assert sorted(c for c in restrictions if c[2] == 2) == sorted(
-            (n, 1, 2) for n in attempts
-        )
+        assert [c for c in restrictions if c[2] == 2] == [(2, 1, 2)] * len(attempts)
 
     def test_deterministic(self):
         X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
