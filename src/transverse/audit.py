@@ -426,9 +426,12 @@ def count_bad_superspaces(
 
     Every candidate is classified exactly: non-transverse candidates count
     as tangent (for smooth X the two notions agree), and transverse ones
-    are split by the exact very-transversality decision.  The primary
-    report carries the combined bound; tangent and dual-contained counts
-    get their own subreports.
+    are split by the exact very-transversality decision.  A candidate in a
+    rational hyperplane with a smooth section is very transverse
+    (certify.pencil_certificates); only the rest go through
+    certify.very_transverse_verdicts.  The primary report carries the
+    combined bound; tangent and dual-contained counts get their own
+    subreports.
 
     As a behavioral cross-check, tangency witnesses are hunted: points P
     of the tangency locus of H_prev at residue degree <= _WITNESS_KMAX on a
@@ -453,17 +456,14 @@ def count_bad_superspaces(
         raise ValueError("H_prev must be very transverse to X")
     started = time.perf_counter()
     tangent = []
-    transverse = 0
     dual_contained = 0
-    verdicts = certify.very_transverse_verdicts(
-        X, projgeom.enumerate_superspaces(H_prev, r), rng
-    )
-    for E, verdict, method in verdicts:
+    candidates = projgeom.enumerate_superspaces(H_prev, r)
+    staged = certify.pencil_certificates(X, H_prev, candidates)
+    left_open = (E for E, K in staged if K is None)
+    for E, verdict, method in certify.very_transverse_verdicts(X, left_open, rng):
         if method == "not-transverse":
             tangent.append(E)
-            continue
-        transverse += 1
-        if verdict == "no":
+        elif verdict == "no":
             dual_contained += 1
 
     own_points = _tangency_witnesses(X, H_prev, tangent, _WITNESS_KMAX)
@@ -481,7 +481,7 @@ def count_bad_superspaces(
     params = {"n": n, "d": X.degree, "q": q, "r": r, "t": None}
     extras = {
         "pool": pool,
-        "transverse": transverse,
+        "transverse": pool - len(tangent),
         "tangent": len(tangent),
         "dual_contained": dual_contained,
         "witness_points": sum(map(len, own_points)),

@@ -72,7 +72,10 @@ and decides the sliced loci's emptiness exactly: one locus by
 macaulay_is_empty, more by their square and then full Macaulay matrices
 eliminated as stacks (linalg.full_rank_many).  A nonempty slice stays
 pending for the next attempt.  A subspace the loop leaves open is settled
-by one more run of it, then by the exact scan of its tangency locus.
+by one more run of it, then by the exact scan of its tangency locus.  A
+superspace census sends the loop only what no smooth rational hyperplane
+section certifies (pencil_certificates): the sections through a pencil's
+axis are decided as one stack, and each covers every candidate inside it.
 
 Points over an extension E are swept along normalized prefixes of
 P^(n-1)(E), with a gcd chain of the specialized generators in the last
@@ -114,6 +117,9 @@ _SECTION_CHUNK = 256
 # benchmark fixture's 183 lines a chunk of 32 peaks at about 0.8 MiB of
 # working set against 0.4 MiB at 16, and takes about 29 ms against 35 ms
 _VERDICT_CHUNK = 32
+# candidates pencil_certificates holds at once, with their transversality
+# and coordinates; the pencils and their members' verdicts carry over
+_PENCIL_CHUNK = 4096
 # Largest rows x columns of a Macaulay matrix, refused before any row is
 # built.  Its square root bounds the pivots of the elimination, which the
 # numpy path of linalg must accept.
@@ -887,6 +893,93 @@ def very_transverse_verdicts(X: locus.Hypersurface, subspaces, rng: random.Rando
             yield (E, *_decided(X, E, classified, rng))
 
 
+def pencil_certificates(X: locus.Hypersurface, H: projgeom.LinearSubspace, candidates):
+    """For each r-plane E through H, r = dim H + 1, in order, (E, K): a
+    rational hyperplane K through E with a smooth section of the smooth X,
+    when E is transverse and a pencil finds one, else None.  K is tangent
+    to X nowhere and the Gauss map of X is finite, so E is very transverse.
+
+    A pencil is the hyperplanes through an axis of codimension 2 holding
+    H.  With a, b spanning the axis's annihilator, the member through E =
+    H + v is (b . v) a - (a . v) b, or every member when that is zero.  The
+    members pending candidates need are decided once each, by _empty_loci
+    on the section's Jacobian.  A new axis holds the first candidate in no
+    tangent member, and a new pencil that certifies nothing ends the
+    search; chunks of _PENCIL_CHUNK candidates try the old pencils first.  Every K is None, and nothing is built, when r = n - 1 or a
+    section's Jacobian Macaulay matrix exceeds _MAX_MACAULAY_ENTRIES or
+    poly.KERNEL_ELEMENTS.
+    """
+    if not ensure_smooth(X):
+        raise ValueError("pencil certificates are defined for smooth X only")
+    n, F, d = X.ambient, X.field, X.degree
+    # the Jacobian of a section: its partials, and itself when p | d, or when
+    # no partial is left (jacobian_scheme)
+    degs = [d - 1] * n + [d] * (d % F.p == 0)
+    size = math.prod(_macaulay_size(degs, n, _macaulay_bound(degs, n - 1)))
+    candidates = iter(candidates)
+    if H.dim + 2 >= n or size > min(_MAX_MACAULAY_ENTRIES, poly.KERNEL_ELEMENTS):
+        yield from ((E, None) for E in candidates)
+        return
+    V, partials = F.arrays(), poly.form_partials(X.form)
+    held = [next(i for i, c in enumerate(row) if c) for row in H.basis]
+    members, axes = {}, []  # members: K's basis -> (w, K, or None if tangent)
+
+    def dots(C, w):
+        return functools.reduce(V.add, V.mul(C, V.array(w)).T)
+
+    def add_axis(chunk, C):
+        # the annihilator of the first candidate in no tangent member, read
+        # off its reduced rows; b sums its basis, favouring no coordinate
+        eligible = np.ones(len(C), dtype=bool)
+        for w, K in members.values():
+            if K is None:
+                eligible &= dots(C, w) != 0
+        if not eligible.any():
+            return False
+        rows = chunk[int(eligible.argmax())].basis
+        lead = {next(i for i, c in enumerate(row) if c): row for row in rows}
+        ker = [[F.neg(lead[i][f]) if i in lead else int(i == f) for i in range(n + 1)]
+               for f in range(n + 1) if f not in lead]
+        axes.append((ker[0], [functools.reduce(F.add, col) for col in zip(*ker)]))
+        return True
+
+    def pencil(a, b, C, pending, out):
+        s, t = dots(C[pending], b), dots(C[pending], a)
+        vals, at = np.unique(s, return_inverse=True)
+        inv = V.array([F.inv(x) if x else 0 for x in vals.tolist()])[at]
+        ratio = V.mul(V.mul(t, F.neg(1)), inv).astype(np.int64)
+        # the member a + ratio * b, F.order for b, -1 for every member
+        at = np.where(s != 0, ratio, np.where(t != 0, F.order, -1)).tolist()
+        ws = {x: b if x == F.order else [F.add(ai, F.mul(x, bi)) for ai, bi in zip(a, b)]
+              for x in set(at) - {-1}}
+        Ks = {x: projgeom.hyperplane(F, w) for x, w in ws.items()}
+        new = [x for x, K in Ks.items() if K.basis not in members]
+        bases = [Ks[x].basis for x in new]
+        sections = _restricted_contractions(X, partials, bases, bases, F) if new else []
+        loci = [(n, gens if len(gens) == 1 or len(degs) > n else gens[1:]) for gens in sections]
+        for x, smooth in zip(new, _empty_loci(F, loci)):
+            members[Ks[x].basis] = (ws[x], Ks[x] if smooth else None)
+        found = {x: members[K.basis][1] for x, K in Ks.items()}
+        found[-1] = next((K for K in found.values() if K is not None), None)
+        for i, x in zip(pending, at):
+            out[i] = found[x]
+        return any(out[i] is not None for i in pending)
+
+    while chunk := list(itertools.islice(candidates, _PENCIL_CHUNK)):
+        B = V.array([E.basis for E in chunk])
+        C = B[(B[:, :, held] == 0).all(axis=2)]  # v: E's reduced row zero on H's pivots
+        out = [None] * len(chunk)
+        pending = [i for i, ok in enumerate(_transverse_many(X, chunk)) if ok]
+        for k in itertools.count():
+            fresh = k == len(axes)
+            if not pending or fresh and not add_axis(chunk, C):
+                break
+            if not pencil(*axes[k], C, pending, out) and fresh:
+                break
+            pending = [i for i in pending if out[i] is None]
+        yield from zip(chunk, out)
+
+
 def _decided(X, H, classified: tuple, rng: random.Random) -> tuple:
     """The (verdict, method) classified, settled when it is left open."""
     verdict, method = classified
@@ -981,29 +1074,37 @@ def _sliced_tangency_loci(X: locus.Hypersurface, subspaces, rng: random.Random):
         restricted = poly.restrict_many(forms, [bases[i]], E)
         out[i] = (len(bases[i]), [(G.degree, R[0]) for G, R in zip(forms, restricted)])
     groups = [idx for idx in groups.values() if len(idx) > 1]
-    if not groups:
-        return E, out
-    partials = poly.form_partials(X.form)
-    d, VF, VE = X.degree, F.arrays(), E.arrays()
-    D = np.stack([poly.coefficients(g, VF) for g in partials])
-    emb = functools.partial(gf.embed_code, F, E)
+    partials = poly.form_partials(X.form) if groups else None
     for idx in groups:
-        restricted = poly.restrict_many([X.form, *partials], [bases[i] for i in idx], E)
-        Hs = [subspaces[i].basis for i in idx]
-        HF = VF.array(Hs)  # (S, size, nvars)
-        HE = VE.array([[[emb(c) for c in v] for v in H] for H in Hs])
-        ambient = contracted = None
-        for i, (Di, Ri) in enumerate(zip(D, restricted[1:])):
-            a = VF.mul(HF[:, :, i, None], Di)  # (S, size, columns of D)
-            c = VE.mul(HE[:, :, i, None], Ri[:, None, :])  # (S, size, N)
-            ambient = a if ambient is None else VF.add(ambient, a)
-            contracted = c if contracted is None else VE.add(contracted, c)
-        keep = (ambient != 0).any(axis=2).tolist()
-        for s, i in enumerate(idx):
-            gens = [(d, restricted[0][s])]
-            gens += [(d - 1, g) for g, kept in zip(contracted[s], keep[s]) if kept]
+        Hs, Bs = [subspaces[i].basis for i in idx], [bases[i] for i in idx]
+        for i, gens in zip(idx, _restricted_contractions(X, partials, Hs, Bs, E)):
             out[i] = (len(bases[i]), gens)
     return E, out
+
+
+def _restricted_contractions(X: locus.Hypersurface, partials, rows, bases, E: gf.Field):
+    """For each s, (degree, row) pairs of X's form and its contractions by
+    the rows of rows[s], restricted to bases[s] over E: sum v_i (d_iF
+    restricted) from one restrict_many call of X and its ``partials``,
+    dropped where sum v_i d_iF is zero, as locus.contractions drops it."""
+    F, d, VF, VE = X.field, X.degree, X.field.arrays(), E.arrays()
+    restricted = poly.restrict_many([X.form, *partials], bases, E)
+    D = np.stack([poly.coefficients(g, VF) for g in partials])
+    emb = functools.partial(gf.embed_code, F, E)
+    HF = VF.array(rows)  # (S, size, nvars)
+    HE = VE.array([[[emb(c) for c in v] for v in H] for H in rows])
+    ambient = contracted = None
+    for i, (Di, Ri) in enumerate(zip(D, restricted[1:])):
+        a = VF.mul(HF[:, :, i, None], Di)  # (S, size, columns of D)
+        c = VE.mul(HE[:, :, i, None], Ri[:, None, :])  # (S, size, N)
+        ambient = a if ambient is None else VF.add(ambient, a)
+        contracted = c if contracted is None else VE.add(contracted, c)
+    keep = (ambient != 0).any(axis=2).tolist()
+    return [
+        [(d, restricted[0][s])]
+        + [(d - 1, g) for g, kept in zip(contracted[s], keep[s]) if kept]
+        for s in range(len(rows))
+    ]
 
 
 def _locus_scheme(E: gf.Field, k: int, gens) -> locus.SchemeSpec:

@@ -24,6 +24,7 @@ its bound, or an inequality transcription check found a counterexample.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -423,7 +424,10 @@ def _leaf(subs, name, run, about, reads_input=False):
     return sp
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command tree, built once per process: parse_args leaves it
+    unchanged, and each leaf's handler looks its search up when it runs."""
     parser = _Parser(prog="transverse", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -185,23 +185,20 @@ def form_eval_codes(F: Form, codes, E: gf.Field) -> int:
 
 
 def form_partials(F: Form):
-    """The nvars formal partial derivatives, degree d-1 each (or zero)."""
-    out = []
+    """The nvars formal partial derivatives, degree d-1 each (or zero).
+    itertools.compress picks out each term's nonzero exponents, so the loop
+    runs once per nonzero exponent rather than nvars x terms times."""
     fld = F.field
+    out = [{} for _ in range(F.nvars)]
+    columns = range(F.nvars)
+    for exps, c in F.terms.items():
+        for i in itertools.compress(columns, exps):
+            coef = fld.mul_int(c, exps[i])
+            if coef:
+                # the new exponents determine exps, so no two terms meet
+                out[i][exps[:i] + (exps[i] - 1,) + exps[i + 1 :]] = coef
     deg = max(F.degree - 1, 0)
-    for i in range(F.nvars):
-        terms = {}
-        for exps, c in F.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            coef = fld.mul_int(c, e)
-            if coef == 0:
-                continue
-            ne = exps[:i] + (e - 1,) + exps[i + 1 :]
-            terms[ne] = coef  # ne determines exps, so no two terms meet
-        out.append(Form._built(fld, F.nvars, deg, terms))
-    return out
+    return [Form._built(fld, F.nvars, deg, terms) for terms in out]
 
 
 # ---------------------------------------------------------------------------

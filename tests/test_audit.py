@@ -781,6 +781,14 @@ SUPERSPACE_CENSUS_CASES = [
 ]
 
 
+def census_stream(X, P, seed):
+    """very_transverse_verdicts of every line through P, drawn as the
+    census drew before its pencil stage: after the anchor's own decision."""
+    rng = random.Random(seed)
+    assert certify.is_very_transverse(X, P, rng=rng)
+    return list(certify.very_transverse_verdicts(X, pg.enumerate_superspaces(P, 1), rng))
+
+
 class TestBadSuperspacesAgainstTheLoop:
     @pytest.mark.parametrize("field, nvars, r", SUPERSPACE_CENSUS_CASES)
     def test_census_matches_the_candidate_by_candidate_loop(self, field, nvars, r):
@@ -798,6 +806,9 @@ class TestBadSuperspacesAgainstTheLoop:
             want = loop_superspace_extras(X, P, 1, seed)
             assert count_bad_superspaces(X, P, 1, seed=seed).extras == want, seed
 
+    # the loop's stacks on the bench fixture: the census certifies its lines
+    # by hyperplane sections (TestPencilCertificates), so these tests drive
+    # very_transverse_verdicts on all 183 lines, on the census's rng stream
     def test_square_hits_skip_the_scalar_elimination(self, monkeypatch):
         # neither the square hits nor the misses of a stack reach
         # macaulay_is_empty: the misses are decided by the batch, and each
@@ -837,7 +848,7 @@ class TestBadSuperspacesAgainstTheLoop:
         monkeypatch.setattr(certify, "_sliced_tangency_loci", sliced_tangency_loci)
         X = surf(F13, "x0^3 + x1^3 + x2^3 + x3^3")
         P = pg.subspace_from_rows(F13, [(1, 0, 0, 0)])
-        count_bad_superspaces(X, P, 1, seed=0)
+        census_stream(X, P, 0)
         asked = set(asked)
         misses = [S for S, hit in tested if not hit]
         assert len({B for lines in attempts for B in lines}) == 174  # every transverse line
@@ -881,8 +892,200 @@ class TestBadSuperspacesAgainstTheLoop:
         for seed in range(3):
             report = count_bad_superspaces(X, P, 1, seed=seed)
             assert report.extras["pool"] == 183
+        for recorded in (asked, sliced, stacked):
+            recorded.clear()
+        for seed in range(3):
+            assert len(census_stream(X, P, seed)) == 183
         assert not rrefs
         assert len(sliced) == sum(stacked) >= 3 * 174 and not set(sliced) & set(asked)
+
+
+# ---------------------------------------------------------------------------
+# The pencil stage in front of the loop: a rational hyperplane with a smooth
+# section certifies every candidate inside it, and the rest go to the loop.
+
+
+F4 = gf.field_create(2, 2)
+FERMAT = "x0^3 + x1^3 + x2^3 + x3^3"
+E0 = (1, 0, 0, 0)
+
+
+def pencil_stage(X, H, r):
+    return list(certify.pencil_certificates(X, H, pg.enumerate_superspaces(H, r)))
+
+
+def record_sections(monkeypatch):
+    """The section bases the stage decides, recorded as it restricts them
+    over X's field (the loop's slices are over an extension in these
+    fixtures, whose fields have fewer than 64 elements)."""
+    decided = []
+    contract = certify._restricted_contractions
+
+    def restricted_contractions(X, partials, rows, bases, E):
+        if E == X.field:
+            decided.extend(bases)
+        return contract(X, partials, rows, bases, E)
+
+    monkeypatch.setattr(certify, "_restricted_contractions", restricted_contractions)
+    return decided
+
+
+def record_slices(monkeypatch):
+    """The candidates (subspaces of dimension at least 1) the loop slices."""
+    sliced = []
+    slicer = certify._sliced_tangency_loci
+
+    def sliced_tangency_loci(X, subspaces, rng):
+        sliced.extend(E.basis for E in subspaces if E.dim > 0)
+        return slicer(X, subspaces, rng)
+
+    monkeypatch.setattr(certify, "_sliced_tangency_loci", sliced_tangency_loci)
+    return sliced
+
+
+def assert_certificates_hold(X, H, staged):
+    # a certificate is a hyperplane through H and its candidate with a smooth
+    # section, and its candidate is transverse
+    smooth = {}
+    for E, K in staged:
+        if K is not None:
+            assert K.dim == X.ambient - 1
+            assert pg.subspace_le(H, K) and pg.subspace_le(E, K)
+            if K.basis not in smooth:
+                smooth[K.basis] = certify.is_transverse(X, K)
+            assert smooth[K.basis] and certify.is_transverse(X, E)
+
+
+# (field, form, r): a quadric surface and the quadric with nucleus e0 in P^4
+# over F_4, where p | d (a plane section's partials meet at its nucleus, so
+# only the section form makes its Jacobian empty), and a plane of P^3 and a
+# hyperplane of P^4 over F_5, of degree 1
+STAGE_CASES = [
+    ((2, 2), "x0*x1 + x2*x3", 1),
+    ((2, 2), "x0^2 + x1*x2 + x3*x4", 1),
+    ((2, 2), "x0^2 + x1*x2 + x3*x4", 2),
+    ((5, 1), "x0 + x1 + 2*x2 + x3", 1),
+    ((5, 1), "x0 + x1 + 2*x2 + x3 + x4", 2),
+]
+
+
+class TestPencilCertificates:
+    @pytest.mark.parametrize("field, text, r", STAGE_CASES)
+    def test_certificates_hold_and_the_census_matches_the_loop(
+        self, field, text, r, monkeypatch
+    ):
+        X = surf(gf.field_create(*field), text)
+        H = very_transverse_anchor(X, r)
+        decided = record_sections(monkeypatch)
+        staged = pencil_stage(X, H, r)
+        assert_certificates_hold(X, H, staged)
+        # one section per hyperplane through H at most, which max_enum covers
+        pool = pg.count_points(X.ambient - r, X.field)
+        assert len(decided) == len(set(decided)) <= pool
+        for seed in range(2):
+            want = loop_superspace_extras(X, H, r, seed)
+            assert count_bad_superspaces(X, H, r, seed=seed).extras == want, seed
+        if X.degree == 1:
+            # every candidate is transverse and very transverse both ways
+            assert all(K is not None for _, K in staged)
+            assert want["transverse"] == pool and want["dual_contained"] == 0
+        if r == 2 and X.degree == 2:
+            # the plane through the nucleus: transverse, and no hyperplane
+            # section through it is smooth
+            assert want["dual_contained"] == 1
+
+    @pytest.mark.parametrize("field, nvars, r", SUPERSPACE_CENSUS_CASES)
+    def test_certificates_hold_on_the_census_cases(self, field, nvars, r):
+        F = gf.field_create(*field)
+        X = smooth_cubic(F, nvars, random.Random(f"superspaces/{F.order}/{nvars}"))
+        H = very_transverse_anchor(X, r)
+        staged = pencil_stage(X, H, r)
+        assert_certificates_hold(X, H, staged)
+        assert any(K is not None for _, K in staged)
+
+    def test_the_bench_fixture_takes_two_pencils_and_no_slice(self, monkeypatch):
+        X, P = surf(F13, FERMAT), pg.subspace_from_rows(F13, [E0])
+        decided = record_sections(monkeypatch)
+        staged = pencil_stage(X, P, 1)
+        assert len(decided) <= 2 * (13 + 1)
+        assert sum(K is not None for _, K in staged) == 174  # every transverse line
+        sliced = record_slices(monkeypatch)
+        for seed in range(2):
+            assert count_bad_superspaces(X, P, 1, seed=seed).extras["transverse"] == 174
+        assert not sliced
+
+    def test_a_p_dividing_d_section_keeps_its_form(self, monkeypatch):
+        # the conic sections of x0*x1 + x2*x3 over F_4 have partials with a
+        # common zero, the nucleus; only the section form rules it out
+        X = surf(F4, "x0*x1 + x2*x3")
+        H = very_transverse_anchor(X, 1)
+        sliced = record_slices(monkeypatch)
+        report = count_bad_superspaces(X, H, 1, seed=0)
+        assert report.extras["transverse"] == 16 and not sliced
+
+    def test_the_fallback_reaches_the_loop(self, monkeypatch):
+        # no smooth hyperplane section certifies 2 of these 7 lines
+        X = smooth_cubic(F2, 4, random.Random("left/2/4/2"))
+        H = very_transverse_anchor(X, 1)
+        staged = pencil_stage(X, H, 1)
+        left = [E.basis for E, K in staged if K is None and certify.is_transverse(X, E)]
+        assert len(staged) == 7 and len(left) == 2
+        sliced = record_slices(monkeypatch)
+        for seed in range(4):
+            want = loop_superspace_extras(X, H, 1, seed)
+            sliced.clear()
+            assert count_bad_superspaces(X, H, 1, seed=seed).extras == want, seed
+            assert set(sliced) == set(left)
+
+    def test_the_first_pencil_certifies_every_candidate_in_a_smooth_member(self, monkeypatch):
+        # only the first pencil is decided: later sections read as singular,
+        # which certifies nothing.  Its axis is the first candidate, a
+        # transverse line; every other line lies in one member, the plane it
+        # spans with the axis, and the axis in all of them
+        X, P = surf(F13, FERMAT), pg.subspace_from_rows(F13, [E0])
+        lines = list(pg.enumerate_superspaces(P, 1))
+        axis = lines[0]
+        assert certify.is_transverse(X, axis)
+        empty, calls = certify._empty_loci, []
+
+        def empty_loci(E, loci):
+            calls.append(len(loci))
+            return empty(E, loci) if len(calls) == 1 else [False] * len(loci)
+
+        monkeypatch.setattr(certify, "_empty_loci", empty_loci)
+        staged = certify.pencil_certificates(X, P, iter(lines))
+        got = {E.basis: K is not None for E, K in staged}
+        want = {
+            L.basis: certify.is_transverse(X, L)
+            and certify.is_transverse(X, pg.subspace_from_rows(F13, axis.basis + L.basis))
+            for L in lines[1:]
+        }
+        want[axis.basis] = any(want.values())
+        assert len(calls) >= 2 and got == want and got[axis.basis]
+
+    def test_chunks_reuse_the_pencils(self, monkeypatch):
+        X, P = surf(F13, FERMAT), pg.subspace_from_rows(F13, [E0])
+        monkeypatch.setattr(certify, "_PENCIL_CHUNK", 16)
+        decided = record_sections(monkeypatch)
+        staged = pencil_stage(X, P, 1)
+        assert_certificates_hold(X, P, staged)
+        assert sum(K is not None for _, K in staged) == 174
+        assert len(decided) == len(set(decided)) <= 183
+
+    def test_a_section_over_the_kernel_cap_is_not_built(self, monkeypatch):
+        # a plane section's Jacobian Macaulay matrix of a cubic surface is
+        # 18 x 15: under a cap of 200 codes no section is built, every line
+        # goes to the loop, and nothing raises that the loop would not
+        F = gf.field_create(5)
+        X = smooth_cubic(F, 4, random.Random(f"superspaces/{F.order}/4"))
+        H = very_transverse_anchor(X, 1)
+        want = [count_bad_superspaces(X, H, 1, seed=s).extras for s in range(2)]
+        monkeypatch.setattr(poly, "KERNEL_ELEMENTS", 200)
+        decided, sliced = record_sections(monkeypatch), record_slices(monkeypatch)
+        assert all(K is None for _, K in pencil_stage(X, H, 1))
+        got = [count_bad_superspaces(X, H, 1, seed=s).extras for s in range(2)]
+        assert got == want and not decided
+        assert len(set(sliced)) == want[0]["transverse"]
 
 
 # ---------------------------------------------------------------------------

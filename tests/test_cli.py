@@ -590,3 +590,15 @@ def test_census_restrictions_stay_batched(monkeypatch, capsys):
     assert restrictions[:2] == [1, 183]
     assert len(restrictions) <= 2 + misses
     capsys.readouterr()
+
+
+def test_one_process_runs_command_after_command(monkeypatch, capsys):
+    # the parser is built once per process; commands run one after another
+    # in it print what fresh processes print
+    monkeypatch.chdir(REPO)
+    assert cli.build_parser() is cli.build_parser()
+    for command in ("count superspaces --r 1", "count hyperplanes", "count superspaces --r 1",
+                    "find-flag --r 2", "count hyperplanes"):
+        assert cli.main([*command.split(), "--input", FIXTURE]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == CORPUS_SHA256[command], command

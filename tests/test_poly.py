@@ -237,6 +237,29 @@ class TestForm:
                 acc = acc + x[i] * parts[i]
             assert acc == Form(F5, 3, d, {e: c * d % 5 for e, c in f.terms.items()})
 
+    def test_partials_match_the_loop_over_every_variable(self):
+        # random forms, terms whose exponent p divides (their partial drops
+        # the term), and the wide diagonal quadric, against the nvars x terms
+        # loop form_partials replaced
+        F13 = gf.field_create(13)
+        forms = [
+            poly.parse_form(F5, "x0^5*x1 + 2*x1^5*x2 + x0*x1*x2^4 + 3*x2^6"),
+            poly.parse_form(F9, "x0^3*x1 + (t+1)*x1^3*x2 + x2^4", nvars=3),
+            poly.parse_form(F13, "x0^13*x1 + x1^14 + 5*x0*x1^13"),
+            Form(F5, 1500, 2, {tuple(2 * (j == i) for j in range(1500)): 1 for i in range(1500)}),
+        ]
+        rng = random.Random("partials")
+        for fld in (F5, F9, F13):
+            for _ in range(20):
+                nvars, d = rng.randrange(1, 6), rng.randrange(0, 8)
+                mons = list(poly.monomials_of_degree(nvars, d))
+                picked = rng.sample(mons, min(len(mons), rng.randrange(1, 10)))
+                forms.append(Form(fld, nvars, d, {m: rng.randrange(fld.order) for m in picked}))
+        for f in forms:
+            got, want = poly.form_partials(f), loop_form_partials(f)
+            assert got == want
+            assert [poly.format_form(g) for g in got] == [poly.format_form(g) for g in want]
+
     def test_restrict_conic_to_lines(self):
         f = poly.parse_form(F5, "x0*x2 - x1^2")
         g = poly.substitute_rows(f, span5((1, 0, 0), (0, 1, 0)).basis)
@@ -520,3 +543,22 @@ def test_property_partials_lower_degree(d, pt, seed):
     for g in poly.form_partials(f):
         assert g.degree == max(d - 1, 0)
         assert g.is_zero() or all(sum(e) == d - 1 for e in g.terms)
+
+
+def loop_form_partials(F):
+    """form_partials as it was: every variable, then every term."""
+    out = []
+    fld = F.field
+    deg = max(F.degree - 1, 0)
+    for i in range(F.nvars):
+        terms = {}
+        for exps, c in F.terms.items():
+            e = exps[i]
+            if e == 0:
+                continue
+            coef = fld.mul_int(c, e)
+            if coef == 0:
+                continue
+            terms[exps[:i] + (e - 1,) + exps[i + 1 :]] = coef
+        out.append(Form._built(fld, F.nvars, deg, terms))
+    return out
